@@ -353,7 +353,8 @@ func BenchmarkSimWallClock(b *testing.B) {
 
 // BenchmarkSimWallClockParallel drives the 8-node fleet cell on
 // GOMAXPROCS engine shards (body shared with `omxsim bench`, which also
-// measures the 1-shard reference and reports parallel_speedup). Compare
+// measures the 1-shard reference and reports parallel_speedup on
+// multi-CPU hosts). Compare
 // against BenchmarkSimWallClockParallelSerial for the parallel engine's
 // wall-clock win on this machine.
 func BenchmarkSimWallClockParallel(b *testing.B) {

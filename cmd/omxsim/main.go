@@ -304,6 +304,11 @@ func benchCmd(args []string) {
 		fmt.Fprintf(os.Stderr, "SimWallClock speedup vs %s baseline (%s): %.2fx\n",
 			rep.Baseline.Commit, rep.Baseline.Name, rep.SpeedupVsBaseline)
 	}
+	if rep.ParallelSpeedup != nil {
+		fmt.Fprintf(os.Stderr, "parallel_speedup: %.2fx (%d CPUs)\n", *rep.ParallelSpeedup, rep.NumCPU)
+	} else {
+		fmt.Fprintf(os.Stderr, "parallel_speedup: null (%d CPU: the shards cannot run in parallel)\n", rep.NumCPU)
+	}
 	if *guard != "" {
 		if err := bench.Guard(rep, prior, *guardSlack); err != nil {
 			fmt.Fprintf(os.Stderr, "omxsim bench: %v\n", err)

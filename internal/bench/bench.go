@@ -55,9 +55,18 @@ type Result struct {
 
 // Report is the BENCH_PR<N>.json document.
 type Report struct {
-	PR                int      `json:"pr"`
-	GoOS              string   `json:"goos"`
-	GoArch            string   `json:"goarch"`
+	PR     int    `json:"pr"`
+	GoOS   string `json:"goos"`
+	GoArch string `json:"goarch"`
+	// Host the numbers were measured on: wall-clock figures only compare
+	// across artifacts from the same machine class.
+	NumCPU     int    `json:"num_cpu"`
+	GoMaxProcs int    `json:"gomaxprocs"`
+	GoVersion  string `json:"go_version"`
+	// ParallelSpeedup is SimWallClockParallelSerial's ns/op over
+	// SimWallClockParallel's. It is null on a one-CPU host, where the
+	// shards cannot run at the same time and the ratio measures nothing.
+	ParallelSpeedup   *float64 `json:"parallel_speedup"`
 	Baseline          Baseline `json:"baseline"`
 	SpeedupVsBaseline float64  `json:"speedup_vs_baseline"`
 	Benchmarks        []Result `json:"benchmarks"`
@@ -433,9 +442,9 @@ func Run(pr int, quick bool) Report {
 		minIters = 3
 	}
 	// The parallel cell is measured twice — once on one shard (the serial
-	// reference) and once on GOMAXPROCS shards — so the artifact carries
-	// parallel_speedup as data wherever it ran (≈1.0 on a single-core
-	// host, the real multiplier on multi-core CI).
+	// reference) and once on GOMAXPROCS shards — and the artifact carries
+	// their ratio as parallel_speedup wherever the host has more than one
+	// CPU.
 	shards := ParallelShards()
 	serial := measure("SimWallClockParallelSerial", minIters, minWall/2, func(m map[string]float64) {
 		simWallClockParallel(1, m)
@@ -444,8 +453,10 @@ func Run(pr int, quick bool) Report {
 		simWallClockParallel(shards, m)
 	})
 	par.Metrics["shards"] = float64(shards)
-	if par.NsPerOp > 0 {
-		par.Metrics["parallel_speedup"] = serial.NsPerOp / par.NsPerOp
+	var speedup *float64
+	if runtime.NumCPU() > 1 && par.NsPerOp > 0 {
+		s := serial.NsPerOp / par.NsPerOp
+		speedup = &s
 	}
 	results := []Result{
 		measure("SimWallClock", minIters, minWall, simWallClock),
@@ -465,11 +476,15 @@ func Run(pr int, quick bool) Report {
 			func(m map[string]float64) { specCompile(src, SpecCompileSpec, m) }))
 	}
 	rep := Report{
-		PR:         pr,
-		GoOS:       runtime.GOOS,
-		GoArch:     runtime.GOARCH,
-		Baseline:   PR2Baseline,
-		Benchmarks: results,
+		PR:              pr,
+		GoOS:            runtime.GOOS,
+		GoArch:          runtime.GOARCH,
+		NumCPU:          runtime.NumCPU(),
+		GoMaxProcs:      runtime.GOMAXPROCS(0),
+		GoVersion:       runtime.Version(),
+		ParallelSpeedup: speedup,
+		Baseline:        PR2Baseline,
+		Benchmarks:      results,
 	}
 	for _, r := range results {
 		if r.Name == rep.Baseline.Name && r.NsPerOp > 0 {
@@ -505,9 +520,10 @@ func LoadReport(path string) (Report, error) {
 // the reclaim hooks) from silently eroding the engine-overhaul win.
 // SimWallClock is mandatory in both reports; SimWallClockParallel is
 // gated only when the baseline artifact carries it (pre-parallel-engine
-// artifacts like BENCH_PR2.json do not). Slack absorbs CI machine-class
-// variance; 1.75 is generous enough that only a genuine regression (not
-// noise) trips it.
+// artifacts like BENCH_PR2.json do not). A null parallel_speedup (either
+// artifact measured on one CPU) is expected, never an error. Slack absorbs
+// CI machine-class variance; 1.75 is generous enough that only a genuine
+// regression (not noise) trips it.
 func Guard(cur, prior Report, slack float64) error {
 	if slack <= 0 {
 		slack = 1.75

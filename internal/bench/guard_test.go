@@ -1,6 +1,9 @@
 package bench
 
 import (
+	"bytes"
+	"os"
+	"path/filepath"
 	"strings"
 	"testing"
 )
@@ -81,5 +84,42 @@ func TestGuardAgainstCheckedInArtifact(t *testing.T) {
 		return Result{}, false
 	}(); !ok {
 		t.Fatal("BENCH_PR2.json lost its SimWallClock entry — the CI guard would be vacuous")
+	}
+}
+
+// TestGuardAcceptsNullParallelSpeedup: an artifact from a one-CPU host
+// writes parallel_speedup as null; it must load and gate like any other.
+func TestGuardAcceptsNullParallelSpeedup(t *testing.T) {
+	dir := t.TempDir()
+	path := filepath.Join(dir, "BENCH.json")
+	prior := Report{NumCPU: 1, GoMaxProcs: 1, GoVersion: "go1.24", Benchmarks: []Result{
+		{Name: "SimWallClock", NsPerOp: 18e6},
+		{Name: "SimWallClockParallel", NsPerOp: 30e6, Metrics: map[string]float64{"shards": 1}},
+	}}
+	var buf bytes.Buffer
+	if err := prior.WriteJSON(&buf); err != nil {
+		t.Fatal(err)
+	}
+	if !strings.Contains(buf.String(), `"parallel_speedup": null`) {
+		t.Fatalf("one-CPU artifact does not write parallel_speedup as null:\n%s", buf.String())
+	}
+	if err := os.WriteFile(path, buf.Bytes(), 0o644); err != nil {
+		t.Fatal(err)
+	}
+	loaded, err := LoadReport(path)
+	if err != nil {
+		t.Fatalf("null parallel_speedup rejected: %v", err)
+	}
+	if loaded.ParallelSpeedup != nil || loaded.NumCPU != 1 || loaded.GoVersion != "go1.24" {
+		t.Fatalf("host metadata did not round-trip: %+v", loaded)
+	}
+	speedup := 1.8
+	cur := loaded
+	cur.NumCPU, cur.ParallelSpeedup = 4, &speedup
+	if err := Guard(cur, loaded, 1.75); err != nil {
+		t.Fatalf("guard rejected a null-speedup baseline: %v", err)
+	}
+	if err := Guard(loaded, cur, 1.75); err != nil {
+		t.Fatalf("guard rejected a null-speedup current run: %v", err)
 	}
 }

@@ -375,6 +375,7 @@ func (cl *Cluster) Run(body func(c *mpi.Comm)) {
 	} else {
 		cl.Eng.Run()
 	}
+	cl.dropFreePages()
 	if !cl.World.AllDone() {
 		panic("cluster: simulation deadlocked: event queue empty with ranks still blocked")
 	}
@@ -393,7 +394,16 @@ func (cl *Cluster) RunFor(budget sim.Duration, body func(c *mpi.Comm)) bool {
 	} else {
 		cl.Eng.RunUntil(cl.Eng.Now() + budget)
 	}
+	cl.dropFreePages()
 	return cl.World.AllDone()
+}
+
+// dropFreePages empties every node's recycled-page free list once a run
+// ends, so a finished simulation holds no pooled page buffers.
+func (cl *Cluster) dropFreePages() {
+	for _, n := range cl.Nodes {
+		n.Phys.DropFreePages()
+	}
 }
 
 // Now reports the simulation end time the way a single engine would: the

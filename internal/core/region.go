@@ -451,6 +451,7 @@ func (r *Region) access(off, length int, fn func(f *vm.Frame, frameOff, n, done 
 // region byte offset off, through the pinned frames. This is the device-side
 // read the sender's pull path uses: O(pages) references instead of O(bytes)
 // copies; see vm.Buf for the snapshot semantics. The range must be Ready.
+// The view holds page references: its final consumer must Release it.
 func (r *Region) ReadBufAt(off, length int) (vm.Buf, error) {
 	if r.parent != nil {
 		if off < 0 || off+length > r.bytes {
@@ -471,9 +472,14 @@ func (r *Region) ReadBufAt(off, length int) (vm.Buf, error) {
 		}
 		return vm.BufOf(dst), nil
 	}
+	// A range of length bytes spans at most length/PageSize+2 pages.
+	b.Grow(length/vm.PageSize + 2)
 	err := r.access(off, length, func(f *vm.Frame, fo, n, done int) {
 		b.AppendFrame(f, fo, n)
 	})
+	if err != nil {
+		b.Release()
+	}
 	return b, err
 }
 

@@ -345,15 +345,21 @@ func (ep *Endpoint) armReRequestAfter(rs *rstate, delay sim.Duration) {
 // or offloaded to I/OAT. If the target pages are beyond the pinned prefix,
 // the fragment is dropped — an overlap miss — and recovered by re-request
 // (paper §3.3: "drop the incoming packet and let retransmission happen").
+//
+// The fragment's payload is a Buf lent from the sender's pinned frames.
+// Every path that consumes or drops it releases it exactly once, here on
+// the receiver's shard, so the sender's pages stop counting this holder.
 func (ep *Endpoint) handlePullReply(m *pullReply) {
 	rs, ok := ep.rstates[msgKey{m.src, m.seq}]
 	if !ok || rs.completed || rs.matched == nil {
+		m.buf.Release()
 		return // late fragment after completion
 	}
 	region := rs.matched.region
 	n := m.buf.Len()
 	if rs.gotFrag[m.off] {
 		ep.node.stats.DupFrags++
+		m.buf.Release()
 		return
 	}
 	if !region.Ready(m.off, n) {
@@ -365,6 +371,7 @@ func (ep *Endpoint) handlePullReply(m *pullReply) {
 		ep.node.stats.OverlapMissReceiver++
 		ep.emit(trace.OverlapMissRcv, m.seq, m.off, n)
 		ep.scheduleMissRetry(rs)
+		m.buf.Release()
 		return
 	}
 	if rs.gotFrag == nil {
@@ -381,6 +388,7 @@ func (ep *Endpoint) handlePullReply(m *pullReply) {
 	// drives the gap-based re-request of older holes.
 	ep.noteArrival(rs, m.off, n)
 	commit := func() {
+		defer m.buf.Release()
 		if rs.completed {
 			return
 		}

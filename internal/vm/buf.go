@@ -1,6 +1,9 @@
 package vm
 
-import "fmt"
+import (
+	"fmt"
+	"slices"
+)
 
 // Buf is a zero-copy, copy-on-reference view of byte contents assembled
 // from page frames (and literal byte runs). It is what the simulated wire
@@ -8,21 +11,30 @@ import "fmt"
 // pinned frames is O(chunks) — no 4 KiB copies, no zero-fill — and writing
 // one into destination frames adopts whole-page chunks by reference.
 //
-// Snapshot semantics: referenced frames are marked shared, so a later write
-// to the source frame clones the page first (Frame copy-on-write). A Buf
-// therefore always reads as the data at reference time, exactly like the
-// eager copy it replaces, while the common case (page never rewritten
-// mid-flight, or all-zero pages that were never materialized) moves no
-// bytes at all.
+// Snapshot semantics: every frame chunk holds a reference to its page, so
+// a write to the source frame while the Buf is alive clones the page first
+// (Frame copy-on-write). A Buf therefore always reads as the data at
+// reference time, exactly like the eager copy it replaces, while the
+// common case (page never rewritten mid-flight, or all-zero pages that
+// were never materialized) moves no bytes at all.
+//
+// Lending: the final consumer of a Buf calls Release once it no longer
+// reads it, handing the page references back so the source can write in
+// place again and freed pages can be recycled. A Buf value copied around
+// shares those references: release exactly one copy. A Buf that is never
+// released (lost on the wire) only costs the source a clone on its next
+// write and leaves the pages to the garbage collector.
 type Buf struct {
 	length int
 	chunks []bufChunk
 }
 
 // bufChunk is one contiguous piece: n bytes at data[off:]. A nil data slice
-// reads as zeros (an unmaterialized page).
+// reads as zeros (an unmaterialized page). Frame chunks carry the page
+// whose reference they hold; literal byte runs have pg == nil.
 type bufChunk struct {
 	data []byte
+	pg   *page
 	off  int
 	n    int
 }
@@ -38,13 +50,29 @@ func (b *Buf) AppendFrame(f *Frame, off, n int) {
 	if off < 0 || off+n > PageSize {
 		panic(fmt.Sprintf("vm: buf chunk [%d,%d) outside page", off, off+n))
 	}
-	data := f.refData() // nil for an unmaterialized (all-zero) page
-	if data == nil {
+	pg := f.refPage() // nil for an unmaterialized (all-zero) page
+	if pg == nil {
 		b.AppendZeros(n)
 		return
 	}
-	b.chunks = append(b.chunks, bufChunk{data: data, off: off, n: n})
+	b.chunks = append(b.chunks, bufChunk{data: pg.data[:], pg: pg, off: off, n: n})
 	b.length += n
+}
+
+// Grow reserves room for n more chunks, so assembling a view of a range
+// known to span n pages takes a single allocation.
+func (b *Buf) Grow(n int) { b.chunks = slices.Grow(b.chunks, n) }
+
+// Release drops the page references the view holds and empties it.
+// Releasing an empty or already released Buf is a no-op.
+func (b *Buf) Release() {
+	for _, c := range b.chunks {
+		if c.pg != nil {
+			c.pg.put()
+		}
+	}
+	b.chunks = nil
+	b.length = 0
 }
 
 // AppendZeros appends n zero bytes without materializing them.
@@ -130,9 +158,9 @@ func (w *BufWriter) WriteTo(f *Frame, frameOff, n int) {
 			} else {
 				f.writeZeros(frameOff, m)
 			}
-		} else if frameOff == 0 && m == PageSize && c.off+w.co == 0 && len(c.data) == PageSize {
+		} else if c.pg != nil && frameOff == 0 && m == PageSize && c.off+w.co == 0 {
 			// The chunk piece is exactly a page buffer: share it.
-			f.adopt(c.data)
+			f.adopt(c.pg)
 		} else {
 			f.Write(frameOff, c.data[c.off+w.co:c.off+w.co+m])
 		}
@@ -152,14 +180,9 @@ func (f *Frame) writeZeros(off, n int) {
 	if f.freed {
 		panic(fmt.Sprintf("vm: write to freed frame %d", f.pfn))
 	}
-	if f.data == nil || n <= 0 {
+	if f.pg == nil || n <= 0 {
 		return
 	}
 	f.ensureOwned()
-	if f.data == nil {
-		return
-	}
-	for i := off; i < off+n; i++ {
-		f.data[i] = 0
-	}
+	clear(f.pg.data[off : off+n])
 }

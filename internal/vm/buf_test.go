@@ -41,7 +41,7 @@ func TestBufZeroPagesStayUnmaterialized(t *testing.T) {
 	}
 	w := NewBufWriter(&b)
 	w.WriteTo(dst.Frame(0), 0, PageSize)
-	if src.Frame(0).data != nil || dst.Frame(0).data != nil {
+	if src.Frame(0).pg != nil || dst.Frame(0).pg != nil {
 		t.Fatal("zero pages were materialized by a Buf round trip")
 	}
 	got := make([]byte, 16)
@@ -63,7 +63,7 @@ func TestBufAdoptSharesAndCOWIsolates(t *testing.T) {
 	b.AppendFrame(src.Frame(0), 0, PageSize)
 	w := NewBufWriter(&b)
 	w.WriteTo(dst.Frame(0), 0, PageSize)
-	if &src.Frame(0).data[0] != &dst.Frame(0).data[0] {
+	if src.Frame(0).pg != dst.Frame(0).pg {
 		t.Fatal("full-page write did not adopt the source buffer by reference")
 	}
 
@@ -116,7 +116,11 @@ func TestBufPartialPageCopies(t *testing.T) {
 	if !bytes.Equal(got, want) {
 		t.Fatalf("dst = %q, want %q", got, want)
 	}
-	if dst.Frame(0).shared {
-		t.Fatal("partial-page write marked destination shared")
+	if refs := dst.Frame(0).pg.refs.Load(); refs != 1 {
+		t.Fatalf("partial-page write left the destination page with %d holders, want 1", refs)
+	}
+	b.Release()
+	if refs := src.Frame(0).pg.refs.Load(); refs != 1 {
+		t.Fatalf("released source page has %d holders, want 1", refs)
 	}
 }

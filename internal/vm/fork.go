@@ -33,10 +33,7 @@ func (as *AddressSpace) Fork(childPID int) (*AddressSpace, error) {
 					child.abortFork()
 					return nil, err
 				}
-				if p.frame.data != nil {
-					f.data = p.frame.refData()
-					f.shared = true
-				}
+				f.pg = p.frame.refPage()
 				f.mapRefs++
 				cv.ptes[i] = pte{frame: f, present: true, writable: true}
 				child.installFrame(f, v.start+Addr(i)<<PageShift)
@@ -52,13 +49,11 @@ func (as *AddressSpace) Fork(childPID int) (*AddressSpace, error) {
 				// the share.
 				p.swapWritable = false
 				cp := pte{swapped: true}
-				if p.swapData != nil {
-					cp.swapData = p.swapData
-					cp.swapShared = true
-					p.swapShared = true
+				if p.swapPg != nil {
+					cp.swapPg = p.swapPg.get()
 				}
 				cv.ptes[i] = cp
-				as.phys.swapAdded(cp.swapData)
+				as.phys.swapAdded(cp.swapPg)
 			}
 		}
 	}

@@ -1,0 +1,288 @@
+package vm
+
+import (
+	"bytes"
+	"fmt"
+	"sync"
+	"testing"
+)
+
+// pageLedger checks page reference counts against the holders a test can
+// see. Lent Bufs are registered while alive; the pages of released Bufs are
+// remembered, because a Buf that drops a page's last reference leaves it to
+// the garbage collector instead of a free list.
+type pageLedger struct {
+	pm       *PhysMem
+	bufs     map[*Buf]bool
+	lentPage map[*page]bool
+}
+
+func newPageLedger(pm *PhysMem) *pageLedger {
+	return &pageLedger{pm: pm, bufs: make(map[*Buf]bool), lentPage: make(map[*page]bool)}
+}
+
+// lend builds a Buf over [addr, addr+n) of as through the current frames,
+// as the sender's pull path does through pinned ones. Non-resident pages
+// (not yet faulted, or swapped out) read as zeros in the model only when
+// they were never written, so the caller only lends resident ranges.
+func (l *pageLedger) lend(as *AddressSpace, addr Addr, n int) (*Buf, bool) {
+	b := &Buf{}
+	for done := 0; done < n; {
+		a := addr + Addr(done)
+		f, ok := as.FrameAt(a)
+		if !ok {
+			b.Release()
+			return nil, false
+		}
+		off := int(a - PageAlignDown(a))
+		m := PageSize - off
+		if m > n-done {
+			m = n - done
+		}
+		b.AppendFrame(f, off, m)
+		done += m
+	}
+	for _, c := range b.chunks {
+		if c.pg != nil {
+			l.lentPage[c.pg] = true
+		}
+	}
+	l.bufs[b] = true
+	return b, true
+}
+
+// release releases a lent Buf.
+func (l *pageLedger) release(b *Buf) {
+	delete(l.bufs, b)
+	b.Release()
+}
+
+// check verifies that every reachable page's count equals its holders —
+// one per distinct frame (mapped through the given address spaces or kept
+// alive by the given pins), one per swap slot, one per live Buf chunk —
+// and that free-list pages are held by nobody.
+func (l *pageLedger) check(spaces []*AddressSpace, pins []*Pinned) error {
+	holders := make(map[*page]int32)
+	frames := make(map[*Frame]bool)
+	for _, as := range spaces {
+		for _, v := range as.vmas {
+			for i := range v.ptes {
+				p := &v.ptes[i]
+				switch {
+				case p.present:
+					frames[p.frame] = true
+				case p.swapped && p.swapPg != nil:
+					holders[p.swapPg]++
+				}
+			}
+		}
+	}
+	for _, h := range pins {
+		for _, f := range h.Frames() {
+			frames[f] = true
+		}
+	}
+	for f := range frames {
+		if f.pg != nil {
+			holders[f.pg]++
+		}
+	}
+	for b := range l.bufs {
+		for _, c := range b.chunks {
+			if c.pg != nil {
+				holders[c.pg]++
+			}
+		}
+	}
+	for pg, n := range holders {
+		if got := pg.refs.Load(); got != n {
+			return fmt.Errorf("page %p: count %d, %d holders", pg, got, n)
+		}
+	}
+	onList := make(map[*page]bool)
+	for _, pg := range l.pm.freePages {
+		if onList[pg] {
+			return fmt.Errorf("page %p on the free list twice", pg)
+		}
+		onList[pg] = true
+		if holders[pg] != 0 || pg.refs.Load() != 0 {
+			return fmt.Errorf("free-list page %p has count %d, %d holders", pg, pg.refs.Load(), holders[pg])
+		}
+	}
+	return nil
+}
+
+// checkTornDown verifies the ledger after every mapping, pin and Buf is
+// gone: every page ever made is back on the free list or was last held by
+// a released Buf, and none of them has a holder left.
+func (l *pageLedger) checkTornDown() error {
+	if len(l.bufs) != 0 {
+		return fmt.Errorf("%d Bufs still lent", len(l.bufs))
+	}
+	seen := make(map[*page]bool)
+	for _, pg := range l.pm.freePages {
+		seen[pg] = true
+	}
+	for pg := range l.lentPage {
+		seen[pg] = true
+	}
+	for pg := range seen {
+		if n := pg.refs.Load(); n != 0 {
+			return fmt.Errorf("page %p still has count %d", pg, n)
+		}
+	}
+	if uint64(len(seen)) != l.pm.pagesMade {
+		return fmt.Errorf("%d pages made, %d accounted for", l.pm.pagesMade, len(seen))
+	}
+	return nil
+}
+
+// TestBufSnapshotSurvivesRemalloc: a Buf lent before its source is
+// munmapped keeps reading its snapshot after a re-malloc has recycled pages
+// and written new contents into them.
+func TestBufSnapshotSurvivesRemalloc(t *testing.T) {
+	const pages = 4
+	pm := NewPhysMem(0)
+	as := NewAddressSpace(1, pm)
+	l := newPageLedger(pm)
+	src, _ := as.Mmap(pages * PageSize)
+	other, _ := as.Mmap(pages * PageSize)
+	want := bytes.Repeat([]byte("snapshot"), pages*PageSize/8)
+	as.Write(src, want)
+	as.Write(other, bytes.Repeat([]byte{0x11}, pages*PageSize))
+	b, ok := l.lend(as, src, pages*PageSize)
+	if !ok {
+		t.Fatal("source not resident")
+	}
+	as.Munmap(src, pages*PageSize)
+	as.Munmap(other, pages*PageSize)
+	if got := pm.RecycledPages(); got != pages {
+		t.Fatalf("recycled %d pages, want %d (only the unlent mapping's)", got, pages)
+	}
+	again, _ := as.Mmap(2 * pages * PageSize)
+	as.Write(again, bytes.Repeat([]byte{0xEE}, 2*pages*PageSize))
+	if len(pm.freePages) != 0 || pm.pagesMade != 3*pages {
+		t.Fatalf("re-malloc made %d pages with %d left free, want %d made and none free",
+			pm.pagesMade, len(pm.freePages), 3*pages)
+	}
+	if got := b.Bytes(); !bytes.Equal(got, want) {
+		t.Fatal("lent Buf lost its snapshot to a recycled page")
+	}
+	if err := l.check([]*AddressSpace{as}, nil); err != nil {
+		t.Fatal(err)
+	}
+	l.release(b)
+	as.Munmap(again, 2*pages*PageSize)
+	if err := l.checkTornDown(); err != nil {
+		t.Fatal(err)
+	}
+}
+
+// TestRecycledPageDemandZero: a page written in full, freed, mapped again
+// and then written only in part reads zeros everywhere else.
+func TestRecycledPageDemandZero(t *testing.T) {
+	pm := NewPhysMem(0)
+	as := NewAddressSpace(1, pm)
+	a, _ := as.Mmap(PageSize)
+	as.Write(a, bytes.Repeat([]byte{0xFF}, PageSize))
+	as.Munmap(a, PageSize)
+	a, _ = as.Mmap(PageSize)
+	as.Write(a+100, []byte("hi"))
+	if pm.pagesMade != 1 {
+		t.Fatalf("made %d pages, want the freed one recycled", pm.pagesMade)
+	}
+	got := make([]byte, PageSize)
+	as.Read(a, got)
+	want := make([]byte, PageSize)
+	copy(want[100:], "hi")
+	if !bytes.Equal(got, want) {
+		t.Fatal("recycled page leaked its old contents past a partial write")
+	}
+}
+
+// TestBufReleaseTwice: a second Release is a no-op, and once released the
+// source writes in place instead of cloning.
+func TestBufReleaseTwice(t *testing.T) {
+	_, src, _ := pinnedPair(t)
+	src.Frame(0).Write(0, []byte("data"))
+	pg := src.Frame(0).pg
+	var b Buf
+	b.AppendFrame(src.Frame(0), 0, PageSize)
+	b.Release()
+	b.Release()
+	if n := pg.refs.Load(); n != 1 {
+		t.Fatalf("page count %d after double release, want 1", n)
+	}
+	if b.Len() != 0 {
+		t.Fatalf("released Buf has length %d", b.Len())
+	}
+	src.Frame(0).Write(0, []byte("more"))
+	if src.Frame(0).pg != pg {
+		t.Fatal("sole holder cloned its page on write")
+	}
+}
+
+// TestPageRefsConcurrentRelease: one goroutine owns the PhysMem and keeps
+// writing, lending and freeing while another releases the lent Bufs — the
+// cross-shard shape of the pull path. Run it under -race; every Buf must
+// still read the snapshot it was lent.
+func TestPageRefsConcurrentRelease(t *testing.T) {
+	const (
+		rounds = 200
+		pages  = 4
+	)
+	type loan struct {
+		b    *Buf
+		want []byte
+	}
+	// A few loans of slack let the owner run ahead of the releaser, so
+	// rewrites and frees land both before and after each release.
+	loans := make(chan loan, 8)
+	var wg sync.WaitGroup
+	wg.Add(1)
+	errs := make(chan error, 1)
+	go func() {
+		defer wg.Done()
+		for ln := range loans {
+			if !bytes.Equal(ln.b.Bytes(), ln.want) {
+				select {
+				case errs <- fmt.Errorf("lent Buf changed under its reader"):
+				default:
+				}
+			}
+			ln.b.Release()
+		}
+	}()
+	pm := NewPhysMem(0)
+	as := NewAddressSpace(1, pm)
+	data := make([]byte, pages*PageSize)
+	for r := 0; r < rounds; r++ {
+		a, _ := as.Mmap(pages * PageSize)
+		for i := range data {
+			data[i] = byte(r + i/PageSize)
+		}
+		as.Write(a, data)
+		var b Buf
+		for p := 0; p < pages; p++ {
+			f, _ := as.FrameAt(a + Addr(p*PageSize))
+			b.AppendFrame(f, 0, PageSize)
+		}
+		loans <- loan{b: &b, want: append([]byte(nil), data...)}
+		// Rewrite half the pages while the loan may still be out (clone or
+		// in place, depending on the reader's progress), then free.
+		as.Write(a, bytes.Repeat([]byte{0xAA}, pages*PageSize/2))
+		as.Munmap(a, pages*PageSize)
+	}
+	close(loans)
+	wg.Wait()
+	select {
+	case err := <-errs:
+		t.Fatal(err)
+	default:
+	}
+	for _, pg := range pm.freePages {
+		if n := pg.refs.Load(); n != 0 {
+			t.Fatalf("free-list page has count %d", n)
+		}
+	}
+}

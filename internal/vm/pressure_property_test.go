@@ -8,10 +8,10 @@ import (
 )
 
 // TestPropPressureInterleavings drives random fault / pin / unpin / fork /
-// munmap / swap / migrate sequences against a tight-capacity PhysMem, so
-// direct reclaim and kswapd passes fire constantly underneath the
-// workload, and asserts the three invariants the reclaim subsystem must
-// never break:
+// munmap / swap / migrate / lend / release sequences against a
+// tight-capacity PhysMem, so direct reclaim and kswapd passes fire
+// constantly underneath the workload, and asserts the invariants the
+// reclaim subsystem must never break:
 //
 //  1. pinned frames are never reclaimed: every handle's frames are
 //     pointer-stable from pin to unpin and read back the model's bytes;
@@ -19,7 +19,10 @@ import (
 //     every child dropped, and every mapping gone, no frames remain in
 //     use and no swap slots stay accounted;
 //  3. data survives swap-out/swap-in round trips: reads through live
-//     mappings always match a plain in-memory model.
+//     mappings always match a plain in-memory model;
+//  4. page reference counts equal their holders after every operation,
+//     lent Bufs keep their snapshots through reclaim, and at teardown
+//     every page ever made is accounted for with no holder left.
 func TestPropPressureInterleavings(t *testing.T) {
 	const (
 		nMaps    = 8
@@ -31,6 +34,7 @@ func TestPropPressureInterleavings(t *testing.T) {
 		pm := NewPhysMem(capacity)
 		pm.SetWatermarks(0, 0)
 		as := NewAddressSpace(1, pm)
+		l := newPageLedger(pm)
 
 		type pin struct {
 			h      *Pinned
@@ -53,6 +57,32 @@ func TestPropPressureInterleavings(t *testing.T) {
 		var pins []*pin
 		var children []*AddressSpace
 		pinnedPages := 0
+		type loan struct {
+			b    *Buf
+			want []byte
+		}
+		var loans []loan
+		release := func(i int) bool {
+			ln := loans[i]
+			if !bytes.Equal(ln.b.Bytes(), ln.want) {
+				t.Logf("seed %d: lent Buf lost its snapshot", seed)
+				return false
+			}
+			l.release(ln.b)
+			loans = append(loans[:i], loans[i+1:]...)
+			return true
+		}
+		checkRefs := func(when string) bool {
+			handles := make([]*Pinned, len(pins))
+			for i, p := range pins {
+				handles[i] = p.h
+			}
+			if err := l.check(append([]*AddressSpace{as}, children...), handles); err != nil {
+				t.Logf("seed %d: %s: %v", seed, when, err)
+				return false
+			}
+			return true
+		}
 
 		liveMap := func() int {
 			for tries := 0; tries < 2*nMaps; tries++ {
@@ -96,7 +126,7 @@ func TestPropPressureInterleavings(t *testing.T) {
 		}
 
 		for op := 0; op < 300; op++ {
-			switch rng.Intn(10) {
+			switch rng.Intn(12) {
 			case 0, 1, 2: // write random bytes (faults, COW breaks, reclaim)
 				mi := liveMap()
 				if mi < 0 {
@@ -213,6 +243,23 @@ func TestPropPressureInterleavings(t *testing.T) {
 					_, _ = as.Migrate(addrs[mi], mapPages*PageSize)
 				}
 				pm.KswapdPass()
+			case 10: // lend a resident range, as a sender's pull path would
+				mi := liveMap()
+				if mi < 0 {
+					continue
+				}
+				off := rng.Intn(mapPages*PageSize - 1)
+				n := 1 + rng.Intn(mapPages*PageSize-off)
+				if b, ok := l.lend(as, addrs[mi]+Addr(off), n); ok {
+					loans = append(loans, loan{b, append([]byte(nil), model[mi][off:off+n]...)})
+				}
+			case 11: // release a loan (verifying its snapshot first)
+				if len(loans) > 0 && !release(rng.Intn(len(loans))) {
+					return false
+				}
+			}
+			if !checkRefs("after op") {
+				return false
 			}
 			if pm.FramesInUse() > capacity {
 				t.Logf("seed %d: FramesInUse %d exceeds capacity", seed, pm.FramesInUse())
@@ -222,6 +269,11 @@ func TestPropPressureInterleavings(t *testing.T) {
 
 		// Teardown: verify and release everything, then the ledger must be
 		// exactly empty.
+		for len(loans) > 0 {
+			if !release(0) {
+				return false
+			}
+		}
 		for _, p := range pins {
 			if !checkPin(p) {
 				return false
@@ -251,6 +303,10 @@ func TestPropPressureInterleavings(t *testing.T) {
 		if pm.FramesInUse() != 0 || pm.SwappedPages() != 0 || pm.SwappedBytes() != 0 {
 			t.Logf("seed %d: teardown leak: frames=%d swapped=%d bytes=%d",
 				seed, pm.FramesInUse(), pm.SwappedPages(), pm.SwappedBytes())
+			return false
+		}
+		if err := l.checkTornDown(); err != nil {
+			t.Logf("seed %d: teardown: %v", seed, err)
 			return false
 		}
 		return true

@@ -1,6 +1,7 @@
 package vm
 
 import (
+	"bytes"
 	"math/rand"
 	"testing"
 	"testing/quick"
@@ -234,6 +235,145 @@ func TestPropMunmapAlwaysNotifiesWholeRange(t *testing.T) {
 		return true
 	}
 	if err := quick.Check(f, &quick.Config{MaxCount: 50}); err != nil {
+		t.Fatal(err)
+	}
+}
+
+// TestPropPageRefsBalance drives random write / lend / release / fork /
+// COW / swap / migrate / munmap / re-mmap sequences on unbounded memory and
+// checks after every operation that each page's reference count equals its
+// holders and that no free-list page is held; Bufs must read the snapshot
+// they were lent and live mappings must match a plain model. At teardown
+// every page ever made is accounted for with no holder left.
+func TestPropPageRefsBalance(t *testing.T) {
+	const (
+		nMaps    = 4
+		mapPages = 4
+		mapBytes = mapPages * PageSize
+	)
+	f := func(seed int64) bool {
+		rng := rand.New(rand.NewSource(seed))
+		pm := NewPhysMem(0)
+		as := NewAddressSpace(1, pm)
+		l := newPageLedger(pm)
+		type loan struct {
+			b    *Buf
+			want []byte
+		}
+		addrs := make([]Addr, nMaps)
+		model := make([][]byte, nMaps)
+		for i := range addrs {
+			addrs[i], _ = as.Mmap(mapBytes)
+			model[i] = make([]byte, mapBytes)
+		}
+		var loans []loan
+		var children []*AddressSpace
+		var pins []*Pinned
+		fail := func(format string, args ...any) bool {
+			t.Logf("seed %d: "+format, append([]any{seed}, args...)...)
+			return false
+		}
+		release := func(i int) bool {
+			ln := loans[i]
+			if !bytes.Equal(ln.b.Bytes(), ln.want) {
+				return fail("lent Buf lost its snapshot")
+			}
+			l.release(ln.b)
+			loans = append(loans[:i], loans[i+1:]...)
+			return true
+		}
+		dropChild := func(i int) {
+			c := children[i]
+			for _, v := range append([]*vma(nil), c.vmas...) {
+				c.Munmap(v.start, int(v.end-v.start))
+			}
+			children = append(children[:i], children[i+1:]...)
+		}
+		for op := 0; op < 150; op++ {
+			mi := rng.Intn(nMaps)
+			switch rng.Intn(10) {
+			case 0, 1: // write: whole pages (adopt-sized) or a partial range
+				off, n := 0, mapBytes
+				if rng.Intn(2) == 0 {
+					off = rng.Intn(mapBytes - 1)
+					n = 1 + rng.Intn(mapBytes-off)
+				}
+				data := make([]byte, n)
+				rng.Read(data)
+				as.Write(addrs[mi]+Addr(off), data)
+				copy(model[mi][off:], data)
+			case 2: // lend a resident range
+				off := rng.Intn(mapBytes - 1)
+				n := 1 + rng.Intn(mapBytes-off)
+				if b, ok := l.lend(as, addrs[mi]+Addr(off), n); ok {
+					loans = append(loans, loan{b, append([]byte(nil), model[mi][off:off+n]...)})
+				}
+			case 3: // release a loan
+				if len(loans) > 0 && !release(rng.Intn(len(loans))) {
+					return false
+				}
+			case 4: // fork; the child writes a page (COW break on its side)
+				if len(children) >= 2 {
+					dropChild(0)
+				}
+				c, err := as.Fork(10 + op)
+				if err != nil {
+					return fail("fork: %v", err)
+				}
+				c.Write(addrs[mi]+Addr(rng.Intn(mapBytes)), []byte{0x5A})
+				children = append(children, c)
+			case 5: // swap out, then maybe touch a page back in
+				as.SwapOut(addrs[mi], mapBytes)
+				if rng.Intn(2) == 0 {
+					as.Read(addrs[mi]+Addr(rng.Intn(mapBytes)), make([]byte, 1))
+				}
+			case 6: // migrate
+				as.Migrate(addrs[mi], mapBytes)
+			case 7: // pin or unpin a page: pinned frames survive munmap
+				if len(pins) > 0 && rng.Intn(2) == 0 {
+					pins[0].Unpin()
+					pins = pins[1:]
+				} else if h, err := as.PinPages(addrs[mi], rng.Intn(mapPages), 1); err == nil {
+					pins = append(pins, h)
+				}
+			case 8: // free and re-malloc: freed pages are recycled
+				as.Munmap(addrs[mi], mapBytes)
+				addrs[mi], _ = as.Mmap(mapBytes)
+				model[mi] = make([]byte, mapBytes)
+			case 9: // read a mapping back through the live page tables
+				got := make([]byte, mapBytes)
+				as.Read(addrs[mi], got)
+				if !bytes.Equal(got, model[mi]) {
+					return fail("mapping %d diverged from model", mi)
+				}
+			}
+			if err := l.check(append([]*AddressSpace{as}, children...), pins); err != nil {
+				return fail("op %d: %v", op, err)
+			}
+		}
+		for len(loans) > 0 {
+			if !release(0) {
+				return false
+			}
+		}
+		for _, h := range pins {
+			h.Unpin()
+		}
+		for len(children) > 0 {
+			dropChild(0)
+		}
+		for _, a := range addrs {
+			as.Munmap(a, mapBytes)
+		}
+		if pm.FramesInUse() != 0 || pm.SwappedPages() != 0 {
+			return fail("teardown left frames=%d swapped=%d", pm.FramesInUse(), pm.SwappedPages())
+		}
+		if err := l.checkTornDown(); err != nil {
+			return fail("%v", err)
+		}
+		return true
+	}
+	if err := quick.Check(f, &quick.Config{MaxCount: 40}); err != nil {
 		t.Fatal(err)
 	}
 }

@@ -150,19 +150,28 @@ func (pm *PhysMem) SetReclaimHook(fn func(scanned, stolen int, direct bool)) {
 	pm.onReclaim = fn
 }
 
-// swapAdded accounts one PTE entering swap.
-func (pm *PhysMem) swapAdded(data []byte) {
+// swapAdded accounts one PTE entering swap with contents pg (nil for a
+// zero-fill page).
+func (pm *PhysMem) swapAdded(pg *page) {
 	pm.swappedPages++
-	pm.swappedBytes += len(data)
+	pm.swappedBytes += pageBytes(pg)
 	if occ := pm.OccupiedPages(); occ > pm.peakOccupied {
 		pm.peakOccupied = occ
 	}
 }
 
 // swapRemoved accounts one PTE leaving swap (swap-in or teardown).
-func (pm *PhysMem) swapRemoved(data []byte) {
+func (pm *PhysMem) swapRemoved(pg *page) {
 	pm.swappedPages--
-	pm.swappedBytes -= len(data)
+	pm.swappedBytes -= pageBytes(pg)
+}
+
+// pageBytes reports the bytes of data a page holds: none for a zero page.
+func pageBytes(pg *page) int {
+	if pg == nil {
+		return 0
+	}
+	return PageSize
 }
 
 // lruTracked reports whether frame LRU maintenance is on: only bounded

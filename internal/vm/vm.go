@@ -12,9 +12,11 @@
 // Page tables are stored as per-VMA PTE slices over a sorted VMA list, so
 // every range operation (pin, fault, read, write, migrate, swap) resolves
 // the mapping once with a binary search and then walks pages by direct
-// indexing — no per-page map lookups. Frame contents use copy-on-reference
-// sharing (see Buf): readers take O(1) references and the 4 KiB copy is
-// paid only if either side writes afterwards.
+// indexing — no per-page map lookups. Frame contents are reference-counted
+// page buffers (see page and Buf): readers take O(1) references, the 4 KiB
+// copy is paid only if a side writes while another still holds the page,
+// and a page whose last holder lets go is recycled through its node's free
+// list instead of being garbage.
 package vm
 
 import (
@@ -58,24 +60,23 @@ var (
 	ErrDoubleUnpin = errors.New("vm: unpin without matching pin")
 )
 
-// Frame is a physical page frame. Its data is allocated lazily on first
-// write; unwritten frames read as zeros. Frame contents may be shared
-// (copy-on-reference) with Buf views and with other frames; a write to a
-// shared frame first clones the 4 KiB buffer, so every outstanding
+// Frame is a physical page frame. Its page buffer is taken lazily on first
+// write; unwritten frames read as zeros. The buffer may be shared with Buf
+// views, swap slots and other frames (see page); a write while another
+// holder exists first clones the 4 KiB buffer, so every outstanding
 // reference keeps the snapshot it was taken from.
 type Frame struct {
 	pfn     uint64
-	data    []byte
-	shared  bool // data is aliased by a Buf or another frame: copy on write
-	mapRefs int  // number of PTEs referencing this frame
-	pinRefs int  // get_user_pages-style references
+	pg      *page    // contents; nil reads as zeros
+	pm      *PhysMem // allocator the frame and its pages come from
+	mapRefs int      // number of PTEs referencing this frame
+	pinRefs int      // get_user_pages-style references
 	// kernRefs are transient in-kernel references (get_page-style) held
 	// across an allocation inside breakCOW/Migrate so direct reclaim
 	// cannot steal the frame mid-operation. Unlike pinRefs they are not
 	// user pins: the reclaim scan skips them without counting a
 	// pinned-resist, keeping the paper-facing metric honest.
 	kernRefs int
-	freed    bool
 
 	// Reverse mapping and LRU linkage, maintained only on bounded PhysMem
 	// (see reclaim.go): owner/vaddr record the (single) mapping reclaim
@@ -84,6 +85,7 @@ type Frame struct {
 	vaddr            Addr
 	lruPrev, lruNext *Frame
 	onLRU            uint8
+	freed            bool
 }
 
 // PFN returns the frame's physical frame number.
@@ -104,38 +106,43 @@ func (f *Frame) Read(off int, dst []byte) int {
 	if n <= 0 {
 		return 0
 	}
-	if f.data == nil {
-		for i := 0; i < n; i++ {
-			dst[i] = 0
-		}
+	if f.pg == nil {
+		clear(dst[:n])
 		return n
 	}
-	copy(dst[:n], f.data[off:off+n])
+	copy(dst[:n], f.pg.data[off:off+n])
 	return n
 }
 
-// refData returns a zero-copy reference to the frame's contents (nil means
-// the page reads as zeros). The frame is marked shared so a later Write
-// clones before mutating, preserving the reference's snapshot semantics.
-func (f *Frame) refData() []byte {
+// refPage takes a reference to the frame's page for another holder (nil
+// means the page reads as zeros and there is nothing to share). While that
+// reference lives, a write to the frame clones first, preserving the
+// holder's snapshot.
+func (f *Frame) refPage() *page {
 	if f.freed {
 		panic(fmt.Sprintf("vm: reference of freed frame %d", f.pfn))
 	}
-	if f.data != nil {
-		f.shared = true
+	if f.pg == nil {
+		return nil
 	}
-	return f.data
+	return f.pg.get()
 }
 
-// ensureOwned makes the frame's data private and writable, cloning it if a
-// reference is outstanding (the copy-on-write half of copy-on-reference).
+// ensureOwned makes the frame's page private and writable, cloning it
+// while another holder exists (the copy-on-write half of
+// copy-on-reference).
 func (f *Frame) ensureOwned() {
-	if f.shared {
-		d := make([]byte, PageSize)
-		copy(d, f.data)
-		f.data = d
-		f.shared = false
+	if f.pg != nil && f.pg.shared() {
+		f.clonePage()
 	}
+}
+
+// clonePage replaces the frame's page with a private copy.
+func (f *Frame) clonePage() {
+	pg, _ := f.pm.newPage()
+	*pg.data = *f.pg.data
+	f.pm.putPage(f.pg)
+	f.pg = pg
 }
 
 // Write copies min(len(src), PageSize-off) bytes into the frame at off.
@@ -151,32 +158,40 @@ func (f *Frame) Write(off int, src []byte) int {
 		return 0
 	}
 	f.ensureOwned()
-	if f.data == nil {
+	if f.pg == nil {
 		if allZero(src[:n]) {
-			// Zero pages stay materialization-free: a nil data slice already
+			// Zero pages stay materialization-free: a nil page already
 			// reads as zeros.
 			return n
 		}
-		f.data = make([]byte, PageSize)
+		pg, recycled := f.pm.newPage()
+		if recycled {
+			// Demand-zero: whatever this write leaves untouched must read
+			// as zeros, not as the recycled page's old contents.
+			clear(pg.data[:off])
+			clear(pg.data[off+n:])
+		}
+		f.pg = pg
 	}
-	copy(f.data[off:off+n], src[:n])
+	copy(f.pg.data[off:off+n], src[:n])
 	return n
 }
 
-// adopt installs a full-page buffer as the frame's contents without
-// copying. A nil page means all zeros. The buffer may still be referenced
-// elsewhere, so the frame is marked shared.
-func (f *Frame) adopt(page []byte) {
+// adopt installs a shared page as the frame's contents without copying,
+// taking a reference to it and dropping the frame's old page. A nil page
+// means all zeros.
+func (f *Frame) adopt(pg *page) {
 	if f.freed {
 		panic(fmt.Sprintf("vm: adopt into freed frame %d", f.pfn))
 	}
-	if page == nil {
-		f.data = nil
-		f.shared = false
-		return
+	if pg == f.pg {
+		return // already holds it (a reused buffer receiving the same page)
 	}
-	f.data = page
-	f.shared = true
+	if pg != nil {
+		pg.get()
+	}
+	f.pm.putPage(f.pg)
+	f.pg = pg
 }
 
 // allZero reports whether b contains only zero bytes.
@@ -207,11 +222,18 @@ type PhysMem struct {
 	rstats              ReclaimStats
 
 	// Swap accounting: pages whose frames were released but whose bytes
-	// stay alive in swapData (FramesInUse alone under-reports occupancy
+	// stay alive in swap slots (FramesInUse alone under-reports occupancy
 	// under pressure).
 	swappedPages int
 	swappedBytes int
 	peakOccupied int
+
+	// Page buffers whose last holder let go, reused before new ones are
+	// made (see page.go). The list never outgrows the node's peak of
+	// materialized pages, so it needs no cap.
+	freePages []*page
+	recycled  uint64 // pages ever put on freePages
+	pagesMade uint64 // page buffers ever allocated
 }
 
 // NewPhysMem returns physical memory with capacity frames (0 = unlimited).
@@ -268,7 +290,7 @@ func (pm *PhysMem) alloc() (*Frame, error) {
 	if occ := pm.OccupiedPages(); occ > pm.peakOccupied {
 		pm.peakOccupied = occ
 	}
-	return &Frame{pfn: pm.nextPFN}, nil
+	return &Frame{pfn: pm.nextPFN, pm: pm}, nil
 }
 
 func (pm *PhysMem) release(f *Frame) {
@@ -281,24 +303,24 @@ func (pm *PhysMem) release(f *Frame) {
 	pm.lruRemove(f)
 	f.owner = nil
 	f.freed = true
-	f.data = nil
+	pm.putPage(f.pg)
+	f.pg = nil
 	pm.inUse--
 }
 
 // pte is a page-table entry.
 type pte struct {
-	frame      *Frame
-	present    bool
-	writable   bool // false while COW-shared
-	swapped    bool
-	swapData   []byte // contents saved at swap-out
-	swapShared bool   // swapData aliases a shared buffer
+	frame  *Frame
+	swapPg *page // contents saved at swap-out (one page reference)
+	pins   int   // pins through *this mapping*
 	// swapWritable preserves writability across a swap round trip: a
 	// COW-shared read-only page must come back read-only so the next
 	// write still runs breakCOW (and fires its notifier) instead of
 	// silently scribbling on a shared frame.
 	swapWritable bool
-	pins         int // pins through *this mapping*
+	present      bool
+	writable     bool // false while COW-shared
+	swapped      bool
 }
 
 // vma is a mapped virtual region (anonymous memory only) together with its
@@ -623,7 +645,8 @@ func (as *AddressSpace) dropPTE(p *pte) {
 			p.frame.owner = nil
 		}
 	} else if p.swapped {
-		as.phys.swapRemoved(p.swapData)
+		as.phys.swapRemoved(p.swapPg)
+		as.phys.putPage(p.swapPg)
 	}
 	*p = pte{}
 }
@@ -657,13 +680,9 @@ func (as *AddressSpace) faultPTE(a Addr, p *pte, forWrite bool) (*Frame, error) 
 		if err != nil {
 			return nil, err
 		}
-		as.phys.swapRemoved(p.swapData)
-		if p.swapData != nil {
-			f.data = p.swapData
-			f.shared = p.swapShared
-		}
-		p.swapData = nil
-		p.swapShared = false
+		as.phys.swapRemoved(p.swapPg)
+		f.pg = p.swapPg // the swap slot's reference moves to the frame
+		p.swapPg = nil
 		p.swapped = false
 		p.frame = f
 		p.present = true
@@ -715,12 +734,9 @@ func (as *AddressSpace) breakCOW(a Addr, p *pte) error {
 	if err != nil {
 		return err
 	}
-	if old.data != nil {
-		// Copy-on-reference: the new frame shares the old contents until
-		// one side writes.
-		f.data = old.refData()
-		f.shared = true
-	}
+	// Copy-on-reference: the new frame shares the old contents until one
+	// side writes while the other still holds them.
+	f.pg = old.refPage()
 	old.mapRefs--
 	if old.mapRefs == 0 && old.pinRefs == 0 {
 		as.phys.release(old)
@@ -976,18 +992,12 @@ func (as *AddressSpace) Migrate(addr Addr, length int) (int, error) {
 					walkErr = err
 					return
 				}
-				if old.data != nil {
-					if old.mapRefs > 1 {
-						// Still mapped elsewhere (COW share): the moved
-						// copy references the data, the old frame keeps it.
-						f.data = old.refData()
-						f.shared = true
-					} else {
-						f.data = old.data
-						f.shared = old.shared
-						old.data = nil
-						old.shared = false
-					}
+				if old.mapRefs > 1 {
+					// Still mapped elsewhere (COW share): the moved copy
+					// references the page, the old frame keeps it.
+					f.pg = old.refPage()
+				} else {
+					f.pg, old.pg = old.pg, nil
 				}
 				old.mapRefs--
 				if old.mapRefs == 0 && old.pinRefs == 0 {
@@ -1051,13 +1061,9 @@ func (as *AddressSpace) swapOutPTE(p *pte) {
 	old := p.frame
 	p.swapWritable = p.writable
 	if old.mapRefs > 1 {
-		p.swapData = old.refData()
-		p.swapShared = p.swapData != nil
+		p.swapPg = old.refPage()
 	} else {
-		p.swapData = old.data
-		p.swapShared = old.shared
-		old.data = nil
-		old.shared = false
+		p.swapPg, old.pg = old.pg, nil
 	}
 	old.mapRefs--
 	if old.mapRefs == 0 && old.pinRefs == 0 {
@@ -1067,5 +1073,5 @@ func (as *AddressSpace) swapOutPTE(p *pte) {
 	p.present = false
 	p.writable = false
 	p.swapped = true
-	as.phys.swapAdded(p.swapData)
+	as.phys.swapAdded(p.swapPg)
 }
