@@ -183,11 +183,9 @@ type Cache struct {
 	// byRegion tracks every live entry — attached or detached with
 	// outstanding references — by its base region, for Put.
 	byRegion map[*Region]*cacheEntry
-	// idx is the interval index: attached single-segment entries sorted
-	// by start address, with maxEnd[i] = max(end of idx[0..i]) so
-	// coverage and overlap queries can terminate early.
-	idx    []*cacheEntry
-	maxEnd []vm.Addr
+	// idx is the interval index over every attached entry's byte span:
+	// lookups use its single-segment entries, invalidations all of them.
+	idx addrIndex[*cacheEntry]
 	// pending are in-flight declarations by declared-segment key;
 	// pendIdx lists the single-segment ones for coverage joins.
 	pending map[string]*pendingDecl
@@ -202,8 +200,9 @@ type Cache struct {
 type cacheEntry struct {
 	key    string
 	region *Region
-	// segStart/segEnd are the byte span for single-segment entries
-	// (single=true); vectorial entries match by exact key only.
+	// segStart/segEnd are the byte span of the segments: exact for
+	// single-segment entries (single=true), the hull for vectorial ones,
+	// which lookups match by exact key only.
 	segStart, segEnd vm.Addr
 	single           bool
 	bytes            int
@@ -456,8 +455,13 @@ func (c *Cache) finishDeclare(p *pendingDecl, tick int64) {
 		refs:    len(p.waiters),
 		lastUse: tick,
 	}
-	if p.single {
-		e.segStart, e.segEnd = p.segStart, p.segEnd
+	e.segStart, e.segEnd = p.segStart, p.segEnd
+	if !p.single {
+		e.segStart, e.segEnd = ^vm.Addr(0), 0
+		for _, s := range p.segs {
+			e.segStart = min(e.segStart, s.Addr)
+			e.segEnd = max(e.segEnd, s.Addr+vm.Addr(s.Len))
+		}
 	}
 	c.byRegion[r] = e
 	if p.invalidated || c.closed {
@@ -561,13 +565,16 @@ func (c *Cache) InvalidateRange(nr vm.NotifierRange) {
 	if nr.Reason != vm.InvalidateUnmap && !c.cfg.DropOnCOW {
 		return
 	}
+	// The index holds byte spans; widened to whole pages, the query finds
+	// every entry whose pages the range touches, and the exact check drops
+	// vectorial entries hit only in a gap between their segments.
 	var dead []*cacheEntry
-	for _, e := range c.entries {
+	for _, e := range c.idx.appendOverlapping(nil, vm.PageAlignDown(nr.Start), vm.PageAlignUp(nr.End)) {
 		if e.region.overlaps(nr.Start, nr.End) {
 			dead = append(dead, e)
 		}
 	}
-	// Deterministic drop order (map iteration is not).
+	// Drop in declaration order.
 	sort.Slice(dead, func(i, j int) bool { return dead[i].region.id < dead[j].region.id })
 	for _, e := range dead {
 		c.stats.Invalidations++
@@ -647,8 +654,7 @@ func (c *Cache) overBudget() bool {
 
 // ---- interval index ----
 
-// attach inserts an entry into the exact map and, for single-segment
-// entries, the interval index.
+// attach inserts an entry into the exact map and the interval index.
 func (c *Cache) attach(e *cacheEntry) {
 	// Defense in depth: never silently overwrite an entry under the same
 	// key (its bytes and byRegion tracking would leak) — retire it.
@@ -657,19 +663,7 @@ func (c *Cache) attach(e *cacheEntry) {
 	}
 	c.entries[e.key] = e
 	c.bytes += e.bytes
-	if !e.single {
-		return
-	}
-	i := sort.Search(len(c.idx), func(i int) bool {
-		if c.idx[i].segStart != e.segStart {
-			return c.idx[i].segStart > e.segStart
-		}
-		return c.idx[i].region.id > e.region.id
-	})
-	c.idx = append(c.idx, nil)
-	copy(c.idx[i+1:], c.idx[i:])
-	c.idx[i] = e
-	c.rebuildMaxEnd()
+	c.idx.insert(e.segStart, e.segEnd, e.region.id, e)
 }
 
 // detach removes an entry from the exact map and interval index, marking
@@ -682,68 +676,30 @@ func (c *Cache) detach(e *cacheEntry) {
 	delete(c.entries, e.key)
 	c.bytes -= e.bytes
 	e.detached = true
-	if !e.single {
-		return
-	}
-	for i, x := range c.idx {
-		if x == e {
-			c.idx = append(c.idx[:i], c.idx[i+1:]...)
-			break
-		}
-	}
-	c.rebuildMaxEnd()
-}
-
-// rebuildMaxEnd refreshes the running-maximum augmentation after an index
-// mutation. O(n), bounded by the cache capacity.
-func (c *Cache) rebuildMaxEnd() {
-	c.maxEnd = c.maxEnd[:0]
-	var max vm.Addr
-	for _, e := range c.idx {
-		if e.segEnd > max {
-			max = e.segEnd
-		}
-		c.maxEnd = append(c.maxEnd, max)
-	}
+	c.idx.remove(e.segStart, e.region.id, e)
 }
 
 // covering returns an attached single-segment entry whose byte span
-// covers [a, a+l), or nil. The scan walks left from the rightmost entry
-// starting at or before a, stopping as soon as the running maximum end
-// proves nothing further left can reach the range.
+// covers [a, a+l), or nil: among several, the one starting last.
 func (c *Cache) covering(a vm.Addr, l int) *cacheEntry {
-	b := a + vm.Addr(l)
-	i := sort.Search(len(c.idx), func(i int) bool { return c.idx[i].segStart > a }) - 1
-	for ; i >= 0; i-- {
-		if c.maxEnd[i] < b {
-			return nil // no entry at or left of i ends late enough
-		}
-		if c.idx[i].segEnd >= b {
-			return c.idx[i]
-		}
-	}
-	return nil
+	e, _ := c.idx.covering(a, a+vm.Addr(l), isSingle)
+	return e
 }
 
 // overlapping returns the attached single-segment entries whose byte
 // spans intersect [a, b), in index order.
 func (c *Cache) overlapping(a, b vm.Addr) []*cacheEntry {
-	var out []*cacheEntry
-	hi := sort.Search(len(c.idx), func(i int) bool { return c.idx[i].segStart >= b })
-	for j := hi - 1; j >= 0; j-- {
-		if c.maxEnd[j] <= a {
-			break
-		}
-		if c.idx[j].segEnd > a {
-			out = append(out, c.idx[j])
+	out := c.idx.appendOverlapping(nil, a, b)
+	kept := out[:0]
+	for _, e := range out {
+		if e.single {
+			kept = append(kept, e)
 		}
 	}
-	// Restore ascending order (collected right-to-left).
-	for i, j := 0, len(out)-1; i < j; i, j = i+1, j-1 {
-		out[i], out[j] = out[j], out[i]
-	}
-	return out
+	return kept
 }
+
+func isSingle(e *cacheEntry) bool { return e.single }
 
 // emit records a cache trace event through the manager's recorder.
 func (c *Cache) emit(k trace.Kind, seq uint64, a int) {

@@ -138,21 +138,7 @@ func TestIntervalIndexProperty(t *testing.T) {
 			}
 		}
 		// Structural invariants after every mutation.
-		if len(ih.c.idx) != len(ih.c.maxEnd) {
-			t.Fatalf("step %d: idx/maxEnd length mismatch", step)
-		}
-		var max vm.Addr
-		for i, e := range ih.c.idx {
-			if i > 0 && ih.c.idx[i-1].segStart > e.segStart {
-				t.Fatalf("step %d: idx not sorted", step)
-			}
-			if e.segEnd > max {
-				max = e.segEnd
-			}
-			if ih.c.maxEnd[i] != max {
-				t.Fatalf("step %d: maxEnd[%d] = %#x, want %#x", step, i, uint64(ih.c.maxEnd[i]), uint64(max))
-			}
-		}
+		checkIndex(t, step, &ih.c.idx)
 	}
 }
 

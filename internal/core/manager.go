@@ -2,6 +2,7 @@ package core
 
 import (
 	"fmt"
+	"sort"
 
 	"omxsim/internal/cpu"
 	"omxsim/internal/policy"
@@ -59,7 +60,13 @@ type Manager struct {
 	cfg  ManagerConfig
 	pol  policy.Policy
 
-	regions map[RegionID]*Region
+	// regions holds the declared regions in declaration (id) order, so
+	// every walk over them is deterministic; byAddr indexes the same
+	// regions by the pages their segments span, so an MMU-notifier
+	// callback visits only the regions it overlaps.
+	regions []*Region
+	byAddr  addrIndex[*Region]
+	hits    []*Region // InvalidateRange's reusable hit buffer
 	nextID  RegionID
 	tick    int64
 
@@ -93,13 +100,12 @@ func NewManager(eng *sim.Engine, as *vm.AddressSpace, core *cpu.Core, cfg Manage
 	}
 	cfg.PinChunkPages = cfg.Backend.PinChunkPages(cfg.PinChunkPages)
 	m := &Manager{
-		eng:     eng,
-		as:      as,
-		core:    core,
-		spec:    core.Spec(),
-		cfg:     cfg,
-		pol:     cfg.Backend,
-		regions: make(map[RegionID]*Region),
+		eng:  eng,
+		as:   as,
+		core: core,
+		spec: core.Spec(),
+		cfg:  cfg,
+		pol:  cfg.Backend,
 	}
 	as.RegisterNotifier(m)
 	return m
@@ -111,7 +117,8 @@ func (m *Manager) Close() {
 	for _, r := range m.regions {
 		m.unpinNow(r)
 	}
-	m.regions = make(map[RegionID]*Region)
+	m.regions = nil
+	m.byAddr = addrIndex[*Region]{}
 }
 
 // ReleaseAll drops every pin the manager holds without detaching it — the
@@ -148,8 +155,20 @@ func (m *Manager) NumRegions() int { return len(m.regions) }
 
 // Region looks up a declared region by descriptor.
 func (m *Manager) Region(id RegionID) (*Region, bool) {
-	r, ok := m.regions[id]
-	return r, ok
+	i := m.find(id)
+	if i < 0 {
+		return nil, false
+	}
+	return m.regions[i], true
+}
+
+// find returns the position of region id in m.regions, or -1.
+func (m *Manager) find(id RegionID) int {
+	i := sort.Search(len(m.regions), func(i int) bool { return m.regions[i].id >= id })
+	if i < len(m.regions) && m.regions[i].id == id {
+		return i
+	}
+	return -1
 }
 
 // Declare registers a region without pinning it (except under the
@@ -163,6 +182,7 @@ func (m *Manager) Declare(segs []Segment) (*Region, error) {
 	}
 	r := &Region{segs: make([]Segment, len(segs))}
 	copy(r.segs, segs)
+	r.lo, r.hi = ^vm.Addr(0), 0
 	for _, s := range segs {
 		if s.Len <= 0 {
 			return nil, fmt.Errorf("core: segment length %d: %w", s.Len, ErrTooManySegs)
@@ -171,6 +191,8 @@ func (m *Manager) Declare(segs []Segment) (*Region, error) {
 		r.segPin = append(r.segPin, segPin{pages: pages})
 		r.bytes += s.Len
 		r.pages += pages
+		r.lo = min(r.lo, vm.PageAlignDown(s.Addr))
+		r.hi = max(r.hi, vm.PageAlignUp(s.Addr+vm.Addr(s.Len)))
 	}
 	r.as = m.as
 	r.mgr = m
@@ -178,7 +200,8 @@ func (m *Manager) Declare(segs []Segment) (*Region, error) {
 	r.odp = m.pol.Access() == policy.AccessODP
 	m.nextID++
 	r.id = m.nextID
-	m.regions[r.id] = r
+	m.regions = append(m.regions, r) // ids only grow: the order holds
+	m.byAddr.insert(r.lo, r.hi, r.id, r)
 	m.stats.Declares++
 	if m.pol.PinAtDeclare() && !r.noPin {
 		m.startPin(r)
@@ -193,14 +216,16 @@ func (m *Manager) Undeclare(r *Region) error {
 	if r.parent != nil {
 		return fmt.Errorf("core: undeclare of a subrange view: %w", ErrUnknownRegion)
 	}
-	if _, ok := m.regions[r.id]; !ok {
+	i := m.find(r.id)
+	if i < 0 {
 		return ErrUnknownRegion
 	}
 	if r.useCount > 0 {
 		return ErrRegionBusy
 	}
 	m.unpinNow(r)
-	delete(m.regions, r.id)
+	m.regions = append(m.regions[:i], m.regions[i+1:]...)
+	m.byAddr.remove(r.lo, r.id, r)
 	m.stats.Undeclares++
 	return nil
 }
@@ -499,7 +524,9 @@ func (r *Region) locatePageFrom(page int) (seg, pageInSeg int) {
 
 // evictForLimit unpins idle LRU regions until adding n pages respects the
 // pinned-page limit. Active regions are never evicted; if only active
-// regions remain the limit is exceeded (correctness over policy).
+// regions remain the limit is exceeded (correctness over policy). Among
+// equally recent regions (never acquired, pinned speculatively) the oldest
+// declaration goes first.
 func (m *Manager) evictForLimit(n int, pinning *Region) {
 	if m.cfg.PinnedPageLimit <= 0 {
 		return
@@ -536,11 +563,21 @@ func (m *Manager) evictForLimit(n int, pinning *Region) {
 // unmap under an in-use region still kills the transfer: the live
 // translation the NIC depends on is gone, so the affected requests abort
 // through OnInvalidateInUse instead of retrying against a dead mapping.
+//
+// Dispatch is address-indexed: the callback visits only the regions whose
+// pages overlap the range, in address order, so reclaim — which fires it
+// once per stolen page — costs a binary search, not a walk over every
+// declared region. The hits are collected before any is handled, because
+// handling one runs protocol callbacks.
 func (m *Manager) InvalidateRange(nr vm.NotifierRange) {
-	for _, r := range m.regions {
+	hits := m.byAddr.appendOverlapping(m.hits[:0], nr.Start, nr.End)
+	m.hits = nil // a nested notification gets a buffer of its own
+	for _, r := range hits {
+		if !r.overlaps(nr.Start, nr.End) {
+			continue // a vectorial region hit in a gap between its segments
+		}
 		if r.noPin {
-			if nr.Reason == vm.InvalidateUnmap && r.useCount > 0 &&
-				r.overlaps(nr.Start, nr.End) {
+			if nr.Reason == vm.InvalidateUnmap && r.useCount > 0 {
 				m.stats.InvalidateHits++
 				m.emit(trace.Invalidate, uint64(r.id), int(nr.Start), int(nr.End-nr.Start))
 				if m.OnInvalidateInUse != nil {
@@ -550,9 +587,6 @@ func (m *Manager) InvalidateRange(nr vm.NotifierRange) {
 			continue
 		}
 		if r.pinnedPages == 0 && r.state != statePinning {
-			continue
-		}
-		if !r.overlaps(nr.Start, nr.End) {
 			continue
 		}
 		// Page-granular invalidations (COW break, swap-out, migration)
@@ -580,6 +614,8 @@ func (m *Manager) InvalidateRange(nr vm.NotifierRange) {
 			m.OnInvalidateInUse(r)
 		}
 	}
+	clear(hits)
+	m.hits = hits[:0]
 }
 
 // emit records a trace event if a recorder is attached.

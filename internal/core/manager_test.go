@@ -17,7 +17,7 @@ type harness struct {
 	core    *cpu.Core
 }
 
-func newHarness(t *testing.T) *harness {
+func newHarness(t testing.TB) *harness {
 	t.Helper()
 	eng := sim.NewEngine(3)
 	as := vm.NewAddressSpace(1, vm.NewPhysMem(0))

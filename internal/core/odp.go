@@ -43,7 +43,7 @@ func (m *Manager) odpFault(r *Region, pages []int) {
 		for _, p := range fresh {
 			delete(r.odpPending, p)
 		}
-		if _, live := m.regions[r.id]; !live {
+		if m.find(r.id) < 0 {
 			return // undeclared while the request was in flight
 		}
 		// Service the batch one contiguous run at a time (fresh is

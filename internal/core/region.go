@@ -161,6 +161,9 @@ type Region struct {
 	odp bool
 	as  *vm.AddressSpace
 	mgr *Manager
+	// lo and hi bound the pages the segments span: the region's key in
+	// the manager's address index.
+	lo, hi vm.Addr
 
 	// odpPending tracks region page indexes with an in-flight ODP fault
 	// request, so each page is requested from the host once per miss.

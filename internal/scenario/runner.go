@@ -181,8 +181,8 @@ func (s *Scenario) runCell(run *Run, c Case, size int) (*CaseRun, error) {
 	// Fault events arm through the cluster's OnBuild hook, composing with
 	// any hooks the scenario or case tweak installed.
 	cfg.OnBuild = append(cfg.OnBuild, func(cl *cluster.Cluster) {
-		for _, f := range s.Faults {
-			scheduleFault(cl, cr, f, s.Budget)
+		for i, f := range s.Faults {
+			scheduleFault(cl, cr, i, f, s.Budget)
 		}
 	})
 	cl, err := cluster.New(cfg)
@@ -197,6 +197,7 @@ func (s *Scenario) runCell(run *Run, c Case, size int) (*CaseRun, error) {
 		cl.Run(body)
 		cr.Completed = true
 	}
+	cr.orderFaultNotes()
 	collectStats(cr)
 	collectChaos(cr)
 	// Tear the endpoints down: the policy contract says no backend may
@@ -302,13 +303,14 @@ func collectChaos(cr *CaseRun) {
 	cr.chaosSeries = series
 }
 
-// scheduleNodeFault arms a one-shot node-class fault. Like the planned
-// chaos schedule, the event fires on the target node's own shard engine
-// and records into that node's stress recorder.
-func scheduleNodeFault(cl *cluster.Cluster, cr *CaseRun, f Fault) {
+// scheduleNodeFault arms a one-shot node-class fault, the scenario's
+// fault number fi. Like the planned chaos schedule, the event fires on the
+// target node's own shard engine and records into that node's stress
+// recorder.
+func scheduleNodeFault(cl *cluster.Cluster, cr *CaseRun, fi int, f Fault) {
 	if f.Node < 0 || f.Node >= len(cl.Nodes) {
 		cl.Eng.After(f.At, func() {
-			cr.Note("t=%v: %v fault: no node %d", cl.Eng.Now(), f.Kind, f.Node)
+			cr.noteFault(cl.Eng.Now(), 0, fi, "t=%v: %v fault: no node %d", cl.Eng.Now(), f.Kind, f.Node)
 		})
 		return
 	}
@@ -336,15 +338,15 @@ func scheduleNodeFault(cl *cluster.Cluster, cr *CaseRun, f Fault) {
 	})
 }
 
-// scheduleFault arms one fault event. Every injector runs on the engine
-// that owns its target node, so fault work stays shard-local in sharded
-// runs: the flood arms per-node bottom-half generators on each node's own
-// engine, and rank-targeted faults fire where the rank's address space
-// lives.
-func scheduleFault(cl *cluster.Cluster, cr *CaseRun, f Fault, budget sim.Duration) {
+// scheduleFault arms one fault event, the scenario's fault number fi.
+// Every injector runs on the engine that owns its target node, so fault
+// work stays shard-local in sharded runs: the flood arms per-node
+// bottom-half generators on each node's own engine, and rank-targeted
+// faults fire where the rank's address space lives.
+func scheduleFault(cl *cluster.Cluster, cr *CaseRun, fi int, f Fault, budget sim.Duration) {
 	switch f.Kind {
 	case FaultCrash, FaultLinkDegrade, FaultPartition, FaultBudgetShrink:
-		scheduleNodeFault(cl, cr, f)
+		scheduleNodeFault(cl, cr, fi, f)
 		return
 	}
 	if f.Kind == FaultFlood {
@@ -362,7 +364,7 @@ func scheduleFault(cl *cluster.Cluster, cr *CaseRun, f Fault, budget sim.Duratio
 					eng.After(window, stop)
 				}
 				if n.ID == 0 {
-					cr.Note("t=%v: flood util=%.2f window=%v", eng.Now(), f.Util, window)
+					cr.noteFault(eng.Now(), 0, fi, "t=%v: flood util=%.2f window=%v", eng.Now(), f.Util, window)
 				}
 			})
 		}
@@ -370,53 +372,58 @@ func scheduleFault(cl *cluster.Cluster, cr *CaseRun, f Fault, budget sim.Duratio
 	}
 	if f.Rank < 0 || f.Rank >= len(cl.Endpoints) {
 		cl.Eng.After(f.At, func() {
-			cr.Note("t=%v: %v fault: no rank %d", cl.Eng.Now(), f.Kind, f.Rank)
+			cr.noteFault(cl.Eng.Now(), 0, fi, "t=%v: %v fault: no rank %d", cl.Eng.Now(), f.Kind, f.Rank)
 		})
 		return
 	}
 	ep := cl.Endpoints[f.Rank]
 	eng := ep.Node().Eng
+	polls := 0 // times fire re-armed itself waiting for the target buffer
+	note := func(format string, args ...any) {
+		cr.noteFault(eng.Now(), polls, fi, format, args...)
+	}
 	var fire func()
 	fire = func() {
 		switch f.Kind {
 		case FaultFork:
 			if _, err := ep.AS.Fork(9000 + f.Rank); err != nil {
-				cr.Note("t=%v: fork fault on rank %d failed: %v", eng.Now(), f.Rank, err)
+				note("t=%v: fork fault on rank %d failed: %v", eng.Now(), f.Rank, err)
 				return
 			}
-			cr.Note("t=%v: forked rank %d address space (COW)", eng.Now(), f.Rank)
+			note("t=%v: forked rank %d address space (COW)", eng.Now(), f.Rank)
 		case FaultFree, FaultSwapOut, FaultMProtect:
 			addr, size, ok := cr.Buffer(f.Rank, f.Buffer)
 			if !ok {
 				// The workload has not registered the target yet; poll
 				// until it does or the run ends.
 				if !cl.World.AllDone() {
+					polls++
 					eng.After(faultRetry, fire)
 				} else {
-					cr.Note("t=%v: %v fault never fired: buffer %d/%s was never registered",
+					note("t=%v: %v fault never fired: buffer %d/%s was never registered",
 						eng.Now(), f.Kind, f.Rank, f.Buffer)
 				}
 				return
 			}
 			if f.Kind == FaultFree {
 				if err := ep.Free(addr); err != nil {
-					cr.Note("t=%v: free fault on %d/%s failed: %v", eng.Now(), f.Rank, f.Buffer, err)
+					note("t=%v: free fault on %d/%s failed: %v", eng.Now(), f.Rank, f.Buffer, err)
 					return
 				}
-				cr.Note("t=%v: freed %d/%s (%s)", eng.Now(), f.Rank, f.Buffer, report.Bytes(size))
+				note("t=%v: freed %d/%s (%s)", eng.Now(), f.Rank, f.Buffer, report.Bytes(size))
 			} else if f.Kind == FaultMProtect {
 				if err := ep.AS.MProtect(addr, size, false); err != nil {
-					cr.Note("t=%v: mprotect fault on %d/%s failed: %v", eng.Now(), f.Rank, f.Buffer, err)
+					note("t=%v: mprotect fault on %d/%s failed: %v", eng.Now(), f.Rank, f.Buffer, err)
 					return
 				}
-				cr.Note("t=%v: write-protected %d/%s (%s)", eng.Now(), f.Rank, f.Buffer, report.Bytes(size))
+				note("t=%v: write-protected %d/%s (%s)", eng.Now(), f.Rank, f.Buffer, report.Bytes(size))
 			} else {
 				n, err := ep.AS.SwapOut(addr, size)
 				if err != nil {
-					cr.Note("t=%v: swapout fault on %d/%s failed: %v", eng.Now(), f.Rank, f.Buffer, err)
+					note("t=%v: swapout fault on %d/%s failed: %v", eng.Now(), f.Rank, f.Buffer, err)
 					return
 				}
-				cr.Note("t=%v: swapped out %d pages of %d/%s", eng.Now(), n, f.Rank, f.Buffer)
+				note("t=%v: swapped out %d pages of %d/%s", eng.Now(), n, f.Rank, f.Buffer)
 			}
 		}
 	}

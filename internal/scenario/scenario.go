@@ -10,6 +10,7 @@ package scenario
 
 import (
 	"fmt"
+	"sort"
 	"sync"
 
 	"omxsim/internal/chaos"
@@ -260,6 +261,9 @@ type CaseRun struct {
 	mu      sync.Mutex
 	buffers map[string]bufRef
 	stash   map[string]any
+	// faultNotes keys the Notes fault injectors wrote, in the order they
+	// were written (see noteFault).
+	faultNotes []faultNote
 
 	// chaosRecs holds one recorder per node while a chaos-profile cell
 	// runs (each touched only by its node's engine); chaosSeries is the
@@ -271,6 +275,20 @@ type CaseRun struct {
 type bufRef struct {
 	addr vm.Addr
 	size int
+}
+
+// faultNote keys a note a fault injector wrote: the simulated time the
+// injector fired, how many times it had polled for its target buffer by
+// then, and the fault's position in the scenario. A single engine fires
+// same-time injections in exactly that order: an injector that polled
+// fewer times was armed for this instant earlier, and at equal counts the
+// faults were armed in list order. Shards fire them in any order, so the
+// notes are put back in key order after the run.
+type faultNote struct {
+	at           sim.Time
+	polls, fault int
+	pos          int // index of the note in Notes
+	msg          string
 }
 
 // Metric records a measurement (rank 0 usually writes these).
@@ -300,6 +318,34 @@ func (cr *CaseRun) Note(format string, args ...any) {
 	cr.mu.Lock()
 	defer cr.mu.Unlock()
 	cr.Notes = append(cr.Notes, msg)
+}
+
+// noteFault appends a fault injector's note under its key.
+func (cr *CaseRun) noteFault(at sim.Time, polls, fault int, format string, args ...any) {
+	msg := fmt.Sprintf(format, args...)
+	cr.mu.Lock()
+	defer cr.mu.Unlock()
+	cr.faultNotes = append(cr.faultNotes, faultNote{at: at, polls: polls, fault: fault, pos: len(cr.Notes), msg: msg})
+	cr.Notes = append(cr.Notes, msg)
+}
+
+// orderFaultNotes rewrites the slots the fault notes occupy among the notes
+// in key order, so a report is byte-identical whatever the shard count.
+func (cr *CaseRun) orderFaultNotes() {
+	sorted := append([]faultNote(nil), cr.faultNotes...)
+	sort.SliceStable(sorted, func(i, j int) bool {
+		a, b := sorted[i], sorted[j]
+		if a.at != b.at {
+			return a.at < b.at
+		}
+		if a.polls != b.polls {
+			return a.polls < b.polls
+		}
+		return a.fault < b.fault
+	})
+	for i, n := range sorted {
+		cr.Notes[cr.faultNotes[i].pos] = n.msg
+	}
 }
 
 // RegisterBuffer publishes a rank's buffer under a name so fault events can

@@ -59,6 +59,12 @@ func TestShardCountInvariance(t *testing.T) {
 		{scenario: "chaos-crash-recover", shards: []int{1, 2, 4}},
 		{scenario: "chaos-degraded-link", shards: []int{1, 4}},
 		{scenario: "chaos-budget-shrink", shards: []int{1, 2}},
+		// Fault injectors on different nodes fire at the same instant on
+		// different shards; their notes must still come out in one order:
+		// a fork of both ranks at once, and buffer-polling swap-outs whose
+		// polls coincide.
+		{scenario: "policy-fork", shards: []int{1, 2, 4}, opts: Options{Quick: true}},
+		{scenario: "policy-swapout", shards: []int{1, 2, 4}, opts: Options{Quick: true}},
 	}
 	for _, tc := range cases {
 		tc := tc

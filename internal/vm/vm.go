@@ -360,6 +360,8 @@ const (
 	InvalidateSwap
 	// InvalidateProtect: page permissions are changing (mprotect).
 	InvalidateProtect
+
+	numInvalidateReasons = iota
 )
 
 // String names the reason.
@@ -408,7 +410,7 @@ type AddressSpace struct {
 	faults      uint64
 	cowBreaks   uint64
 	swapIns     uint64
-	notifyCount map[InvalidateReason]uint64
+	notifyCount [numInvalidateReasons]uint64
 }
 
 // mmapBase is where anonymous mappings start; an arbitrary but recognizable
@@ -418,12 +420,7 @@ const mmapBase Addr = 0x7f00_0000_0000
 // NewAddressSpace returns an empty address space for process pid backed by
 // phys.
 func NewAddressSpace(pid int, phys *PhysMem) *AddressSpace {
-	return &AddressSpace{
-		pid:         pid,
-		phys:        phys,
-		mmapNext:    mmapBase,
-		notifyCount: make(map[InvalidateReason]uint64),
-	}
+	return &AddressSpace{pid: pid, phys: phys, mmapNext: mmapBase}
 }
 
 // PID returns the owning process id.
@@ -442,7 +439,12 @@ func (as *AddressSpace) COWBreaks() uint64 { return as.cowBreaks }
 func (as *AddressSpace) SwapIns() uint64 { return as.swapIns }
 
 // Notifications reports how many notifier callbacks have fired for reason r.
-func (as *AddressSpace) Notifications(r InvalidateReason) uint64 { return as.notifyCount[r] }
+func (as *AddressSpace) Notifications(r InvalidateReason) uint64 {
+	if r < 0 || r >= numInvalidateReasons {
+		return 0
+	}
+	return as.notifyCount[r]
+}
 
 // RegisterNotifier attaches an MMU notifier to the address space (the
 // driver does this when an endpoint is opened, paper §3.1).
