@@ -49,26 +49,6 @@ func pingPongWorkload(c *mpi.Comm, cr *CaseRun) {
 	}
 }
 
-// legacyPingPong is the Go twin of specs/pingpong.yaml: the policy
-// matrix on a reduced size schedule — Figure 7's four curves plus the
-// Permanent upper bound, the QsNet-style NoPinning ideal the paper's
-// conclusion points at, and the two post-paper backends (NP-RDMA-style
-// ODP, eBPF-mm-style pin-ahead). The registered scenario compiles from
-// the spec; this constructor stays for the equivalence tests that prove
-// both paths produce byte-identical reports.
-func legacyPingPong() *Scenario {
-	return &Scenario{
-		Name:        "pingpong",
-		Description: "IMB PingPong throughput across the full pinning-policy matrix",
-		Cases:       fullPolicyMatrix(),
-		Sizes:       []int{256 * 1024, 1 << 20, 4 << 20, 16 << 20},
-		QuickSizes:  []int{1 << 20},
-		Metric:      "mbps",
-		Workload:    pingPongWorkload,
-		Assertions:  []Assertion{MetricPositive("mbps"), Completed()},
-	}
-}
-
 func init() {
 	// figure6: the paper's Figure 6 sweep.
 	MustRegister(&Scenario{

@@ -1,31 +1,17 @@
-// builtin_chaos.go registers the chaos-* scenario family: workloads that
-// keep communicating while the chaos engine injects node crashes, link
-// degradation windows, partitions, and memory-budget shrinks from seeded
-// arrival distributions. The scenarios assert the robustness contract:
-// every operation hit by a fault ends in a typed abort or a completed
-// recovery (never a hang), pins released on crash stay released, and the
-// pinned and ODP backends degrade differently under budget pressure.
+// builtin_chaos.go holds the workload of the chaos-* scenario family
+// (specs/chaos-*.yaml): workloads that keep communicating while the chaos
+// engine injects node crashes, link degradation windows, partitions, and
+// memory-budget shrinks from seeded arrival distributions. The scenarios
+// assert the robustness contract: every operation hit by a fault ends in a
+// typed abort or a completed recovery (never a hang), pins released on
+// crash stay released, and the pinned and ODP backends degrade differently
+// under budget pressure.
 package scenario
 
 import (
-	"omxsim/internal/chaos"
-	"omxsim/internal/cluster"
-	"omxsim/internal/core"
 	"omxsim/internal/mpi"
-	"omxsim/internal/omx"
 	"omxsim/internal/sim"
 )
-
-// chaosOMX shortens the protocol's failure-detection clocks so abort
-// tails stay small against the chaos windows: control retransmits at
-// retrans, peers are declared dead after dead of silence (with
-// exponential backoff in between).
-func chaosOMX(policy core.PinPolicy, cache bool, retrans, dead sim.Duration) omx.Config {
-	cfg := omx.DefaultConfig(policy, cache)
-	cfg.RetransmitTimeout = retrans
-	cfg.PeerDeadTimeout = dead
-	return cfg
-}
 
 // chaosWorkload pairs rank i with rank i+size/2 and ping-pongs `bytes`
 // for `rounds`, under MPI_ERRORS_RETURN semantics: sends surface typed
@@ -71,157 +57,5 @@ func chaosWorkload(rounds, bytes int, recvTimeout sim.Duration) Workload {
 				}
 			}
 		}
-	}
-}
-
-// chaosContract is the family-wide robustness assertion set: the stress
-// report saw at least one injected fault and one completed recovery, no
-// request was left hanging at the end of the run, and the workload made
-// progress through the faults.
-func chaosContract() []Assertion {
-	return []Assertion{
-		Completed(),
-		MetricAtLeast("stats.chaos_faults", 1),
-		MetricAtLeast("stats.chaos_recoveries", 1),
-		MetricPositive("ops_ok"),
-		noInflightRequests(),
-	}
-}
-
-// labelCases selects cells by case label (for EachCaseWhere).
-func labelCases(labels ...string) func(cr *CaseRun) bool {
-	return func(cr *CaseRun) bool {
-		for _, l := range labels {
-			if cr.Case.Label == l {
-				return true
-			}
-		}
-		return false
-	}
-}
-
-// The chaos-* scenarios register from their embedded specs
-// (spec_builtin.go); the legacy constructors below stay, unregistered,
-// as the reference side of the spec-equivalence tests.
-
-// legacyChaosCrashRecover: Poisson node crashes mid-transfer. A crash
-// takes the NIC dark and releases every pinned page; peers must
-// detect the silence (exponential-backoff probing bounded by
-// PeerDeadTimeout), abort with a typed error, and re-establish once
-// the node restarts.
-func legacyChaosCrashRecover() *Scenario {
-	return &Scenario{
-		Name:        "chaos-crash-recover",
-		Description: "4-node pairwise ping-pong under Poisson node crashes: typed peer-dead aborts, pins released, peers re-establish after restart",
-		Cluster: cluster.Config{
-			Nodes: 4,
-			Link:  fleetLink(),
-		},
-		Cases: []Case{
-			{Label: "cache", OMX: chaosOMX(core.OnDemand, true,
-				200*sim.Microsecond, 2*sim.Millisecond)},
-		},
-		Chaos: &chaos.Profile{
-			Horizon: 12 * sim.Millisecond,
-			Specs: []chaos.Spec{{
-				Class:    chaos.NodeCrash,
-				Arrival:  chaos.Poisson,
-				MeanGap:  2 * sim.Millisecond,
-				Duration: 3 * sim.Millisecond,
-			}},
-		},
-		Workload: chaosWorkload(40, 64*1024, 6*sim.Millisecond),
-		Assertions: append(chaosContract(),
-			MetricAtLeast("stats.crashes", 1),
-			MetricAtLeast("stats.restarts", 1),
-			MetricAtLeast("stats.req_aborts", 1),
-			MetricPositive("ops_err"),
-			MetricPositive("ops_recovered"),
-			PinAccountingBalanced(),
-		),
-	}
-}
-
-// legacyChaosDegradedLink: latency inflation, bandwidth throttling,
-// frame loss, and short full-partition windows. The windows stay below
-// PeerDeadTimeout, so the protocol mostly rides them out with
-// retransmits and re-requests instead of declaring peers dead.
-func legacyChaosDegradedLink() *Scenario {
-	return &Scenario{
-		Name:        "chaos-degraded-link",
-		Description: "4-node ping-pong through link degradation and partition windows: retransmit/re-request recovery without peer-death",
-		Cluster: cluster.Config{
-			Nodes: 4,
-			Link:  fleetLink(),
-		},
-		Cases: []Case{
-			{Label: "cache", OMX: chaosOMX(core.OnDemand, true,
-				300*sim.Microsecond, 4*sim.Millisecond)},
-		},
-		Chaos: &chaos.Profile{
-			Horizon: 15 * sim.Millisecond,
-			Specs: []chaos.Spec{
-				{
-					Class:           chaos.LinkDegrade,
-					Arrival:         chaos.Uniform,
-					MeanGap:         2 * sim.Millisecond,
-					Duration:        1500 * sim.Microsecond,
-					DurationJitter:  0.4,
-					ExtraLatency:    25 * sim.Microsecond,
-					BandwidthFactor: 0.25,
-					DropProb:        0.15,
-				},
-				{
-					Class:    chaos.Partition,
-					Arrival:  chaos.Poisson,
-					MeanGap:  8 * sim.Millisecond,
-					Duration: 800 * sim.Microsecond,
-				},
-			},
-		},
-		Workload: chaosWorkload(60, 64*1024, 8*sim.Millisecond),
-		Assertions: append(chaosContract(),
-			MetricAtLeast("stats.retransmits", 1),
-			PinAccountingBalanced(),
-		),
-	}
-}
-
-// legacyChaosBudgetShrink: the frame budget collapses under the
-// workload (kswapd suddenly has a lower watermark) and recovers. The
-// pinned per-operation backend must repin its buffers each round, so
-// the shrink windows surface as pin failures and typed aborts; ODP
-// never pins, absorbs the same windows as device faults, and keeps
-// going.
-func legacyChaosBudgetShrink() *Scenario {
-	return &Scenario{
-		Name:        "chaos-budget-shrink",
-		Description: "2-node streaming under runtime frame-budget collapse: pin backend surfaces pin failures, ODP absorbs the shrink as faults",
-		Cluster: cluster.Config{
-			Nodes: 2,
-			Mem:   omx.MemConfig{Frames: 512},
-			Link:  fleetLink(),
-		},
-		Cases: []Case{
-			{Label: "pin", OMX: chaosOMX(core.OnDemand, false,
-				300*sim.Microsecond, 4*sim.Millisecond)},
-			{Label: "odp", OMX: chaosOMX(core.NoPinODP, true,
-				300*sim.Microsecond, 4*sim.Millisecond)},
-		},
-		Chaos: &chaos.Profile{
-			Horizon: 21 * sim.Millisecond,
-			Specs: []chaos.Spec{{
-				Class:    chaos.BudgetShrink,
-				Arrival:  chaos.Uniform,
-				MeanGap:  7 * sim.Millisecond,
-				Duration: 4 * sim.Millisecond,
-				Frames:   24,
-			}},
-		},
-		Workload: chaosWorkload(20, 256*1024, 20*sim.Millisecond),
-		Assertions: append(chaosContract(),
-			pinSurfacesShrink(),
-			odpAbsorbsShrink(),
-		),
 	}
 }

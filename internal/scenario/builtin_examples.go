@@ -1,6 +1,7 @@
-// builtin_examples.go registers the walkthrough scenarios the examples/
-// entry points render — lifecycle demonstrations rather than paper
-// figures, plus the declarative fault-injection showcase.
+// builtin_examples.go registers the walkthrough scenarios (`omxsim run
+// quickstart`, pincache, rendezvous, adaptive, mixed-policy) — lifecycle
+// demonstrations rather than paper figures — plus the declarative
+// fault-injection showcase, faults.
 package scenario
 
 import (

@@ -1,23 +1,20 @@
-// builtin_kvserve.go registers the kvserve-* scenario family: an
-// RDMA-backed key-value serving tier where client ranks drive open-loop
-// Zipfian get/put traffic against server ranks whose value heaps live
-// under the registration cache and pinning policies. The report is tail
-// latency — HDR-histogram percentiles per operation class and per tenant —
-// instead of the mean-throughput tables of the paper's benchmarks: the
-// modern serving question the ROADMAP's "production serving workload"
-// item asks of the same pinning trade-offs.
+// builtin_kvserve.go holds the workload, report hook and checks of the
+// kvserve-* scenario family (specs/kvserve-*.yaml): an RDMA-backed
+// key-value serving tier where client ranks drive open-loop Zipfian
+// get/put traffic against server ranks whose value heaps live under the
+// registration cache and pinning policies. The report is tail latency —
+// HDR-histogram percentiles per operation class and per tenant — instead
+// of the mean-throughput tables of the paper's benchmarks: the modern
+// serving question the ROADMAP's "production serving workload" item asks
+// of the same pinning trade-offs.
 package scenario
 
 import (
 	"fmt"
 
-	"omxsim/internal/cluster"
-	"omxsim/internal/core"
 	"omxsim/internal/kv"
 	"omxsim/internal/mpi"
-	"omxsim/internal/omx"
 	"omxsim/internal/report"
-	"omxsim/internal/sim"
 )
 
 // kvWorkload adapts kv.Run to the declarative runner: the CaseRun is the
@@ -212,156 +209,4 @@ func kvCleanRun() Assertion {
 		}
 		return true, ""
 	})
-}
-
-// The kvserve-* scenarios register from their embedded specs
-// (spec_builtin.go); the legacy constructors below stay, unregistered,
-// as the reference side of the spec-equivalence tests.
-
-// legacyKVServeMix: the family's baseline — 2 storage servers, 2 client
-// endpoints, a 70/30 read/write mix at moderate open-loop load, no
-// memory pressure. Every backend must serve the same schedule with
-// zero rejections and tails inside the SLO; the cell exists to give
-// the pressure scenarios an unloaded reference and the determinism
-// gates a 4-node kv topology.
-func legacyKVServeMix() *Scenario {
-	mixCfg := kv.Config{
-		Servers:    2,
-		Keys:       64,
-		ValueBytes: 64 * 1024,
-		Theta:      0.9,
-		Workers:    4,
-		Tenants: []kv.Tenant{
-			{Name: "t0", Ops: 150, Rate: 8000, GetFrac: 0.7, MaxInflight: 16},
-		},
-	}
-	return &Scenario{
-		Name:        "kvserve-mix",
-		Description: "KV serving baseline: open-loop Zipfian get/put mix against 2 storage servers, HDR tail percentiles per backend, no memory pressure",
-		Cluster: cluster.Config{
-			Nodes: 4,
-			Link:  fleetLink(),
-		},
-		Cases: []Case{
-			{Label: "cache", OMX: omx.DefaultConfig(core.OnDemand, true)},
-			{Label: "overlapped-cache", OMX: omx.DefaultConfig(core.Overlapped, true)},
-			{Label: "odp", OMX: omx.DefaultConfig(core.NoPinODP, true)},
-		},
-		Workload: kvWorkload(mixCfg),
-		Report:   kvReport(mixCfg, 4),
-		Assertions: append([]Assertion{
-			Completed(),
-			PinAccountingBalanced(),
-			kvCleanRun(),
-			MetricBelow("ops_rejected", 0.5),
-			MetricAtLeast("ops_ok", 299),
-		}, KVSLOBlock(
-			KVSLO{Tenant: "t0", P50US: 400, P99US: 1500, P999US: 4000},
-		)...),
-	}
-}
-
-// legacyKVServePressure: the headline cell. Both servers share one node
-// whose frame budget the value heaps plus a churn hog overcommit, so
-// kswapd and direct reclaim run while the tier serves. The pinned
-// backend holds its hot value slots against reclaim; ODP lets them
-// go and pays device faults and swap-ins on the get path — visible
-// as a p99 premium, not as a mean-throughput delta.
-func legacyKVServePressure() *Scenario {
-	pressureCfg := kv.Config{
-		Servers:     2,
-		Keys:        48,
-		ValueBytes:  64 * 1024,
-		Theta:       0.99,
-		Workers:     4,
-		ChurnBytes:  2 << 20,
-		ChurnPeriod: 200 * sim.Microsecond,
-		Tenants: []kv.Tenant{
-			{Name: "t0", Ops: 140, Rate: 6000, GetFrac: 0.8, MaxInflight: 24},
-		},
-	}
-	return &Scenario{
-		Name:        "kvserve-pressure",
-		Description: "KV serving under emergent memory pressure: reclaim steals value-heap pages, pinned backends hold their tails, ODP pays a p99 premium",
-		Cluster: cluster.Config{
-			Nodes:        2,
-			RanksPerNode: 2,
-			Mem:          omx.MemConfig{Frames: 1536},
-			Link:         fleetLink(),
-		},
-		Cases: []Case{
-			{Label: "cache", OMX: omx.DefaultConfig(core.OnDemand, true)},
-			{Label: "odp", OMX: omx.DefaultConfig(core.NoPinODP, true)},
-		},
-		Workload: kvWorkload(pressureCfg),
-		Report:   kvReport(pressureCfg, 4),
-		Assertions: append([]Assertion{
-			Completed(),
-			PinAccountingBalanced(),
-			kvCleanRun(),
-			MetricAtLeast("stats.pgsteal", 1),
-			odpFaultVisible(),
-			kvTailDifferential("kv.get.p99_us", "on-demand", "odp", 1.15),
-		}, KVSLOBlock(
-			KVSLO{Tenant: "t0", P99US: 20000, P999US: 25000},
-		)...),
-	}
-}
-
-// legacyKVServeMultitenant: three tenants with distinct traffic
-// contracts share three server ranks on one budgeted node. The premium
-// tenant buys a strict tail SLO, the standard tenant a looser one, and
-// the batch tenant arrives far beyond its admission bound — its load is
-// shed as typed ErrOverload rejections instead of destroying the
-// others' tails.
-func legacyKVServeMultitenant() *Scenario {
-	mtCfg := kv.Config{
-		Servers:     3,
-		Keys:        36,
-		ValueBytes:  64 * 1024,
-		Theta:       0.99,
-		Workers:     4,
-		ChurnBytes:  1 << 20,
-		ChurnPeriod: 250 * sim.Microsecond,
-		Tenants: []kv.Tenant{
-			// premium + standard together stay well inside the serving
-			// node's NIC capacity; batch alone demands more than the whole
-			// node can carry and a 3-op admission bound, so its overload is
-			// shed at the door instead of queueing into the others' tails.
-			{Name: "premium", Ops: 120, Rate: 3000, GetFrac: 0.8, MaxInflight: 32},
-			{Name: "standard", Ops: 120, Rate: 4000, GetFrac: 0.5, MaxInflight: 32},
-			{Name: "batch", Ops: 200, Rate: 20000, GetFrac: 0.5, MaxInflight: 3},
-		},
-	}
-	return &Scenario{
-		Name:        "kvserve-multitenant",
-		Description: "3 tenants, 3 budgeted servers: per-tenant tail SLOs, admission control sheds the abusive tenant's overload as typed rejections",
-		Cluster: cluster.Config{
-			Nodes:        2,
-			RanksPerNode: 3,
-			// The three tenants' heaps are ~1730 frames; the budget fits
-			// them plus part of the churn, so reclaim runs continuously
-			// but a pinned working set never starves the allocator.
-			Mem:  omx.MemConfig{Frames: 2304},
-			Link: fleetLink(),
-		},
-		Cases: []Case{
-			{Label: "cache", OMX: omx.DefaultConfig(core.OnDemand, true)},
-			{Label: "odp", OMX: omx.DefaultConfig(core.NoPinODP, true)},
-		},
-		Workload: kvWorkload(mtCfg),
-		Report:   kvReport(mtCfg, 6),
-		Assertions: append([]Assertion{
-			Completed(),
-			PinAccountingBalanced(),
-			kvCleanRun(),
-			MetricAtLeast("stats.pgsteal", 1),
-			MetricAtLeast("ops_rejected", 1),
-			kvTailDifferential("kv.get.p999_us", "on-demand", "odp", 1.1),
-		}, KVSLOBlock(
-			KVSLO{Tenant: "premium", P50US: 1500, P99US: 8000, P999US: 12000},
-			KVSLO{Tenant: "standard", P99US: 10000, P999US: 15000},
-			KVSLO{Tenant: "batch", MinRejects: 1, MaxRejectFrac: 0.95},
-		)...),
-	}
 }

@@ -1,20 +1,17 @@
-// builtin_pressure.go registers the pressure-* scenario family: runs
-// where swap-outs are *emergent* — produced by the allocator hitting a
-// per-node frame budget (cluster.Config.Mem) and the vm reclaim
-// subsystem stealing cold pages — instead of injected by a FaultSwapOut.
-// This is the regime the paper's cost model describes: pinned pages are
-// unreclaimable, so the pinned backends hold their working sets against
-// kswapd while the page-table-translated backends absorb reclaim as
-// device faults.
+// builtin_pressure.go holds the workload and checks of the pressure-*
+// scenario family (specs/pressure-*.yaml): runs where swap-outs are
+// *emergent* — produced by the allocator hitting a per-node frame budget
+// (cluster.Config.Mem) and the vm reclaim subsystem stealing cold pages —
+// instead of injected by a FaultSwapOut. This is the regime the paper's
+// cost model describes: pinned pages are unreclaimable, so the pinned
+// backends hold their working sets against kswapd while the
+// page-table-translated backends absorb reclaim as device faults.
 package scenario
 
 import (
 	"fmt"
 
-	"omxsim/internal/cluster"
-	"omxsim/internal/core"
 	"omxsim/internal/mpi"
-	"omxsim/internal/omx"
 	"omxsim/internal/sim"
 	"omxsim/internal/vm"
 )
@@ -73,105 +70,4 @@ func emergentSteals() Assertion {
 		}
 		return true, ""
 	})
-}
-
-// The pressure-* scenarios register from their embedded specs
-// (spec_builtin.go); the legacy constructors below stay, unregistered,
-// as the reference side of the spec-equivalence tests.
-
-// legacyPressureChurn: steady-state churn under a tight budget with a
-// single decoupled-pinning case — the focus is the reclaim machinery
-// itself: kswapd wakes on the watermark between rounds, direct
-// reclaim stalls inside the rounds, pages cycle through swap and
-// back, and the ledger still balances.
-func legacyPressureChurn() *Scenario {
-	return &Scenario{
-		Name:        "pressure-churn",
-		Description: "Steady-state allocator churn against a per-node frame budget: kswapd watermark reclaim plus direct-reclaim stalls, injector-free",
-		Cluster: cluster.Config{
-			Nodes: 2,
-			Mem:   omx.MemConfig{Frames: 640}, // comm (256) + churn (512) overcommit it
-		},
-		Cases: []Case{
-			{Label: "cache", OMX: omx.DefaultConfig(core.OnDemand, true)},
-		},
-		Metric:   "mbps",
-		Workload: pressureWorkload(6, 1<<20, 2<<20, 500*sim.Microsecond),
-		Assertions: []Assertion{
-			Completed(),
-			MetricPositive("mbps"),
-			PinAccountingBalanced(),
-			emergentSteals(),
-			MetricAtLeast("stats.kswapd_runs", 1),
-			MetricAtLeast("stats.direct_reclaim_stalls", 1),
-			MetricAtLeast("stats.swap_ins", 1),
-			frameBudgetHolds(),
-		},
-	}
-}
-
-// legacyPressurePolicies: the paper's unreclaimable-pinned-pages claim,
-// measured. Same emergent pressure for every backend; the pinned
-// backends hold their comm working set (reclaim scans it, counts a
-// resist, steals churn pages instead) while ODP lets the comm buffer
-// be reclaimed and absorbs the pressure as device page faults.
-func legacyPressurePolicies() *Scenario {
-	return &Scenario{
-		Name:        "pressure-policies",
-		Description: "Pinned vs ODP vs pin-ahead under emergent reclaim: pinned working sets resist, ODP absorbs reclaim as faults",
-		Cluster: cluster.Config{
-			Nodes: 2,
-			Mem:   omx.MemConfig{Frames: 640},
-		},
-		Cases: []Case{
-			{Label: "cache", OMX: omx.DefaultConfig(core.OnDemand, true)},
-			{Label: "overlapped-cache", OMX: omx.DefaultConfig(core.Overlapped, true)},
-			{Label: "pin-ahead", OMX: omx.DefaultConfig(core.PinAhead, true),
-				Params: map[string]string{"advise": "1"}},
-			{Label: "odp", OMX: omx.DefaultConfig(core.NoPinODP, true)},
-		},
-		Metric:   "mbps",
-		Workload: pressureWorkload(6, 1<<20, 2<<20, 500*sim.Microsecond),
-		Assertions: []Assertion{
-			Completed(),
-			MetricPositive("mbps"),
-			PinAccountingBalanced(),
-			emergentSteals(),
-			MetricAtLeast("stats.swap_ins", 1),
-			pinnedWorkingSet(),
-			odpAbsorbsReclaim(),
-		},
-	}
-}
-
-// legacyPressureMultitenant: three tenants per node share one frame
-// budget, so one tenant's churn steals another's cold pages — the
-// cross-process contention a per-endpoint pinned-page limit cannot
-// model. The churn loop allocates faster than the kswapd period, so
-// direct-reclaim stalls are guaranteed on the allocation path.
-func legacyPressureMultitenant() *Scenario {
-	return &Scenario{
-		Name:        "pressure-multitenant",
-		Description: "3 tenants per node contending for one frame budget: cross-process reclaim, direct-reclaim stalls, pinned sets intact",
-		Cluster: cluster.Config{
-			Nodes:        2,
-			RanksPerNode: 3,
-			Mem:          omx.MemConfig{Frames: 768},
-		},
-		Cases: []Case{
-			{Label: "cache", OMX: omx.DefaultConfig(core.OnDemand, true)},
-			{Label: "odp", OMX: omx.DefaultConfig(core.NoPinODP, true)},
-			{Label: "no-pinning", OMX: omx.DefaultConfig(core.NoPinning, true)},
-		},
-		Metric:   "mbps",
-		Workload: pressureWorkload(4, 512*1024, 1<<20, 300*sim.Microsecond),
-		Assertions: []Assertion{
-			Completed(),
-			MetricPositive("mbps"),
-			PinAccountingBalanced(),
-			emergentSteals(),
-			MetricAtLeast("stats.direct_reclaim_stalls", 1),
-			pinnedTenantBuffers(),
-		},
-	}
 }

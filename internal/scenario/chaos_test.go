@@ -87,11 +87,13 @@ func TestMaxRetriesSurfacesTypedError(t *testing.T) {
 func TestChaosFaultsRouteToOwningShard(t *testing.T) {
 	var crashes, restarts [4]uint64
 	engines := make(map[*sim.Engine]bool)
+	cfg := omx.DefaultConfig(core.OnDemand, true)
+	cfg.RetransmitTimeout = 200 * sim.Microsecond
+	cfg.PeerDeadTimeout = 2 * sim.Millisecond
 	s := &Scenario{
 		Name:    "chaos-shard-routing",
 		Cluster: cluster.Config{Nodes: 4, Link: fleetLink()},
-		Cases: []Case{{Label: "cache", OMX: chaosOMX(core.OnDemand, true,
-			200*sim.Microsecond, 2*sim.Millisecond)}},
+		Cases:   []Case{{Label: "cache", OMX: cfg}},
 		Faults: []Fault{
 			{At: 300 * sim.Microsecond, Kind: FaultCrash, Node: 2, For: 400 * sim.Microsecond},
 		},

@@ -1,9 +1,6 @@
-// checks.go — named custom assertions shared between the Go-built
-// scenarios and the spec format's `check:` form (spec_assert.go maps
-// kebab-case keys onto these constructors). Factoring them out of the
-// builtin families is what makes a spec's assertion list reproduce a Go
-// scenario's report byte for byte: both sides run the same closure under
-// the same display name.
+// checks.go — named custom assertions of the builtin families, which
+// the spec format's `check:` form resolves by kebab-case key
+// (spec_assert.go). The report names each by its display name.
 package scenario
 
 import "fmt"
@@ -106,7 +103,7 @@ func noInflightRequests() Assertion {
 // as pin failures that surfaced to the workload as typed errors.
 func pinSurfacesShrink() Assertion {
 	return EachCaseWhere("pin backend surfaces shrink as pin failures",
-		labelCases("pin"),
+		func(cr *CaseRun) bool { return cr.Case.Label == "pin" },
 		func(cr *CaseRun) (bool, string) {
 			if cr.Metrics["stats.pin_failures"] < 1 {
 				return false, fmt.Sprintf("pin_failures = %g (shrink never hit the pin path)",
@@ -124,7 +121,7 @@ func pinSurfacesShrink() Assertion {
 // faults — it must never pin, so it can never fail a pin.
 func odpAbsorbsShrink() Assertion {
 	return EachCaseWhere("odp absorbs the shrink as device faults",
-		labelCases("odp"),
+		func(cr *CaseRun) bool { return cr.Case.Label == "odp" },
 		func(cr *CaseRun) (bool, string) {
 			if cr.Metrics["stats.odp_faults"] < 1 {
 				return false, fmt.Sprintf("odp_faults = %g", cr.Metrics["stats.odp_faults"])

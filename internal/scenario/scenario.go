@@ -248,7 +248,7 @@ type CaseRun struct {
 	Completed bool
 	// Quick mirrors Options.Quick for workloads that scale their own
 	// round counts (spec workloads with quick_* overrides). It is not
-	// serialized, so it cannot perturb report equivalence.
+	// serialized, so it cannot perturb the report bytes.
 	Quick bool
 	// Notes records fault outcomes and anomalies.
 	Notes []string

@@ -8,23 +8,30 @@ import (
 	"omxsim/internal/report"
 )
 
-// resultBytes serialises a run to the canonical JSON the determinism gate
-// compares. encoding/json sorts map keys, so two Results with equal
-// content produce identical bytes.
+// resultBytes runs a registered scenario and serialises the result.
 func resultBytes(t *testing.T, name string, opts Options) []byte {
 	t.Helper()
 	s, ok := Get(name)
 	if !ok {
 		t.Fatalf("scenario %q not registered", name)
 	}
+	return scenarioBytes(t, s, opts)
+}
+
+// scenarioBytes runs a scenario, fails the test on any failed assertion,
+// and serialises the result to the canonical JSON the determinism and
+// golden gates compare. encoding/json sorts map keys, so two Results with
+// equal content produce identical bytes.
+func scenarioBytes(t *testing.T, s *Scenario, opts Options) []byte {
+	t.Helper()
 	res, err := s.Run(opts)
 	if err != nil {
-		t.Fatalf("%s (shards=%d): %v", name, opts.Shards, err)
+		t.Fatalf("%s (shards=%d): %v", s.Name, opts.Shards, err)
 	}
 	if res.Failed() {
 		for _, a := range res.Assertions {
 			if !a.Passed {
-				t.Errorf("%s (shards=%d): assertion %q failed: %s", name, opts.Shards, a.Name, a.Detail)
+				t.Errorf("%s (shards=%d): assertion %q failed: %s", s.Name, opts.Shards, a.Name, a.Detail)
 			}
 		}
 		t.FailNow()

@@ -5,8 +5,9 @@
 // and an ordered assertion block. ParseSpec decodes and validates with
 // file:line errors (unknown fields are hard errors — a typo must never
 // silently weaken an assertion); Compile lowers the result onto the
-// exact same Scenario/Runner machinery the Go builtins use, so a ported
-// builtin's spec run is byte-identical to its legacy Go run.
+// same Scenario/Runner machinery the Go builtins use and checks node and
+// rank indices against the resolved cluster, so a spec that loads does
+// not crash or misfire at run time.
 package scenario
 
 import (
@@ -46,6 +47,7 @@ type Spec struct {
 	chaosProf  *chaos.Profile
 	asserts    []Assertion
 	sloTenants []sloRef
+	indexRefs  []indexRef
 }
 
 // sloRef remembers where an SLO assertion named its tenant, for the
@@ -55,9 +57,19 @@ type sloRef struct {
 	line   int
 }
 
+// indexRef remembers where a spec named a node or a rank by index, for
+// the range check against the resolved cluster in Compile.
+type indexRef struct {
+	what  string
+	rank  bool // a rank index; otherwise a node index
+	index int
+	line  int
+}
+
 // fleetSpec is the fleet: section — node-group templates scaled to a
 // total node count, plus the startup schedule.
 type fleetSpec struct {
+	line    int
 	total   int
 	link    *ethernet.LinkConfig
 	groups  []fleetGroup
@@ -65,6 +77,7 @@ type fleetSpec struct {
 }
 
 type fleetGroup struct {
+	line         int
 	name         string
 	weight       int
 	nodes        int // explicit count; 0 = allocate by weight
@@ -119,6 +132,21 @@ func (d *dec) intVal(n *yamlite.Node, what string) (int, error) {
 		return 0, d.errf(n.Line, "%s: %q is not an integer", what, s)
 	}
 	return v, nil
+}
+
+// maxCount bounds every count a spec gives (nodes, ranks, weights,
+// frames): far beyond any cluster the simulator can run, and small enough
+// that the fleet allocation arithmetic cannot overflow.
+const maxCount = 1 << 20
+
+// countVal parses a count: an integer in 0..maxCount, where 0 keeps the
+// default.
+func (d *dec) countVal(n *yamlite.Node, what string) (int, error) {
+	v, err := d.intVal(n, what)
+	if err == nil && (v < 0 || v > maxCount) {
+		err = d.errf(n.Line, "%s: %d is out of range (0..%d)", what, v, maxCount)
+	}
+	return v, err
 }
 
 func (d *dec) floatVal(n *yamlite.Node, what string) (float64, error) {
@@ -360,7 +388,7 @@ func (d *dec) crossCheck(sp *Spec) error {
 		seen := map[string]bool{}
 		for _, g := range sp.fleet.groups {
 			if seen[g.name] {
-				return d.errf(0, "fleet group %q: duplicate group name", g.name)
+				return d.errf(g.line, "fleet group %q: duplicate group name", g.name)
 			}
 			seen[g.name] = true
 		}
@@ -379,17 +407,17 @@ func (d *dec) decodeCluster(n *yamlite.Node, sp *Spec) error {
 		var err error
 		switch p.Key {
 		case "nodes":
-			cfg.Nodes, err = d.intVal(p.Val, "cluster.nodes")
+			cfg.Nodes, err = d.countVal(p.Val, "cluster.nodes")
 		case "ranks_per_node":
-			cfg.RanksPerNode, err = d.intVal(p.Val, "cluster.ranks_per_node")
+			cfg.RanksPerNode, err = d.countVal(p.Val, "cluster.ranks_per_node")
 		case "ranks_per_proc":
-			cfg.RanksPerProc, err = d.intVal(p.Val, "cluster.ranks_per_proc")
+			cfg.RanksPerProc, err = d.countVal(p.Val, "cluster.ranks_per_proc")
 		case "endpoints_per_node":
-			cfg.EndpointsPerNode, err = d.intVal(p.Val, "cluster.endpoints_per_node")
+			cfg.EndpointsPerNode, err = d.countVal(p.Val, "cluster.endpoints_per_node")
 		case "nic_queues":
-			cfg.NICQueues, err = d.intVal(p.Val, "cluster.nic_queues")
+			cfg.NICQueues, err = d.countVal(p.Val, "cluster.nic_queues")
 		case "mem_frames":
-			cfg.Mem.Frames, err = d.intVal(p.Val, "cluster.mem_frames")
+			cfg.Mem.Frames, err = d.countVal(p.Val, "cluster.mem_frames")
 		case "link":
 			cfg.Link, err = d.decodeLink(p.Val, "cluster.link")
 		default:
@@ -433,12 +461,12 @@ func (d *dec) decodeFleet(n *yamlite.Node, sp *Spec) error {
 	if err := d.wantMap(n, "fleet"); err != nil {
 		return err
 	}
-	f := &fleetSpec{}
+	f := &fleetSpec{line: n.Line}
 	for _, p := range n.Pairs {
 		var err error
 		switch p.Key {
 		case "total_nodes":
-			f.total, err = d.intVal(p.Val, "fleet.total_nodes")
+			f.total, err = d.countVal(p.Val, "fleet.total_nodes")
 		case "link":
 			f.link, err = d.decodeLink(p.Val, "fleet.link")
 		case "groups":
@@ -477,24 +505,24 @@ func (d *dec) decodeGroups(n *yamlite.Node, f *fleetSpec) error {
 		if err := d.wantMap(it, "fleet group"); err != nil {
 			return err
 		}
-		g := fleetGroup{}
+		g := fleetGroup{line: it.Line}
 		for _, p := range it.Pairs {
 			var err error
 			switch p.Key {
 			case "name":
 				g.name, err = d.str(p.Val, "group.name")
 			case "weight":
-				g.weight, err = d.intVal(p.Val, "group.weight")
+				g.weight, err = d.countVal(p.Val, "group.weight")
 			case "nodes":
-				g.nodes, err = d.intVal(p.Val, "group.nodes")
+				g.nodes, err = d.countVal(p.Val, "group.nodes")
 			case "ranks_per_node":
-				g.ranksPerNode, err = d.intVal(p.Val, "group.ranks_per_node")
+				g.ranksPerNode, err = d.countVal(p.Val, "group.ranks_per_node")
 			case "endpoints_per_node":
-				g.epsPerNode, err = d.intVal(p.Val, "group.endpoints_per_node")
+				g.epsPerNode, err = d.countVal(p.Val, "group.endpoints_per_node")
 			case "nic_queues":
-				g.nicQueues, err = d.intVal(p.Val, "group.nic_queues")
+				g.nicQueues, err = d.countVal(p.Val, "group.nic_queues")
 			case "mem_frames":
-				g.frames, err = d.intVal(p.Val, "group.mem_frames")
+				g.frames, err = d.countVal(p.Val, "group.mem_frames")
 			default:
 				return d.errf(p.Line, "fleet group: unknown field %q (fields: name, weight, nodes, ranks_per_node, endpoints_per_node, nic_queues, mem_frames)", p.Key)
 			}
@@ -682,7 +710,9 @@ func (d *dec) decodeFaults(n *yamlite.Node, sp *Spec) error {
 					}
 				}
 			case "rank":
-				f.Rank, err = d.intVal(p.Val, "fault.rank")
+				if f.Rank, err = d.intVal(p.Val, "fault.rank"); err == nil {
+					sp.indexRefs = append(sp.indexRefs, indexRef{what: "fault.rank", rank: true, index: f.Rank, line: p.Line})
+				}
 			case "buffer":
 				f.Buffer, err = d.str(p.Val, "fault.buffer")
 			case "util":
@@ -690,7 +720,9 @@ func (d *dec) decodeFaults(n *yamlite.Node, sp *Spec) error {
 			case "for_us":
 				f.For, err = d.durUS(p.Val, "fault.for_us")
 			case "node":
-				f.Node, err = d.intVal(p.Val, "fault.node")
+				if f.Node, err = d.intVal(p.Val, "fault.node"); err == nil {
+					sp.indexRefs = append(sp.indexRefs, indexRef{what: "fault.node", index: f.Node, line: p.Line})
+				}
 			case "frames":
 				f.Frames, err = d.intVal(p.Val, "fault.frames")
 			case "extra_latency_us":
@@ -728,7 +760,7 @@ func (d *dec) decodeChaos(n *yamlite.Node, sp *Spec) error {
 		case "interval_us":
 			prof.Interval, err = d.durUS(p.Val, "chaos.interval_us")
 		case "specs":
-			err = d.decodeChaosSpecs(p.Val, prof)
+			err = d.decodeChaosSpecs(p.Val, prof, sp)
 		default:
 			return d.errf(p.Line, "chaos: unknown field %q (fields: horizon_us, interval_us, specs)", p.Key)
 		}
@@ -746,7 +778,7 @@ func (d *dec) decodeChaos(n *yamlite.Node, sp *Spec) error {
 	return nil
 }
 
-func (d *dec) decodeChaosSpecs(n *yamlite.Node, prof *chaos.Profile) error {
+func (d *dec) decodeChaosSpecs(n *yamlite.Node, prof *chaos.Profile, sp *Spec) error {
 	if err := d.wantSeq(n, "chaos.specs"); err != nil {
 		return err
 	}
@@ -804,6 +836,7 @@ func (d *dec) decodeChaosSpecs(n *yamlite.Node, prof *chaos.Profile) error {
 							break
 						}
 						cs.Nodes = append(cs.Nodes, v)
+						sp.indexRefs = append(sp.indexRefs, indexRef{what: "chaos.nodes", index: v, line: nn.Line})
 					}
 				}
 			case "extra_latency_us":

@@ -1,9 +1,8 @@
 // spec_assert.go — the assertion block of the spec format. Every entry
-// lowers onto the exact assertion constructor the Go builtins use
+// lowers onto an assertion constructor the Go builtins use too
 // (MetricAtLeast, PinAccountingBalanced, KVSLOBlock, ...), and the
-// `check:` form resolves a registry of named custom checks factored out
-// of the builtin families — so a spec's assertion list produces the same
-// report entries, names and all, as its legacy Go twin.
+// `check:` form resolves a registry of named custom checks (checks.go),
+// so spec and Go scenarios report an assertion under the same name.
 package scenario
 
 import (

@@ -19,7 +19,10 @@ import (
 
 // Compile lowers the spec into a runnable Scenario. The caller decides
 // registration (and stamps Source); Compile never touches the registry.
+// Its errors carry file:line like the decoder's: fleet allocation, and
+// node and rank indices checked against the resolved cluster.
 func (sp *Spec) Compile() (*Scenario, error) {
+	d := &dec{file: sp.File}
 	s := &Scenario{
 		Name:        sp.Name,
 		Description: sp.Description,
@@ -33,15 +36,23 @@ func (sp *Spec) Compile() (*Scenario, error) {
 		Chaos:       sp.chaosProf,
 		Assertions:  sp.asserts,
 	}
-	var nodeOf []int
 	if sp.fleet != nil {
-		groups, err := sp.fleet.resolve()
+		groups, err := sp.fleet.resolve(d)
 		if err != nil {
-			return nil, fmt.Errorf("%s: %w", sp.File, err)
+			return nil, err
 		}
 		s.Cluster.Groups = groups
 		s.Cluster.Link = sp.fleet.link
-		nodeOf = rankNodes(groups)
+	}
+	nodes, ranks := clusterSize(s.Cluster)
+	for _, r := range sp.indexRefs {
+		limit, unit := nodes, "nodes"
+		if r.rank {
+			limit, unit = ranks, "ranks"
+		}
+		if r.index < 0 || r.index >= limit {
+			return nil, d.errf(r.line, "%s: %d is out of range (the cluster has %d %s)", r.what, r.index, limit, unit)
+		}
 	}
 
 	w := sp.workload.workload
@@ -60,15 +71,15 @@ func (sp *Spec) Compile() (*Scenario, error) {
 		total := sp.fleet.total
 		inner := w
 		w = func(c *mpi.Comm, cr *CaseRun) {
-			if d := startupDelay(st, nodeOf[c.Rank()], total, cr.Seed); d > 0 {
-				c.Compute(d)
+			if delay := startupDelay(st, c.Endpoint().Node().ID, total, cr.Seed); delay > 0 {
+				c.Compute(delay)
 			}
 			inner(c, cr)
 		}
 	}
 	s.Workload = w
 	if cfg := sp.workload.kvCfg; cfg != nil {
-		s.Report = kvReport(*cfg, totalRanks(s.Cluster))
+		s.Report = kvReport(*cfg, ranks)
 	}
 	return s, nil
 }
@@ -77,7 +88,7 @@ func (sp *Spec) Compile() (*Scenario, error) {
 // templates: explicit `nodes` counts are fixed, the remainder splits by
 // weight with largest-remainder rounding (deterministic: ties break on
 // group order).
-func (f *fleetSpec) resolve() ([]cluster.NodeGroup, error) {
+func (f *fleetSpec) resolve(d *dec) ([]cluster.NodeGroup, error) {
 	fixed, weightSum := 0, 0
 	for _, g := range f.groups {
 		if g.nodes > 0 {
@@ -88,10 +99,10 @@ func (f *fleetSpec) resolve() ([]cluster.NodeGroup, error) {
 	}
 	remain := f.total - fixed
 	if remain < 0 {
-		return nil, fmt.Errorf("fleet: explicit group nodes (%d) exceed total_nodes (%d)", fixed, f.total)
+		return nil, d.errf(f.line, "fleet: explicit group nodes (%d) exceed total_nodes (%d)", fixed, f.total)
 	}
 	if weightSum == 0 && remain != 0 {
-		return nil, fmt.Errorf("fleet: explicit group nodes (%d) do not cover total_nodes (%d) and no weighted group takes the remainder", fixed, f.total)
+		return nil, d.errf(f.line, "fleet: explicit group nodes (%d) do not cover total_nodes (%d) and no weighted group takes the remainder", fixed, f.total)
 	}
 	alloc := make([]int, len(f.groups))
 	if weightSum > 0 {
@@ -123,7 +134,7 @@ func (f *fleetSpec) resolve() ([]cluster.NodeGroup, error) {
 	out := make([]cluster.NodeGroup, len(f.groups))
 	for i, g := range f.groups {
 		if alloc[i] < 1 {
-			return nil, fmt.Errorf("fleet group %q resolves to 0 nodes (raise its weight or total_nodes)", g.name)
+			return nil, d.errf(g.line, "fleet group %q resolves to 0 nodes (raise its weight or total_nodes)", g.name)
 		}
 		rpn := g.ranksPerNode
 		if rpn == 0 {
@@ -138,44 +149,21 @@ func (f *fleetSpec) resolve() ([]cluster.NodeGroup, error) {
 	return out, nil
 }
 
-// rankNodes maps global rank -> node index for a grouped fleet (block
-// rank distribution, groups in declaration order).
-func rankNodes(groups []cluster.NodeGroup) []int {
-	var out []int
-	node := 0
-	for _, g := range groups {
-		for n := 0; n < g.Nodes; n++ {
-			for r := 0; r < g.RanksPerNode; r++ {
-				out = append(out, node)
-			}
-			node++
-		}
-	}
-	return out
-}
-
-// totalRanks counts the cluster's ranks the way cluster.New will.
-func totalRanks(cfg cluster.Config) int {
+// clusterSize counts the nodes and ranks cluster.New builds from cfg
+// (spec counts are never negative).
+func clusterSize(cfg cluster.Config) (nodes, ranks int) {
 	if len(cfg.Groups) > 0 {
-		total := 0
 		for _, g := range cfg.Groups {
-			rpn := g.RanksPerNode
-			if rpn == 0 {
-				rpn = 1
-			}
-			total += g.Nodes * rpn
+			nodes += g.Nodes
+			ranks += g.Nodes * max(g.RanksPerNode, 1)
 		}
-		return total
+		return nodes, ranks
 	}
-	nodes := cfg.Nodes
+	nodes = cfg.Nodes
 	if nodes == 0 {
 		nodes = 2
 	}
-	rpn := cfg.RanksPerNode
-	if rpn == 0 {
-		rpn = 1
-	}
-	return nodes * rpn
+	return nodes, nodes * max(cfg.RanksPerNode, 1)
 }
 
 // startupDelay computes one node's startup offset: the pattern's base

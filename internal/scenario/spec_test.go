@@ -3,26 +3,46 @@ package scenario
 import (
 	"os"
 	"path/filepath"
+	"strconv"
 	"strings"
 	"testing"
 )
 
-// parseErr parses src and demands an error mentioning every fragment,
-// with the file:line prefix the decoder promises.
-func parseErr(t *testing.T, src string, fragments ...string) {
+// errLine returns the line of an error that starts with `file:<line>:`,
+// and whether it does so with a line >= 1.
+func errLine(err error, file string) (int, bool) {
+	rest, ok := strings.CutPrefix(err.Error(), file+":")
+	if !ok {
+		return 0, false
+	}
+	num, _, ok := strings.Cut(rest, ":")
+	line, convErr := strconv.Atoi(num)
+	return line, ok && convErr == nil && line >= 1
+}
+
+// specErrAt parses and compiles src and demands an error at
+// test.yaml:<line>: (any line >= 1 when line is 0) mentioning every
+// fragment.
+func specErrAt(t *testing.T, src string, line int, fragments ...string) {
 	t.Helper()
-	_, err := ParseSpec([]byte(src), "test.yaml")
+	_, err := LoadSpecData([]byte(src), "test.yaml")
 	if err == nil {
 		t.Fatalf("spec accepted, want error containing %q:\n%s", fragments, src)
 	}
-	if !strings.HasPrefix(err.Error(), "test.yaml:") {
-		t.Fatalf("error lacks file:line context: %v", err)
+	if got, ok := errLine(err, "test.yaml"); !ok || (line > 0 && got != line) {
+		t.Fatalf("error %q: want the prefix test.yaml:%d:", err, line)
 	}
 	for _, f := range fragments {
 		if !strings.Contains(err.Error(), f) {
 			t.Fatalf("error %q does not mention %q", err, f)
 		}
 	}
+}
+
+// parseErr is specErrAt at whatever line the error names.
+func parseErr(t *testing.T, src string, fragments ...string) {
+	t.Helper()
+	specErrAt(t, src, 0, fragments...)
 }
 
 const minimalSpec = `name: t-spec
@@ -156,7 +176,7 @@ func TestFleetResolve(t *testing.T) {
 			{name: "infra", nodes: 4},
 		},
 	}
-	groups, err := f.resolve()
+	groups, err := f.resolve(&dec{file: "test.yaml"})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -172,24 +192,73 @@ func TestFleetResolve(t *testing.T) {
 	if got["infra"] != 4 || got["compute"] != 72 || got["storage"] != 24 {
 		t.Fatalf("allocation wrong: %v", got)
 	}
+}
 
-	// A group that resolves to zero nodes is an error, not a silent drop.
-	zero := &fleetSpec{
-		total: 2,
-		groups: []fleetGroup{
-			{name: "big", weight: 1000},
-			{name: "tiny", weight: 1},
-		},
+// TestSpecRejectsRunTimeMisfires covers specs that used to validate and
+// then crashed or misfired at run time: each must now fail to load, at
+// the line that names the bad value.
+func TestSpecRejectsRunTimeMisfires(t *testing.T) {
+	withCluster := func(field string) string {
+		return strings.Replace(minimalSpec, "cases:", "cluster:\n  "+field+"\ncases:", 1)
 	}
-	if _, err := zero.resolve(); err == nil || !strings.Contains(err.Error(), "tiny") {
-		t.Fatalf("zero-node group not rejected: %v", err)
+	chaosSpec := `name: t-chaos-nodes
+cluster:
+  nodes: 2
+cases:
+  - label: cache
+    policy: on-demand
+workload:
+  kind: chaos-pingpong
+  rounds: 2
+  bytes: 64KiB
+  recv_timeout_us: 1000
+chaos:
+  horizon_us: 1000
+  specs:
+    - class: node-crash
+      mean_gap_us: 100
+      nodes: [0, 7]
+`
+	for _, tc := range []struct {
+		name, src string
+		line      int
+		fragments []string
+	}{
+		// armChaos indexed a node the cluster does not have.
+		{"chaos-node-out-of-range", chaosSpec, 17, []string{"chaos.nodes: 7 is out of range", "2 nodes"}},
+		// cluster.New panicked making a negative-length node slice.
+		{"negative-nodes", withCluster("nodes: -1"), 4, []string{"cluster.nodes: -1 is out of range"}},
+		// Zero ranks ran and every assertion passed vacuously.
+		{"negative-ranks-per-node", withCluster("ranks_per_node: -2"), 4, []string{"cluster.ranks_per_node: -2 is out of range"}},
+		// Out-of-range fault targets only left a note in the report.
+		{"fault-node-out-of-range", minimalSpec + "faults:\n  - at_us: 10\n    kind: crash\n    node: 99\n", 17,
+			[]string{"fault.node: 99 is out of range", "2 nodes"}},
+		{"fault-rank-out-of-range", minimalSpec + "faults:\n  - at_us: 10\n    kind: free\n    rank: 99\n    buffer: x\n", 17,
+			[]string{"fault.rank: 99 is out of range", "2 ranks"}},
+	} {
+		t.Run(tc.name, func(t *testing.T) { specErrAt(t, tc.src, tc.line, tc.fragments...) })
 	}
+}
 
-	// Explicit counts beyond the total are an error.
-	over := &fleetSpec{total: 3, groups: []fleetGroup{{name: "a", nodes: 5}}}
-	if _, err := over.resolve(); err == nil {
-		t.Fatal("overcommitted fixed groups accepted")
+// TestFleetErrorLines checks that fleet errors found after decoding name
+// the line of the group or fleet block at fault.
+func TestFleetErrorLines(t *testing.T) {
+	fleet := func(groups string) string {
+		return "name: t-fleet\nfleet:\n  total_nodes: 4\n  groups:\n" + groups +
+			"workload:\n  kind: pressure\n  rounds: 1\n  comm_bytes: 64KiB\n  churn_bytes: 64KiB\n"
 	}
+	specErrAt(t, fleet("    - name: a\n      weight: 1\n    - name: a\n      weight: 1\n"), 7,
+		`fleet group "a": duplicate group name`)
+	specErrAt(t, fleet("    - name: a\n      nodes: 5\n"), 3, "explicit group nodes (5) exceed total_nodes (4)")
+	specErrAt(t, fleet("    - name: a\n      nodes: 2\n"), 3, "do not cover total_nodes (4)")
+	specErrAt(t, fleet("    - name: big\n      weight: 1000\n    - name: tiny\n      weight: 1\n"), 7,
+		`fleet group "tiny" resolves to 0 nodes`)
+	specErrAt(t, fleet("    - name: a\n      weight: 1\n      ranks_per_node: -2\n"), 7,
+		"group.ranks_per_node: -2 is out of range")
+	// Counts past maxCount used to overflow the weight allocation, which
+	// then spun for ~2^62 rounds inside `omxsim validate`.
+	specErrAt(t, strings.Replace(fleet("    - name: a\n      weight: 3\n    - name: b\n      weight: 1\n"),
+		"total_nodes: 4", "total_nodes: 4611686018427387904", 1), 3, "fleet.total_nodes: 4611686018427387904 is out of range")
 }
 
 // TestStartupDelayDeterministic checks the startup schedule is a pure
@@ -252,4 +321,33 @@ func TestValidateSpecFileCollision(t *testing.T) {
 		!strings.Contains(err.Error(), "collides") {
 		t.Fatalf("registry collision not reported: %v", err)
 	}
+}
+
+// FuzzLoadSpec feeds arbitrary documents through the spec decoder and
+// compiler: loading never panics, and every rejection starts with
+// `<file>:<line>:` at a real line. The embedded specs and the example
+// spec files seed the corpus.
+func FuzzLoadSpec(f *testing.F) {
+	var paths []string
+	for _, pattern := range []string{"specs/*.yaml", "../../examples/*.yaml"} {
+		matches, err := filepath.Glob(filepath.FromSlash(pattern))
+		if err != nil {
+			f.Fatal(err)
+		}
+		paths = append(paths, matches...)
+	}
+	for _, path := range paths {
+		data, err := os.ReadFile(path)
+		if err != nil {
+			f.Fatal(err)
+		}
+		f.Add(data)
+	}
+	f.Fuzz(func(t *testing.T, src []byte) {
+		if _, err := LoadSpecData(src, "fuzz.yaml"); err != nil {
+			if _, ok := errLine(err, "fuzz.yaml"); !ok {
+				t.Fatalf("error lacks a fuzz.yaml:<line>: prefix: %v", err)
+			}
+		}
+	})
 }

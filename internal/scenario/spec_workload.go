@@ -1,12 +1,11 @@
 // spec_workload.go — the workload-kind registry of the spec format.
-// Every kind lowers onto the exact workload constructor the Go builtins
-// use (pingPongWorkload, pressureWorkload, chaosWorkload, fleetWorkload,
-// kvWorkload), so a spec cell and its legacy Go twin run the same code.
+// Every kind lowers onto a workload constructor of the builtin families
+// (pingPongWorkload, pressureWorkload, chaosWorkload, fleetWorkload,
+// kvWorkload), shared with the Go builtins that run the same workload.
 package scenario
 
 import (
 	"omxsim/internal/kv"
-	"omxsim/internal/mpi"
 	"omxsim/internal/sim"
 	"omxsim/internal/yamlite"
 )
@@ -223,9 +222,7 @@ func (d *dec) decodeKV(n *yamlite.Node, w *workloadSpec) error {
 	w.kvCfg = &cfg
 	// value_bytes omitted → the cell's sweep size is the value size.
 	w.needsSizes = cfg.ValueBytes == 0
-	w.workload = func(c *mpi.Comm, cr *CaseRun) {
-		kv.Run(c, cr, cr.Seed, kvSized(cfg, cr.Size))
-	}
+	w.workload = kvWorkload(cfg)
 	return nil
 }
 

@@ -90,7 +90,7 @@ func Parse(src []byte, file string) (*Node, error) {
 		return nil, err
 	}
 	if len(p.lines) == 0 {
-		return nil, fmt.Errorf("%s: empty document", file)
+		return nil, fmt.Errorf("%s:1: empty document", file)
 	}
 	root, err := p.parseBlock(p.lines[0].indent)
 	if err != nil {
