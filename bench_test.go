@@ -29,6 +29,7 @@ import (
 	"omxsim/internal/mpi"
 	"omxsim/internal/npb"
 	"omxsim/internal/omx"
+	"omxsim/internal/scenario"
 	"omxsim/internal/sim"
 )
 
@@ -70,56 +71,23 @@ func pingPongMBps(b *testing.B, cfg omx.Config, size int) float64 {
 	return mbps
 }
 
-// figureCases returns the (label, config) set for a figure.
-func figure6Cases() []struct {
-	name string
-	cfg  omx.Config
-} {
-	mk := func(p core.PinPolicy, cache, ioat bool) omx.Config {
-		c := omx.DefaultConfig(p, cache)
-		c.UseIOAT = ioat
-		return c
-	}
-	return []struct {
-		name string
-		cfg  omx.Config
-	}{
-		{"PinPerComm", mk(core.PinEachComm, false, false)},
-		{"Permanent", mk(core.Permanent, true, false)},
-		{"PinPerComm+IOAT", mk(core.PinEachComm, false, true)},
-		{"Permanent+IOAT", mk(core.Permanent, true, true)},
-	}
-}
-
-func figure7Cases() []struct {
-	name string
-	cfg  omx.Config
-} {
-	return []struct {
-		name string
-		cfg  omx.Config
-	}{
-		{"Regular", omx.DefaultConfig(core.PinEachComm, false)},
-		{"Overlapped", omx.DefaultConfig(core.Overlapped, false)},
-		{"Cache", omx.DefaultConfig(core.OnDemand, true)},
-		{"OverlappedCache", omx.DefaultConfig(core.Overlapped, true)},
-	}
-}
-
 // benchFigureSizes is the size subset benchmarked per curve (the cmd tool
 // sweeps the full 64 KiB..16 MiB schedule).
 var benchFigureSizes = []int{64 * 1024, 1 << 20, 16 << 20}
 
-// BenchmarkFigure6 regenerates Figure 6's curves; metric MiB/s per
-// (curve, size).
-func BenchmarkFigure6(b *testing.B) {
-	for _, c := range figure6Cases() {
+// benchFigure benchmarks every case of a registered figure scenario at
+// benchFigureSizes; metric MiB/s per (curve, size).
+func benchFigure(b *testing.B, name string) {
+	s, ok := scenario.Get(name)
+	if !ok {
+		b.Fatalf("scenario %q not registered", name)
+	}
+	for _, c := range s.Cases {
 		for _, size := range benchFigureSizes {
-			c, size := c, size
-			b.Run(fmt.Sprintf("%s/%s", c.name, sizeName(size)), func(b *testing.B) {
+			b.Run(fmt.Sprintf("%s/%s", c.Label, sizeName(size)), func(b *testing.B) {
 				var mbps float64
 				for i := 0; i < b.N; i++ {
-					mbps = pingPongMBps(b, c.cfg, size)
+					mbps = pingPongMBps(b, c.OMX, size)
 				}
 				b.ReportMetric(mbps, "MiB/s")
 			})
@@ -127,22 +95,11 @@ func BenchmarkFigure6(b *testing.B) {
 	}
 }
 
-// BenchmarkFigure7 regenerates Figure 7's curves; metric MiB/s per
-// (curve, size).
-func BenchmarkFigure7(b *testing.B) {
-	for _, c := range figure7Cases() {
-		for _, size := range benchFigureSizes {
-			c, size := c, size
-			b.Run(fmt.Sprintf("%s/%s", c.name, sizeName(size)), func(b *testing.B) {
-				var mbps float64
-				for i := 0; i < b.N; i++ {
-					mbps = pingPongMBps(b, c.cfg, size)
-				}
-				b.ReportMetric(mbps, "MiB/s")
-			})
-		}
-	}
-}
+// BenchmarkFigure6 regenerates Figure 6's curves.
+func BenchmarkFigure6(b *testing.B) { benchFigure(b, "figure6") }
+
+// BenchmarkFigure7 regenerates Figure 7's curves.
+func BenchmarkFigure7(b *testing.B) { benchFigure(b, "figure7") }
 
 // BenchmarkOverlapMiss regenerates §4.3: metrics are the overlap-miss rate
 // (misses per accepted packet) and goodput.

@@ -181,7 +181,7 @@ func runFlags(name string, args []string) (scenario.Options, bool, []string) {
 		fs.StringVar(&opts.Policy, "policy", opts.Policy, "restrict the case matrix to one label or pin-policy name")
 		fs.Int64Var(&opts.Seed, "seed", opts.Seed, "simulation seed")
 		fs.BoolVar(&opts.Quick, "quick", opts.Quick, "reduced size schedules")
-		fs.IntVar(&opts.Shards, "shards", opts.Shards, "parallel engine shards per cluster (0 = legacy single engine)")
+		fs.IntVar(&opts.Shards, "shards", opts.Shards, "parallel engine shards per cluster (0 = 1)")
 		fs.Int64Var(&opts.ChaosSeed, "chaos-seed", opts.ChaosSeed, "chaos fault-schedule seed (0 = derive from -seed)")
 		fs.BoolVar(&jsonOut, "json", jsonOut, "emit JSON instead of tables")
 		fs.Parse(args)

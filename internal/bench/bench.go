@@ -115,7 +115,7 @@ func SimWallClockCell() (mbps, simMicros float64, events uint64) {
 			mbps = r.MBps
 		}
 	})
-	return mbps, cl.Eng.Now().Micros(), cl.Eng.EventsFired()
+	return mbps, cl.Now().Micros(), cl.EventsFired()
 }
 
 // ParallelShards picks the shard count the parallel cell measures:

@@ -79,13 +79,11 @@ type Config struct {
 	// swap pressure emerges from the allocator (the pressure-* scenario
 	// family) instead of the fault injector.
 	Mem omx.MemConfig
-	// Shards splits the cluster across that many parallel engine shards
-	// (clamped to Nodes), with nodes block-distributed and the fabric's
-	// one-way link latency (PropDelay) as the conservative lookahead
-	// window. 0 (the default) keeps the legacy single-engine path with
-	// its exact historical event order; 1 runs the windowed coordinator
-	// on one shard — the serial reference the determinism tests compare
-	// higher shard counts against. Requires a positive PropDelay.
+	// Shards splits the cluster across that many engine shards (clamped
+	// to [1, Nodes]; 0, the default, means 1), with nodes
+	// block-distributed and the fabric's one-way link latency (PropDelay)
+	// as the conservative lookahead window. Every count produces the same
+	// results; two or more run the shards in parallel.
 	Shards int
 	// RxCoreIdx is the core servicing NIC interrupts on every node
 	// (default 0).
@@ -98,7 +96,8 @@ type Config struct {
 	// the paper's §4.3 overload scenario (application pinning work starved
 	// by bottom halves).
 	AppsOnRxCore bool
-	// Link overrides the fabric parameters (default: 10G, 500ns).
+	// Link overrides the fabric parameters (default: 10G, 500ns). Its
+	// PropDelay must be positive: it is the engine lookahead.
 	Link *ethernet.LinkConfig
 	// Seed makes the run deterministic (default 1).
 	Seed int64
@@ -118,16 +117,16 @@ type Config struct {
 
 // Cluster is a fully wired simulation instance.
 type Cluster struct {
-	// Eng is the engine of shard 0 — the only engine in a legacy or
-	// single-shard build. Sharded code paths must address engines per
-	// node (Nodes[i].Eng); Eng remains for the single-engine experiments
-	// and as the coordinator-side default.
+	// Eng is the engine of shard 0, the only one in a one-shard build.
+	// Code that may run sharded addresses engines per node
+	// (Nodes[i].Eng); Eng schedules cluster-wide setup such as fault
+	// injection before the run starts.
 	Eng       *sim.Engine
 	Fabric    *ethernet.Fabric
 	Nodes     []*omx.Node
 	Endpoints []*omx.Endpoint // indexed by rank, block-distributed
 	World     *mpi.World
-	// Set coordinates the engine shards (nil on the legacy path).
+	// Set coordinates the engine shards and drives every run.
 	Set *sim.ShardSet
 
 	// bounded records that the last drive was budget-limited, so Now()
@@ -174,47 +173,35 @@ func New(cfg Config) (*Cluster, error) {
 	if cfg.Link != nil {
 		link = *cfg.Link
 	}
-	shards := cfg.Shards
-	if shards > cfg.Nodes {
-		shards = cfg.Nodes
+	if link.PropDelay <= 0 {
+		return nil, fmt.Errorf("cluster: the link PropDelay is the engine lookahead and must be positive (got %v)", link.PropDelay)
 	}
-	if shards > 0 && link.PropDelay <= 0 {
-		return nil, fmt.Errorf("cluster: sharded mode needs a positive link PropDelay as lookahead (got %v)", link.PropDelay)
+	// One engine per shard. Nodes are block-distributed so ranks that
+	// talk to node-local peers stay on one shard.
+	shards := min(max(cfg.Shards, 1), cfg.Nodes)
+	engines := make([]*sim.Engine, shards)
+	for i := range engines {
+		engines[i] = sim.NewEngine(cfg.Seed)
 	}
-	// One engine per shard; the legacy path (shards == 0) is a single
-	// engine with no coordinator. Nodes are block-distributed so ranks
-	// that talk to node-local peers stay on one shard.
-	engines := []*sim.Engine{sim.NewEngine(cfg.Seed)}
-	for i := 1; i < shards; i++ {
-		engines = append(engines, sim.NewEngine(cfg.Seed))
-	}
-	engineOf := func(node int) *sim.Engine {
-		if shards == 0 {
-			return engines[0]
-		}
-		return engines[node*shards/cfg.Nodes]
-	}
+	shardOf := func(node int) int { return node * shards / cfg.Nodes }
 	fabric := ethernet.NewFabric(engines[0], link)
 	fabric.Seed = cfg.Seed
 	fabric.LoopbackBytesPerSec = cfg.LoopbackBytesPerSec
 
-	cl := &Cluster{Eng: engines[0], Fabric: fabric}
-	if shards > 0 {
-		cl.Set = sim.NewShardSet(link.PropDelay, engines)
-		shardOf := func(node int) int { return node * shards / cfg.Nodes }
-		fabric.SetRouter(func(dst *ethernet.NIC, fr *ethernet.Frame, when, sendTime sim.Time, srcSeq uint64) {
-			cl.Set.Post(sim.CrossEvent{
-				When:     when,
-				SendTime: sendTime,
-				SrcShard: shardOf(fr.Src),
-				DstShard: shardOf(fr.Dst),
-				SrcNode:  fr.Src,
-				DstNode:  fr.Dst,
-				SrcSeq:   srcSeq,
-				Fn:       func() { dst.Deliver(fr) },
-			})
+	set := sim.NewShardSet(link.PropDelay, engines)
+	cl := &Cluster{Eng: engines[0], Fabric: fabric, Set: set}
+	fabric.SetRouter(func(dst *ethernet.NIC, fr *ethernet.Frame, when, sendTime sim.Time, srcSeq uint64) {
+		set.Post(sim.CrossEvent{
+			When:     when,
+			SendTime: sendTime,
+			SrcShard: shardOf(fr.Src),
+			DstShard: shardOf(fr.Dst),
+			SrcNode:  fr.Src,
+			DstNode:  fr.Dst,
+			SrcSeq:   srcSeq,
+			Fn:       func() { dst.Deliver(fr) },
 		})
-	}
+	})
 	// Per-node rank count, endpoint fan-out, queue count, and memory
 	// budget: uniform from Config unless Groups carves the cluster into
 	// heterogeneous slices.
@@ -260,7 +247,7 @@ func New(cfg Config) (*Cluster, error) {
 	}
 	rank := 0
 	for n := 0; n < cfg.Nodes; n++ {
-		node := omx.NewNode(engineOf(n), fabric, cfg.Spec, n, cfg.RxCoreIdx)
+		node := omx.NewNode(engines[shardOf(n)], fabric, cfg.Spec, n, cfg.RxCoreIdx)
 		if nqOf[n] > 1 {
 			node.ConfigureQueues(nqOf[n])
 		}
@@ -307,13 +294,10 @@ func New(cfg Config) (*Cluster, error) {
 			rank++
 		}
 	}
-	cl.World = mpi.NewWorld(engines[0], cl.Endpoints)
-	if cl.Set != nil {
-		// Rank-completion flags are written by rank bodies on their own
-		// shards; AllDone readers inside the simulation get the
-		// barrier-published snapshot.
-		cl.Set.AddBarrierHook(cl.World.PublishDone)
-	}
+	cl.World = mpi.NewWorld(cl.Endpoints)
+	// Rank-completion flags are written by rank bodies on their own
+	// shards; AllDone readers get the barrier-published snapshot.
+	set.AddBarrierHook(cl.World.PublishDone)
 	for _, hook := range cfg.OnBuild {
 		hook(cl)
 	}
@@ -365,16 +349,12 @@ func (cl *Cluster) Close() int {
 	return leaked
 }
 
-// Run executes body on every rank and drives the engine (or the shard
-// set) until all ranks finish; it panics if the simulation deadlocks
-// (event queues drained with ranks still running).
+// Run executes body on every rank and drives the shard set until all ranks
+// finish; it panics if the simulation deadlocks (event queues drained with
+// ranks still running).
 func (cl *Cluster) Run(body func(c *mpi.Comm)) {
 	cl.World.Run(body)
-	if cl.Set != nil {
-		cl.Set.Run()
-	} else {
-		cl.Eng.Run()
-	}
+	cl.Set.Run()
 	cl.dropFreePages()
 	if !cl.World.AllDone() {
 		panic("cluster: simulation deadlocked: event queue empty with ranks still blocked")
@@ -389,11 +369,7 @@ func (cl *Cluster) Run(body func(c *mpi.Comm)) {
 func (cl *Cluster) RunFor(budget sim.Duration, body func(c *mpi.Comm)) bool {
 	cl.World.Run(body)
 	cl.bounded = true
-	if cl.Set != nil {
-		cl.Set.RunUntil(cl.Eng.Now() + budget)
-	} else {
-		cl.Eng.RunUntil(cl.Eng.Now() + budget)
-	}
+	cl.Set.RunUntil(cl.Eng.Now() + budget)
 	cl.dropFreePages()
 	return cl.World.AllDone()
 }
@@ -406,35 +382,23 @@ func (cl *Cluster) dropFreePages() {
 	}
 }
 
-// Now reports the simulation end time the way a single engine would: the
-// deadline for budget-bounded runs, otherwise the time of the last
-// foreground event. In sharded runs the engine clocks sit at the final
-// synchronization window's boundary, so the shard set's last-foreground
-// time is the comparable quantity.
+// Now reports the simulation end time: the deadline for budget-bounded
+// runs, otherwise the time of the last foreground event, whatever the
+// shard layout.
 func (cl *Cluster) Now() sim.Time {
-	if cl.Set == nil || cl.bounded {
+	if cl.bounded {
 		return cl.Eng.Now()
 	}
 	return cl.Set.LastForegroundTime()
 }
 
 // EventsFired sums dispatched events across all shards.
-func (cl *Cluster) EventsFired() uint64 {
-	if cl.Set != nil {
-		return cl.Set.EventsFired()
-	}
-	return cl.Eng.EventsFired()
-}
+func (cl *Cluster) EventsFired() uint64 { return cl.Set.EventsFired() }
 
 // ForegroundEventsFired sums dispatched non-daemon events across all
-// shards. Daemon tick counts depend on where the final shard window lands,
-// so reports that must be byte-identical across shard layouts use this.
-func (cl *Cluster) ForegroundEventsFired() uint64 {
-	if cl.Set != nil {
-		return cl.Set.ForegroundEventsFired()
-	}
-	return cl.Eng.ForegroundEventsFired()
-}
+// shards. Daemon ticks keep firing to the end of the final window, past
+// the last foreground event, so reports count foreground events only.
+func (cl *Cluster) ForegroundEventsFired() uint64 { return cl.Set.ForegroundEventsFired() }
 
 // Stats aggregates node driver stats across the cluster.
 func (cl *Cluster) Stats() omx.NodeStats {

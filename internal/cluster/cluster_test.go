@@ -132,10 +132,50 @@ func TestClusterDeterminism(t *testing.T) {
 				}
 			}
 		})
-		return cl.Eng.Now()
+		return cl.Now()
 	}
 	if a, b := run(), run(); a != b {
 		t.Fatalf("identical seeds produced different end times: %v vs %v", a, b)
+	}
+}
+
+// TestShardCounts checks the shard count is a layout choice only: 0 and 1
+// both build one engine shard, and one or two shards end a run at the same
+// simulated time after the same events. A link without latency leaves no
+// lookahead window and is refused.
+func TestShardCounts(t *testing.T) {
+	run := func(shards int) (int, sim.Time, uint64) {
+		cl, err := cluster.New(cluster.Config{Shards: shards, OMX: omx.DefaultConfig(core.Overlapped, true)})
+		if err != nil {
+			t.Fatal(err)
+		}
+		cl.Run(func(c *mpi.Comm) {
+			buf := c.Malloc(1 << 20)
+			if c.Rank() == 0 {
+				c.Send(buf, 1<<20, 1, 0)
+			} else {
+				c.Recv(buf, 1<<20, 0, 0)
+			}
+		})
+		return cl.Set.NumShards(), cl.Now(), cl.EventsFired()
+	}
+	n0, end0, ev0 := run(0)
+	for _, shards := range []int{1, 2} {
+		n, end, ev := run(shards)
+		if want := max(shards, 1); n != want {
+			t.Errorf("Shards: %d built %d engine shards, want %d", shards, n, want)
+		}
+		if end != end0 || ev != ev0 {
+			t.Errorf("Shards: %d ended at %v after %d events; Shards: 0 at %v after %d", shards, end, ev, end0, ev0)
+		}
+	}
+	if n0 != 1 {
+		t.Errorf("Shards: 0 built %d engine shards, want 1", n0)
+	}
+	link := ethernet.DefaultLinkConfig()
+	link.PropDelay = 0
+	if _, err := cluster.New(cluster.Config{Link: &link}); err == nil {
+		t.Error("a zero-latency link was accepted")
 	}
 }
 

@@ -256,8 +256,9 @@ type Fabric struct {
 	Seed int64
 	// route, when non-nil, replaces direct delivery scheduling: every
 	// frame is handed to the shard router, which schedules Deliver on the
-	// destination NIC's engine at the given arrival time. Set by cluster
-	// glue in sharded runs; nil keeps the legacy single-engine path.
+	// destination NIC's engine at the given arrival time. Every cluster
+	// installs one; it is nil only on a fabric built outside a cluster,
+	// which schedules delivery on the sending NIC's engine.
 	route RouteFunc
 	// DropFilter, when non-nil, is consulted per frame; returning true
 	// drops it. Used for deterministic loss injection in tests.
@@ -413,7 +414,7 @@ func (n *NIC) Send(fr *Frame) {
 
 // Deliver hands an arrived frame to the NIC's handler, in interrupt
 // context at the current simulated time. The shard router calls it on
-// the destination engine; the legacy path schedules it directly.
+// the destination engine; a fabric without a router schedules it directly.
 // Destination-side impairments apply here, on the destination engine,
 // reading only destination-owned state: a down NIC discards the frame, a
 // degraded one may drop it (rx RNG) or defer the handler by the window's

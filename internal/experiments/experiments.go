@@ -1,14 +1,14 @@
-// Package experiments reproduces every table and figure of the paper's
-// evaluation section (§4) on the simulated cluster:
+// Package experiments reproduces the tables and sweeps of the paper's
+// evaluation section (§4) that do not fit a declarative scenario:
 //
 //	Table 1  — pin+unpin base/per-page overhead per host        (Table1)
-//	Figure 6 — PingPong throughput, pin-per-comm vs permanent   (Figure6)
-//	Figure 7 — regular / overlapped / cache / overlapped+cache  (Figure7)
 //	§4.3     — overlap-miss rate and overloaded-core collapse   (OverlapMiss, Overload)
 //	Table 2  — IMB + NPB IS execution-time improvements         (Table2, NPBIS)
 //
-// Each function builds fresh clusters, runs the workload, and returns
-// structured rows; the scenario registry and bench_test.go render them.
+// Figures 6 and 7 are plain PingPong sweeps: the scenario registry
+// declares them (figure6, figure7). Each function here builds fresh
+// clusters, runs the workload, and returns structured rows; the scenario
+// registry and bench_test.go render them.
 // These sweeps fix their config matrices to the paper's policies;
 // comparisons across the full pluggable-backend registry (ODP,
 // pin-ahead, ...) live in the scenario layer's policy-* and multitenant
@@ -91,78 +91,6 @@ func measurePinUnpin(spec cpu.Spec, pages int) sim.Duration {
 	mgr.Release(r)
 	eng.Run()
 	return c.BusyTime(cpu.Kernel) - before
-}
-
-// CurvePoint is one (message size, throughput) sample of a PingPong curve.
-type CurvePoint struct {
-	Size int     `json:"size"`
-	MBps float64 `json:"mbps"`
-}
-
-// Curve is one labelled line of Figure 6 or 7.
-type Curve struct {
-	Label  string       `json:"label"`
-	Config omx.Config   `json:"-"`
-	Points []CurvePoint `json:"points"`
-}
-
-// pingPongCurve measures IMB PingPong throughput across sizes under cfg.
-func pingPongCurve(label string, cfg omx.Config, sizes []int, spec cpu.Spec) Curve {
-	cv := Curve{Label: label, Config: cfg}
-	for _, size := range sizes {
-		cl, err := cluster.New(cluster.Config{Nodes: 2, Spec: spec, OMX: cfg})
-		if err != nil {
-			panic(err)
-		}
-		var mbps float64
-		cl.Run(func(c *mpi.Comm) {
-			r := imb.PingPong(c, size, imb.Iterations(size))
-			if c.Rank() == 0 {
-				mbps = r.MBps
-			}
-		})
-		cv.Points = append(cv.Points, CurvePoint{Size: size, MBps: mbps})
-	}
-	return cv
-}
-
-// Figure6 reproduces the paper's Figure 6: pin-once-per-communication vs
-// permanent pinning, with and without I/OAT copy offload.
-func Figure6(sizes []int, spec cpu.Spec) []Curve {
-	if sizes == nil {
-		sizes = imb.LargeSizes()
-	}
-	if spec.Cores == 0 {
-		spec = cpu.XeonE5460
-	}
-	mk := func(policy core.PinPolicy, cacheOn, ioat bool) omx.Config {
-		cfg := omx.DefaultConfig(policy, cacheOn)
-		cfg.UseIOAT = ioat
-		return cfg
-	}
-	return []Curve{
-		pingPongCurve("Open-MX - Pin once per Communication", mk(core.PinEachComm, false, false), sizes, spec),
-		pingPongCurve("Open-MX - Permanent Pinning", mk(core.Permanent, true, false), sizes, spec),
-		pingPongCurve("Open-MX + I/OAT - Pin once per Communication", mk(core.PinEachComm, false, true), sizes, spec),
-		pingPongCurve("Open-MX + I/OAT - Permanent Pinning", mk(core.Permanent, true, true), sizes, spec),
-	}
-}
-
-// Figure7 reproduces the paper's Figure 7: regular vs overlapped pinning vs
-// pinning cache vs overlapped pinning cache (no I/OAT, as in the paper).
-func Figure7(sizes []int, spec cpu.Spec) []Curve {
-	if sizes == nil {
-		sizes = imb.LargeSizes()
-	}
-	if spec.Cores == 0 {
-		spec = cpu.XeonE5460
-	}
-	return []Curve{
-		pingPongCurve("Open-MX - Regular Pinning", omx.DefaultConfig(core.PinEachComm, false), sizes, spec),
-		pingPongCurve("Open-MX - Overlapped Pinning", omx.DefaultConfig(core.Overlapped, false), sizes, spec),
-		pingPongCurve("Open-MX - Pinning Cache", omx.DefaultConfig(core.OnDemand, true), sizes, spec),
-		pingPongCurve("Open-MX - Overlapped Pinning Cache", omx.DefaultConfig(core.Overlapped, true), sizes, spec),
-	}
 }
 
 // Table2Row is one benchmark's execution-time improvement relative to the

@@ -52,72 +52,6 @@ func within(got, want, tol float64) bool {
 	return got >= want*(1-tol) && got <= want*(1+tol)
 }
 
-// TestFigure6Shape checks the paper's Figure 6 claims: permanent pinning
-// beats pin-per-communication by roughly 5% on the E5460, at every size;
-// I/OAT lifts both curves; curves increase with message size.
-func TestFigure6Shape(t *testing.T) {
-	sizes := []int{256 * 1024, 1 << 20, 4 << 20, 16 << 20}
-	curves := Figure6(sizes, cpuSpec())
-	byLabel := indexCurves(curves)
-	pin := byLabel["Open-MX - Pin once per Communication"]
-	perm := byLabel["Open-MX - Permanent Pinning"]
-	pinIOAT := byLabel["Open-MX + I/OAT - Pin once per Communication"]
-	permIOAT := byLabel["Open-MX + I/OAT - Permanent Pinning"]
-	for i := range sizes {
-		gap := (perm.Points[i].MBps - pin.Points[i].MBps) / perm.Points[i].MBps * 100
-		if gap < 2 || gap > 12 {
-			t.Errorf("size %d: permanent-vs-pin gap = %.1f%%, paper ~5%%", sizes[i], gap)
-		}
-		if permIOAT.Points[i].MBps <= perm.Points[i].MBps {
-			t.Errorf("size %d: I/OAT did not improve permanent pinning", sizes[i])
-		}
-		if pinIOAT.Points[i].MBps <= pin.Points[i].MBps {
-			t.Errorf("size %d: I/OAT did not improve pin-per-comm", sizes[i])
-		}
-	}
-	// Monotone-ish growth with size.
-	if perm.Points[len(sizes)-1].MBps < perm.Points[0].MBps {
-		t.Error("throughput decreased with message size")
-	}
-	// Peak in the right regime (paper: ~1100-1200 MiB/s with I/OAT).
-	peak := permIOAT.Points[len(sizes)-1].MBps
-	if peak < 900 || peak > 1300 {
-		t.Errorf("I/OAT peak = %.0f MiB/s, expected ~1150", peak)
-	}
-}
-
-// TestFigure7Shape checks the paper's Figure 7 claims: both the pinning
-// cache and overlapped pinning recover (most of) the gap to permanent
-// pinning, individually and combined.
-func TestFigure7Shape(t *testing.T) {
-	sizes := []int{256 * 1024, 1 << 20, 4 << 20, 16 << 20}
-	curves := Figure7(sizes, cpuSpec())
-	byLabel := indexCurves(curves)
-	regular := byLabel["Open-MX - Regular Pinning"]
-	overlapped := byLabel["Open-MX - Overlapped Pinning"]
-	cache := byLabel["Open-MX - Pinning Cache"]
-	both := byLabel["Open-MX - Overlapped Pinning Cache"]
-	for i := range sizes {
-		r := regular.Points[i].MBps
-		for _, opt := range []Curve{overlapped, cache, both} {
-			gain := (opt.Points[i].MBps - r) / r * 100
-			if gain < 1 {
-				t.Errorf("size %d: %s gains only %.1f%% over regular", sizes[i], opt.Label, gain)
-			}
-			if gain > 15 {
-				t.Errorf("size %d: %s gains %.1f%%, implausibly large", sizes[i], opt.Label, gain)
-			}
-		}
-		// Cache and overlap end up within a few percent of each other
-		// (paper: "the same performance improvement is brought by
-		// overlapped memory pinning").
-		diff := (cache.Points[i].MBps - overlapped.Points[i].MBps) / cache.Points[i].MBps * 100
-		if diff > 5 || diff < -5 {
-			t.Errorf("size %d: cache vs overlap differ by %.1f%%", sizes[i], diff)
-		}
-	}
-}
-
 // TestOverlapMissRates checks §4.3: under normal load misses are rarer than
 // 1 in 10^4 packets; on an overloaded core the throughput collapses by more
 // than an order of magnitude and misses become common.
@@ -162,14 +96,6 @@ func TestNPBISRowShape(t *testing.T) {
 		t.Errorf("cache (%.1f%%) should be at least as good as overlap (%.1f%%) for IS",
 			row.CachePct, row.OverlappingPct)
 	}
-}
-
-func indexCurves(cs []Curve) map[string]Curve {
-	m := make(map[string]Curve, len(cs))
-	for _, c := range cs {
-		m[c.Label] = c
-	}
-	return m
 }
 
 // TestHostFrequencySensitivity checks the paper's headline range: the

@@ -45,21 +45,19 @@ func matchMask(src int) uint64 {
 
 // World is a set of ranks mapped onto Open-MX endpoints.
 type World struct {
-	eng  *sim.Engine
 	eps  []*omx.Endpoint
 	done []bool
-	// snapshot, when non-nil, is a barrier-published copy of done that
-	// AllDone reads instead of the live flags. In a sharded run rank
-	// bodies set done concurrently on different shards; readers inside
-	// the simulation (fault-injector polls) must see a consistent,
+	// snapshot is the barrier-published copy of done that AllDone reads.
+	// Rank bodies set done concurrently on different shards; readers
+	// inside the simulation (fault-injector polls) must see a consistent,
 	// shard-count-invariant view, so the coordinator publishes one at
 	// every synchronization barrier via PublishDone.
 	snapshot []bool
 }
 
 // NewWorld wraps endpoints as ranks 0..len-1.
-func NewWorld(eng *sim.Engine, eps []*omx.Endpoint) *World {
-	return &World{eng: eng, eps: eps, done: make([]bool, len(eps))}
+func NewWorld(eps []*omx.Endpoint) *World {
+	return &World{eps: eps, done: make([]bool, len(eps)), snapshot: make([]bool, len(eps))}
 }
 
 // Size returns the number of ranks.
@@ -68,14 +66,10 @@ func (w *World) Size() int { return len(w.eps) }
 // Endpoint returns rank r's endpoint.
 func (w *World) Endpoint(r int) *omx.Endpoint { return w.eps[r] }
 
-// AllDone reports whether every rank's body returned (as of the last
-// barrier, in sharded runs).
+// AllDone reports whether every rank's body had returned at the last
+// barrier.
 func (w *World) AllDone() bool {
-	flags := w.done
-	if w.snapshot != nil {
-		flags = w.snapshot
-	}
-	for _, d := range flags {
+	for _, d := range w.snapshot {
 		if !d {
 			return false
 		}
@@ -85,14 +79,8 @@ func (w *World) AllDone() bool {
 
 // PublishDone snapshots the rank-completion flags for AllDone readers.
 // The shard coordinator calls it at every window barrier (all shards
-// parked, so the live flags are stable); the first call switches AllDone
-// to snapshot reads.
-func (w *World) PublishDone() {
-	if w.snapshot == nil {
-		w.snapshot = make([]bool, len(w.done))
-	}
-	copy(w.snapshot, w.done)
-}
+// parked, so the live flags are stable).
+func (w *World) PublishDone() { copy(w.snapshot, w.done) }
 
 // Run spawns one simulated process per rank executing body, each on the
 // engine that owns its endpoint's node (all the same engine in a

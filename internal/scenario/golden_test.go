@@ -39,7 +39,7 @@ func TestGoldenReports(t *testing.T) {
 			if err != nil {
 				t.Fatalf("%v (run with -update to create it)", err)
 			}
-			goldenDiff(t, path, "shards=0", want, got)
+			goldenDiff(t, path, "shards=1", want, got)
 			if s.Source == SourceBuiltinSpec {
 				goldenDiff(t, path, "shards=4", want, scenarioBytes(t, s, Options{Quick: true, Shards: 4}))
 			}

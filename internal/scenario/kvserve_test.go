@@ -44,16 +44,15 @@ func TestKVServeShardInvariance(t *testing.T) {
 	}
 }
 
-// TestKVServeLegacyMatchesSharded pins the CLI default (legacy
-// single-engine path, shards unset) against the windowed coordinator: the
-// percentile output a user sees from `omxsim run` must equal the sharded
-// runs the gates compare.
-func TestKVServeLegacyMatchesSharded(t *testing.T) {
-	legacy := resultBytes(t, "kvserve-mix", Options{})
+// TestKVServeDefaultMatchesSharded pins the CLI default (shards unset:
+// one engine) against two parallel shards: the percentile output a user
+// sees from `omxsim run` must equal the sharded runs the gates compare.
+func TestKVServeDefaultMatchesSharded(t *testing.T) {
+	def := resultBytes(t, "kvserve-mix", Options{})
 	sharded := resultBytes(t, "kvserve-mix", Options{Shards: 2})
-	if !bytes.Equal(legacy, sharded) {
-		t.Fatalf("kvserve-mix: legacy result differs from shards=2:\n--- legacy ---\n%s\n--- shards=2 ---\n%s",
-			legacy, sharded)
+	if !bytes.Equal(def, sharded) {
+		t.Fatalf("kvserve-mix: default result differs from shards=2:\n--- default ---\n%s\n--- shards=2 ---\n%s",
+			def, sharded)
 	}
 }
 

@@ -160,9 +160,7 @@ func (s *Scenario) runCell(run *Run, c Case, size int) (*CaseRun, error) {
 	cfg.OMX = c.OMX
 	cfg.Seed = run.Opts.Seed
 	cr.Seed = run.Opts.Seed
-	if run.Opts.Shards != 0 {
-		cfg.Shards = run.Opts.Shards
-	}
+	cfg.Shards = run.Opts.Shards
 	if c.Tweak != nil {
 		c.Tweak(&cfg)
 	}

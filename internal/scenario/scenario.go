@@ -33,10 +33,9 @@ type Options struct {
 	// Quick selects the reduced size schedule (QuickSizes) and tells
 	// Custom scenarios to shrink their sweeps.
 	Quick bool
-	// Shards runs every cell's cluster on that many parallel engine
-	// shards (0 keeps the scenario's own setting, normally the legacy
-	// single-engine path). Custom scenarios build their own clusters and
-	// ignore it.
+	// Shards runs every cell's cluster on that many engine shards (0
+	// means 1; results are the same at every count). Custom scenarios
+	// build their own clusters and ignore it.
 	Shards int
 	// ChaosSeed reseeds the chaos plan independently of the simulation
 	// seed (0 = derive from Seed), so the same workload can face

@@ -46,8 +46,8 @@ func scenarioBytes(t *testing.T, s *Scenario, opts Options) []byte {
 // TestShardCountInvariance is the parallel engine's determinism gate: the
 // same seed must produce byte-identical results whether the cluster runs
 // on 1, 2, or more shards, and regardless of GOMAXPROCS. Shards=1 is the
-// serial reference (the windowed coordinator on a single engine); higher
-// counts actually run shard goroutines concurrently.
+// serial reference (one engine closing its windows inline); higher counts
+// actually run shard goroutines concurrently.
 func TestShardCountInvariance(t *testing.T) {
 	cases := []struct {
 		scenario string
@@ -117,21 +117,5 @@ func TestChaosGomaxprocsInvariance(t *testing.T) {
 	got := resultBytes(t, "chaos-crash-recover", opts)
 	if !bytes.Equal(ref, got) {
 		t.Fatalf("chaos-crash-recover shards=4: GOMAXPROCS=1 result differs from GOMAXPROCS=%d", prev)
-	}
-}
-
-// TestShardedMatchesLegacy documents where the windowed coordinator is
-// bit-compatible with the legacy single-engine path: runs that drain
-// completely end with the same statistics (the windowed runs additionally
-// fire daemon ticks up to the final window boundary, which never touch
-// stats for these workloads).
-func TestShardedMatchesLegacy(t *testing.T) {
-	for _, name := range []string{"fleet-stream"} {
-		legacy := resultBytes(t, name, Options{Quick: true})
-		windowed := resultBytes(t, name, Options{Quick: true, Shards: 1})
-		if !bytes.Equal(legacy, windowed) {
-			t.Fatalf("%s: windowed single-shard result differs from legacy path:\n--- legacy ---\n%s\n--- shards=1 ---\n%s",
-				name, legacy, windowed)
-		}
 	}
 }

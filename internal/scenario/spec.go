@@ -441,7 +441,14 @@ func (d *dec) decodeLink(n *yamlite.Node, what string) (*ethernet.LinkConfig, er
 		var err error
 		switch p.Key {
 		case "prop_delay_us":
-			l.PropDelay, err = d.durUS(p.Val, what+".prop_delay_us")
+			// The one-way latency is the engine lookahead, so it must be
+			// at least 1ns.
+			var us float64
+			if us, err = d.floatVal(p.Val, what+".prop_delay_us"); err == nil {
+				if l.PropDelay = sim.Duration(us * float64(sim.Microsecond)); l.PropDelay <= 0 {
+					err = d.errf(p.Val.Line, "%s.prop_delay_us: %g is below 1ns (the link latency is the engine lookahead)", what, us)
+				}
+			}
 		case "bytes_per_sec":
 			l.BytesPerSec, err = d.floatVal(p.Val, what+".bytes_per_sec")
 		case "drop_prob":

@@ -230,6 +230,11 @@ chaos:
 		{"negative-nodes", withCluster("nodes: -1"), 4, []string{"cluster.nodes: -1 is out of range"}},
 		// Zero ranks ran and every assertion passed vacuously.
 		{"negative-ranks-per-node", withCluster("ranks_per_node: -2"), 4, []string{"cluster.ranks_per_node: -2 is out of range"}},
+		// A zero-latency link gives the engine no lookahead window:
+		// cluster.New refused it only when the scenario ran.
+		{"zero-link-latency", withCluster("link:\n    prop_delay_us: 0"), 5, []string{"cluster.link.prop_delay_us: 0 is below 1ns"}},
+		{"sub-ns-link-latency", withCluster("link:\n    prop_delay_us: 0.0001"), 5, []string{"cluster.link.prop_delay_us: 0.0001 is below 1ns"}},
+		{"negative-link-latency", withCluster("link:\n    prop_delay_us: -2"), 5, []string{"cluster.link.prop_delay_us: -2 is below 1ns"}},
 		// Out-of-range fault targets only left a note in the report.
 		{"fault-node-out-of-range", minimalSpec + "faults:\n  - at_us: 10\n    kind: crash\n    node: 99\n", 17,
 			[]string{"fault.node: 99 is out of range", "2 nodes"}},

@@ -579,37 +579,10 @@ const maxTime = Time(1<<63 - 1)
 // whatever live event comes next — only an exact instant may fire.
 func (e *Engine) step(deadline Time) bool {
 	for {
-		// Instant events extracted from the wheel fire before fastq events
-		// of the same instant: their seqs are strictly older (they were
-		// scheduled before the clock reached this instant). Both queues hold
-		// events at exactly e.now.
 		if (e.curIdx < len(e.cur) || e.fastHead < len(e.fastq)) && e.now > deadline {
 			return false
 		}
-		for e.curIdx < len(e.cur) {
-			ev := e.cur[e.curIdx]
-			e.cur[e.curIdx] = nil
-			e.curIdx++
-			if ev.state != evPending {
-				e.recycle(ev)
-				continue
-			}
-			e.fire(ev)
-			return true
-		}
-		for e.fastHead < len(e.fastq) {
-			ev := e.fastq[e.fastHead]
-			e.fastq[e.fastHead] = nil
-			e.fastHead++
-			if e.fastHead == len(e.fastq) {
-				e.fastq = e.fastq[:0]
-				e.fastHead = 0
-			}
-			if ev.state != evPending {
-				e.recycle(ev)
-				continue
-			}
-			e.fire(ev)
+		if e.fireCurrent() {
 			return true
 		}
 		if e.legacyHeap {
@@ -632,21 +605,79 @@ func (e *Engine) step(deadline Time) bool {
 		if !ok || t > deadline {
 			return false
 		}
-		if t <= e.now {
-			// An instant at or before now can only hold events that were
-			// cancelled before a RunUntil clock bump jumped past them
-			// (the wheel's cached slot minimums do not see cancellation).
-			// Sweep the instant: loadInstant drops cancelled events and
-			// re-files live slot-mates with later timestamps; only a live
-			// event genuinely in the past breaks the queue invariant.
-			e.loadInstant(t)
-			if e.curIdx < len(e.cur) {
-				panic(fmt.Sprintf("sim: queue invariant broken: next event at %v with now %v", t, e.now))
-			}
+		e.load(t)
+	}
+}
+
+// fireCurrent fires the next live event of the current instant and reports
+// false once the instant is drained. Events extracted from the wheel fire
+// before fastq events of the same instant: their seqs are strictly older
+// (they were scheduled before the clock reached this instant). Both queues
+// hold events at exactly e.now.
+func (e *Engine) fireCurrent() bool {
+	for e.curIdx < len(e.cur) {
+		ev := e.cur[e.curIdx]
+		e.cur[e.curIdx] = nil
+		e.curIdx++
+		if ev.state != evPending {
+			e.recycle(ev)
 			continue
 		}
-		e.loadInstant(t)
+		e.fire(ev)
+		return true
 	}
+	for e.fastHead < len(e.fastq) {
+		ev := e.fastq[e.fastHead]
+		e.fastq[e.fastHead] = nil
+		e.fastHead++
+		if e.fastHead == len(e.fastq) {
+			e.fastq = e.fastq[:0]
+			e.fastHead = 0
+		}
+		if ev.state != evPending {
+			e.recycle(ev)
+			continue
+		}
+		e.fire(ev)
+		return true
+	}
+	return false
+}
+
+// load makes instant t, a nextTime answer, the current one. An instant at
+// or before now can only hold events that were cancelled before a RunUntil
+// clock bump jumped past them (the wheel's cached slot minimums do not see
+// cancellation): loadInstant sweeps it, dropping the cancelled events and
+// re-filing live slot-mates with later timestamps, and only a live event
+// genuinely in the past breaks the queue invariant.
+func (e *Engine) load(t Time) {
+	past := t <= e.now
+	e.loadInstant(t)
+	if past && e.curIdx < len(e.cur) {
+		panic(fmt.Sprintf("sim: queue invariant broken: next event at %v with now %v", t, e.now))
+	}
+}
+
+// fireWindow fires every event up to end and reports the first pending
+// instant past it (ok=false: none). first is the nextTime answer the caller
+// already holds, so the window opens without a queue scan and closes on
+// the scan that finds its successor. A one-engine ShardSet drives its
+// windows through it. (Not for legacyHeap engines.)
+func (e *Engine) fireWindow(first, end Time) (Time, bool) {
+	t, ok := first, true
+	if e.fireCurrent() {
+		// The window opens at now, with the instant not yet drained.
+		for e.fireCurrent() {
+		}
+		t, ok = e.nextTime()
+	}
+	for ok && t <= end {
+		e.load(t)
+		for e.fireCurrent() {
+		}
+		t, ok = e.nextTime()
+	}
+	return t, ok
 }
 
 // Run fires events until the queue drains (only daemon events left) or

@@ -1,16 +1,18 @@
 package sim
 
 import (
+	"cmp"
 	"fmt"
-	"sort"
+	"slices"
 )
 
-// ShardSet coordinates several engines (shards) under conservative
+// ShardSet coordinates one or more engines (shards) under conservative
 // parallel discrete-event synchronization. Each shard owns a disjoint
 // slice of the simulated world (nodes of a cluster) and runs its own
-// event queue on its own goroutine; the only interaction between shards
-// is cross-shard events posted through Post, which the coordinator
-// delivers at window barriers.
+// event queue, on its own goroutine when there are two or more; the only
+// interaction between shards is cross-shard events posted through Post,
+// which the coordinator delivers at window barriers. A one-engine set runs
+// the same windows and barriers without a goroutine.
 //
 // The synchronization protocol is the classical conservative-lookahead
 // window scheme: if every cross-shard interaction takes at least
@@ -58,7 +60,6 @@ type ShardSet struct {
 	barrierHooks []func()
 
 	workers []*shardWorker
-	scratch []CrossEvent
 	active  []int
 }
 
@@ -111,7 +112,7 @@ func (ss *ShardSet) Lookahead() Duration { return ss.lookahead }
 
 // AddBarrierHook registers fn to run at every window barrier (and once
 // before the first window), on the coordinator goroutine while all
-// shards are parked.
+// shards are parked. Hooks publish state; they must not schedule events.
 func (ss *ShardSet) AddBarrierHook(fn func()) {
 	ss.barrierHooks = append(ss.barrierHooks, fn)
 }
@@ -194,90 +195,94 @@ func (ss *ShardSet) RunUntil(deadline Time) { ss.run(deadline) }
 // Every window is anchored at the global minimum pending event time and
 // extends one lookahead (clamped to the deadline) — never wider, so the
 // lookahead invariant holds for every event fired inside it, daemon work
-// included.
+// included. The minimum needs no extra queue scan: it is the earlier of
+// the instant the last window reported and the earliest arrival the
+// barrier delivered.
 func (ss *ShardSet) run(deadline Time) {
 	ss.startWorkers()
 	defer ss.stopWorkers()
+	next, ok := ss.nextTime()
 	for {
-		ss.deliver()
-		for _, h := range ss.barrierHooks {
-			h()
+		if first, any := ss.deliver(); any && (!ok || first < next) {
+			next, ok = first, true
 		}
-		next, ok := ss.nextTime()
+		ss.runHooks()
 		if deadline == maxTime && (!ok || ss.foregroundPending() == 0) {
 			// Unbounded runs stop like Engine.Run: when only daemon work
 			// remains. (A daemon may revive foreground work mid-window —
 			// e.g. kswapd completing a stalled allocation — which keeps
 			// the loop going, exactly as a single engine would.)
-			break
+			return
 		}
 		if !ok || next > deadline {
 			// Bounded runs mirror Engine.RunUntil: daemons fire through
 			// the whole budget and every clock ends at the deadline
 			// (forceAll: even shards with nothing left must advance).
-			ss.runWindow(deadline, true)
+			ss.runWindow(next, deadline, true)
 			ss.deliver()
-			for _, h := range ss.barrierHooks {
-				h()
-			}
-			break
+			ss.runHooks()
+			return
 		}
-		end := next + ss.lookahead - 1
-		if end > deadline {
-			end = deadline
-		}
-		ss.runWindow(end, false)
+		next, ok = ss.runWindow(next, min(next+ss.lookahead-1, deadline), false)
+	}
+}
+
+// runHooks runs the barrier hooks.
+func (ss *ShardSet) runHooks() {
+	for _, h := range ss.barrierHooks {
+		h()
 	}
 }
 
 // deliver drains the outboxes into the destination engines in canonical
-// order. It runs between windows, when no shard goroutine is active.
-func (ss *ShardSet) deliver() {
-	batch := ss.scratch[:0]
-	for i, out := range ss.outboxes {
+// order and reports the earliest arrival it armed (ok=false: none). It runs
+// between windows, when no shard goroutine is active, so shard 0's outbox
+// can double as the merge buffer.
+func (ss *ShardSet) deliver() (first Time, ok bool) {
+	batch := ss.outboxes[0]
+	for i, out := range ss.outboxes[1:] {
 		batch = append(batch, out...)
-		for j := range out {
-			out[j] = CrossEvent{}
-		}
-		ss.outboxes[i] = out[:0]
+		clear(out)
+		ss.outboxes[i+1] = out[:0]
 	}
 	if len(batch) == 0 {
-		ss.scratch = batch
-		return
+		return 0, false
 	}
-	sort.Slice(batch, func(i, j int) bool {
-		a, b := &batch[i], &batch[j]
-		if a.When != b.When {
-			return a.When < b.When
-		}
-		if a.DstNode != b.DstNode {
-			return a.DstNode < b.DstNode
-		}
-		if a.SendTime != b.SendTime {
-			return a.SendTime < b.SendTime
-		}
-		if a.SrcNode != b.SrcNode {
-			return a.SrcNode < b.SrcNode
-		}
-		return a.SrcSeq < b.SrcSeq
-	})
+	if len(batch) > 1 {
+		slices.SortFunc(batch, func(a, b CrossEvent) int {
+			return cmp.Or(
+				cmp.Compare(a.When, b.When),
+				cmp.Compare(a.DstNode, b.DstNode),
+				cmp.Compare(a.SendTime, b.SendTime),
+				cmp.Compare(a.SrcNode, b.SrcNode),
+				cmp.Compare(a.SrcSeq, b.SrcSeq),
+			)
+		})
+	}
 	for i := range batch {
-		ev := &batch[i]
-		ss.engines[ev.DstShard].At(ev.When, ev.Fn)
-		*ev = CrossEvent{}
+		ss.engines[batch[i].DstShard].At(batch[i].When, batch[i].Fn)
 	}
-	ss.scratch = batch[:0]
+	first = batch[0].When
+	clear(batch)
+	ss.outboxes[0] = batch[:0]
+	return first, true
 }
 
-// runWindow executes one window, dispatching only the shards that have an
-// event inside it — an idle shard's clock simply stays behind until it
-// next has work (cross-shard arming validates against windowEnd, never an
-// engine clock, so a lagging clock is unobservable). forceAll overrides
-// the skip for the bounded-run clock bump, where every shard must end at
-// the deadline. A single active shard runs inline, sparing the channel
-// round trip; two or more run concurrently on their workers.
-func (ss *ShardSet) runWindow(end Time, forceAll bool) {
+// runWindow executes one window ending at end, which opens at first, and
+// reports the earliest pending instant after it. One engine fires the
+// window inline and closes it on the queue scan that finds its successor.
+// Otherwise only the shards that have an event inside the window run — an
+// idle shard's clock simply stays behind until it next has work
+// (cross-shard arming validates against windowEnd, never an engine clock,
+// so a lagging clock is unobservable). forceAll overrides the skip for the
+// bounded-run clock bump, where every shard must end at the deadline. A
+// single active shard runs on the coordinator goroutine, sparing the
+// channel round trip; two or more run concurrently on their workers.
+func (ss *ShardSet) runWindow(first, end Time, forceAll bool) (Time, bool) {
 	ss.windowEnd = end
+	if len(ss.engines) == 1 && !forceAll {
+		return ss.engines[0].fireWindow(first, end)
+	}
 	active := ss.active[:0]
 	for i, e := range ss.engines {
 		if forceAll {
@@ -289,11 +294,9 @@ func (ss *ShardSet) runWindow(end Time, forceAll bool) {
 		}
 	}
 	ss.active = active
-	if len(ss.engines) == 1 || len(active) == 1 {
-		for _, i := range active {
-			ss.engines[i].RunUntil(end)
-		}
-		return
+	if len(active) == 1 {
+		ss.engines[active[0]].RunUntil(end)
+		return ss.nextTime()
 	}
 	for _, i := range active {
 		ss.workers[i].start <- end
@@ -307,6 +310,7 @@ func (ss *ShardSet) runWindow(end Time, forceAll bool) {
 	if failure != nil {
 		panic(failure)
 	}
+	return ss.nextTime()
 }
 
 // shardWorker is one shard's persistent window-execution goroutine. A

@@ -2,6 +2,8 @@ package sim
 
 import (
 	"fmt"
+	"math/rand"
+	"slices"
 	"testing"
 )
 
@@ -19,51 +21,85 @@ func TestShardSetValidation(t *testing.T) {
 	mustPanic("zero lookahead", func() { NewShardSet(0, []*Engine{NewEngine(1)}) })
 }
 
-// TestShardSetPingPong bounces a "message" between two shards: each hop
+// nodeSet is a shard set over simulated nodes, block-distributed on its
+// engines: a one-engine set closes its windows inline, a two-engine set
+// runs them on worker goroutines.
+type nodeSet struct {
+	ss    *ShardSet
+	nodes []*Engine // nodes[i] is node i's engine
+	shard []int     // shard[i] is node i's shard
+}
+
+func newNodeSet(lookahead Duration, engines, nodes int) *nodeSet {
+	es := make([]*Engine, engines)
+	for i := range es {
+		es[i] = NewEngine(1)
+	}
+	ns := &nodeSet{ss: NewShardSet(lookahead, es)}
+	for n := 0; n < nodes; n++ {
+		s := n * engines / nodes
+		ns.shard = append(ns.shard, s)
+		ns.nodes = append(ns.nodes, es[s])
+	}
+	return ns
+}
+
+// post sends fn from node src to node dst, arriving at when.
+func (ns *nodeSet) post(src, dst int, when Time, seq uint64, fn func()) {
+	ns.ss.Post(CrossEvent{
+		When: when, SendTime: ns.nodes[src].Now(),
+		SrcShard: ns.shard[src], DstShard: ns.shard[dst],
+		SrcNode: src, DstNode: dst, SrcSeq: seq,
+		Fn: fn,
+	})
+}
+
+// forShardCounts runs fn as one subtest per engine count.
+func forShardCounts(t *testing.T, fn func(t *testing.T, engines int)) {
+	for _, n := range []int{1, 2} {
+		t.Run(fmt.Sprintf("shards=%d", n), func(t *testing.T) { fn(t, n) })
+	}
+}
+
+// TestShardSetPingPong bounces a "message" between two nodes: each hop
 // posts a cross event one lookahead ahead of the sender's clock. The run
-// must drain, visit both shards alternately, and advance time by exactly
+// must drain, visit both nodes alternately, and advance time by exactly
 // one lookahead per hop.
 func TestShardSetPingPong(t *testing.T) {
-	const L = Duration(100)
-	const hops = 50
-	a, b := NewEngine(1), NewEngine(1)
-	ss := NewShardSet(L, []*Engine{a, b})
-	engines := []*Engine{a, b}
+	forShardCounts(t, func(t *testing.T, engines int) {
+		const L = Duration(100)
+		const hops = 50
+		ns := newNodeSet(L, engines, 2)
 
-	var times []Time
-	var hop func(shard int)
-	hop = func(shard int) {
-		eng := engines[shard]
-		times = append(times, eng.Now())
-		if len(times) >= hops {
-			return
+		var times []Time
+		var hop func(node int)
+		hop = func(node int) {
+			now := ns.nodes[node].Now()
+			times = append(times, now)
+			if len(times) >= hops {
+				return
+			}
+			next := 1 - node
+			ns.post(node, next, now+L, 0, func() { hop(next) })
 		}
-		next := 1 - shard
-		ss.Post(CrossEvent{
-			When:     eng.Now() + Time(L),
-			SendTime: eng.Now(),
-			SrcShard: shard, DstShard: next,
-			SrcNode: shard, DstNode: next,
-			Fn: func() { hop(next) },
-		})
-	}
-	a.At(10, func() { hop(0) })
-	ss.Run()
+		ns.nodes[0].At(10, func() { hop(0) })
+		ns.ss.Run()
 
-	if len(times) != hops {
-		t.Fatalf("got %d hops, want %d", len(times), hops)
-	}
-	for i, got := range times {
-		if want := Time(10) + Time(i)*Time(L); got != want {
-			t.Fatalf("hop %d at t=%d, want %d", i, got, want)
+		if len(times) != hops {
+			t.Fatalf("got %d hops, want %d", len(times), hops)
 		}
-	}
-	if got := ss.LastForegroundTime(); got != times[hops-1] {
-		t.Errorf("LastForegroundTime = %d, want %d", got, times[hops-1])
-	}
-	if got := ss.EventsFired(); got != hops {
-		t.Errorf("EventsFired = %d, want %d", got, hops)
-	}
+		for i, got := range times {
+			if want := Time(10) + Time(i)*L; got != want {
+				t.Fatalf("hop %d at t=%d, want %d", i, got, want)
+			}
+		}
+		if got := ns.ss.LastForegroundTime(); got != times[hops-1] {
+			t.Errorf("LastForegroundTime = %d, want %d", got, times[hops-1])
+		}
+		if got := ns.ss.EventsFired(); got != hops {
+			t.Errorf("EventsFired = %d, want %d", got, hops)
+		}
+	})
 }
 
 // TestShardSetMergeOrder posts same-instant cross events in scrambled
@@ -71,120 +107,207 @@ func TestShardSetPingPong(t *testing.T) {
 // (When, DstNode, SendTime, SrcNode, SrcSeq) sort — the tie-break that
 // makes sharded traces independent of outbox arrival order.
 func TestShardSetMergeOrder(t *testing.T) {
-	const L = Duration(100)
-	a, b := NewEngine(1), NewEngine(1)
-	ss := NewShardSet(L, []*Engine{a, b})
+	forShardCounts(t, func(t *testing.T, engines int) {
+		const L = Duration(100)
+		ns := newNodeSet(L, engines, 2)
+		a, dstShard := ns.nodes[0], ns.shard[1]
 
-	var got []string
-	post := func(when Time, dstNode int, sendTime Time, srcNode int, seq uint64) {
-		tag := fmt.Sprintf("dst%d/st%d/src%d/seq%d", dstNode, sendTime, srcNode, seq)
-		ss.Post(CrossEvent{
-			When: when, SendTime: sendTime,
-			SrcShard: 0, DstShard: 1,
-			SrcNode: srcNode, DstNode: dstNode, SrcSeq: seq,
-			Fn: func() { got = append(got, tag) },
-		})
-	}
-	a.At(5, func() {
-		when := a.Now() + Time(L)
-		// Scrambled: canonical order is dst0/seq1, dst0/seq2, dst2/st3,
-		// dst2/st4/src0, dst2/st4/src1.
-		post(when, 2, 4, 1, 9)
-		post(when, 0, 3, 0, 2)
-		post(when, 2, 4, 0, 7)
-		post(when, 0, 3, 0, 1)
-		post(when, 2, 3, 5, 1)
-	})
-	ss.Run()
-
-	want := []string{
-		"dst0/st3/src0/seq1",
-		"dst0/st3/src0/seq2",
-		"dst2/st3/src5/seq1",
-		"dst2/st4/src0/seq7",
-		"dst2/st4/src1/seq9",
-	}
-	if len(got) != len(want) {
-		t.Fatalf("delivered %d events, want %d", len(got), len(want))
-	}
-	for i := range want {
-		if got[i] != want[i] {
-			t.Fatalf("delivery[%d] = %s, want %s (full order %v)", i, got[i], want[i], got)
+		var got []string
+		post := func(when Time, dstNode int, sendTime Time, srcNode int, seq uint64) {
+			tag := fmt.Sprintf("dst%d/st%d/src%d/seq%d", dstNode, sendTime, srcNode, seq)
+			ns.ss.Post(CrossEvent{
+				When: when, SendTime: sendTime,
+				SrcShard: 0, DstShard: dstShard,
+				SrcNode: srcNode, DstNode: dstNode, SrcSeq: seq,
+				Fn: func() { got = append(got, tag) },
+			})
 		}
-	}
+		a.At(5, func() {
+			when := a.Now() + L
+			// Scrambled: canonical order is dst0/seq1, dst0/seq2, dst2/st3,
+			// dst2/st4/src0, dst2/st4/src1.
+			post(when, 2, 4, 1, 9)
+			post(when, 0, 3, 0, 2)
+			post(when, 2, 4, 0, 7)
+			post(when, 0, 3, 0, 1)
+			post(when, 2, 3, 5, 1)
+		})
+		ns.ss.Run()
+
+		want := []string{
+			"dst0/st3/src0/seq1",
+			"dst0/st3/src0/seq2",
+			"dst2/st3/src5/seq1",
+			"dst2/st4/src0/seq7",
+			"dst2/st4/src1/seq9",
+		}
+		if !slices.Equal(got, want) {
+			t.Fatalf("delivery order %v, want %v", got, want)
+		}
+	})
 }
 
 // TestShardSetLookaheadViolation checks that posting an event inside the
 // current window — a conservative-synchronization bug — panics rather
 // than silently delivering late.
 func TestShardSetLookaheadViolation(t *testing.T) {
-	const L = Duration(100)
-	a, b := NewEngine(1), NewEngine(1)
-	ss := NewShardSet(L, []*Engine{a, b})
-	a.At(10, func() {
-		// When == now is inside the window the poster is running in.
-		ss.Post(CrossEvent{When: a.Now(), SrcShard: 0, DstShard: 1, Fn: func() {}})
+	forShardCounts(t, func(t *testing.T, engines int) {
+		ns := newNodeSet(100, engines, 2)
+		a := ns.nodes[0]
+		a.At(10, func() {
+			// When == now is inside the window the poster is running in.
+			ns.post(0, 1, a.Now(), 0, func() {})
+		})
+		defer func() {
+			if recover() == nil {
+				t.Fatal("expected lookahead-violation panic")
+			}
+		}()
+		ns.ss.Run()
 	})
-	defer func() {
-		if recover() == nil {
-			t.Fatal("expected lookahead-violation panic")
-		}
-	}()
-	ss.Run()
 }
 
 // TestShardSetRunUntil checks bounded runs: daemons keep firing through
 // the budget, and every shard clock ends exactly at the deadline.
 func TestShardSetRunUntil(t *testing.T) {
-	const L = Duration(100)
-	a, b := NewEngine(1), NewEngine(1)
-	ss := NewShardSet(L, []*Engine{a, b})
-	ticksA, ticksB := 0, 0
-	a.Every(30, func() { ticksA++ })
-	b.Every(70, func() { ticksB++ })
-	ss.RunUntil(2100)
-	if a.Now() != 2100 || b.Now() != 2100 {
-		t.Fatalf("clocks at %d/%d, want 2100/2100", a.Now(), b.Now())
-	}
-	if want := 2100 / 30; ticksA != want {
-		t.Errorf("shard A daemon ticked %d times, want %d", ticksA, want)
-	}
-	if want := 2100 / 70; ticksB != want {
-		t.Errorf("shard B daemon ticked %d times, want %d", ticksB, want)
-	}
+	forShardCounts(t, func(t *testing.T, engines int) {
+		ns := newNodeSet(100, engines, 2)
+		ticksA, ticksB := 0, 0
+		ns.nodes[0].Every(30, func() { ticksA++ })
+		ns.nodes[1].Every(70, func() { ticksB++ })
+		ns.ss.RunUntil(2100)
+		for i := 0; i < ns.ss.NumShards(); i++ {
+			if now := ns.ss.Engine(i).Now(); now != 2100 {
+				t.Fatalf("shard %d clock at %d, want 2100", i, now)
+			}
+		}
+		if want := 2100 / 30; ticksA != want {
+			t.Errorf("node 0 daemon ticked %d times, want %d", ticksA, want)
+		}
+		if want := 2100 / 70; ticksB != want {
+			t.Errorf("node 1 daemon ticked %d times, want %d", ticksB, want)
+		}
+	})
 }
 
 // TestShardSetDaemonDoesNotBlockDrain checks the unbounded-run exit
 // condition: a recurring daemon alone (no foreground work left) must not
 // keep the shard set spinning.
 func TestShardSetDaemonDoesNotBlockDrain(t *testing.T) {
-	const L = Duration(100)
-	a, b := NewEngine(1), NewEngine(1)
-	ss := NewShardSet(L, []*Engine{a, b})
-	a.Every(10, func() {})
-	fired := false
-	b.At(500, func() { fired = true })
-	done := make(chan struct{})
-	go func() { ss.Run(); close(done) }()
-	<-done
-	if !fired {
-		t.Fatal("foreground event never fired")
+	forShardCounts(t, func(t *testing.T, engines int) {
+		ns := newNodeSet(100, engines, 2)
+		ns.nodes[0].Every(10, func() {})
+		fired := false
+		ns.nodes[1].At(500, func() { fired = true })
+		done := make(chan struct{})
+		go func() { ns.ss.Run(); close(done) }()
+		<-done
+		if !fired {
+			t.Fatal("foreground event never fired")
+		}
+	})
+}
+
+// TestShardSetBarrierHook checks hooks run at every synchronization
+// barrier: once before the first window and once after each window.
+func TestShardSetBarrierHook(t *testing.T) {
+	forShardCounts(t, func(t *testing.T, engines int) {
+		const L = Duration(100)
+		ns := newNodeSet(L, engines, 2)
+		calls := 0
+		ns.ss.AddBarrierHook(func() { calls++ })
+		a := ns.nodes[0]
+		a.At(10, func() { ns.post(0, 1, a.Now()+L, 0, func() {}) })
+		ns.ss.Run()
+		// Windows [10,109] and [110,209].
+		if calls != 3 {
+			t.Fatalf("barrier hook ran %d times, want 3", calls)
+		}
+	})
+}
+
+// TestShardSetRandomWorkload drives a seeded random mix of local events,
+// same-instant ties, daemon ticks and cross-node messages through four
+// nodes, unbounded and bounded. The one-engine set, which closes its
+// windows inline, must reproduce the two-engine coordinator exactly: the
+// same per-node trace, the same event count and the same barriers.
+func TestShardSetRandomWorkload(t *testing.T) {
+	for _, seed := range []int64{1, 2, 3, 4, 5} {
+		for _, budget := range []Time{0, 3_000, 40_000} {
+			one := randomWorkload(1, seed, budget)
+			two := randomWorkload(2, seed, budget)
+			if one.events == 0 || one.windows < 10 {
+				t.Fatalf("seed %d: degenerate workload (%d events, %d windows)", seed, one.events, one.windows)
+			}
+			if one.events != two.events || one.windows != two.windows {
+				t.Errorf("seed %d budget %d: 1 shard fired %d events over %d barriers, 2 shards %d over %d",
+					seed, budget, one.events, one.windows, two.events, two.windows)
+			}
+			for n := range one.trace {
+				if !slices.Equal(one.trace[n], two.trace[n]) {
+					t.Errorf("seed %d budget %d: node %d trace differs\n 1 shard: %v\n2 shards: %v",
+						seed, budget, n, one.trace[n], two.trace[n])
+				}
+			}
+		}
 	}
 }
 
-// TestShardSetBarrierHook checks hooks run at synchronization barriers —
-// at least once per window round, including the final one.
-func TestShardSetBarrierHook(t *testing.T) {
-	const L = Duration(100)
-	a, b := NewEngine(1), NewEngine(1)
-	ss := NewShardSet(L, []*Engine{a, b})
-	calls := 0
-	ss.AddBarrierHook(func() { calls++ })
-	a.At(10, func() {
-		ss.Post(CrossEvent{When: a.Now() + Time(L), SrcShard: 0, DstShard: 1, Fn: func() {}})
-	})
-	ss.Run()
-	if calls < 2 {
-		t.Fatalf("barrier hook ran %d times, want >= 2", calls)
+type workloadResult struct {
+	trace   [][]string
+	events  uint64
+	windows int
+}
+
+// randomWorkload runs the random mix on the given engine count; budget 0
+// runs until the foreground work drains.
+func randomWorkload(engines int, seed int64, budget Time) workloadResult {
+	const nodes, L = 4, Duration(250)
+	ns := newNodeSet(L, engines, nodes)
+	res := workloadResult{trace: make([][]string, nodes)}
+	ns.ss.AddBarrierHook(func() { res.windows++ })
+	// Each node draws from its own stream, in its own event order, so its
+	// choices do not depend on which engine it shares.
+	var rngs [nodes]*rand.Rand
+	var seqs [nodes]uint64
+	var act func(node, depth int, tag string)
+	act = func(node, depth int, tag string) {
+		e, rng := ns.nodes[node], rngs[node]
+		res.trace[node] = append(res.trace[node], fmt.Sprintf("%d:%s", e.Now(), tag))
+		if depth == 0 {
+			return
+		}
+		for i := rng.Intn(3); i >= 0; i-- {
+			child := fmt.Sprintf("%s.%d", tag, i)
+			switch k := rng.Intn(4); k {
+			case 0, 1: // a local event, often at this very instant
+				d := Duration(0)
+				if k == 1 {
+					d = Duration(rng.Intn(400))
+				}
+				e.After(d, func() { act(node, depth-1, child) })
+			default: // a message to any node, at least one lookahead out
+				dst := rng.Intn(nodes)
+				seqs[node]++
+				when := e.Now() + L + Duration(rng.Intn(3))*L/2
+				ns.post(node, dst, when, seqs[node], func() { act(dst, depth-1, child) })
+			}
+		}
 	}
+	for n := 0; n < nodes; n++ {
+		rngs[n] = rand.New(rand.NewSource(seed*100 + int64(n)))
+		ns.nodes[n].At(Time(rngs[n].Intn(1000)), func() { act(n, 8, fmt.Sprintf("n%d", n)) })
+		ticks := 0
+		ns.nodes[n].Every(Duration(700+100*n), func() {
+			ticks++
+			res.trace[n] = append(res.trace[n], fmt.Sprintf("%d:tick%d", ns.nodes[n].Now(), ticks))
+		})
+	}
+	if budget > 0 {
+		ns.ss.RunUntil(budget)
+	} else {
+		ns.ss.Run()
+	}
+	res.events = ns.ss.EventsFired()
+	return res
 }
