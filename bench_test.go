@@ -8,48 +8,84 @@
 //	BenchmarkTable2IMB         — Table 2 IMB rows (improvement percentages)
 //	BenchmarkNPBIS             — Table 2 NPB IS row
 //
-// plus ablations for the design parameters DESIGN.md calls out (pull window,
-// pin chunk size, eager threshold, interrupt latency).
+// plus ablations for the design parameters ARCHITECTURE.md describes (pull
+// window, pin chunk size, eager threshold, interrupt latency).
 //
 // Each benchmark runs whole simulations per iteration and attaches the
 // paper-comparable quantity via b.ReportMetric (MiB/s, percent, ns/page),
 // so `go test -bench . -benchmem` prints the reproduced numbers directly.
+// The paper benchmarks run the registered scenarios' cells, so they
+// measure exactly what `omxsim run` reports.
 package omxsim
 
 import (
 	"fmt"
+	"strings"
 	"testing"
 
 	"omxsim/internal/bench"
 	"omxsim/internal/cluster"
 	"omxsim/internal/core"
 	"omxsim/internal/cpu"
-	"omxsim/internal/experiments"
 	"omxsim/internal/imb"
 	"omxsim/internal/mpi"
-	"omxsim/internal/npb"
 	"omxsim/internal/omx"
+	"omxsim/internal/report"
 	"omxsim/internal/scenario"
 	"omxsim/internal/sim"
 )
 
+// registered looks a registered scenario up.
+func registered(b *testing.B, name string) *scenario.Scenario {
+	b.Helper()
+	s, ok := scenario.Get(name)
+	if !ok {
+		b.Fatalf("scenario %q not registered", name)
+	}
+	return s
+}
+
+// runCells runs the scenario's cells opts selects once per iteration and
+// returns the last report; a failed assertion fails the benchmark.
+func runCells(b *testing.B, s *scenario.Scenario, opts scenario.Options) *report.Result {
+	b.Helper()
+	var res *report.Result
+	for i := 0; i < b.N; i++ {
+		var err error
+		if res, err = s.Run(opts); err != nil {
+			b.Fatal(err)
+		}
+	}
+	if res.Failed() {
+		b.Fatalf("%s: an assertion failed: %+v", s.Name, res.Assertions)
+	}
+	return res
+}
+
+// baselineMetrics returns the metrics of a Table 2 row's regular-pinning
+// cell, which carries the row's improvement percentages.
+func baselineMetrics(b *testing.B, res *report.Result) map[string]float64 {
+	b.Helper()
+	for _, c := range res.Cases {
+		if c.Policy == core.PinEachComm.String() {
+			return c.Metrics
+		}
+	}
+	b.Fatalf("%s: no regular-pinning cell", res.Scenario)
+	return nil
+}
+
 // BenchmarkTable1PinOverhead measures the pin+unpin cost per host through
-// the full driver path. Metrics: base-us and ns/page (Table 1 columns).
+// the full driver path (one pinbench cell each). Metrics: base-us and
+// ns/page (Table 1 columns).
 func BenchmarkTable1PinOverhead(b *testing.B) {
-	for _, spec := range cpu.Table1Hosts() {
-		spec := spec
-		b.Run(spec.Name, func(b *testing.B) {
-			var rows []experiments.Table1Row
-			for i := 0; i < b.N; i++ {
-				rows = experiments.Table1()
-			}
-			for _, r := range rows {
-				if r.Host == spec.Name {
-					b.ReportMetric(r.BaseMicros, "base-us")
-					b.ReportMetric(r.NsPerPage, "ns/page")
-					b.ReportMetric(r.GBps, "GB/s")
-				}
-			}
+	s := registered(b, "pinbench")
+	for _, host := range s.PolicyLabels() {
+		b.Run(host, func(b *testing.B) {
+			m := runCells(b, s, scenario.Options{Policy: host}).Cases[0].Metrics
+			b.ReportMetric(m["base_us"], "base-us")
+			b.ReportMetric(m["ns_per_page"], "ns/page")
+			b.ReportMetric(m["gbps"], "GB/s")
 		})
 	}
 }
@@ -71,19 +107,12 @@ func pingPongMBps(b *testing.B, cfg omx.Config, size int) float64 {
 	return mbps
 }
 
-// benchFigureSizes is the size subset benchmarked per curve (the cmd tool
-// sweeps the full 64 KiB..16 MiB schedule).
-var benchFigureSizes = []int{64 * 1024, 1 << 20, 16 << 20}
-
 // benchFigure benchmarks every case of a registered figure scenario at
-// benchFigureSizes; metric MiB/s per (curve, size).
+// the scenario's quick sizes; metric MiB/s per (curve, size).
 func benchFigure(b *testing.B, name string) {
-	s, ok := scenario.Get(name)
-	if !ok {
-		b.Fatalf("scenario %q not registered", name)
-	}
+	s := registered(b, name)
 	for _, c := range s.Cases {
-		for _, size := range benchFigureSizes {
+		for _, size := range s.QuickSizes {
 			b.Run(fmt.Sprintf("%s/%s", c.Label, sizeName(size)), func(b *testing.B) {
 				var mbps float64
 				for i := 0; i < b.N; i++ {
@@ -101,67 +130,43 @@ func BenchmarkFigure6(b *testing.B) { benchFigure(b, "figure6") }
 // BenchmarkFigure7 regenerates Figure 7's curves.
 func BenchmarkFigure7(b *testing.B) { benchFigure(b, "figure7") }
 
-// BenchmarkOverlapMiss regenerates §4.3: metrics are the overlap-miss rate
-// (misses per accepted packet) and goodput.
+// BenchmarkOverlapMiss regenerates §4.3 from the overlapmiss scenario's
+// two cells: metrics are the overlap-miss rate (misses per accepted
+// packet) and goodput.
 func BenchmarkOverlapMiss(b *testing.B) {
-	cases := []struct {
-		name  string
-		flood float64
-		onRx  bool
-		iters int
-	}{
-		{"NormalLoad", 0, false, 20},
-		{"OverloadedCore", experiments.DefaultOverloadFlood, true, 10},
-	}
-	for _, c := range cases {
-		c := c
-		b.Run(c.name, func(b *testing.B) {
-			var r experiments.OverlapMissResult
-			for i := 0; i < b.N; i++ {
-				r = experiments.OverlapMiss(c.name, c.flood, c.onRx, c.iters)
-			}
-			b.ReportMetric(r.MissRate, "miss-rate")
-			b.ReportMetric(r.MBps, "MiB/s")
+	s := registered(b, "overlapmiss")
+	for _, c := range s.Cases {
+		b.Run(c.Params["load"], func(b *testing.B) {
+			m := runCells(b, s, scenario.Options{Policy: c.Label}).Cases[0].Metrics
+			b.ReportMetric(m["miss_rate"], "miss-rate")
+			b.ReportMetric(m["mbps"], "MiB/s")
 		})
 	}
 }
 
-// benchTable2Sizes is the reduced sweep used for the Table 2 benchmark (the
-// cmd tool runs the full IMB schedule).
-var benchTable2Sizes = []int{4096, 256 * 1024, 4 << 20}
-
-// BenchmarkTable2IMB regenerates the IMB rows of Table 2; metrics are the
+// BenchmarkTable2IMB regenerates the IMB rows of Table 2 from the imb
+// scenario's quick cells, one application at a time; metrics are the
 // cache and overlap improvement percentages vs regular pinning.
 func BenchmarkTable2IMB(b *testing.B) {
-	for _, k := range imb.Table2Kernels() {
-		k := k
-		b.Run(k.Name, func(b *testing.B) {
-			var rows []experiments.Table2Row
-			for i := 0; i < b.N; i++ {
-				rows = experiments.Table2IMBFiltered(benchTable2Sizes,
-					func(name string) bool { return name == k.Name })
-			}
-			if len(rows) == 1 {
-				b.ReportMetric(rows[0].CachePct, "cache-%")
-				b.ReportMetric(rows[0].OverlappingPct, "overlap-%")
-			}
+	s := registered(b, "imb")
+	for _, app := range s.PolicyLabels() {
+		b.Run(strings.TrimPrefix(app, "IMB "), func(b *testing.B) {
+			m := baselineMetrics(b, runCells(b, s, scenario.Options{Quick: true, Policy: app}))
+			b.ReportMetric(m["cache_pct"], "cache-%")
+			b.ReportMetric(m["overlap_pct"], "overlap-%")
 		})
 	}
 }
 
-// BenchmarkNPBIS regenerates the NPB IS row of Table 2 on 4 ranks.
+// BenchmarkNPBIS regenerates the NPB IS row of Table 2 on 4 ranks (class
+// A, the npbis scenario's quick class); the scenario asserts every cell
+// verified.
 func BenchmarkNPBIS(b *testing.B) {
-	var row experiments.Table2Row
-	var res npb.Result
-	for i := 0; i < b.N; i++ {
-		row, res = experiments.NPBIS(npb.ClassA)
-	}
-	if !res.Verified {
-		b.Fatal("IS verification failed")
-	}
-	b.ReportMetric(row.CachePct, "cache-%")
-	b.ReportMetric(row.OverlappingPct, "overlap-%")
-	b.ReportMetric(res.MopsTotal, "Mop/s")
+	res := runCells(b, registered(b, "npbis"), scenario.Options{Quick: true, Policy: "NPB is"})
+	m := baselineMetrics(b, res)
+	b.ReportMetric(m["cache_pct"], "cache-%")
+	b.ReportMetric(m["overlap_pct"], "overlap-%")
+	b.ReportMetric(m["mops"], "Mop/s")
 }
 
 // BenchmarkAblationPullWindow varies the number of outstanding pull blocks:
@@ -181,7 +186,7 @@ func BenchmarkAblationPullWindow(b *testing.B) {
 	}
 }
 
-// BenchmarkAblationPinChunk varies the pin work granularity (DESIGN.md:
+// BenchmarkAblationPinChunk varies the pin work granularity (ARCHITECTURE.md:
 // chunking lets bottom halves interleave with a large pin; bigger chunks
 // amortize better but block the core longer).
 func BenchmarkAblationPinChunk(b *testing.B) {

@@ -111,11 +111,7 @@ func list(args []string) {
 	}
 	for _, s := range scenarios {
 		fmt.Printf("%-*s  %-*s  %s\n", wid, s.Name, swid, s.Source, s.Description)
-		pols := strings.Join(s.PolicyLabels(), ", ")
-		if pols == "" {
-			pols = "custom sweep (fixed matrix)"
-		}
-		fmt.Printf("%-*s  %-*s  policies: %s\n", wid, "", swid, "", pols)
+		fmt.Printf("%-*s  %-*s  policies: %s\n", wid, "", swid, "", strings.Join(s.PolicyLabels(), ", "))
 		if s.Chaos != nil {
 			fmt.Printf("%-*s  %-*s  chaos: %s\n", wid, "", swid, "", s.Chaos.Summary())
 		}

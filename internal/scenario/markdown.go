@@ -7,12 +7,8 @@ import (
 
 // PolicyLabels returns the scenario's distinct case labels in matrix
 // order — the values `-policy` accepts for it. Scenarios without a case
-// matrix run the single default case; Custom scenarios build their own
-// sweep and return nil.
+// matrix run the single default case.
 func (s *Scenario) PolicyLabels() []string {
-	if s.Custom != nil {
-		return nil
-	}
 	if len(s.Cases) == 0 {
 		return []string{defaultCase().Label}
 	}
@@ -35,11 +31,7 @@ func MarkdownTable() string {
 	b.WriteString("| scenario | source | policies | description |\n")
 	b.WriteString("|---|---|---|---|\n")
 	for _, s := range All() {
-		pols := strings.Join(s.PolicyLabels(), ", ")
-		if pols == "" {
-			pols = "*custom sweep*"
-		}
-		fmt.Fprintf(&b, "| `%s` | %s | %s | %s |\n", s.Name, s.Source, pols, s.Description)
+		fmt.Fprintf(&b, "| `%s` | %s | %s | %s |\n", s.Name, s.Source, strings.Join(s.PolicyLabels(), ", "), s.Description)
 	}
 	return b.String()
 }

@@ -24,7 +24,7 @@ const (
 )
 
 // Register adds a scenario to the package registry. It rejects empty
-// names, scenarios with neither a Workload nor a Custom runner, and —
+// names, scenarios without a Workload, and —
 // hard, with both sources named — duplicate names: a user spec file may
 // not shadow a builtin, and two builtins claiming one name is a
 // programming error, never a silent last-write-wins.
@@ -39,8 +39,8 @@ func Register(s *Scenario) error {
 		return fmt.Errorf("scenario: duplicate name %q: already registered from %s, refusing the %s registration (rename the scenario)",
 			s.Name, prev.Source, s.Source)
 	}
-	if s.Workload == nil && s.Custom == nil {
-		return fmt.Errorf("scenario %q: neither Workload nor Custom set", s.Name)
+	if s.Workload == nil {
+		return fmt.Errorf("scenario %q: no Workload set", s.Name)
 	}
 	registry[s.Name] = s
 	return nil

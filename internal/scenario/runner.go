@@ -8,7 +8,7 @@ import (
 	"omxsim/internal/chaos"
 	"omxsim/internal/cluster"
 	"omxsim/internal/core"
-	"omxsim/internal/experiments"
+	"omxsim/internal/cpu"
 	"omxsim/internal/mpi"
 	"omxsim/internal/omx"
 	"omxsim/internal/report"
@@ -34,24 +34,7 @@ func (s *Scenario) Run(opts Options) (*report.Result, error) {
 	res := &report.Result{Scenario: s.Name, Description: s.Description, Seed: opts.Seed}
 	run := &Run{Scenario: s, Opts: opts, Result: res}
 
-	var err error
-	if s.Custom != nil {
-		// Custom scenarios delegate to the experiments sweeps, which build
-		// their own clusters with the default seed and run their full
-		// config matrix — refuse the options they cannot honour rather
-		// than misreport them.
-		if opts.Policy != "" {
-			return nil, fmt.Errorf("scenario %s: -policy is not supported (custom experiment sweep)", s.Name)
-		}
-		if opts.Seed != 1 {
-			opts.Seed, run.Opts.Seed, res.Seed = 1, 1, 1
-			res.Note("custom experiment sweeps use the default seed; -seed ignored")
-		}
-		err = s.Custom(run)
-	} else {
-		err = s.runDeclarative(run)
-	}
-	if err != nil {
+	if err := s.runDeclarative(run); err != nil {
 		return nil, fmt.Errorf("scenario %s: %w", s.Name, err)
 	}
 
@@ -209,9 +192,7 @@ func (s *Scenario) runCell(run *Run, c Case, size int) (*CaseRun, error) {
 }
 
 // noTeardownLeak is the implicit assertion Run applies to every
-// scenario: endpoint teardown must drop every pin (vacuously true for
-// Custom scenarios, which manage their own clusters and never set the
-// metric).
+// scenario: endpoint teardown must drop every pin, in every cell.
 func noTeardownLeak() Assertion {
 	return EachCase("no pinned pages after teardown", func(cr *CaseRun) (bool, string) {
 		if leaked := cr.Metrics["stats.pinned_after_close"]; leaked > 0 {
@@ -357,7 +338,7 @@ func scheduleFault(cl *cluster.Cluster, cr *CaseRun, fi int, f Fault, budget sim
 			n := n
 			eng := n.Eng
 			eng.After(f.At, func() {
-				stop := experiments.StartFlood(eng, n.RxCore(), f.Util)
+				stop := startFlood(eng, n.RxCore(), f.Util)
 				if window > 0 {
 					eng.After(window, stop)
 				}
@@ -426,6 +407,32 @@ func scheduleFault(cl *cluster.Cluster, cr *CaseRun, fi int, f Fault, budget sim
 		}
 	}
 	eng.After(f.At, fire)
+}
+
+// startFlood submits synthetic bottom-half work on c at the target
+// utilization, modelling a core saturated by incoming-network interrupt
+// processing (10G of small packets, paper §4.3), and returns a stop
+// function. The flood fault and the §4.3 cells arm it on each node's own
+// engine.
+func startFlood(eng *sim.Engine, c *cpu.Core, utilization float64) func() {
+	const quantum = 10 * sim.Microsecond
+	stopped := false
+	var pending *sim.Event
+	var tick func()
+	tick = func() {
+		if stopped {
+			return
+		}
+		c.Submit(cpu.BottomHalf, sim.Duration(float64(quantum)*utilization), nil)
+		pending = eng.After(quantum, tick)
+	}
+	eng.After(0, tick)
+	return func() {
+		stopped = true
+		// Cancel the armed timer so a stopped flood leaves no pending event
+		// behind (Cancel is O(1) on every queue tier).
+		pending.Cancel()
+	}
 }
 
 // collectStats folds the cluster's protocol counters and every endpoint's
@@ -573,9 +580,18 @@ func (s *Scenario) buildTables(run *Run, cases []Case, sizes []int) {
 	if len(names) == 0 {
 		return
 	}
+	// Cells sharing a label (Table 2's configurations of one application)
+	// are told apart by their policy.
+	shared := make(map[string]int, len(run.Cases))
+	for _, cr := range run.Cases {
+		shared[cr.id()]++
+	}
 	t := report.Table{Title: "results", Columns: append([]string{"case"}, names...)}
 	for _, cr := range run.Cases {
 		row := []string{cr.id()}
+		if shared[cr.id()] > 1 {
+			row[0] += " (" + cr.PolicyName + ")"
+		}
 		for _, n := range names {
 			if v, ok := cr.Metrics[n]; ok {
 				row = append(row, report.F(v, 1))

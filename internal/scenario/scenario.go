@@ -30,12 +30,12 @@ type Options struct {
 	// Policy restricts the case matrix to cases whose label or pin-policy
 	// name matches ("" = run every case).
 	Policy string
-	// Quick selects the reduced size schedule (QuickSizes) and tells
-	// Custom scenarios to shrink their sweeps.
+	// Quick selects the reduced size schedule (QuickSizes); workloads
+	// that scale their own rounds or classes read it through
+	// CaseRun.Quick. It never changes the case matrix.
 	Quick bool
 	// Shards runs every cell's cluster on that many engine shards (0
-	// means 1; results are the same at every count). Custom scenarios
-	// build their own clusters and ignore it.
+	// means 1; results are the same at every count).
 	Shards int
 	// ChaosSeed reseeds the chaos plan independently of the simulation
 	// seed (0 = derive from Seed), so the same workload can face
@@ -175,7 +175,7 @@ type Scenario struct {
 	Sizes []int
 	// QuickSizes replaces Sizes under Options.Quick (nil = keep Sizes).
 	QuickSizes []int
-	// Workload is the per-rank body (ignored when Custom is set).
+	// Workload is the per-rank body every cell runs.
 	Workload Workload
 	// Faults are injected into every case's run.
 	Faults []Fault
@@ -195,13 +195,10 @@ type Scenario struct {
 	Assertions []Assertion
 	// Report, when non-nil, runs after every cell has finished but before
 	// the automatic tables are built: the hook folds per-rank stashed
-	// state (e.g. kv latency histograms) into case metrics and custom
-	// tables. Metrics it sets are visible to Assertions.
+	// state (e.g. kv latency histograms) or cross-cell comparisons (the
+	// paper's Table 2 improvements) into case metrics and custom tables.
+	// Metrics it sets are visible to Assertions.
 	Report func(run *Run)
-	// Custom replaces the declarative runner entirely for workloads that
-	// do not fit the cluster+workload mold (e.g. the Table 1 pin-cost
-	// micro-benchmark); it fills the Run's cases and tables itself.
-	Custom func(run *Run) error
 }
 
 // Run is the in-flight state of one scenario invocation: every case cell
@@ -213,18 +210,6 @@ type Run struct {
 	Cases    []*CaseRun
 }
 
-// AddCase appends a case record (Custom scenarios build their matrix this
-// way; the declarative runner calls it internally).
-func (run *Run) AddCase(label string) *CaseRun {
-	cr := &CaseRun{
-		Case:    Case{Label: label},
-		Metrics: make(map[string]float64),
-		buffers: make(map[string]bufRef),
-	}
-	run.Cases = append(run.Cases, cr)
-	return cr
-}
-
 // CaseRun is one (case, size) cell: the live cluster while running, and
 // the collected measurements afterwards.
 type CaseRun struct {
@@ -234,8 +219,8 @@ type CaseRun struct {
 	// Seed is the simulation seed the cell ran with (the workload derives
 	// per-rank RNG streams from it).
 	Seed int64
-	// Cluster is the live cluster (nil for Custom scenarios that bypass
-	// the declarative runner).
+	// Cluster is the cell's cluster: live while the workload runs, its
+	// endpoints closed once the runner has collected the statistics.
 	Cluster *cluster.Cluster
 	// PolicyName labels the pinning policy in reports.
 	PolicyName string
@@ -246,8 +231,9 @@ type CaseRun struct {
 	// blocked.
 	Completed bool
 	// Quick mirrors Options.Quick for workloads that scale their own
-	// round counts (spec workloads with quick_* overrides). It is not
-	// serialized, so it cannot perturb the report bytes.
+	// round counts, size schedules or problem classes (spec workloads
+	// with quick_* overrides, the paper's Table 2 and §4.3 runs). It is
+	// not serialized, so it cannot perturb the report bytes.
 	Quick bool
 	// Notes records fault outcomes and anomalies.
 	Notes []string

@@ -53,7 +53,7 @@ func TestRegisterValidates(t *testing.T) {
 	}
 	if err := Register(&Scenario{Name: "t-empty"}); err == nil {
 		unregister("t-empty")
-		t.Fatal("scenario without workload or custom accepted")
+		t.Fatal("scenario without workload accepted")
 	}
 }
 

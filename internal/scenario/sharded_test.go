@@ -72,6 +72,13 @@ func TestShardCountInvariance(t *testing.T) {
 		// polls coincide.
 		{scenario: "policy-fork", shards: []int{1, 2, 4}, opts: Options{Quick: true}},
 		{scenario: "policy-swapout", shards: []int{1, 2, 4}, opts: Options{Quick: true}},
+		// The paper's Table 1, §4.3 and NPB runs: one-node pin timing
+		// cells, interrupt floods armed per node on each node's own
+		// engine, and four ranks over two nodes.
+		{scenario: "pinbench", shards: []int{1, 2}},
+		{scenario: "overlapmiss", shards: []int{1, 2}, opts: Options{Quick: true}},
+		{scenario: "overload", shards: []int{1, 2}, opts: Options{Quick: true}},
+		{scenario: "npbis", shards: []int{1, 2}, opts: Options{Quick: true}},
 	}
 	for _, tc := range cases {
 		tc := tc
