@@ -25,11 +25,11 @@ import (
 
 	"omxsim/internal/bench"
 	"omxsim/internal/cluster"
-	"omxsim/internal/core"
 	"omxsim/internal/cpu"
 	"omxsim/internal/imb"
 	"omxsim/internal/mpi"
 	"omxsim/internal/omx"
+	"omxsim/internal/policy"
 	"omxsim/internal/report"
 	"omxsim/internal/scenario"
 	"omxsim/internal/sim"
@@ -67,7 +67,7 @@ func runCells(b *testing.B, s *scenario.Scenario, opts scenario.Options) *report
 func baselineMetrics(b *testing.B, res *report.Result) map[string]float64 {
 	b.Helper()
 	for _, c := range res.Cases {
-		if c.Policy == core.PinEachComm.String() {
+		if c.Policy == policy.PinEachComm.Name() {
 			return c.Metrics
 		}
 	}
@@ -175,7 +175,7 @@ func BenchmarkAblationPullWindow(b *testing.B) {
 	for _, w := range []int{1, 2, 4, 8, 16} {
 		w := w
 		b.Run(fmt.Sprintf("window=%d", w), func(b *testing.B) {
-			cfg := omx.DefaultConfig(core.OnDemand, true)
+			cfg := omx.DefaultConfig(policy.OnDemand, true)
 			cfg.PullWindow = w
 			var mbps float64
 			for i := 0; i < b.N; i++ {
@@ -193,7 +193,7 @@ func BenchmarkAblationPinChunk(b *testing.B) {
 	for _, pages := range []int{8, 32, 128, 512} {
 		pages := pages
 		b.Run(fmt.Sprintf("chunk=%dpages", pages), func(b *testing.B) {
-			cfg := omx.DefaultConfig(core.Overlapped, false)
+			cfg := omx.DefaultConfig(policy.Overlapped, false)
 			cfg.PinChunkPages = pages
 			var mbps float64
 			for i := 0; i < b.N; i++ {
@@ -210,7 +210,7 @@ func BenchmarkAblationEagerThreshold(b *testing.B) {
 	for _, thr := range []int{8 * 1024, 32 * 1024, 128 * 1024} {
 		thr := thr
 		b.Run(fmt.Sprintf("thr=%dKiB", thr/1024), func(b *testing.B) {
-			cfg := omx.DefaultConfig(core.OnDemand, true)
+			cfg := omx.DefaultConfig(policy.OnDemand, true)
 			cfg.EagerThreshold = thr
 			var mbps float64
 			for i := 0; i < b.N; i++ {
@@ -229,8 +229,8 @@ func BenchmarkAblationHosts(b *testing.B) {
 		b.Run(spec.Name, func(b *testing.B) {
 			var gapPct float64
 			for i := 0; i < b.N; i++ {
-				regular := pingPongHost(b, omx.DefaultConfig(core.PinEachComm, false), spec, 4<<20)
-				cached := pingPongHost(b, omx.DefaultConfig(core.OnDemand, true), spec, 4<<20)
+				regular := pingPongHost(b, omx.DefaultConfig(policy.PinEachComm, false), spec, 4<<20)
+				cached := pingPongHost(b, omx.DefaultConfig(policy.OnDemand, true), spec, 4<<20)
 				gapPct = (cached - regular) / regular * 100
 			}
 			b.ReportMetric(gapPct, "cache-gain-%")
@@ -363,11 +363,11 @@ func BenchmarkAblationPolicies(b *testing.B) {
 		name string
 		cfg  omx.Config
 	}{
-		{"PinEachComm", omx.DefaultConfig(core.PinEachComm, false)},
-		{"OnDemandCache", omx.DefaultConfig(core.OnDemand, true)},
-		{"Overlapped", omx.DefaultConfig(core.Overlapped, false)},
-		{"Permanent", omx.DefaultConfig(core.Permanent, true)},
-		{"NoPinning", omx.DefaultConfig(core.NoPinning, true)},
+		{"PinEachComm", omx.DefaultConfig(policy.PinEachComm, false)},
+		{"OnDemandCache", omx.DefaultConfig(policy.OnDemand, true)},
+		{"Overlapped", omx.DefaultConfig(policy.Overlapped, false)},
+		{"Permanent", omx.DefaultConfig(policy.Permanent, true)},
+		{"NoPinning", omx.DefaultConfig(policy.NoPinning, true)},
 	}
 	for _, c := range cases {
 		c := c
@@ -391,7 +391,7 @@ func BenchmarkAblationSyncPrefix(b *testing.B) {
 			name = "prefix=off"
 		}
 		b.Run(name, func(b *testing.B) {
-			cfg := omx.DefaultConfig(core.Overlapped, false)
+			cfg := omx.DefaultConfig(policy.Overlapped, false)
 			cfg.SyncPrefixPages = prefix
 			var mbps float64
 			for i := 0; i < b.N; i++ {

@@ -12,9 +12,9 @@ import (
 	"fmt"
 	"os"
 
-	"omxsim/internal/core"
 	"omxsim/internal/mpi"
 	"omxsim/internal/omx"
+	"omxsim/internal/policy"
 	"omxsim/internal/report"
 	"omxsim/internal/scenario"
 	"omxsim/internal/sim"
@@ -27,9 +27,9 @@ func init() {
 		// The case matrix: each case is a pinning backend plus free-form
 		// params the workload can branch on.
 		Cases: []scenario.Case{
-			{Label: "cache", OMX: omx.DefaultConfig(core.OnDemand, true)},
-			{Label: "odp", OMX: omx.DefaultConfig(core.NoPinODP, true)},
-			{Label: "pin-ahead", OMX: omx.DefaultConfig(core.PinAhead, true),
+			{Label: "cache", OMX: omx.DefaultConfig(policy.OnDemand, true)},
+			{Label: "odp", OMX: omx.DefaultConfig(policy.ODP, true)},
+			{Label: "pin-ahead", OMX: omx.DefaultConfig(policy.PinAhead, true),
 				Params: map[string]string{"advise": "1"}},
 		},
 		Sizes:      []int{1 << 20, 4 << 20},

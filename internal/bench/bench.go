@@ -14,12 +14,12 @@ import (
 	"time"
 
 	"omxsim/internal/cluster"
-	"omxsim/internal/core"
 	"omxsim/internal/ethernet"
 	"omxsim/internal/imb"
 	"omxsim/internal/kv"
 	"omxsim/internal/mpi"
 	"omxsim/internal/omx"
+	"omxsim/internal/policy"
 	"omxsim/internal/scenario"
 	"omxsim/internal/sim"
 )
@@ -105,7 +105,7 @@ func measure(name string, minIters int, minWall time.Duration, body func(metrics
 // and `omxsim bench` share this body so the gate benchmark and the JSON
 // artifact can never measure different cells.
 func SimWallClockCell() (mbps, simMicros float64, events uint64) {
-	cl, err := cluster.New(cluster.Config{Nodes: 2, OMX: omx.DefaultConfig(core.Overlapped, true)})
+	cl, err := cluster.New(cluster.Config{Nodes: 2, OMX: omx.DefaultConfig(policy.Overlapped, true)})
 	if err != nil {
 		panic(err)
 	}
@@ -147,7 +147,7 @@ func SimWallClockParallelCell(shards int) (mbps, simMicros float64, events uint6
 		RanksPerNode: 2,
 		Shards:       shards,
 		Link:         &link,
-		OMX:          omx.DefaultConfig(core.Overlapped, true),
+		OMX:          omx.DefaultConfig(policy.Overlapped, true),
 	})
 	if err != nil {
 		panic(err)
@@ -207,7 +207,7 @@ func KVServeCell() (p50, p99, p999 float64, events uint64) {
 	cl, err := cluster.New(cluster.Config{
 		Nodes:        2,
 		RanksPerNode: 2,
-		OMX:          omx.DefaultConfig(core.Overlapped, true),
+		OMX:          omx.DefaultConfig(policy.Overlapped, true),
 	})
 	if err != nil {
 		panic(err)
@@ -248,7 +248,7 @@ func KVServeFleetCell() (p50, p99, p999 float64, events uint64) {
 			{Name: "storage", Nodes: 2, EndpointsPerNode: 2, NICQueues: 2},
 			{Name: "clients", Nodes: 2},
 		},
-		OMX: omx.DefaultConfig(core.Overlapped, true),
+		OMX: omx.DefaultConfig(policy.Overlapped, true),
 	})
 	if err != nil {
 		panic(err)
@@ -418,7 +418,7 @@ func engineTimerWheel(metrics map[string]float64) {
 // figure7Cell runs one extra trajectory cell (Regular policy) so the JSON
 // tracks the unoptimized-policy path too.
 func figure7Regular(metrics map[string]float64) {
-	cl, err := cluster.New(cluster.Config{Nodes: 2, OMX: omx.DefaultConfig(core.PinEachComm, false)})
+	cl, err := cluster.New(cluster.Config{Nodes: 2, OMX: omx.DefaultConfig(policy.PinEachComm, false)})
 	if err != nil {
 		panic(err)
 	}

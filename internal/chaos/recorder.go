@@ -70,10 +70,6 @@ func (r *Recorder) PinChurn(t sim.Time, pages int, pinned bool) {
 	}
 }
 
-// Buckets returns the recorded series (index i covers
-// [i*interval, (i+1)*interval)).
-func (r *Recorder) Buckets() []Bucket { return r.buckets }
-
 // Merge produces the cluster-wide series: element-wise sums of the
 // per-node recorders, extended to the longest series. Integer sums in
 // fixed node order are exact and order-independent, so the merged series

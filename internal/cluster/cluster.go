@@ -4,6 +4,7 @@
 package cluster
 
 import (
+	"cmp"
 	"fmt"
 
 	"omxsim/internal/cpu"
@@ -85,13 +86,6 @@ type Config struct {
 	// as the conservative lookahead window. Every count produces the same
 	// results; two or more run the shards in parallel.
 	Shards int
-	// RxCoreIdx is the core servicing NIC interrupts on every node
-	// (default 0).
-	RxCoreIdx int
-	// AppCoreBase is the first core used for application ranks; rank i on a
-	// node runs on core AppCoreBase+i (default 1, keeping apps off the
-	// interrupt core).
-	AppCoreBase int
 	// AppsOnRxCore forces every rank onto the interrupt core, reproducing
 	// the paper's §4.3 overload scenario (application pinning work starved
 	// by bottom halves).
@@ -101,8 +95,6 @@ type Config struct {
 	Link *ethernet.LinkConfig
 	// Seed makes the run deterministic (default 1).
 	Seed int64
-	// LoopbackBytesPerSec bounds intra-node messaging (default 4 GB/s).
-	LoopbackBytesPerSec float64
 	// EndpointConfig, when non-nil, customises the OMX configuration per
 	// endpoint: it receives the node index, the global rank, and the base
 	// config (Config.OMX) and returns the config to open that endpoint
@@ -114,6 +106,14 @@ type Config struct {
 	// or schedule fault-injection events against the finished topology.
 	OnBuild []func(*Cluster)
 }
+
+// appCoreBase is the first core used for application ranks: rank i on a
+// node runs on core appCoreBase+i, keeping apps off the interrupt core
+// (core 0).
+const appCoreBase = 1
+
+// loopbackBytesPerSec bounds intra-node messaging (4 GB/s).
+const loopbackBytesPerSec = 4e9
 
 // Cluster is a fully wired simulation instance.
 type Cluster struct {
@@ -137,22 +137,17 @@ type Cluster struct {
 
 // New builds a cluster.
 func New(cfg Config) (*Cluster, error) {
-	// Group sizes determine the node count before anything (the shard
-	// clamp included) reads it.
-	if len(cfg.Groups) > 0 {
-		cfg.Nodes = 0
-		for _, g := range cfg.Groups {
-			if g.Nodes <= 0 {
-				return nil, fmt.Errorf("cluster: group %q has %d nodes", g.Name, g.Nodes)
-			}
-			cfg.Nodes += g.Nodes
-		}
-	}
 	if cfg.Nodes == 0 {
 		cfg.Nodes = 2
 	}
 	if cfg.RanksPerNode == 0 {
 		cfg.RanksPerNode = 1
+	}
+	if cfg.EndpointsPerNode == 0 {
+		cfg.EndpointsPerNode = 1
+	}
+	if cfg.NICQueues == 0 {
+		cfg.NICQueues = 1
 	}
 	if cfg.RanksPerProc == 0 {
 		cfg.RanksPerProc = 1
@@ -160,14 +155,26 @@ func New(cfg Config) (*Cluster, error) {
 	if cfg.Spec.Cores == 0 {
 		cfg.Spec = cpu.XeonE5460
 	}
-	if cfg.AppCoreBase == 0 {
-		cfg.AppCoreBase = 1
-	}
 	if cfg.Seed == 0 {
 		cfg.Seed = 1
 	}
-	if cfg.LoopbackBytesPerSec == 0 {
-		cfg.LoopbackBytesPerSec = 4e9
+	// A uniform cluster is one group. Resolve each group's inherited
+	// values once; the group sizes then determine the node count before
+	// anything (the shard clamp included) reads it.
+	groups := append([]NodeGroup(nil), cfg.Groups...)
+	if len(groups) == 0 {
+		groups = []NodeGroup{{Nodes: cfg.Nodes, Mem: cfg.Mem}}
+	}
+	cfg.Nodes = 0
+	for i := range groups {
+		g := &groups[i]
+		if g.Nodes <= 0 {
+			return nil, fmt.Errorf("cluster: group %q has %d nodes", g.Name, g.Nodes)
+		}
+		cfg.Nodes += g.Nodes
+		g.RanksPerNode = cmp.Or(g.RanksPerNode, cfg.RanksPerNode)
+		g.EndpointsPerNode = cmp.Or(g.EndpointsPerNode, cfg.EndpointsPerNode)
+		g.NICQueues = cmp.Or(g.NICQueues, cfg.NICQueues)
 	}
 	link := ethernet.DefaultLinkConfig()
 	if cfg.Link != nil {
@@ -186,7 +193,7 @@ func New(cfg Config) (*Cluster, error) {
 	shardOf := func(node int) int { return node * shards / cfg.Nodes }
 	fabric := ethernet.NewFabric(engines[0], link)
 	fabric.Seed = cfg.Seed
-	fabric.LoopbackBytesPerSec = cfg.LoopbackBytesPerSec
+	fabric.LoopbackBytesPerSec = loopbackBytesPerSec
 
 	set := sim.NewShardSet(link.PropDelay, engines)
 	cl := &Cluster{Eng: engines[0], Fabric: fabric, Set: set}
@@ -202,96 +209,14 @@ func New(cfg Config) (*Cluster, error) {
 			Fn:       func() { dst.Deliver(fr) },
 		})
 	})
-	// Per-node rank count, endpoint fan-out, queue count, and memory
-	// budget: uniform from Config unless Groups carves the cluster into
-	// heterogeneous slices.
-	if cfg.EndpointsPerNode == 0 {
-		cfg.EndpointsPerNode = 1
-	}
-	if cfg.NICQueues == 0 {
-		cfg.NICQueues = 1
-	}
-	rpnOf := make([]int, cfg.Nodes)
-	epnOf := make([]int, cfg.Nodes)
-	nqOf := make([]int, cfg.Nodes)
-	memOf := make([]omx.MemConfig, cfg.Nodes)
-	for i := range rpnOf {
-		rpnOf[i] = cfg.RanksPerNode
-		epnOf[i] = cfg.EndpointsPerNode
-		nqOf[i] = cfg.NICQueues
-		memOf[i] = cfg.Mem
-	}
-	if len(cfg.Groups) > 0 {
-		i := 0
-		for _, g := range cfg.Groups {
-			rpn := g.RanksPerNode
-			if rpn == 0 {
-				rpn = cfg.RanksPerNode
+	// Nodes lay out group by group.
+	n := 0
+	for _, g := range groups {
+		for k := 0; k < g.Nodes; k++ {
+			if err := cl.addNode(&cfg, g, n, engines[shardOf(n)]); err != nil {
+				return nil, err
 			}
-			epn := g.EndpointsPerNode
-			if epn == 0 {
-				epn = cfg.EndpointsPerNode
-			}
-			nq := g.NICQueues
-			if nq == 0 {
-				nq = cfg.NICQueues
-			}
-			for k := 0; k < g.Nodes; k++ {
-				rpnOf[i] = rpn
-				epnOf[i] = epn
-				nqOf[i] = nq
-				memOf[i] = g.Mem
-				i++
-			}
-		}
-	}
-	rank := 0
-	for n := 0; n < cfg.Nodes; n++ {
-		node := omx.NewNode(engines[shardOf(n)], fabric, cfg.Spec, n, cfg.RxCoreIdx)
-		if nqOf[n] > 1 {
-			node.ConfigureQueues(nqOf[n])
-		}
-		node.ConfigureMemory(memOf[n])
-		cl.Nodes = append(cl.Nodes, node)
-		var proc *omx.Process
-		for r := 0; r < rpnOf[n]; r++ {
-			coreIdx := (cfg.AppCoreBase + r) % cfg.Spec.Cores
-			if cfg.AppsOnRxCore {
-				coreIdx = cfg.RxCoreIdx
-			}
-			if r%cfg.RanksPerProc == 0 {
-				omxCfg := cfg.OMX
-				if cfg.EndpointConfig != nil {
-					omxCfg = cfg.EndpointConfig(n, rank, omxCfg)
-				}
-				var err error
-				proc, err = node.NewProcess(r, coreIdx, omxCfg)
-				if err != nil {
-					return nil, fmt.Errorf("cluster: node %d rank %d: %w", n, r, err)
-				}
-			}
-			ep, err := node.OpenEndpointIn(proc, r, coreIdx)
-			if err != nil {
-				return nil, fmt.Errorf("cluster: node %d rank %d: %w", n, r, err)
-			}
-			// Aux serving lanes: extra endpoints in the same process, with
-			// ep ids past the node's rank range and cores fanned out past
-			// the rank's own. EndpointConfig applies per process, so lanes
-			// inherit the rank's configuration.
-			for j := 1; j < epnOf[n]; j++ {
-				auxID := rpnOf[n] + r*(epnOf[n]-1) + (j - 1)
-				auxCore := coreIdx
-				if !cfg.AppsOnRxCore {
-					auxCore = (cfg.AppCoreBase + r + j) % cfg.Spec.Cores
-				}
-				aux, err := node.OpenEndpointIn(proc, auxID, auxCore)
-				if err != nil {
-					return nil, fmt.Errorf("cluster: node %d rank %d lane %d: %w", n, r, j, err)
-				}
-				ep.AttachAux(aux)
-			}
-			cl.Endpoints = append(cl.Endpoints, ep)
-			rank++
+			n++
 		}
 	}
 	cl.World = mpi.NewWorld(cl.Endpoints)
@@ -302,6 +227,58 @@ func New(cfg Config) (*Cluster, error) {
 		hook(cl)
 	}
 	return cl, nil
+}
+
+// addNode builds node n of group g on eng, with its ranks' processes and
+// endpoints. Ranks are numbered globally in build order.
+func (cl *Cluster) addNode(cfg *Config, g NodeGroup, n int, eng *sim.Engine) error {
+	node := omx.NewNode(eng, cl.Fabric, cfg.Spec, n)
+	if g.NICQueues > 1 {
+		node.ConfigureQueues(g.NICQueues)
+	}
+	node.ConfigureMemory(g.Mem)
+	cl.Nodes = append(cl.Nodes, node)
+	var proc *omx.Process
+	for r := 0; r < g.RanksPerNode; r++ {
+		rank := len(cl.Endpoints)
+		coreIdx := (appCoreBase + r) % cfg.Spec.Cores
+		if cfg.AppsOnRxCore {
+			coreIdx = node.RxCore().ID()
+		}
+		if r%cfg.RanksPerProc == 0 {
+			omxCfg := cfg.OMX
+			if cfg.EndpointConfig != nil {
+				omxCfg = cfg.EndpointConfig(n, rank, omxCfg)
+			}
+			var err error
+			proc, err = node.NewProcess(r, coreIdx, omxCfg)
+			if err != nil {
+				return fmt.Errorf("cluster: node %d rank %d: %w", n, r, err)
+			}
+		}
+		ep, err := node.OpenEndpointIn(proc, r, coreIdx)
+		if err != nil {
+			return fmt.Errorf("cluster: node %d rank %d: %w", n, r, err)
+		}
+		// Aux serving lanes: extra endpoints in the same process, with
+		// ep ids past the node's rank range and cores fanned out past
+		// the rank's own. EndpointConfig applies per process, so lanes
+		// inherit the rank's configuration.
+		for j := 1; j < g.EndpointsPerNode; j++ {
+			auxID := g.RanksPerNode + r*(g.EndpointsPerNode-1) + (j - 1)
+			auxCore := coreIdx
+			if !cfg.AppsOnRxCore {
+				auxCore = (appCoreBase + r + j) % cfg.Spec.Cores
+			}
+			aux, err := node.OpenEndpointIn(proc, auxID, auxCore)
+			if err != nil {
+				return fmt.Errorf("cluster: node %d rank %d lane %d: %w", n, r, j, err)
+			}
+			ep.AttachAux(aux)
+		}
+		cl.Endpoints = append(cl.Endpoints, ep)
+	}
+	return nil
 }
 
 // Processes returns the distinct processes backing the cluster's

@@ -4,16 +4,16 @@ import (
 	"testing"
 
 	"omxsim/internal/cluster"
-	"omxsim/internal/core"
 	"omxsim/internal/cpu"
 	"omxsim/internal/ethernet"
 	"omxsim/internal/mpi"
 	"omxsim/internal/omx"
+	"omxsim/internal/policy"
 	"omxsim/internal/sim"
 )
 
 func TestDefaults(t *testing.T) {
-	cl, err := cluster.New(cluster.Config{OMX: omx.DefaultConfig(core.OnDemand, true)})
+	cl, err := cluster.New(cluster.Config{OMX: omx.DefaultConfig(policy.OnDemand, true)})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -35,10 +35,37 @@ func TestDefaults(t *testing.T) {
 	}
 }
 
+// TestZeroConfigPinsEachCommunication: a nil policy means pin-each-comm,
+// so a zero config with the cache off unpins every page it pinned.
+func TestZeroConfigPinsEachCommunication(t *testing.T) {
+	if got := (omx.Config{}).PolicyLabel(); got != "pin-each-comm" {
+		t.Fatalf("zero config label = %q, want pin-each-comm", got)
+	}
+	cl, err := cluster.New(cluster.Config{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	cl.Run(func(c *mpi.Comm) {
+		buf := c.Malloc(1 << 20)
+		if c.Rank() == 0 {
+			c.Send(buf, 1<<20, 1, 1)
+		} else {
+			c.Recv(buf, 1<<20, 0, 1)
+		}
+	})
+	for _, p := range cl.Processes() {
+		st := p.Manager().Stats()
+		if p.Manager().PinnedPages() != 0 || st.PagesPinned == 0 || st.PagesPinned != st.PagesUnpinned {
+			t.Fatalf("node %d: %d pages still pinned, %d pinned, %d unpinned",
+				p.Node().ID, p.Manager().PinnedPages(), st.PagesPinned, st.PagesUnpinned)
+		}
+	}
+}
+
 func TestBlockRankDistribution(t *testing.T) {
 	cl, err := cluster.New(cluster.Config{
 		Nodes: 3, RanksPerNode: 2,
-		OMX: omx.DefaultConfig(core.OnDemand, true),
+		OMX: omx.DefaultConfig(policy.OnDemand, true),
 	})
 	if err != nil {
 		t.Fatal(err)
@@ -57,7 +84,7 @@ func TestBlockRankDistribution(t *testing.T) {
 func TestAppsOnRxCore(t *testing.T) {
 	cl, err := cluster.New(cluster.Config{
 		AppsOnRxCore: true,
-		OMX:          omx.DefaultConfig(core.Overlapped, false),
+		OMX:          omx.DefaultConfig(policy.Overlapped, false),
 	})
 	if err != nil {
 		t.Fatal(err)
@@ -70,7 +97,7 @@ func TestAppsOnRxCore(t *testing.T) {
 }
 
 func TestRunDeadlockPanics(t *testing.T) {
-	cl, _ := cluster.New(cluster.Config{OMX: omx.DefaultConfig(core.OnDemand, true)})
+	cl, _ := cluster.New(cluster.Config{OMX: omx.DefaultConfig(policy.OnDemand, true)})
 	defer func() {
 		if recover() == nil {
 			t.Error("deadlocked Run did not panic")
@@ -85,7 +112,7 @@ func TestRunDeadlockPanics(t *testing.T) {
 }
 
 func TestRunForStopsAtBudget(t *testing.T) {
-	cl, _ := cluster.New(cluster.Config{OMX: omx.DefaultConfig(core.OnDemand, true)})
+	cl, _ := cluster.New(cluster.Config{OMX: omx.DefaultConfig(policy.OnDemand, true)})
 	done := cl.RunFor(sim.Millisecond, func(c *mpi.Comm) {
 		if c.Rank() == 0 {
 			buf := c.Malloc(4096)
@@ -101,7 +128,7 @@ func TestRunForStopsAtBudget(t *testing.T) {
 }
 
 func TestStatsAggregation(t *testing.T) {
-	cl, _ := cluster.New(cluster.Config{OMX: omx.DefaultConfig(core.OnDemand, true)})
+	cl, _ := cluster.New(cluster.Config{OMX: omx.DefaultConfig(policy.OnDemand, true)})
 	cl.Run(func(c *mpi.Comm) {
 		buf := c.Malloc(1 << 20)
 		if c.Rank() == 0 {
@@ -120,7 +147,7 @@ func TestClusterDeterminism(t *testing.T) {
 	run := func() sim.Time {
 		cl, _ := cluster.New(cluster.Config{
 			Seed: 42,
-			OMX:  omx.DefaultConfig(core.Overlapped, true),
+			OMX:  omx.DefaultConfig(policy.Overlapped, true),
 		})
 		cl.Run(func(c *mpi.Comm) {
 			buf := c.Malloc(2 << 20)
@@ -145,7 +172,7 @@ func TestClusterDeterminism(t *testing.T) {
 // lookahead window and is refused.
 func TestShardCounts(t *testing.T) {
 	run := func(shards int) (int, sim.Time, uint64) {
-		cl, err := cluster.New(cluster.Config{Shards: shards, OMX: omx.DefaultConfig(core.Overlapped, true)})
+		cl, err := cluster.New(cluster.Config{Shards: shards, OMX: omx.DefaultConfig(policy.Overlapped, true)})
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -180,7 +207,7 @@ func TestShardCounts(t *testing.T) {
 }
 
 func TestCustomLinkConfig(t *testing.T) {
-	link := cluster.Config{OMX: omx.DefaultConfig(core.OnDemand, true)}
+	link := cluster.Config{OMX: omx.DefaultConfig(policy.OnDemand, true)}
 	cfgLink := defaultLinkHalved()
 	link.Link = &cfgLink
 	cl, err := cluster.New(link)

@@ -4,8 +4,8 @@ import (
 	"testing"
 
 	"omxsim/internal/cluster"
-	"omxsim/internal/core"
 	"omxsim/internal/omx"
+	"omxsim/internal/policy"
 )
 
 func TestEndpointsPerNodeAttachesAuxLanes(t *testing.T) {
@@ -13,7 +13,7 @@ func TestEndpointsPerNodeAttachesAuxLanes(t *testing.T) {
 		Nodes:            2,
 		EndpointsPerNode: 3,
 		NICQueues:        2,
-		OMX:              omx.DefaultConfig(core.OnDemand, true),
+		OMX:              omx.DefaultConfig(policy.OnDemand, true),
 	})
 	if err != nil {
 		t.Fatal(err)
@@ -60,7 +60,7 @@ func TestGroupEndpointOverrides(t *testing.T) {
 			{Name: "storage", Nodes: 2, EndpointsPerNode: 2, NICQueues: 4},
 			{Name: "clients", Nodes: 2},
 		},
-		OMX: omx.DefaultConfig(core.OnDemand, true),
+		OMX: omx.DefaultConfig(policy.OnDemand, true),
 	})
 	if err != nil {
 		t.Fatal(err)

@@ -4,6 +4,7 @@ import (
 	"math/rand"
 	"testing"
 
+	"omxsim/internal/policy"
 	"omxsim/internal/sim"
 	"omxsim/internal/vm"
 )
@@ -19,7 +20,7 @@ import (
 //   - the cache never returns a declaration over an unmapped range.
 func TestCacheContractRandomized(t *testing.T) {
 	h := newHarness(t)
-	m := h.manager(ManagerConfig{Policy: OnDemand})
+	m := h.manager(ManagerConfig{Policy: policy.OnDemand})
 	c := cacheOn(h, m, CacheConfig{Capacity: 8, ByteCapacity: 4 << 20})
 	rng := rand.New(rand.NewSource(42))
 
@@ -123,7 +124,7 @@ func TestCacheContractRandomized(t *testing.T) {
 // no attached entry is marked detached.
 func TestCacheContractStatsConsistent(t *testing.T) {
 	h := newHarness(t)
-	m := h.manager(ManagerConfig{Policy: OnDemand})
+	m := h.manager(ManagerConfig{Policy: policy.OnDemand})
 	c := cacheOn(h, m, CacheConfig{Capacity: 4})
 	bufs := []vm.Addr{h.buf(t, 256*1024), h.buf(t, 512*1024), h.buf(t, 1<<20)}
 	h.eng.Go("app", func(p *sim.Proc) {

@@ -5,6 +5,7 @@ import (
 	"sort"
 	"testing"
 
+	"omxsim/internal/policy"
 	"omxsim/internal/sim"
 	"omxsim/internal/vm"
 )
@@ -21,7 +22,7 @@ type indexHarness struct {
 func newIndexHarness(t *testing.T) *indexHarness {
 	t.Helper()
 	h := newHarness(t)
-	m := h.manager(ManagerConfig{Policy: OnDemand})
+	m := h.manager(ManagerConfig{Policy: policy.OnDemand})
 	// The index is pure data structure; no engine time is needed.
 	return &indexHarness{c: cacheOn(h, m, CacheConfig{Capacity: 1 << 20})}
 }
@@ -166,7 +167,7 @@ func TestIntervalIndexOverlappingOrder(t *testing.T) {
 func TestCacheDeterministicEviction(t *testing.T) {
 	run := func() (CacheStats, Stats) {
 		h := newHarness(t)
-		m := h.manager(ManagerConfig{Policy: OnDemand})
+		m := h.manager(ManagerConfig{Policy: policy.OnDemand})
 		c := cacheOn(h, m, CacheConfig{Capacity: 3})
 		var bufs []vm.Addr
 		for i := 0; i < 8; i++ {

@@ -3,6 +3,7 @@ package core
 import (
 	"testing"
 
+	"omxsim/internal/policy"
 	"omxsim/internal/sim"
 	"omxsim/internal/vm"
 )
@@ -15,7 +16,7 @@ func cacheOn(h *harness, m *Manager, cfg CacheConfig) *Cache {
 
 func TestCacheHitReusesDeclaration(t *testing.T) {
 	h := newHarness(t)
-	m := h.manager(ManagerConfig{Policy: OnDemand})
+	m := h.manager(ManagerConfig{Policy: policy.OnDemand})
 	c := cacheOn(h, m, CacheConfig{})
 	addr := h.buf(t, 1<<20)
 	segs := []Segment{{addr, 1 << 20}}
@@ -48,7 +49,7 @@ func TestCacheHitReusesDeclaration(t *testing.T) {
 
 func TestCacheDisabledDeclaresEachTime(t *testing.T) {
 	h := newHarness(t)
-	m := h.manager(ManagerConfig{Policy: PinEachComm})
+	m := h.manager(ManagerConfig{Policy: policy.PinEachComm})
 	c := NewCache(h.eng, m, h.core, CacheConfig{Enabled: false})
 	addr := h.buf(t, 256*1024)
 	segs := []Segment{{addr, 256 * 1024}}
@@ -77,7 +78,7 @@ func TestCacheDisabledDeclaresEachTime(t *testing.T) {
 
 func TestCacheDistinctBuffersMissSubrangeHits(t *testing.T) {
 	h := newHarness(t)
-	m := h.manager(ManagerConfig{Policy: OnDemand})
+	m := h.manager(ManagerConfig{Policy: policy.OnDemand})
 	c := cacheOn(h, m, CacheConfig{})
 	a1 := h.buf(t, 256*1024)
 	a2 := h.buf(t, 256*1024)
@@ -111,7 +112,7 @@ func TestCacheDistinctBuffersMissSubrangeHits(t *testing.T) {
 
 func TestCacheLRUEviction(t *testing.T) {
 	h := newHarness(t)
-	m := h.manager(ManagerConfig{Policy: OnDemand})
+	m := h.manager(ManagerConfig{Policy: policy.OnDemand})
 	c := cacheOn(h, m, CacheConfig{Capacity: 2})
 	bufs := []vm.Addr{h.buf(t, 256*1024), h.buf(t, 256*1024), h.buf(t, 256*1024)}
 	h.eng.Go("app", func(p *sim.Proc) {
@@ -146,7 +147,7 @@ func TestCacheLRUEviction(t *testing.T) {
 
 func TestCacheReferencedEntriesNotEvicted(t *testing.T) {
 	h := newHarness(t)
-	m := h.manager(ManagerConfig{Policy: OnDemand})
+	m := h.manager(ManagerConfig{Policy: policy.OnDemand})
 	c := cacheOn(h, m, CacheConfig{Capacity: 1})
 	a1 := h.buf(t, 256*1024)
 	a2 := h.buf(t, 256*1024)
@@ -171,7 +172,7 @@ func TestCacheReferencedEntriesNotEvicted(t *testing.T) {
 // declaration pins the new mapping.
 func TestCacheStaleRegionDroppedOnUnmap(t *testing.T) {
 	h := newHarness(t)
-	m := h.manager(ManagerConfig{Policy: OnDemand})
+	m := h.manager(ManagerConfig{Policy: policy.OnDemand})
 	c := cacheOn(h, m, CacheConfig{})
 	addr := h.buf(t, 1<<20)
 	segs := []Segment{{addr, 1 << 20}}
@@ -229,7 +230,7 @@ func TestCacheStaleRegionDroppedOnUnmap(t *testing.T) {
 // next use is a cache hit and the acquire repins transparently.
 func TestCacheHitAfterDriverUnpin(t *testing.T) {
 	h := newHarness(t)
-	m := h.manager(ManagerConfig{Policy: OnDemand})
+	m := h.manager(ManagerConfig{Policy: policy.OnDemand})
 	c := cacheOn(h, m, CacheConfig{})
 	addr := h.buf(t, 1<<20)
 	segs := []Segment{{addr, 1 << 20}}
@@ -271,7 +272,7 @@ func TestCacheHitAfterDriverUnpin(t *testing.T) {
 // invalidations drop entries too.
 func TestCacheDropOnCOW(t *testing.T) {
 	h := newHarness(t)
-	m := h.manager(ManagerConfig{Policy: OnDemand})
+	m := h.manager(ManagerConfig{Policy: policy.OnDemand})
 	c := cacheOn(h, m, CacheConfig{DropOnCOW: true})
 	addr := h.buf(t, 1<<20)
 	segs := []Segment{{addr, 1 << 20}}
@@ -300,7 +301,7 @@ func TestCacheDropOnCOW(t *testing.T) {
 // synchronously at eviction-decision time with a detached cost.
 func TestCacheEvictionUndeclaresInsideChargedWork(t *testing.T) {
 	h := newHarness(t)
-	m := h.manager(ManagerConfig{Policy: OnDemand})
+	m := h.manager(ManagerConfig{Policy: policy.OnDemand})
 	c := cacheOn(h, m, CacheConfig{Capacity: 1})
 	a1 := h.buf(t, 256*1024)
 	a2 := h.buf(t, 256*1024)
@@ -338,7 +339,7 @@ func TestCacheEvictionUndeclaresInsideChargedWork(t *testing.T) {
 // Declare whose entry overwrites the first and orphans its refcount.
 func TestCacheCoalescesInFlightMisses(t *testing.T) {
 	h := newHarness(t)
-	m := h.manager(ManagerConfig{Policy: OnDemand})
+	m := h.manager(ManagerConfig{Policy: policy.OnDemand})
 	c := cacheOn(h, m, CacheConfig{})
 	addr := h.buf(t, 1<<20)
 	segs := []Segment{{addr, 1 << 20}}
@@ -373,7 +374,7 @@ func TestCacheCoalescesInFlightMisses(t *testing.T) {
 // declaration joins it and receives a view.
 func TestCacheCoalescesSubrangeOntoPending(t *testing.T) {
 	h := newHarness(t)
-	m := h.manager(ManagerConfig{Policy: OnDemand})
+	m := h.manager(ManagerConfig{Policy: policy.OnDemand})
 	c := cacheOn(h, m, CacheConfig{})
 	addr := h.buf(t, 1<<20)
 	coreB := h.machine.Core(1)
@@ -399,7 +400,7 @@ func TestCacheCoalescesSubrangeOntoPending(t *testing.T) {
 // later requests anywhere in the union hit.
 func TestCacheMergeExtendsOverlappingDeclarations(t *testing.T) {
 	h := newHarness(t)
-	m := h.manager(ManagerConfig{Policy: OnDemand})
+	m := h.manager(ManagerConfig{Policy: policy.OnDemand})
 	c := cacheOn(h, m, CacheConfig{})
 	addr := h.buf(t, 512*1024)
 	h.eng.Go("app", func(p *sim.Proc) {
@@ -435,7 +436,7 @@ func TestCacheMergeExtendsOverlappingDeclarations(t *testing.T) {
 // when the entry-count capacity is not exceeded.
 func TestCacheByteBudgetEviction(t *testing.T) {
 	h := newHarness(t)
-	m := h.manager(ManagerConfig{Policy: OnDemand})
+	m := h.manager(ManagerConfig{Policy: policy.OnDemand})
 	c := cacheOn(h, m, CacheConfig{ByteCapacity: 1 << 20})
 	bufs := []vm.Addr{h.buf(t, 512*1024), h.buf(t, 512*1024), h.buf(t, 512*1024)}
 	h.eng.Go("app", func(p *sim.Proc) {
@@ -458,7 +459,7 @@ func TestCacheByteBudgetEviction(t *testing.T) {
 // entry goes first even if it is the most recently used.
 func TestCacheSizeWeightedEvictor(t *testing.T) {
 	h := newHarness(t)
-	m := h.manager(ManagerConfig{Policy: OnDemand})
+	m := h.manager(ManagerConfig{Policy: policy.OnDemand})
 	c := cacheOn(h, m, CacheConfig{ByteCapacity: 1 << 20, Eviction: "size"})
 	small := h.buf(t, 128*1024)
 	big := h.buf(t, 768*1024)
@@ -491,7 +492,7 @@ func TestCacheSizeWeightedEvictor(t *testing.T) {
 // but it is never cached, and a later request re-declares.
 func TestCachePendingInvalidatedNotCached(t *testing.T) {
 	h := newHarness(t)
-	m := h.manager(ManagerConfig{Policy: OnDemand})
+	m := h.manager(ManagerConfig{Policy: policy.OnDemand})
 	c := cacheOn(h, m, CacheConfig{})
 	addr := h.buf(t, 1<<20)
 	segs := []Segment{{addr, 1 << 20}}
@@ -523,7 +524,7 @@ func TestCachePendingInvalidatedNotCached(t *testing.T) {
 // the right offset of the parent declaration.
 func TestCacheViewAccessMapsOffsets(t *testing.T) {
 	h := newHarness(t)
-	m := h.manager(ManagerConfig{Policy: OnDemand})
+	m := h.manager(ManagerConfig{Policy: policy.OnDemand})
 	c := cacheOn(h, m, CacheConfig{})
 	addr := h.buf(t, 1<<20)
 	const viewOff = 256 * 1024
@@ -560,7 +561,7 @@ func TestCacheViewAccessMapsOffsets(t *testing.T) {
 
 func TestCacheCostsCharged(t *testing.T) {
 	h := newHarness(t)
-	m := h.manager(ManagerConfig{Policy: OnDemand})
+	m := h.manager(ManagerConfig{Policy: policy.OnDemand})
 	c := cacheOn(h, m, CacheConfig{})
 	addr := h.buf(t, 256*1024)
 	segs := []Segment{{addr, 256 * 1024}}
@@ -580,7 +581,7 @@ func TestCacheCostsCharged(t *testing.T) {
 // depends on.
 func TestCachePinAheadReArmsAfterInvalidation(t *testing.T) {
 	h := newHarness(t)
-	m := h.manager(ManagerConfig{Policy: PinAhead})
+	m := h.manager(ManagerConfig{Policy: policy.PinAhead})
 	c := cacheOn(h, m, CacheConfig{})
 	addr := h.buf(t, 512*1024)
 	segs := []Segment{{addr, 512 * 1024}}

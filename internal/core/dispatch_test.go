@@ -6,6 +6,7 @@ import (
 	"sort"
 	"testing"
 
+	"omxsim/internal/policy"
 	"omxsim/internal/sim"
 	"omxsim/internal/trace"
 	"omxsim/internal/vm"
@@ -44,8 +45,8 @@ func scanHits(m *Manager, nr vm.NotifierRange) []RegionID {
 // on exactly the regions a scan of all declared regions selects, in the
 // same order, under a pinning and a page-table-translated policy.
 func TestInvalidateDispatchMatchesScan(t *testing.T) {
-	for _, pol := range []PinPolicy{Overlapped, NoPinning} {
-		t.Run(pol.String(), func(t *testing.T) {
+	for k, pol := range []policy.Policy{policy.Overlapped, policy.NoPinning} {
+		t.Run(pol.Name(), func(t *testing.T) {
 			h := newHarness(t)
 			m := h.manager(ManagerConfig{Policy: pol, PinChunkPages: 4})
 			rec := trace.NewRecorder(1 << 16)
@@ -54,7 +55,7 @@ func TestInvalidateDispatchMatchesScan(t *testing.T) {
 			for i := 0; i < 5; i++ {
 				bufs = append(bufs, h.buf(t, 256*1024))
 			}
-			rng := rand.New(rand.NewSource(int64(pol) + 11))
+			rng := rand.New(rand.NewSource(int64(k) + 14))
 			randSeg := func() Segment {
 				base := bufs[rng.Intn(len(bufs))]
 				off := rng.Intn(200 * 1024)
@@ -129,7 +130,7 @@ func TestInvalidateDispatchMatchesScan(t *testing.T) {
 func TestPinnedLimitEvictsOldestOfEqualRecency(t *testing.T) {
 	for run := 0; run < 20; run++ {
 		h := newHarness(t)
-		m := h.manager(ManagerConfig{Policy: Permanent, PinnedPageLimit: 32})
+		m := h.manager(ManagerConfig{Policy: policy.Permanent, PinnedPageLimit: 32})
 		var rs []*Region
 		for i := 0; i < 3; i++ {
 			r, err := m.Declare([]Segment{{h.buf(t, 64*1024), 64 * 1024}})
@@ -153,7 +154,7 @@ func TestPinnedLimitEvictsOldestOfEqualRecency(t *testing.T) {
 // allocate nothing.
 func TestNotifierDispatchAllocationFree(t *testing.T) {
 	h := newHarness(t)
-	m := h.manager(ManagerConfig{Policy: OnDemand})
+	m := h.manager(ManagerConfig{Policy: policy.OnDemand})
 	c := cacheOn(h, m, CacheConfig{})
 	heap := h.buf(t, 1<<20)
 	for i := 0; i < 64; i++ {
@@ -187,7 +188,7 @@ func TestNotifierDispatchAllocationFree(t *testing.T) {
 // an unmap under one of its segments drops it.
 func TestCacheVectorialEntryInvalidatedThroughIndex(t *testing.T) {
 	h := newHarness(t)
-	m := h.manager(ManagerConfig{Policy: OnDemand})
+	m := h.manager(ManagerConfig{Policy: policy.OnDemand})
 	c := cacheOn(h, m, CacheConfig{})
 	a, gap, b := h.buf(t, 256*1024), h.buf(t, 256*1024), h.buf(t, 256*1024)
 	if !(a < gap && gap < b) {
@@ -225,7 +226,7 @@ func TestCacheVectorialEntryInvalidatedThroughIndex(t *testing.T) {
 func BenchmarkInvalidateMiss(b *testing.B) {
 	for _, n := range []int{8, 64, 512} {
 		b.Run(fmt.Sprintf("regions=%d", n), func(b *testing.B) {
-			m := newHarness(b).manager(ManagerConfig{Policy: OnDemand})
+			m := newHarness(b).manager(ManagerConfig{Policy: policy.OnDemand})
 			for i := 0; i < n; i++ {
 				if _, err := m.Declare([]Segment{{vm.Addr(0x10000000 + i*0x10000), 0x8000}}); err != nil {
 					b.Fatal(err)

@@ -13,12 +13,9 @@ import (
 
 // ManagerConfig tunes the driver-side pinning engine.
 type ManagerConfig struct {
-	// Policy selects a built-in backend by enum; ignored when Backend is
-	// set explicitly.
-	Policy PinPolicy
-	// Backend is the pinning strategy the manager consults. When nil it
-	// is resolved from Policy through the internal/policy registry.
-	Backend policy.Policy
+	// Policy is the pinning strategy the manager consults. Nil means
+	// policy.PinEachComm.
+	Policy policy.Policy
 	// PinnedPageLimit caps the total pages the manager keeps pinned; when a
 	// pin would exceed it, least-recently-used idle regions are unpinned
 	// first (paper §3.1: "if there are too many pinned pages ... it may
@@ -58,7 +55,6 @@ type Manager struct {
 	core *cpu.Core
 	spec cpu.Spec
 	cfg  ManagerConfig
-	pol  policy.Policy
 
 	// regions holds the declared regions in declaration (id) order, so
 	// every walk over them is deterministic; byAddr indexes the same
@@ -95,17 +91,16 @@ type Manager struct {
 // core. It registers itself as an MMU notifier on as (the paper attaches
 // the notifier when an endpoint is opened).
 func NewManager(eng *sim.Engine, as *vm.AddressSpace, core *cpu.Core, cfg ManagerConfig) *Manager {
-	if cfg.Backend == nil {
-		cfg.Backend = cfg.Policy.Backend()
+	if cfg.Policy == nil {
+		cfg.Policy = policy.PinEachComm
 	}
-	cfg.PinChunkPages = cfg.Backend.PinChunkPages(cfg.PinChunkPages)
+	cfg.PinChunkPages = cfg.Policy.PinChunkPages(cfg.PinChunkPages)
 	m := &Manager{
 		eng:  eng,
 		as:   as,
 		core: core,
 		spec: core.Spec(),
 		cfg:  cfg,
-		pol:  cfg.Backend,
 	}
 	as.RegisterNotifier(m)
 	return m
@@ -136,13 +131,6 @@ func (m *Manager) ReleaseAll() {
 		m.unpinNow(r)
 	}
 }
-
-// Policy returns the configured pin-policy enum value (the zero value
-// when the manager was built from an explicit Backend).
-func (m *Manager) Policy() PinPolicy { return m.cfg.Policy }
-
-// Backend returns the policy backend the manager consults.
-func (m *Manager) Backend() policy.Policy { return m.pol }
 
 // Stats returns a snapshot of the manager's counters.
 func (m *Manager) Stats() Stats { return m.stats }
@@ -196,14 +184,14 @@ func (m *Manager) Declare(segs []Segment) (*Region, error) {
 	}
 	r.as = m.as
 	r.mgr = m
-	r.noPin = m.pol.Access() != policy.AccessPinned
-	r.odp = m.pol.Access() == policy.AccessODP
+	r.noPin = m.cfg.Policy.Access() != policy.AccessPinned
+	r.odp = m.cfg.Policy.Access() == policy.AccessODP
 	m.nextID++
 	r.id = m.nextID
 	m.regions = append(m.regions, r) // ids only grow: the order holds
 	m.byAddr.insert(r.lo, r.hi, r.id, r)
 	m.stats.Declares++
-	if m.pol.PinAtDeclare() && !r.noPin {
+	if m.cfg.Policy.PinAtDeclare() && !r.noPin {
 		m.startPin(r)
 	}
 	return r, nil
@@ -229,12 +217,6 @@ func (m *Manager) Undeclare(r *Region) error {
 	m.stats.Undeclares++
 	return nil
 }
-
-// WaitBeforeUse reports whether communications under this policy must wait
-// for the Acquire completion before touching the region (synchronous
-// pinning) or may proceed immediately (overlapped). It is the complement
-// of the backend's blocking-request OverlapTransfer answer.
-func (p PinPolicy) WaitBeforeUse() bool { return !p.Backend().OverlapTransfer(true, false) }
 
 // OnPinProgress registers fn to run once at least pages of r are pinned
 // (immediately if they already are). If the pin fails or the region is
@@ -342,7 +324,7 @@ func (m *Manager) Release(r *Region) {
 		panic("core: Release without Acquire")
 	}
 	r.useCount--
-	if m.pol.UnpinOnRelease() && r.useCount == 0 {
+	if m.cfg.Policy.UnpinOnRelease() && r.useCount == 0 {
 		m.startUnpin(r)
 	}
 }

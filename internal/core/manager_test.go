@@ -5,6 +5,7 @@ import (
 	"testing"
 
 	"omxsim/internal/cpu"
+	"omxsim/internal/policy"
 	"omxsim/internal/sim"
 	"omxsim/internal/vm"
 )
@@ -44,7 +45,7 @@ func (h *harness) buf(t *testing.T, size int) vm.Addr {
 
 func TestDeclareDoesNotPin(t *testing.T) {
 	h := newHarness(t)
-	m := h.manager(ManagerConfig{Policy: OnDemand})
+	m := h.manager(ManagerConfig{Policy: policy.OnDemand})
 	addr := h.buf(t, 1<<20)
 	r, err := m.Declare([]Segment{{addr, 1 << 20}})
 	if err != nil {
@@ -61,7 +62,7 @@ func TestDeclareDoesNotPin(t *testing.T) {
 
 func TestPermanentPinsAtDeclare(t *testing.T) {
 	h := newHarness(t)
-	m := h.manager(ManagerConfig{Policy: Permanent})
+	m := h.manager(ManagerConfig{Policy: policy.Permanent})
 	addr := h.buf(t, 256*1024)
 	r, err := m.Declare([]Segment{{addr, 256 * 1024}})
 	if err != nil {
@@ -75,7 +76,7 @@ func TestPermanentPinsAtDeclare(t *testing.T) {
 
 func TestAcquirePinsOnDemandAndStaysPinned(t *testing.T) {
 	h := newHarness(t)
-	m := h.manager(ManagerConfig{Policy: OnDemand})
+	m := h.manager(ManagerConfig{Policy: policy.OnDemand})
 	addr := h.buf(t, 512*1024)
 	r, _ := m.Declare([]Segment{{addr, 512 * 1024}})
 	var errs []error
@@ -101,30 +102,42 @@ func TestAcquirePinsOnDemandAndStaysPinned(t *testing.T) {
 	}
 }
 
+// TestPinEachCommUnpinsAtRelease also covers the zero ManagerConfig: a
+// nil Policy means pin-each-comm.
 func TestPinEachCommUnpinsAtRelease(t *testing.T) {
-	h := newHarness(t)
-	m := h.manager(ManagerConfig{Policy: PinEachComm})
-	addr := h.buf(t, 256*1024)
-	r, _ := m.Declare([]Segment{{addr, 256 * 1024}})
-	m.Acquire(r)
-	h.eng.Run()
-	if !r.Pinned() {
-		t.Fatal("not pinned after acquire")
-	}
-	m.Release(r)
-	h.eng.Run()
-	if r.Pinned() || m.PinnedPages() != 0 {
-		t.Fatal("PinEachComm left pages pinned after release")
-	}
-	st := m.Stats()
-	if st.PinOps != 1 || st.UnpinOps != 1 {
-		t.Fatalf("stats = %+v", st)
+	for _, c := range []struct {
+		name string
+		cfg  ManagerConfig
+	}{
+		{"pin-each-comm", ManagerConfig{Policy: policy.PinEachComm}},
+		{"zero-config", ManagerConfig{}},
+	} {
+		t.Run(c.name, func(t *testing.T) {
+			h := newHarness(t)
+			m := h.manager(c.cfg)
+			addr := h.buf(t, 256*1024)
+			r, _ := m.Declare([]Segment{{addr, 256 * 1024}})
+			m.Acquire(r)
+			h.eng.Run()
+			if !r.Pinned() {
+				t.Fatal("not pinned after acquire")
+			}
+			m.Release(r)
+			h.eng.Run()
+			if r.Pinned() || m.PinnedPages() != 0 {
+				t.Fatal("left pages pinned after release")
+			}
+			st := m.Stats()
+			if st.PinOps != 1 || st.UnpinOps != 1 {
+				t.Fatalf("stats = %+v", st)
+			}
+		})
 	}
 }
 
 func TestPinCostChargedOnCore(t *testing.T) {
 	h := newHarness(t)
-	m := h.manager(ManagerConfig{Policy: OnDemand})
+	m := h.manager(ManagerConfig{Policy: policy.OnDemand})
 	addr := h.buf(t, 1<<20) // 256 pages
 	r, _ := m.Declare([]Segment{{addr, 1 << 20}})
 	m.Acquire(r)
@@ -139,12 +152,9 @@ func TestPinCostChargedOnCore(t *testing.T) {
 
 func TestOverlappedPinProgressesInChunks(t *testing.T) {
 	h := newHarness(t)
-	m := h.manager(ManagerConfig{Policy: Overlapped, PinChunkPages: 32})
+	m := h.manager(ManagerConfig{Policy: policy.Overlapped, PinChunkPages: 32})
 	addr := h.buf(t, 1<<20) // 256 pages
 	r, _ := m.Declare([]Segment{{addr, 1 << 20}})
-	if Overlapped.WaitBeforeUse() {
-		t.Fatal("Overlapped must not wait before use")
-	}
 	m.Acquire(r)
 	var progress []int
 	// Sample the cursor as the pin advances.
@@ -177,7 +187,7 @@ func TestOverlappedPinProgressesInChunks(t *testing.T) {
 
 func TestReadyTracksPinnedPrefix(t *testing.T) {
 	h := newHarness(t)
-	m := h.manager(ManagerConfig{Policy: Overlapped, PinChunkPages: 16})
+	m := h.manager(ManagerConfig{Policy: policy.Overlapped, PinChunkPages: 16})
 	addr := h.buf(t, 256*1024) // 64 pages
 	r, _ := m.Declare([]Segment{{addr, 256 * 1024}})
 	m.Acquire(r)
@@ -212,7 +222,7 @@ func TestPinFailsOnInvalidSegmentAtAcquireTime(t *testing.T) {
 	// Paper §3.1: declaring an invalid region succeeds; pinning fails at
 	// communication time and the request aborts.
 	h := newHarness(t)
-	m := h.manager(ManagerConfig{Policy: OnDemand})
+	m := h.manager(ManagerConfig{Policy: policy.OnDemand})
 	r, err := m.Declare([]Segment{{0xdead0000, 64 * 1024}})
 	if err != nil {
 		t.Fatalf("declare of invalid region failed: %v", err)
@@ -235,7 +245,7 @@ func TestNotifierUnpinsOnFree(t *testing.T) {
 	// (invalidate -> unpin), malloc again (same buffer), communicate
 	// (repin).
 	h := newHarness(t)
-	m := h.manager(ManagerConfig{Policy: OnDemand})
+	m := h.manager(ManagerConfig{Policy: policy.OnDemand})
 	addr := h.buf(t, 1<<20)
 	r, _ := m.Declare([]Segment{{addr, 1 << 20}})
 	m.Acquire(r)
@@ -271,7 +281,7 @@ func TestNotifierUnpinsOnFree(t *testing.T) {
 
 func TestInvalidateDuringOverlappedPinAbortsWaiters(t *testing.T) {
 	h := newHarness(t)
-	m := h.manager(ManagerConfig{Policy: Overlapped, PinChunkPages: 8})
+	m := h.manager(ManagerConfig{Policy: policy.Overlapped, PinChunkPages: 8})
 	addr := h.buf(t, 1<<20)
 	r, _ := m.Declare([]Segment{{addr, 1 << 20}})
 	done := m.Acquire(r)
@@ -296,7 +306,7 @@ func TestInvalidateDuringOverlappedPinAbortsWaiters(t *testing.T) {
 
 func TestPinnedPageLimitEvictsLRU(t *testing.T) {
 	h := newHarness(t)
-	m := h.manager(ManagerConfig{Policy: OnDemand, PinnedPageLimit: 100})
+	m := h.manager(ManagerConfig{Policy: policy.OnDemand, PinnedPageLimit: 100})
 	a1 := h.buf(t, 256*1024) // 64 pages
 	a2 := h.buf(t, 256*1024) // 64 pages
 	r1, _ := m.Declare([]Segment{{a1, 256 * 1024}})
@@ -329,7 +339,7 @@ func TestPinnedPageLimitEvictsLRU(t *testing.T) {
 
 func TestActiveRegionsNeverEvicted(t *testing.T) {
 	h := newHarness(t)
-	m := h.manager(ManagerConfig{Policy: OnDemand, PinnedPageLimit: 100})
+	m := h.manager(ManagerConfig{Policy: policy.OnDemand, PinnedPageLimit: 100})
 	a1 := h.buf(t, 256*1024)
 	a2 := h.buf(t, 256*1024)
 	r1, _ := m.Declare([]Segment{{a1, 256 * 1024}})
@@ -348,7 +358,7 @@ func TestActiveRegionsNeverEvicted(t *testing.T) {
 
 func TestRegionDataAccessThroughPins(t *testing.T) {
 	h := newHarness(t)
-	m := h.manager(ManagerConfig{Policy: OnDemand})
+	m := h.manager(ManagerConfig{Policy: policy.OnDemand})
 	addr := h.buf(t, 64*1024)
 	payload := make([]byte, 64*1024)
 	for i := range payload {
@@ -380,7 +390,7 @@ func TestRegionDataAccessThroughPins(t *testing.T) {
 
 func TestVectorialRegion(t *testing.T) {
 	h := newHarness(t)
-	m := h.manager(ManagerConfig{Policy: OnDemand})
+	m := h.manager(ManagerConfig{Policy: policy.OnDemand})
 	a1 := h.buf(t, 8192)
 	a2 := h.buf(t, 12*1024)
 	// Unaligned sub-ranges of two separate buffers.
@@ -423,7 +433,7 @@ func TestVectorialRegion(t *testing.T) {
 
 func TestUndeclareBusyRegionFails(t *testing.T) {
 	h := newHarness(t)
-	m := h.manager(ManagerConfig{Policy: OnDemand})
+	m := h.manager(ManagerConfig{Policy: policy.OnDemand})
 	addr := h.buf(t, 128*1024)
 	r, _ := m.Declare([]Segment{{addr, 128 * 1024}})
 	m.Acquire(r)
@@ -445,7 +455,7 @@ func TestUndeclareBusyRegionFails(t *testing.T) {
 
 func TestDeclareValidation(t *testing.T) {
 	h := newHarness(t)
-	m := h.manager(ManagerConfig{Policy: OnDemand})
+	m := h.manager(ManagerConfig{Policy: policy.OnDemand})
 	if _, err := m.Declare(nil); err == nil {
 		t.Fatal("empty declare succeeded")
 	}
@@ -463,7 +473,7 @@ func TestDeclareValidation(t *testing.T) {
 
 func TestCloseUnpinsEverything(t *testing.T) {
 	h := newHarness(t)
-	m := h.manager(ManagerConfig{Policy: Permanent})
+	m := h.manager(ManagerConfig{Policy: policy.Permanent})
 	addr := h.buf(t, 256*1024)
 	m.Declare([]Segment{{addr, 256 * 1024}})
 	h.eng.Run()
@@ -483,7 +493,7 @@ func TestCloseUnpinsEverything(t *testing.T) {
 
 func TestReleaseWithoutAcquirePanics(t *testing.T) {
 	h := newHarness(t)
-	m := h.manager(ManagerConfig{Policy: OnDemand})
+	m := h.manager(ManagerConfig{Policy: policy.OnDemand})
 	addr := h.buf(t, 4096)
 	r, _ := m.Declare([]Segment{{addr, 4096}})
 	defer func() {
@@ -494,25 +504,12 @@ func TestReleaseWithoutAcquirePanics(t *testing.T) {
 	m.Release(r)
 }
 
-func TestPolicyStrings(t *testing.T) {
-	for p, want := range map[PinPolicy]string{
-		PinEachComm: "pin-each-comm",
-		Permanent:   "permanent",
-		OnDemand:    "on-demand",
-		Overlapped:  "overlapped",
-	} {
-		if p.String() != want {
-			t.Errorf("%d.String() = %q, want %q", p, p.String(), want)
-		}
-	}
-}
-
 func TestForkDoesNotDisturbPinnedRegion(t *testing.T) {
 	// Fork copies pinned pages eagerly, so a pinned region's frames (the
 	// device's DMA targets) survive a fork untouched and no invalidation
 	// fires — while writes to COW-shared unpinned pages still notify.
 	h := newHarness(t)
-	m := h.manager(ManagerConfig{Policy: OnDemand})
+	m := h.manager(ManagerConfig{Policy: policy.OnDemand})
 	addr := h.buf(t, 256*1024)
 	other := h.buf(t, 4096)
 	h.as.Write(other, []byte("x"))

@@ -5,11 +5,12 @@ import (
 	"testing"
 
 	"omxsim/internal/cpu"
+	"omxsim/internal/policy"
 )
 
 func TestNoPinningNeverPins(t *testing.T) {
 	h := newHarness(t)
-	m := h.manager(ManagerConfig{Policy: NoPinning})
+	m := h.manager(ManagerConfig{Policy: policy.NoPinning})
 	addr := h.buf(t, 1<<20)
 	r, err := m.Declare([]Segment{{addr, 1 << 20}})
 	if err != nil {
@@ -34,7 +35,7 @@ func TestNoPinningNeverPins(t *testing.T) {
 
 func TestNoPinningAccessThroughPageTable(t *testing.T) {
 	h := newHarness(t)
-	m := h.manager(ManagerConfig{Policy: NoPinning})
+	m := h.manager(ManagerConfig{Policy: policy.NoPinning})
 	addr := h.buf(t, 128*1024)
 	want := make([]byte, 128*1024)
 	for i := range want {
@@ -65,7 +66,7 @@ func TestNoPinningSurvivesMigration(t *testing.T) {
 	// The NIC-MMU model follows the page table, so migration (which fires
 	// notifiers and would unpin a pinned region) is transparent.
 	h := newHarness(t)
-	m := h.manager(ManagerConfig{Policy: NoPinning})
+	m := h.manager(ManagerConfig{Policy: policy.NoPinning})
 	addr := h.buf(t, 64*1024)
 	h.as.Write(addr, []byte("before"))
 	r, _ := m.Declare([]Segment{{addr, 64 * 1024}})
@@ -85,7 +86,7 @@ func TestNoPinningSurvivesMigration(t *testing.T) {
 
 func TestNoPinningVectorial(t *testing.T) {
 	h := newHarness(t)
-	m := h.manager(ManagerConfig{Policy: NoPinning})
+	m := h.manager(ManagerConfig{Policy: policy.NoPinning})
 	a1 := h.buf(t, 8192)
 	a2 := h.buf(t, 8192)
 	r, _ := m.Declare([]Segment{{a1 + 3, 4000}, {a2 + 7, 5000}})

@@ -4,6 +4,7 @@ import (
 	"testing"
 
 	"omxsim/internal/cpu"
+	"omxsim/internal/policy"
 )
 
 // TestODPFaultsOnColdPages: a never-touched buffer is non-resident, so
@@ -11,7 +12,7 @@ import (
 // services it, the same range is Ready — without pinning anything.
 func TestODPFaultsOnColdPages(t *testing.T) {
 	h := newHarness(t)
-	m := h.manager(ManagerConfig{Policy: NoPinODP})
+	m := h.manager(ManagerConfig{Policy: policy.ODP})
 	addr := h.buf(t, 256*1024)
 	r, err := m.Declare([]Segment{{addr, 256 * 1024}})
 	if err != nil {
@@ -44,7 +45,7 @@ func TestODPFaultsOnColdPages(t *testing.T) {
 // flight do not issue duplicate requests for the same pages.
 func TestODPFaultDedup(t *testing.T) {
 	h := newHarness(t)
-	m := h.manager(ManagerConfig{Policy: NoPinODP})
+	m := h.manager(ManagerConfig{Policy: policy.ODP})
 	addr := h.buf(t, 128*1024)
 	r, _ := m.Declare([]Segment{{addr, 128 * 1024}})
 	m.Acquire(r)
@@ -70,7 +71,7 @@ func TestODPFaultDedup(t *testing.T) {
 // trades for never pinning.
 func TestODPSwapOutRefaults(t *testing.T) {
 	h := newHarness(t)
-	m := h.manager(ManagerConfig{Policy: NoPinODP})
+	m := h.manager(ManagerConfig{Policy: policy.ODP})
 	addr := h.buf(t, 64*1024)
 	want := []byte("survives swap")
 	if err := h.as.Write(addr, want); err != nil {
@@ -110,7 +111,7 @@ func TestODPSwapOutRefaults(t *testing.T) {
 // acquire finds it already pinned.
 func TestPinAheadSpeculation(t *testing.T) {
 	h := newHarness(t)
-	m := h.manager(ManagerConfig{Policy: PinAhead})
+	m := h.manager(ManagerConfig{Policy: policy.PinAhead})
 	addr := h.buf(t, 512*1024)
 	r, err := m.Declare([]Segment{{addr, 512 * 1024}})
 	if err != nil {

@@ -16,7 +16,7 @@ import (
 // contractManager builds a manager driven by the backend directly,
 // bypassing the enum, exactly like an out-of-tree plugin would.
 func contractManager(h *harness, pol policy.Policy) *Manager {
-	return NewManager(h.eng, h.as, h.core, ManagerConfig{Backend: pol})
+	return NewManager(h.eng, h.as, h.core, ManagerConfig{Policy: pol})
 }
 
 // waitReady drains the engine until the range is Ready (ODP needs one
@@ -184,45 +184,42 @@ func TestPolicyContractClose(t *testing.T) {
 // one.
 func TestPolicyContractBehaviours(t *testing.T) {
 	cases := []struct {
-		pol          PinPolicy
+		pol          policy.Policy
 		access       policy.AccessMode
 		pinAtDeclare bool
 		wait         bool
 		unpinRelease bool
 	}{
-		{PinEachComm, policy.AccessPinned, false, true, true},
-		{Permanent, policy.AccessPinned, true, true, false},
-		{OnDemand, policy.AccessPinned, false, true, false},
-		{Overlapped, policy.AccessPinned, false, false, false},
-		{NoPinning, policy.AccessPageTable, false, true, false},
-		{NoPinODP, policy.AccessODP, false, true, false},
-		{PinAhead, policy.AccessPinned, true, true, false},
+		{policy.PinEachComm, policy.AccessPinned, false, true, true},
+		{policy.Permanent, policy.AccessPinned, true, true, false},
+		{policy.OnDemand, policy.AccessPinned, false, true, false},
+		{policy.Overlapped, policy.AccessPinned, false, false, false},
+		{policy.NoPinning, policy.AccessPageTable, false, true, false},
+		{policy.ODP, policy.AccessODP, false, true, false},
+		{policy.PinAhead, policy.AccessPinned, true, true, false},
 	}
 	for _, c := range cases {
-		b := c.pol.Backend()
-		if b.Name() != c.pol.String() {
-			t.Errorf("%v: backend name %q", c.pol, b.Name())
+		p, name := c.pol, c.pol.Name()
+		if p.Access() != c.access {
+			t.Errorf("%s: access %v, want %v", name, p.Access(), c.access)
 		}
-		if b.Access() != c.access {
-			t.Errorf("%v: access %v, want %v", c.pol, b.Access(), c.access)
+		if p.PinAtDeclare() != c.pinAtDeclare {
+			t.Errorf("%s: PinAtDeclare %v", name, p.PinAtDeclare())
 		}
-		if b.PinAtDeclare() != c.pinAtDeclare {
-			t.Errorf("%v: PinAtDeclare %v", c.pol, b.PinAtDeclare())
+		if wait := !p.OverlapTransfer(true, false); wait != c.wait {
+			t.Errorf("%s: waits before use %v", name, wait)
 		}
-		if c.pol.WaitBeforeUse() != c.wait {
-			t.Errorf("%v: WaitBeforeUse %v", c.pol, c.pol.WaitBeforeUse())
-		}
-		if b.UnpinOnRelease() != c.unpinRelease {
-			t.Errorf("%v: UnpinOnRelease %v", c.pol, b.UnpinOnRelease())
+		if p.UnpinOnRelease() != c.unpinRelease {
+			t.Errorf("%s: UnpinOnRelease %v", name, p.UnpinOnRelease())
 		}
 	}
-	if !PinAhead.Backend().RequiresCache() {
+	if !policy.PinAhead.RequiresCache() {
 		t.Error("pin-ahead must require the region cache")
 	}
-	if Overlapped.Backend().OverlapTransfer(false, true) {
+	if policy.Overlapped.OverlapTransfer(false, true) {
 		t.Error("adaptive overlap must pin non-blocking requests synchronously")
 	}
-	if !Overlapped.Backend().OverlapTransfer(false, false) {
+	if !policy.Overlapped.OverlapTransfer(false, false) {
 		t.Error("plain overlapped must overlap every request")
 	}
 }

@@ -40,82 +40,19 @@ type Segment struct {
 // region in communication requests (paper §3.2: requests carry only this).
 type RegionID uint32
 
-// PinPolicy names a built-in pinning strategy. It is a compact selector
-// kept for configuration convenience: every value resolves, by name,
-// to a policy.Policy backend from the internal/policy registry, and the
-// Manager consults only that interface. New strategies do not extend
-// this enum — they register a backend and are selected via
-// omx.Config.Backend or the CLI's -policy flag.
-type PinPolicy int
+// PinPolicy and the three values below are aliases the omxbench module
+// still imports; ROADMAP item (b) under "One implementation per thing"
+// deletes them. Nothing else may use them.
+//
+// Deprecated: a pinning strategy is a policy.Policy.
+type PinPolicy = policy.Policy
 
-const (
-	// PinEachComm pins synchronously when a communication acquires the
-	// region and unpins when it releases it: the classical model, Figure 6's
-	// "Pin once per Communication".
-	PinEachComm PinPolicy = iota
-	// Permanent pins at declaration and unpins only at undeclaration:
-	// Figure 6's upper bound. Unsafe in general (ignores invalidations) but
-	// the paper uses it as the best-case reference.
-	Permanent
-	// OnDemand pins synchronously at first use and leaves the region
-	// pinned; MMU notifiers unpin on invalidation and the next use repins.
-	// Combined with the user-space Cache this is Figure 7's "Pinning Cache".
-	OnDemand
-	// Overlapped is OnDemand but the pin executes as deferred chunked
-	// kernel work while the transfer proceeds; accessors check the progress
-	// cursor (Figure 7's "Overlapped Pinning").
-	Overlapped
-	// NoPinning is the idealized QsNet-style model the paper's conclusion
-	// points at ("the idea of removing the need to pin entirely, as
-	// implemented on QSNET"): the NIC has a full MMU synchronized with the
-	// host page table, so nothing is ever pinned and accesses translate
-	// through the live page table at zero modeled cost. It is an upper
-	// bound, not something commodity Ethernet hardware can do.
-	NoPinning
-	// NoPinODP is the NP-RDMA-style on-demand-paging model: nothing is
-	// pinned and the NIC translates through the live page table, but an
-	// access to a non-resident page fails like an IOMMU page fault — the
-	// packet is dropped, the host services the page request
-	// asynchronously, and the NIC path retries with backoff.
-	NoPinODP
-	// PinAhead is the eBPF-mm-style user-guided model: declarations and
-	// application hints (omx.Endpoint.Advise) start pinning
-	// speculatively, ahead of any communication, so acquires usually
-	// find the region already pinned.
-	PinAhead
+// Deprecated: use the policy package's values.
+var (
+	PinEachComm = policy.PinEachComm
+	OnDemand    = policy.OnDemand
+	Overlapped  = policy.Overlapped
 )
-
-// String names the policy as in the paper's figures.
-func (p PinPolicy) String() string {
-	switch p {
-	case PinEachComm:
-		return "pin-each-comm"
-	case Permanent:
-		return "permanent"
-	case OnDemand:
-		return "on-demand"
-	case Overlapped:
-		return "overlapped"
-	case NoPinning:
-		return "no-pinning"
-	case NoPinODP:
-		return "odp"
-	case PinAhead:
-		return "pin-ahead"
-	default:
-		return fmt.Sprintf("policy(%d)", int(p))
-	}
-}
-
-// Backend resolves the enum value to its registered policy backend. An
-// unregistered name is a programming error.
-func (p PinPolicy) Backend() policy.Policy {
-	b, ok := policy.ByName(p.String())
-	if !ok {
-		panic(fmt.Sprintf("core: pin policy %q has no registered backend", p.String()))
-	}
-	return b
-}
 
 // Errors returned by region operations.
 var (

@@ -3,6 +3,7 @@ package core
 import (
 	"testing"
 
+	"omxsim/internal/policy"
 	"omxsim/internal/vm"
 )
 
@@ -12,7 +13,7 @@ import (
 // user's pins.
 func TestUnpinSkippedWhenReacquired(t *testing.T) {
 	h := newHarness(t)
-	m := h.manager(ManagerConfig{Policy: PinEachComm})
+	m := h.manager(ManagerConfig{Policy: policy.PinEachComm})
 	addr := h.buf(t, 512*1024)
 	r, err := m.Declare([]Segment{{addr, 512 * 1024}})
 	if err != nil {
@@ -48,7 +49,7 @@ func TestUnpinSkippedWhenReacquired(t *testing.T) {
 // completes.
 func TestStaleUnpinDoesNotCancelRepin(t *testing.T) {
 	h := newHarness(t)
-	m := h.manager(ManagerConfig{Policy: PinEachComm})
+	m := h.manager(ManagerConfig{Policy: policy.PinEachComm})
 	addr := h.buf(t, 512*1024)
 	r, err := m.Declare([]Segment{{addr, 512 * 1024}})
 	if err != nil {

@@ -188,13 +188,6 @@ func (c *Core) ID() int { return c.id }
 // Spec returns the host spec the core was built with.
 func (c *Core) Spec() Spec { return c.spec }
 
-// Busy reports whether the core is currently executing an item.
-func (c *Core) Busy() bool { return c.busy }
-
-// QueueLen reports the number of items waiting at priority p (not counting
-// the running item).
-func (c *Core) QueueLen(p Priority) int { return len(c.queues[p]) }
-
 // BusyTime reports accumulated execution time at priority p.
 func (c *Core) BusyTime(p Priority) sim.Duration { return c.busyTime[p] }
 

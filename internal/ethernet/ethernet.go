@@ -154,9 +154,6 @@ type txKey struct {
 	dst   int
 }
 
-// NodeID returns the identifier this NIC was registered under.
-func (n *NIC) NodeID() int { return n.nodeID }
-
 // MTU returns the NIC's maximum payload size.
 func (n *NIC) MTU() int { return n.mtu }
 
@@ -211,9 +208,6 @@ func (n *NIC) SetQueues(q int) {
 // engine (shard ownership).
 func (n *NIC) SetDown(down bool) { n.down = down }
 
-// Down reports whether the NIC is dark.
-func (n *NIC) Down() bool { return n.down }
-
 // SetDegraded opens one degradation window with the given impairments.
 // Windows nest: each SetDegraded must be balanced by one ClearDegraded,
 // and the NIC stays degraded (with the most recent effects) until the
@@ -231,18 +225,12 @@ func (n *NIC) ClearDegraded() {
 	n.degradeDepth--
 }
 
-// Degraded reports whether any degradation window is open.
-func (n *NIC) Degraded() bool { return n.degradeDepth > 0 }
-
 // SetHandler installs the RX interrupt handler.
 func (n *NIC) SetHandler(h func(*Frame)) { n.handler = h }
 
 // SetRxDelay sets the latency between wire arrival and handler invocation
 // (IRQ + NAPI pipeline latency; pure delay, no core time).
 func (n *NIC) SetRxDelay(d sim.Duration) { n.rxDelay = d }
-
-// RxDelay returns the configured interrupt pipeline latency.
-func (n *NIC) RxDelay() sim.Duration { return n.rxDelay }
 
 // Fabric is a set of NICs with a link between every pair (and a loopback
 // path within a node). Every inter-node pair shares the LinkConfig given at

@@ -4,10 +4,10 @@ import (
 	"testing"
 
 	"omxsim/internal/cluster"
-	"omxsim/internal/core"
 	"omxsim/internal/imb"
 	"omxsim/internal/mpi"
 	"omxsim/internal/omx"
+	"omxsim/internal/policy"
 	"omxsim/internal/sim"
 )
 
@@ -16,7 +16,7 @@ func run(t *testing.T, ranksPerNode int, body func(c *mpi.Comm)) *cluster.Cluste
 	cl, err := cluster.New(cluster.Config{
 		Nodes:        2,
 		RanksPerNode: ranksPerNode,
-		OMX:          omx.DefaultConfig(core.OnDemand, true),
+		OMX:          omx.DefaultConfig(policy.OnDemand, true),
 	})
 	if err != nil {
 		t.Fatal(err)

@@ -98,17 +98,6 @@ func SumInt32(dst, src []byte) {
 	}
 }
 
-// MaxFloat64 keeps the element-wise maximum of float64 elements.
-func MaxFloat64(dst, src []byte) {
-	for i := 0; i+8 <= len(dst); i += 8 {
-		d := math.Float64frombits(binary.LittleEndian.Uint64(dst[i:]))
-		s := math.Float64frombits(binary.LittleEndian.Uint64(src[i:]))
-		if s > d {
-			binary.LittleEndian.PutUint64(dst[i:], math.Float64bits(s))
-		}
-	}
-}
-
 // Reduce combines n bytes at addr across ranks with op, leaving the result
 // at addr on root (other ranks' buffers are unchanged). Binomial tree.
 // The combine itself costs CPU time proportional to the data touched.

@@ -7,9 +7,9 @@ import (
 	"testing"
 
 	"omxsim/internal/cluster"
-	"omxsim/internal/core"
 	"omxsim/internal/mpi"
 	"omxsim/internal/omx"
+	"omxsim/internal/policy"
 	"omxsim/internal/sim"
 	"omxsim/internal/vm"
 )
@@ -19,7 +19,7 @@ func newCluster(t *testing.T, nodes, ranksPerNode int) *cluster.Cluster {
 	cl, err := cluster.New(cluster.Config{
 		Nodes:        nodes,
 		RanksPerNode: ranksPerNode,
-		OMX:          omx.DefaultConfig(core.OnDemand, true),
+		OMX:          omx.DefaultConfig(policy.OnDemand, true),
 	})
 	if err != nil {
 		t.Fatal(err)

@@ -4,10 +4,10 @@ import (
 	"testing"
 
 	"omxsim/internal/cluster"
-	"omxsim/internal/core"
 	"omxsim/internal/mpi"
 	"omxsim/internal/npb"
 	"omxsim/internal/omx"
+	"omxsim/internal/policy"
 	"omxsim/internal/sim"
 )
 
@@ -29,7 +29,7 @@ func runIS(t *testing.T, class npb.Class, nodes, ranksPerNode int, cfg omx.Confi
 
 func TestISVerifiesSmallClasses(t *testing.T) {
 	for _, class := range []npb.Class{npb.ClassS, npb.ClassW} {
-		res := runIS(t, class, 2, 2, omx.DefaultConfig(core.OnDemand, true))
+		res := runIS(t, class, 2, 2, omx.DefaultConfig(policy.OnDemand, true))
 		if !res.Verified {
 			t.Fatalf("class %s failed verification", class.Name)
 		}
@@ -40,18 +40,18 @@ func TestISVerifiesSmallClasses(t *testing.T) {
 }
 
 func TestISVerifiesUnderAllPolicies(t *testing.T) {
-	for _, policy := range []core.PinPolicy{core.PinEachComm, core.OnDemand, core.Overlapped} {
-		cacheOn := policy == core.OnDemand
-		res := runIS(t, npb.ClassS, 2, 2, omx.DefaultConfig(policy, cacheOn))
+	for _, pol := range []policy.Policy{policy.PinEachComm, policy.OnDemand, policy.Overlapped} {
+		cacheOn := pol == policy.OnDemand
+		res := runIS(t, npb.ClassS, 2, 2, omx.DefaultConfig(pol, cacheOn))
 		if !res.Verified {
-			t.Fatalf("policy %v: verification failed", policy)
+			t.Fatalf("policy %s: verification failed", pol.Name())
 		}
 	}
 }
 
 func TestISRankCounts(t *testing.T) {
 	for _, shape := range [][2]int{{2, 1}, {2, 2}, {2, 4}} {
-		res := runIS(t, npb.ClassS, shape[0], shape[1], omx.DefaultConfig(core.OnDemand, true))
+		res := runIS(t, npb.ClassS, shape[0], shape[1], omx.DefaultConfig(policy.OnDemand, true))
 		if !res.Verified {
 			t.Fatalf("%dx%d: verification failed", shape[0], shape[1])
 		}
@@ -62,8 +62,8 @@ func TestISRankCounts(t *testing.T) {
 }
 
 func TestISDeterministic(t *testing.T) {
-	a := runIS(t, npb.ClassS, 2, 2, omx.DefaultConfig(core.OnDemand, true))
-	b := runIS(t, npb.ClassS, 2, 2, omx.DefaultConfig(core.OnDemand, true))
+	a := runIS(t, npb.ClassS, 2, 2, omx.DefaultConfig(policy.OnDemand, true))
+	b := runIS(t, npb.ClassS, 2, 2, omx.DefaultConfig(policy.OnDemand, true))
 	if a.Elapsed != b.Elapsed {
 		t.Fatalf("identical runs took %v vs %v", a.Elapsed, b.Elapsed)
 	}
@@ -84,9 +84,9 @@ func TestISResultString(t *testing.T) {
 func TestCGSmallMessagesUnaffectedByPinningPolicy(t *testing.T) {
 	// The paper's negative result: small-message NAS kernels "do not vary
 	// much" across pinning models, because only large messages pin.
-	measure := func(policy core.PinPolicy, cacheOn bool) sim.Duration {
+	measure := func(pol policy.Policy, cacheOn bool) sim.Duration {
 		cl, err := cluster.New(cluster.Config{Nodes: 2, RanksPerNode: 2,
-			OMX: omx.DefaultConfig(policy, cacheOn)})
+			OMX: omx.DefaultConfig(pol, cacheOn)})
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -98,19 +98,19 @@ func TestCGSmallMessagesUnaffectedByPinningPolicy(t *testing.T) {
 			}
 		})
 		if !res.Verified {
-			t.Fatalf("CG failed under %v", policy)
+			t.Fatalf("CG failed under %s", pol.Name())
 		}
 		// No pinning at all should have happened: everything is eager.
 		for _, ep := range cl.Endpoints {
 			if ep.Manager().Stats().PagesPinned != 0 {
-				t.Fatalf("%v: CG pinned pages despite eager-only traffic", policy)
+				t.Fatalf("%s: CG pinned pages despite eager-only traffic", pol.Name())
 			}
 		}
 		return res.Elapsed
 	}
-	base := measure(core.PinEachComm, false)
-	cached := measure(core.OnDemand, true)
-	overlapped := measure(core.Overlapped, false)
+	base := measure(policy.PinEachComm, false)
+	cached := measure(policy.OnDemand, true)
+	overlapped := measure(policy.Overlapped, false)
 	for name, v := range map[string]sim.Duration{"cache": cached, "overlap": overlapped} {
 		diff := float64(base-v) / float64(base) * 100
 		if diff > 1.0 || diff < -1.0 {
@@ -122,7 +122,7 @@ func TestCGSmallMessagesUnaffectedByPinningPolicy(t *testing.T) {
 func TestCGDeterministicResidual(t *testing.T) {
 	run := func() float64 {
 		cl, _ := cluster.New(cluster.Config{Nodes: 2, RanksPerNode: 2,
-			OMX: omx.DefaultConfig(core.OnDemand, true)})
+			OMX: omx.DefaultConfig(policy.OnDemand, true)})
 		var res npb.CGResult
 		cl.Run(func(c *mpi.Comm) {
 			r := npb.RunCG(c, npb.CGClassS)

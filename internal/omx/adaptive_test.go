@@ -3,8 +3,8 @@ package omx
 import (
 	"testing"
 
-	"omxsim/internal/core"
 	"omxsim/internal/ethernet"
+	"omxsim/internal/policy"
 	"omxsim/internal/sim"
 	"omxsim/internal/trace"
 )
@@ -28,7 +28,7 @@ func rndvSniffer(p *pair) *sim.Time {
 func TestAdaptiveOverlapBlockingVsNonBlocking(t *testing.T) {
 	const n = 16 << 20 // 4096 pages: pin takes ~220us on the E5460
 	run := func(blocking bool) sim.Time {
-		cfg := DefaultConfig(core.Overlapped, false)
+		cfg := DefaultConfig(policy.Overlapped, false)
 		cfg.AdaptiveOverlap = true
 		cfg.SyncPrefixPages = -1 // isolate the adaptive decision
 		p := newPair(t, cfg)
@@ -67,7 +67,7 @@ func TestAdaptiveOverlapBlockingVsNonBlocking(t *testing.T) {
 func TestSyncPrefixDelaysRendezvous(t *testing.T) {
 	const n = 16 << 20
 	run := func(prefix int) sim.Time {
-		cfg := DefaultConfig(core.Overlapped, false)
+		cfg := DefaultConfig(policy.Overlapped, false)
 		cfg.SyncPrefixPages = prefix
 		p := newPair(t, cfg)
 		at := rndvSniffer(p)
@@ -93,7 +93,7 @@ func TestSyncPrefixDelaysRendezvous(t *testing.T) {
 // TestNoPinningEndToEnd runs a transfer under the QsNet-style policy: data
 // flows correctly with zero pages ever pinned.
 func TestNoPinningEndToEnd(t *testing.T) {
-	cfg := DefaultConfig(core.NoPinning, true)
+	cfg := DefaultConfig(policy.NoPinning, true)
 	p := newPair(t, cfg)
 	transfer(t, p, 4<<20)
 	if p.a.Manager().Stats().PagesPinned != 0 || p.b.Manager().Stats().PagesPinned != 0 {
@@ -111,8 +111,8 @@ func TestNoPinningBeatsOrMatchesPermanent(t *testing.T) {
 		p := newPair(t, cfg)
 		return transfer(t, p, 8<<20)
 	}
-	nopin := measure(DefaultConfig(core.NoPinning, true))
-	perm := measure(DefaultConfig(core.Permanent, true))
+	nopin := measure(DefaultConfig(policy.NoPinning, true))
+	perm := measure(DefaultConfig(policy.Permanent, true))
 	if nopin > perm+perm/100 {
 		t.Fatalf("NoPinning (%v) slower than Permanent (%v)", nopin, perm)
 	}
@@ -121,7 +121,7 @@ func TestNoPinningBeatsOrMatchesPermanent(t *testing.T) {
 // TestTraceProtocolOrdering records a full rendezvous transfer and asserts
 // the paper's Figure 2/5 event ordering end to end.
 func TestTraceProtocolOrdering(t *testing.T) {
-	p := newPair(t, DefaultConfig(core.Overlapped, true))
+	p := newPair(t, DefaultConfig(policy.Overlapped, true))
 	recA := trace.NewRecorder(0)
 	recB := trace.NewRecorder(0)
 	p.a.SetTrace(recA)

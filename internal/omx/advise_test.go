@@ -3,14 +3,14 @@ package omx
 import (
 	"testing"
 
-	"omxsim/internal/core"
+	"omxsim/internal/policy"
 )
 
 // TestAdvisePinsAhead drives the user-facing hint path end to end: under
 // the pin-ahead backend, Advise alone — before any communication — must
 // leave the buffer pinned, so the transfer's acquire finds it ready.
 func TestAdvisePinsAhead(t *testing.T) {
-	p := newPair(t, DefaultConfig(core.PinAhead, true))
+	p := newPair(t, DefaultConfig(policy.PinAhead, true))
 	const n = 1 << 20
 	buf, err := p.a.Malloc(n)
 	if err != nil {
@@ -55,7 +55,7 @@ func TestAdvisePinsAhead(t *testing.T) {
 // Advise warms the declaration cache but pins nothing — and a bad hint
 // is silently ignored rather than failing anything.
 func TestAdviseIsHintOnly(t *testing.T) {
-	p := newPair(t, DefaultConfig(core.OnDemand, true))
+	p := newPair(t, DefaultConfig(policy.OnDemand, true))
 	const n = 512 * 1024
 	buf, err := p.a.Malloc(n)
 	if err != nil {

@@ -1,7 +1,6 @@
 package omx
 
 import (
-	"omxsim/internal/core"
 	"omxsim/internal/policy"
 	"omxsim/internal/sim"
 )
@@ -10,25 +9,20 @@ import (
 // The four throughput curves of the paper's Figures 6 and 7 are spanned by
 // (Policy, CacheEnabled):
 //
-//	Figure 6 "Pin once per Communication": PinEachComm, cache off
-//	Figure 6 "Permanent Pinning":          Permanent,   cache on
-//	Figure 7 "Regular Pinning":            PinEachComm, cache off
-//	Figure 7 "Overlapped Pinning":         Overlapped,  cache off
-//	Figure 7 "Pinning Cache":              OnDemand,    cache on
-//	Figure 7 "Overlapped Pinning Cache":   Overlapped,  cache on
+//	Figure 6 "Pin once per Communication": pin-each-comm, cache off
+//	Figure 6 "Permanent Pinning":          permanent,     cache on
+//	Figure 7 "Regular Pinning":            pin-each-comm, cache off
+//	Figure 7 "Overlapped Pinning":         overlapped,    cache off
+//	Figure 7 "Pinning Cache":              on-demand,     cache on
+//	Figure 7 "Overlapped Pinning Cache":   overlapped,    cache on
 type Config struct {
-	// Policy selects a built-in pinning strategy by enum; it resolves to
-	// a policy backend by name. Ignored when Backend is set.
-	Policy core.PinPolicy
-	// Backend selects the pinning strategy directly — any backend
-	// registered with internal/policy, including out-of-tree ones. When
-	// nil, Policy resolves it.
-	Backend policy.Policy
+	// Policy is the pinning strategy: any backend registered with
+	// internal/policy, including out-of-tree ones. Nil means
+	// policy.PinEachComm.
+	Policy policy.Policy
 	// CacheEnabled turns on the user-space region cache (paper §3.2).
 	// Backends whose RequiresCache is true (pin-ahead) force it on.
 	CacheEnabled bool
-	// CacheCapacity bounds cached declarations (0 = 64).
-	CacheCapacity int
 	// CacheByteCapacity bounds the total bytes covered by cached
 	// declarations (0 = unlimited). Under pressure the cache undeclares
 	// idle entries per CacheEviction until it fits.
@@ -36,19 +30,12 @@ type Config struct {
 	// CacheEviction names the cache eviction policy: "lru" (default) or
 	// "size" (largest idle entry first). See core.EvictorNames.
 	CacheEviction string
-	// CacheDropOnCOW drops cached declarations on mapping-preserving
-	// invalidations (COW, swap, migrate, mprotect) too, not just unmap —
-	// the conservative NP-RDMA-style staleness policy. Default off: the
-	// driver repins through an intact mapping transparently.
-	CacheDropOnCOW bool
 	// UseIOAT offloads receive copies of large-message data to the node's
 	// I/OAT DMA engine (paper §2.2).
 	UseIOAT bool
 	// EagerThreshold is the largest message sent eagerly; bigger ones use
 	// rendezvous. The MXoE spec fixes 32 KiB (paper §2.2).
 	EagerThreshold int
-	// PullBlockSize is the granularity of receiver pull requests.
-	PullBlockSize int
 	// PullWindow is how many pull blocks may be outstanding.
 	PullWindow int
 	// ReRequestDelay is the pull-block requeue timeout: a requested block
@@ -56,18 +43,6 @@ type Config struct {
 	// re-requested. It sits between service jitter (hundreds of µs under
 	// load) and the coarse RetransmitTimeout.
 	ReRequestDelay sim.Duration
-	// GapReReqDelay rate-limits the gap-driven optimistic re-request — the
-	// "requested again optimistically, instead of waiting for the
-	// retransmission timeout (1s)" of paper footnote 4: when fragments with
-	// higher offsets arrive while an older block still has holes, the hole
-	// is re-requested at most this often.
-	GapReReqDelay sim.Duration
-	// CrossGapDelay is the evidence threshold for cross-message re-request:
-	// a stalled pull is re-requested when other traffic from the same node
-	// flows but this message saw nothing for this long. It must exceed the
-	// receive-copy backlog jitter (several hundred µs at full window) or it
-	// false-fires and snowballs duplicate traffic.
-	CrossGapDelay sim.Duration
 	// RetransmitTimeout is the coarse fallback for lost control messages
 	// (rndv, eager, notify). The paper quotes 1 s; experiments here default
 	// lower to keep simulated runs short while preserving the two-level
@@ -103,47 +78,60 @@ type Config struct {
 	// pull requests never race a pin that has not effectively started.
 	// Set negative to disable (pure drop model).
 	SyncPrefixPages int
-	// SyscallCost is the user/kernel crossing charged per Isend/Irecv.
-	SyscallCost sim.Duration
-	// BHFragCost is the bottom-half protocol cost per received frame,
-	// excluding data copies.
-	BHFragCost sim.Duration
 }
+
+// Protocol parameters that no configuration varies.
+const (
+	// pullBlockSize is the granularity of receiver pull requests.
+	pullBlockSize = 32 * 1024
+	// gapReReqDelay rate-limits the gap-driven optimistic re-request — the
+	// "requested again optimistically, instead of waiting for the
+	// retransmission timeout (1s)" of paper footnote 4: when fragments with
+	// higher offsets arrive while an older block still has holes, the hole
+	// is re-requested at most this often.
+	gapReReqDelay = 100 * sim.Microsecond
+	// crossGapDelay is the evidence threshold for cross-message re-request:
+	// a stalled pull is re-requested when other traffic from the same node
+	// flows but this message saw nothing for this long. It must exceed the
+	// receive-copy backlog jitter (several hundred µs at full window) or it
+	// false-fires and snowballs duplicate traffic.
+	crossGapDelay = sim.Millisecond
+	// syscallCost is the user/kernel crossing charged per Isend/Irecv.
+	syscallCost = 300 * sim.Nanosecond
+	// bhFragCost is the bottom-half protocol cost per received frame,
+	// excluding data copies.
+	bhFragCost = 250 * sim.Nanosecond
+)
 
 // DefaultConfig returns the standard Open-MX configuration with the given
 // pinning policy and cache setting.
-func DefaultConfig(policy core.PinPolicy, cacheEnabled bool) Config {
+func DefaultConfig(pol policy.Policy, cacheEnabled bool) Config {
 	return Config{
-		Policy:            policy,
+		Policy:            pol,
 		CacheEnabled:      cacheEnabled,
 		EagerThreshold:    32 * 1024,
-		PullBlockSize:     32 * 1024,
 		PullWindow:        8,
 		ReRequestDelay:    2 * sim.Millisecond,
-		GapReReqDelay:     100 * sim.Microsecond,
-		CrossGapDelay:     sim.Millisecond,
 		RetransmitTimeout: 20 * sim.Millisecond,
 		SyncPrefixPages:   8, // one pull block (32 KiB)
-		SyscallCost:       300 * sim.Nanosecond,
-		BHFragCost:        250 * sim.Nanosecond,
 	}
 }
 
-// PolicyLabel names the effective pinning strategy for reports and
-// -policy filters: the explicit backend's name when set, else the enum's.
+// PolicyLabel names the pinning strategy for reports and -policy
+// filters.
 func (c Config) PolicyLabel() string {
-	if c.Backend != nil {
-		return c.Backend.Name()
+	if c.Policy == nil {
+		return policy.PinEachComm.Name()
 	}
-	return c.Policy.String()
+	return c.Policy.Name()
 }
 
-// withDefaults fills zero fields and resolves the policy backend.
+// withDefaults fills zero fields, a nil Policy included.
 func (c Config) withDefaults() Config {
-	if c.Backend == nil {
-		c.Backend = c.Policy.Backend()
+	if c.Policy == nil {
+		c.Policy = policy.PinEachComm
 	}
-	if c.Backend.RequiresCache() {
+	if c.Policy.RequiresCache() {
 		c.CacheEnabled = true
 	}
 	if c.CacheEviction == "" {
@@ -153,20 +141,11 @@ func (c Config) withDefaults() Config {
 	if c.EagerThreshold == 0 {
 		c.EagerThreshold = d.EagerThreshold
 	}
-	if c.PullBlockSize == 0 {
-		c.PullBlockSize = d.PullBlockSize
-	}
 	if c.PullWindow == 0 {
 		c.PullWindow = d.PullWindow
 	}
 	if c.ReRequestDelay == 0 {
 		c.ReRequestDelay = d.ReRequestDelay
-	}
-	if c.GapReReqDelay == 0 {
-		c.GapReReqDelay = d.GapReReqDelay
-	}
-	if c.CrossGapDelay == 0 {
-		c.CrossGapDelay = d.CrossGapDelay
 	}
 	if c.RetransmitTimeout == 0 {
 		c.RetransmitTimeout = d.RetransmitTimeout
@@ -181,12 +160,6 @@ func (c Config) withDefaults() Config {
 	}
 	if c.SyncPrefixPages < 0 {
 		c.SyncPrefixPages = 0
-	}
-	if c.SyscallCost == 0 {
-		c.SyscallCost = d.SyscallCost
-	}
-	if c.BHFragCost == 0 {
-		c.BHFragCost = d.BHFragCost
 	}
 	return c
 }

@@ -3,8 +3,8 @@ package omx
 import (
 	"testing"
 
-	"omxsim/internal/core"
 	"omxsim/internal/ethernet"
+	"omxsim/internal/policy"
 	"omxsim/internal/sim"
 )
 
@@ -12,7 +12,7 @@ import (
 // under a tight driver pinned-page limit: the kernel LRU must keep total
 // pinned pages bounded while every transfer still completes and verifies.
 func TestPinnedPageLimitEndToEnd(t *testing.T) {
-	cfg := DefaultConfig(core.OnDemand, true)
+	cfg := DefaultConfig(policy.OnDemand, true)
 	cfg.PinnedPageLimit = 300 // ~1.2 MiB
 	p := newPair(t, cfg)
 	const n = 512 * 1024 // 128 pages per buffer
@@ -65,7 +65,7 @@ func TestPinnedPageLimitEndToEnd(t *testing.T) {
 // are in flight: the sender's request must abort via its retransmit limit
 // rather than hang, and late frames for the dead endpoint are dropped.
 func TestCloseEndpointMidTraffic(t *testing.T) {
-	cfg := DefaultConfig(core.OnDemand, true)
+	cfg := DefaultConfig(policy.OnDemand, true)
 	cfg.RetransmitTimeout = 200 * sim.Microsecond
 	p := newPair(t, cfg)
 	const n = 8 << 20
@@ -99,12 +99,12 @@ func TestCloseEndpointMidTraffic(t *testing.T) {
 // TestMultipleEndpointsPerNode runs independent endpoint pairs sharing
 // NICs and RX cores: traffic must not cross-match between endpoints.
 func TestMultipleEndpointsPerNode(t *testing.T) {
-	p := newPair(t, DefaultConfig(core.OnDemand, true))
-	a2, err := p.n0.OpenEndpoint(1, 2, DefaultConfig(core.OnDemand, true))
+	p := newPair(t, DefaultConfig(policy.OnDemand, true))
+	a2, err := p.n0.OpenEndpoint(1, 2, DefaultConfig(policy.OnDemand, true))
 	if err != nil {
 		t.Fatal(err)
 	}
-	b2, err := p.n1.OpenEndpoint(1, 2, DefaultConfig(core.OnDemand, true))
+	b2, err := p.n1.OpenEndpoint(1, 2, DefaultConfig(policy.OnDemand, true))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -152,7 +152,7 @@ func TestMultipleEndpointsPerNode(t *testing.T) {
 // TestUnreachablePeerAborts sends into a black hole (all frames dropped):
 // the request must abort after the retransmit limit, not hang.
 func TestUnreachablePeerAborts(t *testing.T) {
-	cfg := DefaultConfig(core.OnDemand, true)
+	cfg := DefaultConfig(policy.OnDemand, true)
 	cfg.RetransmitTimeout = 100 * sim.Microsecond
 	p := newPair(t, cfg)
 	p.fabric.DropFilter = func(fr *ethernet.Frame) bool { return true }

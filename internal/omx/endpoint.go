@@ -320,7 +320,7 @@ func (ep *Endpoint) IsendVHint(segs []Segment, match uint64, dst EndpointAddr, b
 	ss := &sendState{dst: dst, seq: seq, total: total, req: req, quietSince: ep.node.Eng.Now()}
 	ep.sends[sendKey{dst, seq}] = ss
 	// The syscall enters the kernel, then the send path runs.
-	ep.core.Submit(cpu.Kernel, ep.cfg.SyscallCost, func() {
+	ep.core.Submit(cpu.Kernel, syscallCost, func() {
 		if total <= ep.cfg.EagerThreshold {
 			ep.startEager(ss, match)
 		} else {
@@ -354,7 +354,7 @@ func (ep *Endpoint) IrecvVHint(segs []Segment, match, mask uint64, blocking bool
 	req := &Request{Kind: KindRecv, ep: ep, match: match, mask: mask, postedLen: total,
 		segs: segs, overlap: ep.useOverlap(blocking)}
 	ep.node.inflight++
-	ep.core.Submit(cpu.Kernel, ep.cfg.SyscallCost, func() {
+	ep.core.Submit(cpu.Kernel, syscallCost, func() {
 		if total > ep.cfg.EagerThreshold {
 			ep.proc.cache.GetAsyncOn(ep.core, segs, func(r *core.Region, err error) {
 				if err != nil {
@@ -375,7 +375,7 @@ func (ep *Endpoint) IrecvVHint(segs []Segment, match, mask uint64, blocking bool
 // pinning with the transfer (per request: the application's blocking
 // hint plus the endpoint's AdaptiveOverlap configuration, paper §5).
 func (ep *Endpoint) useOverlap(blocking bool) bool {
-	return ep.cfg.Backend.OverlapTransfer(blocking, ep.cfg.AdaptiveOverlap)
+	return ep.cfg.Policy.OverlapTransfer(blocking, ep.cfg.AdaptiveOverlap)
 }
 
 // Advise hints that segs will be used for communication soon — the
@@ -395,7 +395,7 @@ func (ep *Endpoint) AdviseV(segs []Segment) {
 	if len(segs) == 0 {
 		return
 	}
-	ep.core.Submit(cpu.Kernel, ep.cfg.SyscallCost, func() {
+	ep.core.Submit(cpu.Kernel, syscallCost, func() {
 		ep.proc.cache.GetAsyncOn(ep.core, segs, func(r *core.Region, err error) {
 			if err != nil {
 				return // a bad hint is not an error; the transfer will fail loudly
@@ -540,7 +540,7 @@ func (ep *Endpoint) crashAbort(err error) {
 // RX core; multi-queue NICs spread flows across cores).
 func (ep *Endpoint) dispatchBH(payload any, queue int) {
 	rx := ep.node.RxCoreFor(queue)
-	cost := ep.cfg.BHFragCost
+	cost := bhFragCost
 	switch m := payload.(type) {
 	case *eagerFrag:
 		// The copy into the kernel intermediate buffer happens in the

@@ -15,12 +15,12 @@ import (
 func TestConfigureMemoryRunsKswapd(t *testing.T) {
 	eng := sim.NewEngine(1)
 	fabric := ethernet.NewFabric(eng, ethernet.DefaultLinkConfig())
-	n := NewNode(eng, fabric, cpu.XeonE5460, 0, 0)
+	n := NewNode(eng, fabric, cpu.XeonE5460, 0)
 	n.ConfigureMemory(MemConfig{Frames: 256})
 	if n.Kswapd() == nil {
 		t.Fatal("kswapd not started")
 	}
-	p, err := n.NewProcess(0, 1, DefaultConfig(0, false))
+	p, err := n.NewProcess(0, 1, DefaultConfig(nil, false))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -61,7 +61,7 @@ func TestConfigureMemoryRunsKswapd(t *testing.T) {
 func TestConfigureMemoryUnbounded(t *testing.T) {
 	eng := sim.NewEngine(1)
 	fabric := ethernet.NewFabric(eng, ethernet.DefaultLinkConfig())
-	n := NewNode(eng, fabric, cpu.XeonE5460, 0, 0)
+	n := NewNode(eng, fabric, cpu.XeonE5460, 0)
 	n.ConfigureMemory(MemConfig{})
 	if n.Kswapd() != nil || n.Phys.Capacity() != 0 {
 		t.Fatal("unbounded node grew reclaim state")

@@ -42,11 +42,9 @@ type Node struct {
 
 	// rxCore runs interrupt bottom halves (all RX protocol processing) for
 	// rx queue 0; multi-queue nodes spread further queues across cores
-	// starting from rxCore's index (ConfigureQueues).
+	// starting from rxCoreIdx (ConfigureQueues).
 	rxCore *cpu.Core
-	// rxCoreIdx remembers the base interrupt core index for the per-queue
-	// core mapping; rxQueues is the NIC queue count (>= 1).
-	rxCoreIdx int
+	// rxQueues is the NIC queue count (>= 1).
 	rxQueues  int
 	endpoints map[int]*Endpoint
 	stats     NodeStats
@@ -54,14 +52,6 @@ type Node struct {
 	// kswapd is the background reclaimer started by ConfigureMemory
 	// (nil while physical memory is unbounded).
 	kswapd *sim.Recurring
-
-	// intrDelay is the latency between a frame landing in the NIC ring and
-	// its bottom half being runnable (IRQ signalling + NAPI scheduling).
-	// It is pure pipeline latency — it does not consume core time — and is
-	// the dominant term in Open-MX's 10-20us rendezvous round trip
-	// (paper §3.3 footnote 2). It is applied by the NIC at frame delivery
-	// (one event per frame instead of two); use SetIntrDelay to change it.
-	intrDelay sim.Duration
 
 	// inflight counts requests issued but not completed; it must drain to
 	// zero by the end of a run (the chaos scenarios assert it — a crash
@@ -84,23 +74,25 @@ func (n *Node) Crashed() bool { return n.crashed }
 // completions).
 func (n *Node) SetAbortHook(fn func(kind ReqKind, err error)) { n.onAbort = fn }
 
-// SetIntrDelay changes the IRQ/NAPI pipeline latency for this node's NIC.
-func (n *Node) SetIntrDelay(d sim.Duration) {
-	n.intrDelay = d
-	n.NIC.SetRxDelay(d)
-}
-
-// IntrDelay returns the node's IRQ/NAPI pipeline latency.
-func (n *Node) IntrDelay() sim.Duration { return n.intrDelay }
+// SetIntrDelay changes the IRQ/NAPI pipeline latency for this node's NIC:
+// the latency between a frame landing in the NIC ring and its bottom half
+// being runnable (IRQ signalling + NAPI scheduling). It is pure pipeline
+// latency — it does not consume core time — and is the dominant term in
+// Open-MX's 10-20us rendezvous round trip (paper §3.3 footnote 2). The NIC
+// applies it at frame delivery (one event per frame instead of two).
+func (n *Node) SetIntrDelay(d sim.Duration) { n.NIC.SetRxDelay(d) }
 
 // DefaultIntrDelay places the simulated rendezvous round trip in the
 // paper's 10-20us window.
 const DefaultIntrDelay = 5 * sim.Microsecond
 
-// NewNode creates a host on the fabric. rxCoreIdx selects the core that
-// services NIC interrupts (the paper's §4.3 overload scenario binds the
-// application to this same core).
-func NewNode(eng *sim.Engine, fabric *ethernet.Fabric, spec cpu.Spec, id, rxCoreIdx int) *Node {
+// rxCoreIdx is the core that services NIC interrupts on every node (the
+// paper's §4.3 overload scenario binds the application to this same
+// core).
+const rxCoreIdx = 0
+
+// NewNode creates a host on the fabric.
+func NewNode(eng *sim.Engine, fabric *ethernet.Fabric, spec cpu.Spec, id int) *Node {
 	n := &Node{
 		ID:        id,
 		Eng:       eng,
@@ -111,7 +103,6 @@ func NewNode(eng *sim.Engine, fabric *ethernet.Fabric, spec cpu.Spec, id, rxCore
 		endpoints: make(map[int]*Endpoint),
 	}
 	n.rxCore = n.Machine.Core(rxCoreIdx)
-	n.rxCoreIdx = rxCoreIdx
 	n.rxQueues = 1
 	n.NIC.SetHandler(n.onFrame)
 	n.SetIntrDelay(DefaultIntrDelay)
@@ -138,7 +129,7 @@ func (n *Node) RxCoreFor(q int) *cpu.Core {
 	if q <= 0 || n.rxQueues == 1 {
 		return n.rxCore
 	}
-	return n.Machine.Core((n.rxCoreIdx + q) % n.Machine.NumCores())
+	return n.Machine.Core((rxCoreIdx + q) % n.Machine.NumCores())
 }
 
 // RxQueues returns the node's NIC queue count.

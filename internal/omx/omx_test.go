@@ -4,9 +4,9 @@ import (
 	"bytes"
 	"testing"
 
-	"omxsim/internal/core"
 	"omxsim/internal/cpu"
 	"omxsim/internal/ethernet"
+	"omxsim/internal/policy"
 	"omxsim/internal/sim"
 	"omxsim/internal/vm"
 )
@@ -23,8 +23,8 @@ func newPair(t *testing.T, cfg Config) *pair {
 	t.Helper()
 	eng := sim.NewEngine(11)
 	fabric := ethernet.NewFabric(eng, ethernet.DefaultLinkConfig())
-	n0 := NewNode(eng, fabric, cpu.XeonE5460, 0, 0)
-	n1 := NewNode(eng, fabric, cpu.XeonE5460, 1, 0)
+	n0 := NewNode(eng, fabric, cpu.XeonE5460, 0)
+	n1 := NewNode(eng, fabric, cpu.XeonE5460, 1)
 	// Application on core 1, bottom halves on core 0 (the normal layout).
 	a, err := n0.OpenEndpoint(0, 1, cfg)
 	if err != nil {
@@ -100,7 +100,7 @@ func transfer(t *testing.T, p *pair, n int) sim.Duration {
 
 func TestEagerRoundTrip(t *testing.T) {
 	for _, n := range []int{0, 1, 100, 4096, 9000, 32 * 1024} {
-		p := newPair(t, DefaultConfig(core.OnDemand, true))
+		p := newPair(t, DefaultConfig(policy.OnDemand, true))
 		if n == 0 {
 			// Zero-byte message: envelope only.
 			var done bool
@@ -129,19 +129,19 @@ func TestEagerRoundTrip(t *testing.T) {
 }
 
 func TestLargeTransferAllPolicies(t *testing.T) {
-	for _, policy := range []core.PinPolicy{core.PinEachComm, core.Permanent, core.OnDemand, core.Overlapped} {
+	for _, pol := range []policy.Policy{policy.PinEachComm, policy.Permanent, policy.OnDemand, policy.Overlapped} {
 		for _, cacheOn := range []bool{false, true} {
-			if policy == core.Permanent && !cacheOn {
+			if pol == policy.Permanent && !cacheOn {
 				continue // permanent pinning requires cached declarations
 			}
 			for _, ioat := range []bool{false, true} {
-				cfg := DefaultConfig(policy, cacheOn)
+				cfg := DefaultConfig(pol, cacheOn)
 				cfg.UseIOAT = ioat
 				p := newPair(t, cfg)
 				transfer(t, p, 1<<20)
 				st := p.b.Manager().Stats()
-				if policy != core.Permanent && st.PagesPinned == 0 {
-					t.Fatalf("%v/cache=%v: receive region never pinned", policy, cacheOn)
+				if pol != policy.Permanent && st.PagesPinned == 0 {
+					t.Fatalf("%s/cache=%v: receive region never pinned", pol.Name(), cacheOn)
 				}
 			}
 		}
@@ -149,7 +149,7 @@ func TestLargeTransferAllPolicies(t *testing.T) {
 }
 
 func TestLargeTransfer16MB(t *testing.T) {
-	p := newPair(t, DefaultConfig(core.Overlapped, true))
+	p := newPair(t, DefaultConfig(policy.Overlapped, true))
 	elapsed := transfer(t, p, 16<<20)
 	mibps := float64(16<<20) / elapsed.Seconds() / (1 << 20)
 	// 10G wire, I/OAT off: copy-bound, but must still be high hundreds of MiB/s.
@@ -159,7 +159,7 @@ func TestLargeTransfer16MB(t *testing.T) {
 }
 
 func TestPinEachCommUnpinsAfterTransfer(t *testing.T) {
-	p := newPair(t, DefaultConfig(core.PinEachComm, false))
+	p := newPair(t, DefaultConfig(policy.PinEachComm, false))
 	transfer(t, p, 1<<20)
 	if got := p.a.Manager().PinnedPages(); got != 0 {
 		t.Fatalf("sender still has %d pinned pages", got)
@@ -173,7 +173,7 @@ func TestPinEachCommUnpinsAfterTransfer(t *testing.T) {
 }
 
 func TestCacheHitOnReuse(t *testing.T) {
-	p := newPair(t, DefaultConfig(core.OnDemand, true))
+	p := newPair(t, DefaultConfig(policy.OnDemand, true))
 	n := 1 << 20
 	sbuf, _ := p.a.Malloc(n)
 	rbuf, _ := p.b.Malloc(n)
@@ -200,7 +200,7 @@ func TestCacheHitOnReuse(t *testing.T) {
 }
 
 func TestUnexpectedMessageMatchedLater(t *testing.T) {
-	p := newPair(t, DefaultConfig(core.OnDemand, true))
+	p := newPair(t, DefaultConfig(policy.OnDemand, true))
 	n := 1 << 20
 	sbuf, _ := p.a.Malloc(n)
 	rbuf, _ := p.b.Malloc(n)
@@ -229,7 +229,7 @@ func TestUnexpectedMessageMatchedLater(t *testing.T) {
 }
 
 func TestMatchingMaskAndOrder(t *testing.T) {
-	p := newPair(t, DefaultConfig(core.OnDemand, true))
+	p := newPair(t, DefaultConfig(policy.OnDemand, true))
 	n := 8192
 	s1, _ := p.a.Malloc(n)
 	s2, _ := p.a.Malloc(n)
@@ -264,7 +264,7 @@ func TestMatchingMaskAndOrder(t *testing.T) {
 }
 
 func TestTruncationErrors(t *testing.T) {
-	p := newPair(t, DefaultConfig(core.OnDemand, true))
+	p := newPair(t, DefaultConfig(policy.OnDemand, true))
 	sbuf, _ := p.a.Malloc(256 * 1024)
 	rbuf, _ := p.b.Malloc(64 * 1024)
 	fill(t, p.a, sbuf, 256*1024, 1)
@@ -286,7 +286,7 @@ func TestTruncationErrors(t *testing.T) {
 }
 
 func TestEagerTruncation(t *testing.T) {
-	p := newPair(t, DefaultConfig(core.OnDemand, true))
+	p := newPair(t, DefaultConfig(policy.OnDemand, true))
 	sbuf, _ := p.a.Malloc(16 * 1024)
 	rbuf, _ := p.b.Malloc(4 * 1024)
 	want := fill(t, p.a, sbuf, 16*1024, 2)
@@ -313,7 +313,7 @@ func TestEagerTruncation(t *testing.T) {
 
 func TestMessageOrderingPreserved(t *testing.T) {
 	// Two same-tag messages must match posted receives in send order.
-	p := newPair(t, DefaultConfig(core.OnDemand, true))
+	p := newPair(t, DefaultConfig(policy.OnDemand, true))
 	n := 128 * 1024
 	s1, _ := p.a.Malloc(n)
 	s2, _ := p.a.Malloc(n)
@@ -342,7 +342,7 @@ func TestMessageOrderingPreserved(t *testing.T) {
 }
 
 func TestVectorialSendRecv(t *testing.T) {
-	p := newPair(t, DefaultConfig(core.OnDemand, true))
+	p := newPair(t, DefaultConfig(policy.OnDemand, true))
 	a1, _ := p.a.Malloc(300 * 1024)
 	a2, _ := p.a.Malloc(300 * 1024)
 	b1, _ := p.b.Malloc(400 * 1024)
@@ -376,7 +376,7 @@ func TestVectorialSendRecv(t *testing.T) {
 }
 
 func TestPacketLossRecovery(t *testing.T) {
-	cfg := DefaultConfig(core.OnDemand, true)
+	cfg := DefaultConfig(policy.OnDemand, true)
 	cfg.ReRequestDelay = 100 * sim.Microsecond
 	cfg.RetransmitTimeout = 2 * sim.Millisecond
 	p := newPair(t, cfg)
@@ -393,7 +393,7 @@ func TestPacketLossRecovery(t *testing.T) {
 }
 
 func TestEagerLossRecovery(t *testing.T) {
-	cfg := DefaultConfig(core.OnDemand, true)
+	cfg := DefaultConfig(policy.OnDemand, true)
 	cfg.RetransmitTimeout = sim.Millisecond
 	p := newPair(t, cfg)
 	count := 0
@@ -410,7 +410,7 @@ func TestEagerLossRecovery(t *testing.T) {
 func TestInvalidSendBufferAborts(t *testing.T) {
 	// Paper §3.1: invalid region declares fine; the request aborts when
 	// pinning fails at communication time.
-	p := newPair(t, DefaultConfig(core.OnDemand, true))
+	p := newPair(t, DefaultConfig(policy.OnDemand, true))
 	rbuf, _ := p.b.Malloc(1 << 20)
 	var sendErr error
 	p.eng.Go("s", func(pr *sim.Proc) {
@@ -427,7 +427,7 @@ func TestInvalidSendBufferAborts(t *testing.T) {
 }
 
 func TestSendToSelfLoopback(t *testing.T) {
-	p := newPair(t, DefaultConfig(core.OnDemand, true))
+	p := newPair(t, DefaultConfig(policy.OnDemand, true))
 	p.fabric.LoopbackBytesPerSec = 4e9
 	n := 256 * 1024
 	sbuf, _ := p.a.Malloc(n)
@@ -447,7 +447,7 @@ func TestSendToSelfLoopback(t *testing.T) {
 }
 
 func TestManySmallMessagesBothDirections(t *testing.T) {
-	p := newPair(t, DefaultConfig(core.OnDemand, true))
+	p := newPair(t, DefaultConfig(policy.OnDemand, true))
 	const iters = 50
 	n := 2048
 	abuf, _ := p.a.Malloc(n)
@@ -486,7 +486,7 @@ func TestManySmallMessagesBothDirections(t *testing.T) {
 func TestFreeDuringTransferAborts(t *testing.T) {
 	// Freeing the receive buffer mid-pull invalidates the region; the
 	// receive must abort rather than DMA into freed memory.
-	cfg := DefaultConfig(core.Overlapped, true)
+	cfg := DefaultConfig(policy.Overlapped, true)
 	cfg.RetransmitTimeout = 500 * sim.Microsecond
 	p := newPair(t, cfg)
 	n := 8 << 20
@@ -520,11 +520,11 @@ func TestFreeDuringTransferAborts(t *testing.T) {
 }
 
 func TestEndpointOpenCloseLifecycle(t *testing.T) {
-	p := newPair(t, DefaultConfig(core.OnDemand, true))
-	if _, err := p.n0.OpenEndpoint(0, 1, DefaultConfig(core.OnDemand, true)); err == nil {
+	p := newPair(t, DefaultConfig(policy.OnDemand, true))
+	if _, err := p.n0.OpenEndpoint(0, 1, DefaultConfig(policy.OnDemand, true)); err == nil {
 		t.Fatal("duplicate endpoint id accepted")
 	}
-	ep2, err := p.n0.OpenEndpoint(5, 2, DefaultConfig(core.OnDemand, true))
+	ep2, err := p.n0.OpenEndpoint(5, 2, DefaultConfig(policy.OnDemand, true))
 	if err != nil {
 		t.Fatal(err)
 	}

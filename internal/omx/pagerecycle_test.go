@@ -4,7 +4,7 @@ import (
 	"bytes"
 	"testing"
 
-	"omxsim/internal/core"
+	"omxsim/internal/policy"
 	"omxsim/internal/sim"
 	"omxsim/internal/vm"
 )
@@ -23,7 +23,7 @@ func TestReallocPingPongRecyclesSenderPages(t *testing.T) {
 		iters = 4
 	)
 	for _, ioat := range []bool{false, true} {
-		cfg := DefaultConfig(core.Overlapped, true)
+		cfg := DefaultConfig(policy.Overlapped, true)
 		cfg.UseIOAT = ioat
 		p := newPair(t, cfg)
 		for it := 0; it < iters; it++ {

@@ -46,16 +46,13 @@ func (n *Node) NewProcess(pid, coreIdx int, cfg Config) (*Process, error) {
 	appCore := n.Machine.Core(coreIdx)
 	mgr := core.NewManager(n.Eng, as, appCore, core.ManagerConfig{
 		Policy:          cfg.Policy,
-		Backend:         cfg.Backend,
 		PinnedPageLimit: cfg.PinnedPageLimit,
 		PinChunkPages:   cfg.PinChunkPages,
 	})
 	cache := core.NewCache(n.Eng, mgr, appCore, core.CacheConfig{
 		Enabled:      cfg.CacheEnabled,
-		Capacity:     cfg.CacheCapacity,
 		ByteCapacity: cfg.CacheByteCapacity,
 		Eviction:     cfg.CacheEviction,
-		DropOnCOW:    cfg.CacheDropOnCOW,
 	})
 	p := &Process{
 		node:  n,

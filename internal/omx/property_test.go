@@ -9,6 +9,7 @@ import (
 	"omxsim/internal/core"
 	"omxsim/internal/cpu"
 	"omxsim/internal/ethernet"
+	"omxsim/internal/policy"
 	"omxsim/internal/sim"
 	"omxsim/internal/vm"
 )
@@ -20,19 +21,19 @@ import (
 // all the paper's optimizations: whatever the pinning model does, the data
 // path must stay correct.
 func TestPropRandomTrafficIntegrity(t *testing.T) {
-	policies := []core.PinPolicy{core.PinEachComm, core.OnDemand, core.Overlapped}
+	policies := []policy.Policy{policy.PinEachComm, policy.OnDemand, policy.Overlapped}
 	f := func(seed int64) bool {
 		rng := rand.New(rand.NewSource(seed))
-		policy := policies[rng.Intn(len(policies))]
+		pol := policies[rng.Intn(len(policies))]
 		cacheOn := rng.Intn(2) == 0
-		cfg := DefaultConfig(policy, cacheOn)
+		cfg := DefaultConfig(pol, cacheOn)
 		cfg.UseIOAT = rng.Intn(2) == 0
 		cfg.RetransmitTimeout = 2 * sim.Millisecond
 
 		eng := sim.NewEngine(seed)
 		fabric := ethernet.NewFabric(eng, ethernet.DefaultLinkConfig())
-		n0 := NewNode(eng, fabric, cpu.XeonE5460, 0, 0)
-		n1 := NewNode(eng, fabric, cpu.XeonE5460, 1, 0)
+		n0 := NewNode(eng, fabric, cpu.XeonE5460, 0)
+		n1 := NewNode(eng, fabric, cpu.XeonE5460, 1)
 		a, err := n0.OpenEndpoint(0, 1, cfg)
 		if err != nil {
 			return false
@@ -141,12 +142,12 @@ func TestPropRandomTrafficIntegrity(t *testing.T) {
 func TestPropManyConcurrentMessages(t *testing.T) {
 	f := func(seed int64) bool {
 		rng := rand.New(rand.NewSource(seed))
-		policies := []core.PinPolicy{core.PinEachComm, core.OnDemand, core.Overlapped}
+		policies := []policy.Policy{policy.PinEachComm, policy.OnDemand, policy.Overlapped}
 		cfg := DefaultConfig(policies[rng.Intn(len(policies))], rng.Intn(2) == 0)
 		eng := sim.NewEngine(seed)
 		fabric := ethernet.NewFabric(eng, ethernet.DefaultLinkConfig())
-		n0 := NewNode(eng, fabric, cpu.XeonE5460, 0, 0)
-		n1 := NewNode(eng, fabric, cpu.XeonE5460, 1, 0)
+		n0 := NewNode(eng, fabric, cpu.XeonE5460, 0)
+		n1 := NewNode(eng, fabric, cpu.XeonE5460, 1)
 		a, _ := n0.OpenEndpoint(0, 1, cfg)
 		b, _ := n1.OpenEndpoint(0, 1, cfg)
 
@@ -204,7 +205,7 @@ func TestPropRegionReadyMonotone(t *testing.T) {
 		as := vm.NewAddressSpace(1, vm.NewPhysMem(0))
 		al, _ := vm.NewAllocator(as, 0, 0)
 		mgr := core.NewManager(eng, as, machine.Core(0), core.ManagerConfig{
-			Policy: core.Overlapped, PinChunkPages: 1 + rng.Intn(16),
+			Policy: policy.Overlapped, PinChunkPages: 1 + rng.Intn(16),
 		})
 		pages := 8 + rng.Intn(64)
 		addr, _ := al.Malloc(pages * vm.PageSize)

@@ -115,11 +115,11 @@ func (ep *Endpoint) startPull(rs *rstate, req *Request) {
 		ep.finishPull(rs, ErrTruncated)
 		return
 	}
-	nblocks := (rs.total + ep.cfg.PullBlockSize - 1) / ep.cfg.PullBlockSize
+	nblocks := (rs.total + pullBlockSize - 1) / pullBlockSize
 	rs.blocks = make([]blockState, nblocks)
 	for i := range rs.blocks {
-		off := i * ep.cfg.PullBlockSize
-		l := ep.cfg.PullBlockSize
+		off := i * pullBlockSize
+		l := pullBlockSize
 		if off+l > rs.total {
 			l = rs.total - off
 		}
@@ -200,7 +200,7 @@ func (ep *Endpoint) reRequestBlock(rs *rstate, b *blockState) {
 func (ep *Endpoint) noteArrival(rs *rstate, off, n int) {
 	now := ep.node.Eng.Now()
 	rs.lastProgress = now
-	bi := off / ep.cfg.PullBlockSize
+	bi := off / pullBlockSize
 	rs.blocks[bi].accepted += n
 	for rs.lowestHole < len(rs.blocks) &&
 		rs.blocks[rs.lowestHole].accepted >= rs.blocks[rs.lowestHole].length {
@@ -214,7 +214,7 @@ func (ep *Endpoint) noteArrival(rs *rstate, off, n int) {
 	// advanced hole k+1. Duplicates never reach here (bitmap dedup).
 	if bi > rs.lowestHole && rs.lowestHole < rs.nextBlockOff {
 		hole := &rs.blocks[rs.lowestHole]
-		if now-hole.lastReq >= ep.cfg.GapReReqDelay {
+		if now-hole.lastReq >= gapReReqDelay {
 			if DebugGapReReq != nil {
 				DebugGapReReq(bi, rs.lowestHole, rs.nextBlockOff, hole.accepted, int(rs.key.seq))
 			}
@@ -225,7 +225,7 @@ func (ep *Endpoint) noteArrival(rs *rstate, off, n int) {
 	// Cross-message gap evidence: per-pair sequence numbers mean this
 	// arrival also proves that anything older from the same node should
 	// have arrived. Re-request the oldest hole of other stalled pulls from
-	// that node (rate-limited per block by GapReReqDelay). The set is keyed
+	// that node (rate-limited per block by gapReReqDelay). The set is keyed
 	// by pointer, so candidates are collected and sorted by message key
 	// before any wire traffic: map iteration order would otherwise leak
 	// run-to-run nondeterminism into the re-request ordering.
@@ -237,10 +237,10 @@ func (ep *Endpoint) noteArrival(rs *rstate, off, n int) {
 		if other.lowestHole >= other.nextBlockOff {
 			continue // nothing requested-and-missing
 		}
-		if now-other.lastProgress < ep.cfg.CrossGapDelay {
+		if now-other.lastProgress < crossGapDelay {
 			continue
 		}
-		if now-other.blocks[other.lowestHole].lastReq >= ep.cfg.CrossGapDelay {
+		if now-other.blocks[other.lowestHole].lastReq >= crossGapDelay {
 			stalled = append(stalled, other)
 		}
 	}
@@ -266,7 +266,7 @@ func (ep *Endpoint) scheduleMissRetry(rs *rstate) {
 	if rs.missRetry != nil || rs.completed || rs.matched == nil {
 		return
 	}
-	rs.missRetry = ep.node.Eng.After(ep.cfg.GapReReqDelay, func() {
+	rs.missRetry = ep.node.Eng.After(gapReReqDelay, func() {
 		rs.missRetry = nil
 		if rs.completed || rs.matched == nil {
 			return
@@ -283,7 +283,7 @@ func (ep *Endpoint) scheduleMissRetry(rs *rstate) {
 				again = true // pin still behind: check back later
 				continue
 			}
-			if now-b.lastReq >= ep.cfg.GapReReqDelay {
+			if now-b.lastReq >= gapReReqDelay {
 				ep.reRequestBlock(rs, b)
 			}
 		}
@@ -395,12 +395,12 @@ func (ep *Endpoint) handlePullReply(m *pullReply) {
 		if err := region.WriteBufAt(m.off, &m.buf); err != nil {
 			// Invalidated between check and copy: give the fragment back.
 			delete(rs.gotFrag, m.off)
-			rs.blocks[m.off/ep.cfg.PullBlockSize].accepted -= n
+			rs.blocks[m.off/pullBlockSize].accepted -= n
 			ep.node.stats.OverlapMissReceiver++
 			return
 		}
 		rs.received += n
-		bi := m.off / ep.cfg.PullBlockSize
+		bi := m.off / pullBlockSize
 		b := &rs.blocks[bi]
 		b.received += n
 		rs.lastProgress = ep.node.Eng.Now()

@@ -23,11 +23,11 @@
 //     pin, overlaps with it, or needs no pin at all is the backend's
 //     OverlapTransfer and Access answer.
 //
-// Selecting a backend: omx.Config carries either the classic
-// core.PinPolicy enum value (resolved through this registry by name) or
-// an explicit Backend for out-of-tree strategies. The omxsim CLI's
-// `-policy <name>` flag and the `omxsim policies` listing both speak the
-// registry's names.
+// Selecting a backend: omx.Config.Policy takes any Policy value, a
+// built-in from backends.go or an out-of-tree strategy (nil means
+// PinEachComm).
+// Spec files' `policy:` key, the omxsim CLI's `-policy <name>` flag and
+// the `omxsim policies` listing all speak the registry's names.
 package policy
 
 import (

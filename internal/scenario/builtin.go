@@ -13,6 +13,7 @@ import (
 	"omxsim/internal/mpi"
 	"omxsim/internal/npb"
 	"omxsim/internal/omx"
+	"omxsim/internal/policy"
 	"omxsim/internal/report"
 	"omxsim/internal/sim"
 	"omxsim/internal/vm"
@@ -21,26 +22,26 @@ import (
 // figure7Matrix is the paper's Figure 7 pin-policy matrix.
 func figure7Matrix() []Case {
 	return []Case{
-		{Label: "regular", OMX: omx.DefaultConfig(core.PinEachComm, false)},
-		{Label: "overlapped", OMX: omx.DefaultConfig(core.Overlapped, false)},
-		{Label: "cache", OMX: omx.DefaultConfig(core.OnDemand, true)},
-		{Label: "overlapped-cache", OMX: omx.DefaultConfig(core.Overlapped, true)},
+		{Label: "regular", OMX: omx.DefaultConfig(policy.PinEachComm, false)},
+		{Label: "overlapped", OMX: omx.DefaultConfig(policy.Overlapped, false)},
+		{Label: "cache", OMX: omx.DefaultConfig(policy.OnDemand, true)},
+		{Label: "overlapped-cache", OMX: omx.DefaultConfig(policy.Overlapped, true)},
 	}
 }
 
 // figure6Matrix is the paper's Figure 6 matrix: pin-per-communication vs
 // permanent pinning, with and without I/OAT copy offload.
 func figure6Matrix() []Case {
-	mk := func(policy core.PinPolicy, cache, ioat bool) omx.Config {
-		cfg := omx.DefaultConfig(policy, cache)
+	mk := func(pol policy.Policy, cache, ioat bool) omx.Config {
+		cfg := omx.DefaultConfig(pol, cache)
 		cfg.UseIOAT = ioat
 		return cfg
 	}
 	return []Case{
-		{Label: "pin-per-comm", OMX: mk(core.PinEachComm, false, false)},
-		{Label: "permanent", OMX: mk(core.Permanent, true, false)},
-		{Label: "pin-per-comm+ioat", OMX: mk(core.PinEachComm, false, true)},
-		{Label: "permanent+ioat", OMX: mk(core.Permanent, true, true)},
+		{Label: "pin-per-comm", OMX: mk(policy.PinEachComm, false, false)},
+		{Label: "permanent", OMX: mk(policy.Permanent, true, false)},
+		{Label: "pin-per-comm+ioat", OMX: mk(policy.PinEachComm, false, true)},
+		{Label: "permanent+ioat", OMX: mk(policy.Permanent, true, true)},
 	}
 }
 
@@ -58,9 +59,9 @@ func pingPongWorkload(c *mpi.Comm, cr *CaseRun) {
 // regular-pinning cell is the baseline that carries the row's
 // improvement percentages.
 var (
-	table2Base    = core.PinEachComm.String()
-	table2Cache   = core.OnDemand.String()
-	table2Overlap = core.Overlapped.String()
+	table2Base    = policy.PinEachComm.Name()
+	table2Cache   = policy.OnDemand.Name()
+	table2Overlap = policy.Overlapped.Name()
 )
 
 // table2Cases crosses each application with Table 2's configurations:
@@ -69,9 +70,9 @@ func table2Cases(apps ...string) []Case {
 	var cases []Case
 	for _, app := range apps {
 		for _, cfg := range []omx.Config{
-			omx.DefaultConfig(core.PinEachComm, false),
-			omx.DefaultConfig(core.OnDemand, true),
-			omx.DefaultConfig(core.Overlapped, false),
+			omx.DefaultConfig(policy.PinEachComm, false),
+			omx.DefaultConfig(policy.OnDemand, true),
+			omx.DefaultConfig(policy.Overlapped, false),
 		} {
 			cases = append(cases, Case{Label: app, OMX: cfg})
 		}
@@ -261,7 +262,7 @@ func section43Case(label string, flood float64) Case {
 	}
 	return Case{
 		Label:  label,
-		OMX:    omx.DefaultConfig(core.Overlapped, false),
+		OMX:    omx.DefaultConfig(policy.Overlapped, false),
 		Params: map[string]string{"load": load, "flood": fmt.Sprintf("%.2f", flood)},
 		Tweak: func(cfg *cluster.Config) {
 			if flood == 0 {
@@ -394,7 +395,7 @@ func table1Cases() []Case {
 	for _, spec := range cpu.Table1Hosts() {
 		cases = append(cases, Case{
 			Label: spec.Name,
-			OMX:   omx.DefaultConfig(core.PinEachComm, false),
+			OMX:   omx.DefaultConfig(policy.PinEachComm, false),
 			Tweak: func(cfg *cluster.Config) { cfg.Spec = spec },
 		})
 	}

@@ -10,9 +10,9 @@ import (
 	"fmt"
 
 	"omxsim/internal/cluster"
-	"omxsim/internal/core"
 	"omxsim/internal/mpi"
 	"omxsim/internal/omx"
+	"omxsim/internal/policy"
 	"omxsim/internal/vm"
 )
 
@@ -28,9 +28,9 @@ func init() {
 		Name:        "cache-stress-realloc",
 		Description: "Realloc churn at reused addresses: every free drops the cached declaration, every round re-declares — no stale hits",
 		Cases: []Case{
-			{Label: "cache", OMX: omx.DefaultConfig(core.OnDemand, true)},
-			{Label: "overlapped-cache", OMX: omx.DefaultConfig(core.Overlapped, true)},
-			{Label: "pin-ahead", OMX: omx.DefaultConfig(core.PinAhead, true)},
+			{Label: "cache", OMX: omx.DefaultConfig(policy.OnDemand, true)},
+			{Label: "overlapped-cache", OMX: omx.DefaultConfig(policy.Overlapped, true)},
+			{Label: "pin-ahead", OMX: omx.DefaultConfig(policy.PinAhead, true)},
 		},
 		Workload: func(c *mpi.Comm, cr *CaseRun) {
 			const n = 1 << 20
@@ -67,8 +67,8 @@ func init() {
 		Name:        "cache-stress-subrange",
 		Description: "Overlapping sub-buffer traffic inside one declared buffer: subrange hits through the interval index, no extra declarations",
 		Cases: []Case{
-			{Label: "cache", OMX: omx.DefaultConfig(core.OnDemand, true)},
-			{Label: "overlapped-cache", OMX: omx.DefaultConfig(core.Overlapped, true)},
+			{Label: "cache", OMX: omx.DefaultConfig(policy.OnDemand, true)},
+			{Label: "overlapped-cache", OMX: omx.DefaultConfig(policy.Overlapped, true)},
 		},
 		Workload: func(c *mpi.Comm, cr *CaseRun) {
 			const n = 4 << 20
@@ -106,8 +106,8 @@ func init() {
 		Description: "Two endpoints sharing one process cache: a buffer declared via one endpoint is a cache hit on the other",
 		Cluster:     cluster.Config{Nodes: 2, RanksPerNode: 2, RanksPerProc: 2},
 		Cases: []Case{
-			{Label: "cache", OMX: omx.DefaultConfig(core.OnDemand, true)},
-			{Label: "pin-ahead", OMX: omx.DefaultConfig(core.PinAhead, true)},
+			{Label: "cache", OMX: omx.DefaultConfig(policy.OnDemand, true)},
+			{Label: "pin-ahead", OMX: omx.DefaultConfig(policy.PinAhead, true)},
 		},
 		Workload: func(c *mpi.Comm, cr *CaseRun) {
 			const n = 2 << 20
@@ -157,7 +157,7 @@ func init() {
 	// keep evicting idle declarations to stay within budget — under both
 	// LRU and size-weighted eviction.
 	pressureCase := func(label, eviction string) Case {
-		cfg := omx.DefaultConfig(core.OnDemand, true)
+		cfg := omx.DefaultConfig(policy.OnDemand, true)
 		cfg.CacheByteCapacity = 3 << 20
 		cfg.CacheEviction = eviction
 		return Case{Label: label, OMX: cfg}

@@ -6,9 +6,9 @@ package scenario
 
 import (
 	"omxsim/internal/cluster"
-	"omxsim/internal/core"
 	"omxsim/internal/mpi"
 	"omxsim/internal/omx"
+	"omxsim/internal/policy"
 	"omxsim/internal/sim"
 )
 
@@ -101,8 +101,8 @@ func init() {
 		Name:        "rendezvous",
 		Description: "One 8 MiB rendezvous pull: synchronous pinning (Figure 2) vs overlapped pinning (Figure 5)",
 		Cases: []Case{
-			{Label: "pin-each-comm", OMX: omx.DefaultConfig(core.PinEachComm, false)},
-			{Label: "overlapped", OMX: omx.DefaultConfig(core.Overlapped, false)},
+			{Label: "pin-each-comm", OMX: omx.DefaultConfig(policy.PinEachComm, false)},
+			{Label: "overlapped", OMX: omx.DefaultConfig(policy.Overlapped, false)},
 		},
 		Metric: "mbps",
 		Workload: func(c *mpi.Comm, cr *CaseRun) {
@@ -125,7 +125,7 @@ func init() {
 	// overlap-aware (non-blocking) apps pin synchronously and stay out of
 	// the way.
 	adaptiveCase := func(label string, adaptive bool, app string) Case {
-		cfg := omx.DefaultConfig(core.Overlapped, false)
+		cfg := omx.DefaultConfig(policy.Overlapped, false)
 		cfg.AdaptiveOverlap = adaptive
 		return Case{Label: label, OMX: cfg, Params: map[string]string{"app": app}}
 	}
@@ -173,20 +173,20 @@ func init() {
 		Name:        "mixed-policy",
 		Description: "Heterogeneous matrix: overlapped sender talking to a pin-each-comm receiver, vs homogeneous baselines",
 		Cases: []Case{
-			{Label: "overlapped-both", OMX: omx.DefaultConfig(core.Overlapped, true)},
+			{Label: "overlapped-both", OMX: omx.DefaultConfig(policy.Overlapped, true)},
 			{
 				Label: "overlapped-vs-regular",
-				OMX:   omx.DefaultConfig(core.Overlapped, true),
+				OMX:   omx.DefaultConfig(policy.Overlapped, true),
 				Tweak: func(cfg *cluster.Config) {
 					cfg.EndpointConfig = func(node, rank int, base omx.Config) omx.Config {
 						if rank%2 == 1 {
-							return omx.DefaultConfig(core.PinEachComm, false)
+							return omx.DefaultConfig(policy.PinEachComm, false)
 						}
 						return base
 					}
 				},
 			},
-			{Label: "regular-both", OMX: omx.DefaultConfig(core.PinEachComm, false)},
+			{Label: "regular-both", OMX: omx.DefaultConfig(policy.PinEachComm, false)},
 		},
 		Sizes:      []int{1 << 20, 4 << 20},
 		QuickSizes: []int{4 << 20},
@@ -202,8 +202,8 @@ func init() {
 		Name:        "faults",
 		Description: "Fault injection mid-communication: flood window, free of a pinned buffer, fork, swap pressure",
 		Cases: []Case{
-			{Label: "cache", OMX: omx.DefaultConfig(core.OnDemand, true)},
-			{Label: "overlapped-cache", OMX: omx.DefaultConfig(core.Overlapped, true)},
+			{Label: "cache", OMX: omx.DefaultConfig(policy.OnDemand, true)},
+			{Label: "overlapped-cache", OMX: omx.DefaultConfig(policy.Overlapped, true)},
 		},
 		Faults: []Fault{
 			{At: 1 * sim.Millisecond, Kind: FaultFlood, Util: 0.3, For: 2 * sim.Millisecond},

@@ -8,10 +8,10 @@ package scenario
 
 import (
 	"omxsim/internal/cluster"
-	"omxsim/internal/core"
 	"omxsim/internal/ethernet"
 	"omxsim/internal/mpi"
 	"omxsim/internal/omx"
+	"omxsim/internal/policy"
 	"omxsim/internal/sim"
 )
 
@@ -70,8 +70,8 @@ func init() {
 			Link:         fleetLink(),
 		},
 		Cases: []Case{
-			{Label: "cache", OMX: omx.DefaultConfig(core.OnDemand, true)},
-			{Label: "overlapped-cache", OMX: omx.DefaultConfig(core.Overlapped, true)},
+			{Label: "cache", OMX: omx.DefaultConfig(policy.OnDemand, true)},
+			{Label: "overlapped-cache", OMX: omx.DefaultConfig(policy.Overlapped, true)},
 		},
 		Sizes:      []int{256 * 1024, 1 << 20},
 		QuickSizes: []int{256 * 1024},

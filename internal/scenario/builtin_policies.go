@@ -11,9 +11,9 @@ import (
 	"fmt"
 
 	"omxsim/internal/cluster"
-	"omxsim/internal/core"
 	"omxsim/internal/mpi"
 	"omxsim/internal/omx"
+	"omxsim/internal/policy"
 	"omxsim/internal/sim"
 )
 
@@ -22,10 +22,10 @@ import (
 // and eBPF-mm-style pin-ahead.
 func fullPolicyMatrix() []Case {
 	return append(figure7Matrix(),
-		Case{Label: "permanent", OMX: omx.DefaultConfig(core.Permanent, true)},
-		Case{Label: "no-pinning", OMX: omx.DefaultConfig(core.NoPinning, true)},
-		Case{Label: "odp", OMX: omx.DefaultConfig(core.NoPinODP, true)},
-		Case{Label: "pin-ahead", OMX: omx.DefaultConfig(core.PinAhead, true)},
+		Case{Label: "permanent", OMX: omx.DefaultConfig(policy.Permanent, true)},
+		Case{Label: "no-pinning", OMX: omx.DefaultConfig(policy.NoPinning, true)},
+		Case{Label: "odp", OMX: omx.DefaultConfig(policy.ODP, true)},
+		Case{Label: "pin-ahead", OMX: omx.DefaultConfig(policy.PinAhead, true)},
 	)
 }
 
@@ -183,12 +183,12 @@ func init() {
 			return c
 		}
 		return []Case{
-			withLimit(Case{Label: "cache", OMX: omx.DefaultConfig(core.OnDemand, true)}),
-			withLimit(Case{Label: "overlapped-cache", OMX: omx.DefaultConfig(core.Overlapped, true)}),
-			withLimit(Case{Label: "pin-ahead", OMX: omx.DefaultConfig(core.PinAhead, true),
+			withLimit(Case{Label: "cache", OMX: omx.DefaultConfig(policy.OnDemand, true)}),
+			withLimit(Case{Label: "overlapped-cache", OMX: omx.DefaultConfig(policy.Overlapped, true)}),
+			withLimit(Case{Label: "pin-ahead", OMX: omx.DefaultConfig(policy.PinAhead, true),
 				Params: map[string]string{"advise": "1"}}),
-			withLimit(Case{Label: "odp", OMX: omx.DefaultConfig(core.NoPinODP, true)}),
-			withLimit(Case{Label: "no-pinning", OMX: omx.DefaultConfig(core.NoPinning, true)}),
+			withLimit(Case{Label: "odp", OMX: omx.DefaultConfig(policy.ODP, true)}),
+			withLimit(Case{Label: "no-pinning", OMX: omx.DefaultConfig(policy.NoPinning, true)}),
 		}
 	}
 	MustRegister(&Scenario{

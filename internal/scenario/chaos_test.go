@@ -8,10 +8,10 @@ import (
 
 	"omxsim/internal/chaos"
 	"omxsim/internal/cluster"
-	"omxsim/internal/core"
 	"omxsim/internal/ethernet"
 	"omxsim/internal/mpi"
 	"omxsim/internal/omx"
+	"omxsim/internal/policy"
 	"omxsim/internal/sim"
 )
 
@@ -21,7 +21,7 @@ import (
 // silent zero-byte completion — and every page it pinned must be released
 // at the abort.
 func TestMaxRetriesSurfacesTypedError(t *testing.T) {
-	cfg := omx.DefaultConfig(core.OnDemand, false) // pin-per-op: pins live only while the request does
+	cfg := omx.DefaultConfig(policy.OnDemand, false) // pin-per-op: pins live only while the request does
 	cfg.RetransmitTimeout = 50 * sim.Microsecond
 	// Keep the peer-dead detector out of the way so the retransmit
 	// counter, not the silence clock, is what aborts the request.
@@ -87,7 +87,7 @@ func TestMaxRetriesSurfacesTypedError(t *testing.T) {
 func TestChaosFaultsRouteToOwningShard(t *testing.T) {
 	var crashes, restarts [4]uint64
 	engines := make(map[*sim.Engine]bool)
-	cfg := omx.DefaultConfig(core.OnDemand, true)
+	cfg := omx.DefaultConfig(policy.OnDemand, true)
 	cfg.RetransmitTimeout = 200 * sim.Microsecond
 	cfg.PeerDeadTimeout = 2 * sim.Millisecond
 	s := &Scenario{

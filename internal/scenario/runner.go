@@ -11,6 +11,7 @@ import (
 	"omxsim/internal/cpu"
 	"omxsim/internal/mpi"
 	"omxsim/internal/omx"
+	"omxsim/internal/policy"
 	"omxsim/internal/report"
 	"omxsim/internal/sim"
 	"omxsim/internal/vm"
@@ -64,7 +65,7 @@ func (s *Scenario) Run(opts Options) (*report.Result, error) {
 // defaultCase is the single cell scenarios without a Cases matrix run
 // (PolicyLabels advertises its label through `omxsim list`).
 func defaultCase() Case {
-	return Case{Label: "cache", OMX: omx.DefaultConfig(core.OnDemand, true)}
+	return Case{Label: "cache", OMX: omx.DefaultConfig(policy.OnDemand, true)}
 }
 
 // cases resolves the case matrix after the -policy filter.

@@ -18,9 +18,9 @@ import (
 
 	"omxsim/internal/chaos"
 	"omxsim/internal/cluster"
-	"omxsim/internal/core"
 	"omxsim/internal/ethernet"
 	"omxsim/internal/omx"
+	"omxsim/internal/policy"
 	"omxsim/internal/sim"
 	"omxsim/internal/yamlite"
 )
@@ -249,24 +249,6 @@ func (d *dec) sizeSeq(n *yamlite.Node, what string) ([]int, error) {
 		out = append(out, v)
 	}
 	return out, nil
-}
-
-// parsePolicy resolves a pin-policy name to its enum.
-func parsePolicy(s string) (core.PinPolicy, bool) {
-	for _, p := range []core.PinPolicy{
-		core.PinEachComm, core.Permanent, core.OnDemand, core.Overlapped,
-		core.NoPinning, core.NoPinODP, core.PinAhead,
-	} {
-		if p.String() == s {
-			return p, true
-		}
-	}
-	return 0, false
-}
-
-// policyNames lists the accepted pin-policy names for error messages.
-func policyNames() string {
-	return "pin-each-comm, permanent, on-demand, overlapped, no-pinning, odp, pin-ahead"
 }
 
 // ParseSpec decodes and validates a scenario spec. Every decode error
@@ -656,9 +638,9 @@ func (d *dec) decodeCases(n *yamlite.Node, sp *Spec) error {
 		if polName == "" {
 			return d.errf(it.Line, "case %q is missing the required `policy` field", label)
 		}
-		pol, ok := parsePolicy(polName)
+		pol, ok := policy.ByName(polName)
 		if !ok {
-			return d.errf(polLine, "case %q: unknown policy %q (policies: %s)", label, polName, policyNames())
+			return d.errf(polLine, "case %q: unknown policy %q (policies: %s)", label, polName, strings.Join(policy.Names(), ", "))
 		}
 		for _, prev := range sp.cases {
 			if prev.Label == label {
@@ -723,7 +705,9 @@ func (d *dec) decodeFaults(n *yamlite.Node, sp *Spec) error {
 			case "buffer":
 				f.Buffer, err = d.str(p.Val, "fault.buffer")
 			case "util":
-				f.Util, err = d.floatVal(p.Val, "fault.util")
+				if f.Util, err = d.floatVal(p.Val, "fault.util"); err == nil && !(f.Util >= 0 && f.Util <= 1) {
+					err = d.errf(p.Val.Line, "fault.util: %v is out of range (0..1)", f.Util)
+				}
 			case "for_us":
 				f.For, err = d.durUS(p.Val, "fault.for_us")
 			case "node":

@@ -157,6 +157,7 @@ workload:
   tenants:
     - name: t0
       ops: 10
+      rate: 1000
 assertions:
   - slo: nobody
     p99_us: 100
@@ -240,9 +241,38 @@ chaos:
 			[]string{"fault.node: 99 is out of range", "2 nodes"}},
 		{"fault-rank-out-of-range", minimalSpec + "faults:\n  - at_us: 10\n    kind: free\n    rank: 99\n    buffer: x\n", 17,
 			[]string{"fault.rank: 99 is out of range", "2 ranks"}},
+		// A zero rate made every arrival gap infinite: the client issued
+		// all its ops at once and timed them from bogus instants.
+		{"kv-tenant-without-rate", kvRateSpec(""), 14, []string{`tenant "t0": rate must be > 0`}},
+		{"kv-tenant-zero-rate", kvRateSpec("\n      rate: 0"), 16, []string{`tenant "t0": rate must be > 0`}},
+		// A negative flood utilization panicked the run with a negative
+		// work duration.
+		{"flood-negative-util", minimalSpec + "faults:\n  - at_us: 10\n    kind: flood\n    util: -0.5\n    for_us: 100\n", 17,
+			[]string{"fault.util: -0.5 is out of range (0..1)"}},
+		{"flood-util-above-one", minimalSpec + "faults:\n  - at_us: 10\n    kind: flood\n    util: 1.5\n    for_us: 100\n", 17,
+			[]string{"fault.util: 1.5 is out of range (0..1)"}},
 	} {
 		t.Run(tc.name, func(t *testing.T) { specErrAt(t, tc.src, tc.line, tc.fragments...) })
 	}
+}
+
+// kvRateSpec is a one-tenant kv spec whose tenant block ends with rate.
+func kvRateSpec(rate string) string {
+	return `name: t-kv-rate
+cluster:
+  nodes: 2
+cases:
+  - label: cache
+    policy: on-demand
+    cache: true
+workload:
+  kind: kv
+  servers: 1
+  keys: 8
+  value_bytes: 4KiB
+  tenants:
+    - name: t0
+      ops: 20` + rate + "\n"
 }
 
 // TestFleetErrorLines checks that fleet errors found after decoding name

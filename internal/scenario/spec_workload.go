@@ -235,6 +235,7 @@ func (d *dec) decodeTenants(n *yamlite.Node, cfg *kv.Config) error {
 			return err
 		}
 		t := kv.Tenant{}
+		rateLine := it.Line
 		for _, p := range it.Pairs {
 			var err error
 			switch p.Key {
@@ -243,6 +244,7 @@ func (d *dec) decodeTenants(n *yamlite.Node, cfg *kv.Config) error {
 			case "ops":
 				t.Ops, err = d.intVal(p.Val, "tenant.ops")
 			case "rate":
+				rateLine = p.Line
 				t.Rate, err = d.floatVal(p.Val, "tenant.rate")
 			case "get_frac":
 				t.GetFrac, err = d.floatVal(p.Val, "tenant.get_frac")
@@ -257,6 +259,11 @@ func (d *dec) decodeTenants(n *yamlite.Node, cfg *kv.Config) error {
 		}
 		if t.Name == "" {
 			return d.errf(it.Line, "tenant is missing the required `name` field")
+		}
+		// Arrival gaps are exponential draws divided by the rate: a zero
+		// rate makes them infinite and the run issues every op at once.
+		if !(t.Rate > 0) {
+			return d.errf(rateLine, "tenant %q: rate must be > 0 (got %v)", t.Name, t.Rate)
 		}
 		cfg.Tenants = append(cfg.Tenants, t)
 	}

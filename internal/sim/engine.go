@@ -709,7 +709,3 @@ func (e *Engine) RunUntil(deadline Time) {
 
 // Stop makes Run/RunUntil return after the current event completes.
 func (e *Engine) Stop() { e.stopped = true }
-
-// peek reports the next event time; kept for tests mirroring the historical
-// API.
-func (e *Engine) peek() (Time, bool) { return e.nextTime() }

@@ -107,9 +107,6 @@ func (ss *ShardSet) NumShards() int { return len(ss.engines) }
 // Engine returns shard i's engine.
 func (ss *ShardSet) Engine(i int) *Engine { return ss.engines[i] }
 
-// Lookahead reports the synchronization window width.
-func (ss *ShardSet) Lookahead() Duration { return ss.lookahead }
-
 // AddBarrierHook registers fn to run at every window barrier (and once
 // before the first window), on the coordinator goroutine while all
 // shards are parked. Hooks publish state; they must not schedule events.

@@ -88,9 +88,6 @@ type Frame struct {
 	freed            bool
 }
 
-// PFN returns the frame's physical frame number.
-func (f *Frame) PFN() uint64 { return f.pfn }
-
 // PinCount returns the frame's current pin reference count.
 func (f *Frame) PinCount() int { return f.pinRefs }
 
