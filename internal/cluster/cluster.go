@@ -81,10 +81,11 @@ type Config struct {
 	// family) instead of the fault injector.
 	Mem omx.MemConfig
 	// Shards splits the cluster across that many engine shards (clamped
-	// to [1, Nodes]; 0, the default, means 1), with nodes
-	// block-distributed and the fabric's one-way link latency (PropDelay)
-	// as the conservative lookahead window. Every count produces the same
-	// results; two or more run the shards in parallel.
+	// to [1, Nodes]; 0, the default, means 1), with each node group
+	// block-distributed over all of them and the fabric's one-way link
+	// latency (PropDelay) as the conservative lookahead window. Every
+	// count produces the same results; two or more run the shards in
+	// parallel.
 	Shards int
 	// AppsOnRxCore forces every rank onto the interrupt core, reproducing
 	// the paper's §4.3 overload scenario (application pinning work starved
@@ -183,14 +184,25 @@ func New(cfg Config) (*Cluster, error) {
 	if link.PropDelay <= 0 {
 		return nil, fmt.Errorf("cluster: the link PropDelay is the engine lookahead and must be positive (got %v)", link.PropDelay)
 	}
-	// One engine per shard. Nodes are block-distributed so ranks that
-	// talk to node-local peers stay on one shard.
+	// One engine per shard. Each group splits into one contiguous block of
+	// near-equal size per shard, so every shard carries its share of
+	// every tier, and a node's ranks share its shard. A group starts on
+	// the shard after the previous group's last node: groups smaller than
+	// the shard count spread out instead of piling onto shard 0, and a
+	// one-group cluster puts node n on shard n*shards/Nodes.
 	shards := min(max(cfg.Shards, 1), cfg.Nodes)
 	engines := make([]*sim.Engine, shards)
 	for i := range engines {
 		engines[i] = sim.NewEngine(cfg.Seed)
 	}
-	shardOf := func(node int) int { return node * shards / cfg.Nodes }
+	shardOf := make([]int, 0, cfg.Nodes)
+	next := 0
+	for _, g := range groups {
+		for k := range g.Nodes {
+			shardOf = append(shardOf, (next+k*shards/g.Nodes)%shards)
+		}
+		next = (shardOf[len(shardOf)-1] + 1) % shards
+	}
 	fabric := ethernet.NewFabric(engines[0], link)
 	fabric.Seed = cfg.Seed
 	fabric.LoopbackBytesPerSec = loopbackBytesPerSec
@@ -201,8 +213,8 @@ func New(cfg Config) (*Cluster, error) {
 		set.Post(sim.CrossEvent{
 			When:     when,
 			SendTime: sendTime,
-			SrcShard: shardOf(fr.Src),
-			DstShard: shardOf(fr.Dst),
+			SrcShard: shardOf[fr.Src],
+			DstShard: shardOf[fr.Dst],
 			SrcNode:  fr.Src,
 			DstNode:  fr.Dst,
 			SrcSeq:   srcSeq,
@@ -213,7 +225,7 @@ func New(cfg Config) (*Cluster, error) {
 	n := 0
 	for _, g := range groups {
 		for k := 0; k < g.Nodes; k++ {
-			if err := cl.addNode(&cfg, g, n, engines[shardOf(n)]); err != nil {
+			if err := cl.addNode(&cfg, g, n, engines[shardOf[n]]); err != nil {
 				return nil, err
 			}
 			n++
@@ -341,7 +353,7 @@ func (cl *Cluster) Run(body func(c *mpi.Comm)) {
 // RunFor executes body on every rank but stops the simulation after budget
 // of simulated time even if ranks are still blocked (useful for saturation
 // experiments that never terminate, like the §4.3 overload). It reports
-// whether all ranks finished. Blocked rank goroutines are abandoned; only
+// whether all ranks finished. Blocked rank processes are abandoned; only
 // use this from short-lived processes or tests.
 func (cl *Cluster) RunFor(budget sim.Duration, body func(c *mpi.Comm)) bool {
 	cl.World.Run(body)

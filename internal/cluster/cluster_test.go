@@ -1,6 +1,8 @@
 package cluster_test
 
 import (
+	"fmt"
+	"runtime"
 	"testing"
 
 	"omxsim/internal/cluster"
@@ -203,6 +205,87 @@ func TestShardCounts(t *testing.T) {
 	link.PropDelay = 0
 	if _, err := cluster.New(cluster.Config{Link: &link}); err == nil {
 		t.Error("a zero-latency link was accepted")
+	}
+}
+
+// TestGroupShardPlacement: on 2 and 4 shards every shard carries
+// ⌊G/s⌋ or ⌈G/s⌉ of each group's G nodes — groups smaller than the shard
+// count included — and a one-group cluster keeps node n on shard
+// n*shards/Nodes.
+func TestGroupShardPlacement(t *testing.T) {
+	shardOf := func(cl *cluster.Cluster) []int {
+		index := make(map[*sim.Engine]int)
+		for i := range cl.Set.NumShards() {
+			index[cl.Set.Engine(i)] = i
+		}
+		out := make([]int, len(cl.Nodes))
+		for n, node := range cl.Nodes {
+			out[n] = index[node.Eng]
+		}
+		return out
+	}
+	sizes := []int{3, 10, 1, 5, 1}
+	var groups []cluster.NodeGroup
+	for i, g := range sizes {
+		groups = append(groups, cluster.NodeGroup{Name: fmt.Sprint("g", i), Nodes: g})
+	}
+	omxCfg := omx.DefaultConfig(policy.OnDemand, true)
+	for _, shards := range []int{2, 4} {
+		cl, err := cluster.New(cluster.Config{Groups: groups, Shards: shards, OMX: omxCfg})
+		if err != nil {
+			t.Fatal(err)
+		}
+		got := shardOf(cl)
+		n := 0
+		for gi, g := range sizes {
+			count := make([]int, shards)
+			for range g {
+				count[got[n]]++
+				n++
+			}
+			for s, c := range count {
+				if c != g/shards && c != (g+shards-1)/shards {
+					t.Errorf("shards=%d: group %d (%d nodes) put %d on shard %d: %v", shards, gi, g, c, s, count)
+				}
+			}
+		}
+
+		const nodes = 7
+		cl, err = cluster.New(cluster.Config{Nodes: nodes, Shards: shards, OMX: omxCfg})
+		if err != nil {
+			t.Fatal(err)
+		}
+		for n, s := range shardOf(cl) {
+			if want := n * shards / nodes; s != want {
+				t.Errorf("shards=%d one group: node %d on shard %d, want %d", shards, n, s, want)
+			}
+		}
+	}
+}
+
+// TestClusterSetupAllocation guards fleet assembly's host memory: a node
+// costs its devices and endpoints, not page tables for memory its
+// processes have mapped but not touched. Not parallel, so the TotalAlloc
+// delta is this build's alone.
+func TestClusterSetupAllocation(t *testing.T) {
+	const nodes = 256
+	var before, after runtime.MemStats
+	runtime.ReadMemStats(&before)
+	cl, err := cluster.New(cluster.Config{
+		Groups: []cluster.NodeGroup{
+			{Name: "storage", Nodes: 16, EndpointsPerNode: 2, NICQueues: 4},
+			{Name: "clients", Nodes: nodes - 16},
+		},
+		Shards: 2,
+		OMX:    omx.DefaultConfig(policy.OnDemand, true),
+	})
+	runtime.ReadMemStats(&after)
+	if err != nil {
+		t.Fatal(err)
+	}
+	runtime.KeepAlive(cl)
+	if perNode := (after.TotalAlloc - before.TotalAlloc) / nodes; perNode >= 64<<10 {
+		t.Errorf("building a %d-node cluster allocated %d KiB per node, want under 64", nodes, perNode>>10)
 	}
 }
 

@@ -1,19 +1,23 @@
 package sim
 
-import "fmt"
+import (
+	"fmt"
+	"iter"
+)
 
-// Proc is a simulated process: a goroutine whose execution is interleaved
+// Proc is a simulated process: a coroutine whose execution is interleaved
 // with the event loop such that exactly one of {engine, some proc} runs at a
 // time. Blocking operations (Sleep, Completion.Wait, channel helpers) park
-// the goroutine and hand control back to the engine, which resumes it when
+// the coroutine and hand control back to the engine, which resumes it when
 // the corresponding event fires. Because handoff is strictly sequential the
-// whole simulation stays deterministic and data-race free without locks.
+// whole simulation stays deterministic and data-race free without locks,
+// and a panic inside a process unwinds into the event that resumed it, so
+// it reaches the caller of Run like a panic in any other event.
 type Proc struct {
-	eng    *Engine
-	name   string
-	resume chan struct{}
-	parked chan struct{}
-	done   bool
+	eng   *Engine
+	name  string
+	next  func() (struct{}, bool)
+	yield func(struct{}) bool
 }
 
 // Name returns the label the process was started with.
@@ -29,42 +33,22 @@ func (p *Proc) Now() Time { return p.eng.now }
 // current simulated time (as an immediate event) and may outlive the caller's
 // stack frame; Run drives it to completion along with everything else.
 func (e *Engine) Go(name string, fn func(p *Proc)) *Proc {
-	p := &Proc{
-		eng:    e,
-		name:   name,
-		resume: make(chan struct{}),
-		parked: make(chan struct{}),
-	}
-	started := false
-	e.After(0, func() {
-		if started {
-			return
-		}
-		started = true
-		go func() {
-			<-p.resume
-			fn(p)
-			p.done = true
-			p.parked <- struct{}{}
-		}()
-		p.run()
+	p := &Proc{eng: e, name: name}
+	p.next, _ = iter.Pull(func(yield func(struct{}) bool) {
+		p.yield = yield
+		fn(p)
 	})
+	e.After(0, p.run)
 	return p
 }
 
-// run transfers control to the process goroutine and waits until it parks
-// again or finishes. It must be called from the event-loop goroutine.
-func (p *Proc) run() {
-	p.resume <- struct{}{}
-	<-p.parked
-}
+// run resumes the process and returns when it parks again or finishes. It
+// must be called from an event handler.
+func (p *Proc) run() { p.next() }
 
 // park suspends the process until a subsequent event calls run. It must be
-// called from the process goroutine.
-func (p *Proc) park() {
-	p.parked <- struct{}{}
-	<-p.resume
-}
+// called from the process itself.
+func (p *Proc) park() { p.yield(struct{}{}) }
 
 // Sleep suspends the process for d nanoseconds of simulated time.
 func (p *Proc) Sleep(d Duration) {

@@ -61,6 +61,38 @@ func forShardCounts(t *testing.T, fn func(t *testing.T, engines int)) {
 	}
 }
 
+// TestProcPanicReachesRunCaller: a panic inside a simulated process must
+// unwind to the caller of Run — on a lone engine and through a two-engine
+// set's worker, whose recover re-raises it on the coordinator — so a
+// crashed simulation can be recovered instead of killing the program.
+func TestProcPanicReachesRunCaller(t *testing.T) {
+	caught := func(run func()) (r any) {
+		defer func() { r = recover() }()
+		run()
+		return nil
+	}
+	boom := func(p *Proc) {
+		p.Sleep(10)
+		panic("boom")
+	}
+
+	e := NewEngine(1)
+	e.Go("boom", boom)
+	if r := caught(e.Run); r != "boom" {
+		t.Errorf("one engine: recovered %v, want boom", r)
+	}
+
+	// Both engines have work in the first window, so both run it on their
+	// workers rather than inline on the coordinator.
+	es := []*Engine{NewEngine(1), NewEngine(1)}
+	ss := NewShardSet(100, es)
+	es[0].Go("boom", boom)
+	es[1].Go("idle", func(p *Proc) { p.Sleep(10) })
+	if r := caught(ss.Run); r != "boom" {
+		t.Errorf("two-engine set: recovered %v, want boom", r)
+	}
+}
+
 // TestShardSetPingPong bounces a "message" between two nodes: each hop
 // posts a cross event one lookahead ahead of the sender's clock. The run
 // must drain, visit both nodes alternately, and advance time by exactly

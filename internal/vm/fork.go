@@ -18,43 +18,53 @@ func (as *AddressSpace) Fork(childPID int) (*AddressSpace, error) {
 	child.vmas = make([]*vma, 0, len(as.vmas))
 
 	for _, v := range as.vmas {
-		cv := &vma{start: v.start, end: v.end, ptes: make([]pte, len(v.ptes))}
+		cv := &vma{start: v.start, end: v.end, base: v.base, dir: make([]*leaf, len(v.dir))}
 		child.vmas = append(child.vmas, cv)
-		for i := range v.ptes {
-			p := &v.ptes[i]
-			switch {
-			case p.present && p.frame.pinRefs > 0:
-				// Child gets its own frame; parent stays writable and pinned.
-				f, err := as.allocFrame()
-				if err != nil {
-					// Roll the half-built child back (Linux tears down the
-					// partial mm on fork failure): drop every reference the
-					// child's PTEs took so no frames or swap slots leak.
-					child.abortFork()
-					return nil, err
-				}
-				f.pg = p.frame.refPage()
-				f.mapRefs++
-				cv.ptes[i] = pte{frame: f, present: true, writable: true}
-				child.installFrame(f, v.start+Addr(i)<<PageShift)
-			case p.present:
-				// Share read-only; either side's next write breaks COW.
-				p.writable = false
-				p.frame.mapRefs++
-				cv.ptes[i] = pte{frame: p.frame, present: true, writable: false}
-			case p.swapped:
-				// The child aliases the swapped contents copy-on-reference.
-				// Both sides come back from swap read-only, like the
-				// present COW case: the first write after swap-in breaks
-				// the share.
-				p.swapWritable = false
-				cp := pte{swapped: true}
-				if p.swapPg != nil {
-					cp.swapPg = p.swapPg.get()
-				}
-				cv.ptes[i] = cp
-				as.phys.swapAdded(cp.swapPg)
+		// Only an existing leaf can hold a page to share, so the child
+		// gets a leaf where the parent has one.
+		for i := 0; i < v.pages(); {
+			ptes, n := v.leafRun(i, v.pages(), false)
+			var cptes []pte
+			if ptes != nil {
+				cptes, _ = cv.leafRun(i, v.pages(), true)
 			}
+			for j := range ptes {
+				p := &ptes[j]
+				switch {
+				case p.present && p.frame.pinRefs > 0:
+					// Child gets its own frame; parent stays writable and pinned.
+					f, err := as.allocFrame()
+					if err != nil {
+						// Roll the half-built child back (Linux tears down the
+						// partial mm on fork failure): drop every reference the
+						// child's PTEs took so no frames or swap slots leak.
+						child.abortFork()
+						return nil, err
+					}
+					f.pg = p.frame.refPage()
+					f.mapRefs++
+					cptes[j] = pte{frame: f, present: true, writable: true}
+					child.installFrame(f, v.start+Addr(i+j)<<PageShift)
+				case p.present:
+					// Share read-only; either side's next write breaks COW.
+					p.writable = false
+					p.frame.mapRefs++
+					cptes[j] = pte{frame: p.frame, present: true, writable: false}
+				case p.swapped:
+					// The child aliases the swapped contents copy-on-reference.
+					// Both sides come back from swap read-only, like the
+					// present COW case: the first write after swap-in breaks
+					// the share.
+					p.swapWritable = false
+					cp := pte{swapped: true}
+					if p.swapPg != nil {
+						cp.swapPg = p.swapPg.get()
+					}
+					cptes[j] = cp
+					as.phys.swapAdded(cp.swapPg)
+				}
+			}
+			i += n
 		}
 	}
 	return child, nil
@@ -67,9 +77,7 @@ func (as *AddressSpace) Fork(childPID int) (*AddressSpace, error) {
 // (spurious) COW break on a now-exclusive frame.
 func (child *AddressSpace) abortFork() {
 	for _, cv := range child.vmas {
-		for i := range cv.ptes {
-			child.dropPTE(&cv.ptes[i])
-		}
+		child.forEachPTE(cv.start, cv.end, child.dropPTE)
 	}
 	child.vmas = nil
 }

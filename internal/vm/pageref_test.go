@@ -66,15 +66,14 @@ func (l *pageLedger) check(spaces []*AddressSpace, pins []*Pinned) error {
 	frames := make(map[*Frame]bool)
 	for _, as := range spaces {
 		for _, v := range as.vmas {
-			for i := range v.ptes {
-				p := &v.ptes[i]
+			as.forEachPTE(v.start, v.end, func(p *pte) {
 				switch {
 				case p.present:
 					frames[p.frame] = true
 				case p.swapped && p.swapPg != nil:
 					holders[p.swapPg]++
 				}
-			}
+			})
 		}
 	}
 	for _, h := range pins {

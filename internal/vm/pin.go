@@ -41,9 +41,9 @@ func (as *AddressSpace) PinPages(addr Addr, first, count int) (*Pinned, error) {
 }
 
 // pinRange is the range-based get_user_pages: it resolves the mapping once
-// per vma and pins pages by walking the PTE slice directly — one traversal,
-// no per-page lookups (the batching NP-RDMA and eBPF-mm identify as the
-// difference between per-page and per-range costs).
+// per vma and pins pages by walking the page table a leaf at a time — one
+// traversal, no per-page lookups (the batching NP-RDMA and eBPF-mm identify
+// as the difference between per-page and per-range costs).
 func (as *AddressSpace) pinRange(start Addr, count int) (*Pinned, error) {
 	p := &Pinned{as: as, start: start, frames: make([]*Frame, 0, count), active: true}
 	a := start
@@ -55,20 +55,25 @@ func (as *AddressSpace) pinRange(start Addr, count int) (*Pinned, error) {
 			return nil, fmt.Errorf("vm: pin at %#x: %w", uint64(a), ErrBadAddress)
 		}
 		v := as.vmas[vi]
-		idx := int((a - v.start) >> PageShift)
-		for ; a < end && a < v.end; a += PageSize {
-			// Pinning faults for write: the device may DMA into the page, so
-			// a COW-shared page must be broken now, not when the DMA lands.
-			pt := &v.ptes[idx]
-			f, err := as.faultPTE(a, pt, true)
-			if err != nil {
-				p.unpinAll()
-				return nil, err
+		limit := min(v.pages(), v.pageOf(end))
+		for i := v.pageOf(a); i < limit; {
+			ptes, n := v.leafRun(i, limit, true)
+			for j := range ptes {
+				// Pinning faults for write: the device may DMA into the
+				// page, so a COW-shared page must be broken now, not when
+				// the DMA lands.
+				pt := &ptes[j]
+				f, err := as.faultPTE(a, pt, true)
+				if err != nil {
+					p.unpinAll()
+					return nil, err
+				}
+				f.pinRefs++
+				pt.pins++
+				p.frames = append(p.frames, f)
+				a += PageSize
 			}
-			f.pinRefs++
-			pt.pins++
-			p.frames = append(p.frames, f)
-			idx++
+			i += n
 		}
 	}
 	return p, nil
@@ -104,19 +109,25 @@ func (p *Pinned) Unpin() error {
 }
 
 func (p *Pinned) unpinAll() {
-	for i, f := range p.frames {
-		if f == nil {
-			continue
+	// The PTEs the pins went through may since have been unmapped, swapped
+	// or remapped: each gives its pin back only while it still maps the
+	// pinned frame. Absent leaves map nothing, and the walk allocates none.
+	p.as.forEachVMA(p.start, p.start+Addr(len(p.frames))<<PageShift, func(v *vma, first, count int) {
+		frames := p.frames[(v.start+Addr(first)<<PageShift-p.start)>>PageShift:]
+		for i := first; i < first+count; {
+			ptes, n := v.leafRun(i, first+count, false)
+			for j := range ptes {
+				if pt := &ptes[j]; pt.present && pt.frame == frames[i-first+j] && pt.pins > 0 {
+					pt.pins--
+				}
+			}
+			i += n
 		}
+	})
+	for _, f := range p.frames {
 		f.pinRefs--
 		if f.pinRefs < 0 {
 			panic(fmt.Sprintf("vm: negative pin count on frame %d", f.pfn))
-		}
-		a := p.start + Addr(i)<<PageShift
-		if vi, ok := p.as.findVMA(a); ok {
-			if pt := p.as.vmas[vi].pteAt(a); pt.present && pt.frame == f && pt.pins > 0 {
-				pt.pins--
-			}
 		}
 		if f.mapRefs == 0 && f.pinRefs == 0 {
 			p.as.phys.release(f)

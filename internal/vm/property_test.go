@@ -2,6 +2,7 @@ package vm
 
 import (
 	"bytes"
+	"encoding/binary"
 	"math/rand"
 	"testing"
 	"testing/quick"
@@ -239,20 +240,20 @@ func TestPropMunmapAlwaysNotifiesWholeRange(t *testing.T) {
 	}
 }
 
-// TestPropPageRefsBalance drives random write / lend / release / fork /
-// COW / swap / migrate / munmap / re-mmap sequences on unbounded memory and
-// checks after every operation that each page's reference count equals its
-// holders and that no free-list page is held; Bufs must read the snapshot
-// they were lent and live mappings must match a plain model. At teardown
-// every page ever made is accounted for with no holder left.
-func TestPropPageRefsBalance(t *testing.T) {
-	const (
-		nMaps    = 4
-		mapPages = 4
-		mapBytes = mapPages * PageSize
-	)
-	f := func(seed int64) bool {
-		rng := rand.New(rand.NewSource(seed))
+// FuzzPageRefs drives write / lend / release / fork / COW / swap /
+// migrate / pin / munmap / re-mmap sequences on unbounded memory, eight
+// bytes an op, and checks after every operation that each page's reference
+// count equals its holders and that no free-list page is held; Bufs must
+// read the snapshot they were lent and live mappings must match a sparse
+// model. Three mappings fit in one page-table leaf; the fourth spans more
+// than three, and ops address it at random pages. A partial munmap cuts a
+// hole inside a mapping, splitting its VMA (usually inside a leaf), and
+// maps the hole again. At teardown every page ever made is accounted for
+// with no holder left.
+func FuzzPageRefs(f *testing.F) {
+	mapPages := [...]int{4, 4, 4, 3*leafPages + 5}
+	const maxOps = 200
+	f.Fuzz(func(t *testing.T, ops []byte) {
 		pm := NewPhysMem(0)
 		as := NewAddressSpace(1, pm)
 		l := newPageLedger(pm)
@@ -260,27 +261,47 @@ func TestPropPageRefsBalance(t *testing.T) {
 			b    *Buf
 			want []byte
 		}
-		addrs := make([]Addr, nMaps)
-		model := make([][]byte, nMaps)
-		for i := range addrs {
-			addrs[i], _ = as.Mmap(mapBytes)
-			model[i] = make([]byte, mapBytes)
+		addrs := make([]Addr, len(mapPages))
+		// models[i] holds mapping i's written pages; absent pages read
+		// as zeros.
+		models := make([]map[int][]byte, len(mapPages))
+		for i, n := range mapPages {
+			addrs[i], _ = as.Mmap(n * PageSize)
+			models[i] = make(map[int][]byte)
+		}
+		modelWrite := func(mi, off int, data []byte) {
+			for len(data) > 0 {
+				pg := models[mi][off/PageSize]
+				if pg == nil {
+					pg = make([]byte, PageSize)
+					models[mi][off/PageSize] = pg
+				}
+				n := copy(pg[off%PageSize:], data)
+				data, off = data[n:], off+n
+			}
+		}
+		modelRead := func(mi, off, n int) []byte {
+			out := make([]byte, n)
+			for done := 0; done < n; {
+				o := (off + done) % PageSize
+				m := min(PageSize-o, n-done)
+				if pg := models[mi][(off+done)/PageSize]; pg != nil {
+					copy(out[done:done+m], pg[o:o+m])
+				}
+				done += m
+			}
+			return out
 		}
 		var loans []loan
 		var children []*AddressSpace
 		var pins []*Pinned
-		fail := func(format string, args ...any) bool {
-			t.Logf("seed %d: "+format, append([]any{seed}, args...)...)
-			return false
-		}
-		release := func(i int) bool {
+		release := func(i int) {
 			ln := loans[i]
 			if !bytes.Equal(ln.b.Bytes(), ln.want) {
-				return fail("lent Buf lost its snapshot")
+				t.Fatal("lent Buf lost its snapshot")
 			}
 			l.release(ln.b)
 			loans = append(loans[:i], loans[i+1:]...)
-			return true
 		}
 		dropChild := func(i int) {
 			c := children[i]
@@ -289,72 +310,102 @@ func TestPropPageRefsBalance(t *testing.T) {
 			}
 			children = append(children[:i], children[i+1:]...)
 		}
-		for op := 0; op < 150; op++ {
-			mi := rng.Intn(nMaps)
-			switch rng.Intn(10) {
-			case 0, 1: // write: whole pages (adopt-sized) or a partial range
-				off, n := 0, mapBytes
-				if rng.Intn(2) == 0 {
-					off = rng.Intn(mapBytes - 1)
-					n = 1 + rng.Intn(mapBytes-off)
+		for step := 0; step+8 <= len(ops) && step < 8*maxOps; step += 8 {
+			op := ops[step : step+8]
+			mi := int(op[1]) % len(mapPages)
+			pages := mapPages[mi]
+			a := int(binary.LittleEndian.Uint16(op[2:]))
+			b := int(binary.LittleEndian.Uint16(op[4:]))
+			c := int(binary.LittleEndian.Uint16(op[6:]))
+			// Most ops act on a window of up to four pages at page first.
+			first := a % pages
+			base := first * PageSize
+			window := min(4, pages-first) * PageSize
+			switch op[0] % 11 {
+			case 0, 1: // write: the whole window (adopt-sized) or a partial range
+				off, n := base, window
+				if b&1 != 0 {
+					off += b % (window - 1)
+					n = 1 + c%(base+window-off)
 				}
 				data := make([]byte, n)
-				rng.Read(data)
+				for i := range data {
+					data[i] = byte(c) * byte(i*31+1+i>>8) // c == 0 writes zeros
+				}
 				as.Write(addrs[mi]+Addr(off), data)
-				copy(model[mi][off:], data)
+				modelWrite(mi, off, data)
 			case 2: // lend a resident range
-				off := rng.Intn(mapBytes - 1)
-				n := 1 + rng.Intn(mapBytes-off)
-				if b, ok := l.lend(as, addrs[mi]+Addr(off), n); ok {
-					loans = append(loans, loan{b, append([]byte(nil), model[mi][off:off+n]...)})
+				off := base + b%(window-1)
+				n := 1 + c%(base+window-off)
+				if lb, ok := l.lend(as, addrs[mi]+Addr(off), n); ok {
+					loans = append(loans, loan{lb, modelRead(mi, off, n)})
 				}
 			case 3: // release a loan
-				if len(loans) > 0 && !release(rng.Intn(len(loans))) {
-					return false
+				if len(loans) > 0 {
+					release(b % len(loans))
 				}
-			case 4: // fork; the child writes a page (COW break on its side)
+			case 4: // fork; the child writes a byte (COW break on its side)
 				if len(children) >= 2 {
 					dropChild(0)
 				}
-				c, err := as.Fork(10 + op)
+				child, err := as.Fork(10 + step)
 				if err != nil {
-					return fail("fork: %v", err)
+					t.Fatalf("fork: %v", err)
 				}
-				c.Write(addrs[mi]+Addr(rng.Intn(mapBytes)), []byte{0x5A})
-				children = append(children, c)
-			case 5: // swap out, then maybe touch a page back in
-				as.SwapOut(addrs[mi], mapBytes)
-				if rng.Intn(2) == 0 {
-					as.Read(addrs[mi]+Addr(rng.Intn(mapBytes)), make([]byte, 1))
+				child.Write(addrs[mi]+Addr(base+b%PageSize), []byte{0x5A})
+				children = append(children, child)
+			case 5: // swap out the window or the mapping, then maybe touch a page back in
+				if b&1 == 0 {
+					as.SwapOut(addrs[mi]+Addr(base), window)
+				} else {
+					as.SwapOut(addrs[mi], pages*PageSize)
 				}
-			case 6: // migrate
-				as.Migrate(addrs[mi], mapBytes)
+				if c&1 == 0 {
+					as.Read(addrs[mi]+Addr(base+c%window), make([]byte, 1))
+				}
+			case 6: // migrate the window or the mapping
+				if b&1 == 0 {
+					as.Migrate(addrs[mi]+Addr(base), window)
+				} else {
+					as.Migrate(addrs[mi], pages*PageSize)
+				}
 			case 7: // pin or unpin a page: pinned frames survive munmap
-				if len(pins) > 0 && rng.Intn(2) == 0 {
+				if len(pins) > 0 && b&1 == 0 {
 					pins[0].Unpin()
 					pins = pins[1:]
-				} else if h, err := as.PinPages(addrs[mi], rng.Intn(mapPages), 1); err == nil {
+				} else if h, err := as.PinPages(addrs[mi], first, 1); err == nil {
 					pins = append(pins, h)
 				}
 			case 8: // free and re-malloc: freed pages are recycled
-				as.Munmap(addrs[mi], mapBytes)
-				addrs[mi], _ = as.Mmap(mapBytes)
-				model[mi] = make([]byte, mapBytes)
-			case 9: // read a mapping back through the live page tables
-				got := make([]byte, mapBytes)
-				as.Read(addrs[mi], got)
-				if !bytes.Equal(got, model[mi]) {
-					return fail("mapping %d diverged from model", mi)
+				as.Munmap(addrs[mi], pages*PageSize)
+				addrs[mi], _ = as.Mmap(pages * PageSize)
+				models[mi] = make(map[int][]byte)
+			case 9: // read the window back through the live page tables
+				got := make([]byte, window)
+				as.Read(addrs[mi]+Addr(base), got)
+				if want := modelRead(mi, base, window); !bytes.Equal(got, want) {
+					t.Fatalf("op %d: mapping %d pages [%d,%d) diverged from model", step/8, mi, first, first+window/PageSize)
+				}
+			case 10: // cut a hole strictly inside the mapping, then map it again
+				hole := 1 + a%(pages-2)
+				n := 1 + b%min(4, pages-1-hole)
+				at := addrs[mi] + Addr(hole)<<PageShift
+				if err := as.Munmap(at, n*PageSize); err != nil {
+					t.Fatalf("op %d: partial munmap: %v", step/8, err)
+				}
+				if err := as.MmapFixed(at, n*PageSize); err != nil {
+					t.Fatalf("op %d: remap: %v", step/8, err)
+				}
+				for p := hole; p < hole+n; p++ {
+					delete(models[mi], p)
 				}
 			}
 			if err := l.check(append([]*AddressSpace{as}, children...), pins); err != nil {
-				return fail("op %d: %v", op, err)
+				t.Fatalf("op %d: %v", step/8, err)
 			}
 		}
 		for len(loans) > 0 {
-			if !release(0) {
-				return false
-			}
+			release(0)
 		}
 		for _, h := range pins {
 			h.Unpin()
@@ -362,18 +413,14 @@ func TestPropPageRefsBalance(t *testing.T) {
 		for len(children) > 0 {
 			dropChild(0)
 		}
-		for _, a := range addrs {
-			as.Munmap(a, mapBytes)
+		for i, a := range addrs {
+			as.Munmap(a, mapPages[i]*PageSize)
 		}
 		if pm.FramesInUse() != 0 || pm.SwappedPages() != 0 {
-			return fail("teardown left frames=%d swapped=%d", pm.FramesInUse(), pm.SwappedPages())
+			t.Fatalf("teardown left frames=%d swapped=%d", pm.FramesInUse(), pm.SwappedPages())
 		}
 		if err := l.checkTornDown(); err != nil {
-			return fail("%v", err)
+			t.Fatal(err)
 		}
-		return true
-	}
-	if err := quick.Check(f, &quick.Config{MaxCount: 40}); err != nil {
-		t.Fatal(err)
-	}
+	})
 }

@@ -308,12 +308,8 @@ func (pm *PhysMem) KswapdPass() (scanned, stolen int) {
 // mapping changes. It reports whether the frame was reclaimed.
 func (as *AddressSpace) reclaimFrame(f *Frame) bool {
 	a := f.vaddr
-	vi, ok := as.findVMA(a)
-	if !ok {
-		return false
-	}
-	p := as.vmas[vi].pteAt(a)
-	if !p.present || p.frame != f {
+	p := as.lookup(a)
+	if p == nil || !p.present || p.frame != f {
 		return false // stale reverse mapping
 	}
 	as.notify(a, a+PageSize, InvalidateSwap)

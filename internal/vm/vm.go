@@ -9,10 +9,13 @@
 // The package models state and semantics only; CPU time for pinning and
 // copying is charged by callers (the driver) on cpu.Core work queues.
 //
-// Page tables are stored as per-VMA PTE slices over a sorted VMA list, so
-// every range operation (pin, fault, read, write, migrate, swap) resolves
-// the mapping once with a binary search and then walks pages by direct
-// indexing — no per-page map lookups. Frame contents are reference-counted
+// Each VMA in a sorted list owns a two-level page table: a directory, sized
+// when the mapping is made, of 512-entry leaves (page-table pages) that the
+// first fault, pin or populate in their range allocates, so memory a
+// process maps but never touches costs a directory slot, not PTEs. Every
+// range operation (pin, fault, read, write, migrate, swap) resolves the
+// mapping once with a binary search and then walks a leaf at a time by
+// direct indexing — no per-page lookups. Frame contents are reference-counted
 // page buffers (see page and Buf): readers take O(1) references, the 4 KiB
 // copy is paid only if a side writes while another still holds the page,
 // and a page whose last holder lets go is recycled through its node's free
@@ -22,6 +25,7 @@ package vm
 import (
 	"errors"
 	"fmt"
+	"slices"
 	"sort"
 )
 
@@ -320,18 +324,72 @@ type pte struct {
 	swapped      bool
 }
 
+// A leaf is one page-table page: the PTEs of leafPages consecutive pages,
+// 2 MiB of address space as on x86-64 (16 KiB here, at 32 bytes a PTE).
+const (
+	leafShift = 9
+	leafPages = 1 << leafShift
+	leafMask  = leafPages - 1
+)
+
+type leaf [leafPages]pte
+
 // vma is a mapped virtual region (anonymous memory only) together with its
-// page-table slice: ptes[i] describes the page at start + i*PageSize.
-// Splitting a vma sub-slices ptes, so outstanding PTE pointers stay valid.
+// page table: page i, at start + i*PageSize, lives in leaf (base+i)>>leafShift
+// of dir, slot (base+i)&leafMask. A nil leaf holds no present or swapped
+// page; reads treat it as "not present" and allocate nothing. Splitting a
+// vma gives each half its own directory over the leaves it still covers:
+// leaves wholly inside the unmapped range drop out, a leaf the split falls
+// inside stays shared, and outstanding PTE pointers stay valid.
 type vma struct {
 	start, end Addr // page aligned, [start, end)
-	ptes       []pte
+	base       int  // slot of page 0 in dir[0]
+	dir        []*leaf
+}
+
+func newVMA(start, end Addr) *vma {
+	v := &vma{start: start, end: end}
+	v.dir = make([]*leaf, (v.pages()+leafMask)>>leafShift)
+	return v
 }
 
 func (v *vma) pages() int { return int((v.end - v.start) >> PageShift) }
 
-// pteAt returns the PTE for page-aligned address a, which must lie in v.
-func (v *vma) pteAt(a Addr) *pte { return &v.ptes[int((a-v.start)>>PageShift)] }
+// pageOf returns the index, counted from v's first page, of the page at
+// page-aligned address a, which must not lie below v.start.
+func (v *vma) pageOf(a Addr) int { return int((a - v.start) >> PageShift) }
+
+// leafRun returns the PTEs of pages [i, i+n) of v, a run that ends at the
+// end of page i's leaf or at page limit, whichever comes first. An absent
+// leaf is allocated when alloc is set; otherwise ptes is nil (no page of
+// the run is present) and n is still the run's length.
+func (v *vma) leafRun(i, limit int, alloc bool) (ptes []pte, n int) {
+	g := v.base + i
+	s := g & leafMask
+	n = min(leafPages-s, limit-i)
+	l := v.dir[g>>leafShift]
+	if l == nil {
+		if !alloc {
+			return nil, n
+		}
+		l = new(leaf)
+		v.dir[g>>leafShift] = l
+	}
+	return l[s : s+n], n
+}
+
+// sub returns the part of v covering pages [first, first+count), with a
+// directory of its own over the leaves that part spans.
+func (v *vma) sub(first, count int) *vma {
+	g := v.base + first
+	lo, hi := g>>leafShift, (g+count+leafMask)>>leafShift
+	return &vma{
+		start: v.start + Addr(first)<<PageShift,
+		end:   v.start + Addr(first+count)<<PageShift,
+		base:  g & leafMask,
+		dir:   slices.Clone(v.dir[lo:hi]),
+	}
+}
 
 // NotifierRange describes an invalidated virtual range.
 type NotifierRange struct {
@@ -533,12 +591,6 @@ func (as *AddressSpace) MmapFixed(addr Addr, length int) error {
 	return nil
 }
 
-func newVMA(start, end Addr) *vma {
-	v := &vma{start: start, end: end}
-	v.ptes = make([]pte, v.pages())
-	return v
-}
-
 func (as *AddressSpace) insertVMA(v *vma) {
 	i := sort.Search(len(as.vmas), func(i int) bool { return as.vmas[i].start >= v.start })
 	as.vmas = append(as.vmas, nil)
@@ -563,11 +615,7 @@ func (as *AddressSpace) Munmap(addr Addr, length int) error {
 		return ErrBadUnmap
 	}
 	as.notify(start, end, InvalidateUnmap)
-	as.forEachVMA(start, end, func(v *vma, first, count int) {
-		for i := first; i < first+count; i++ {
-			as.dropPTE(&v.ptes[i])
-		}
-	})
+	as.forEachPTE(start, end, as.dropPTE)
 	as.removeVMARange(start, end)
 	return nil
 }
@@ -586,8 +634,23 @@ func (as *AddressSpace) forEachVMA(start, end Addr, fn func(v *vma, firstPage, p
 		if hi > end {
 			hi = end
 		}
-		fn(v, int((lo-v.start)>>PageShift), int((hi-lo)>>PageShift))
+		fn(v, v.pageOf(lo), int((hi-lo)>>PageShift))
 	}
+}
+
+// forEachPTE calls fn with the PTE of every page in [start, end) whose
+// leaf exists, a leaf at a time. Absent leaves hold no present or swapped
+// page, so walks that act only on those skip them without allocating.
+func (as *AddressSpace) forEachPTE(start, end Addr, fn func(p *pte)) {
+	as.forEachVMA(start, end, func(v *vma, first, count int) {
+		for i := first; i < first+count; {
+			ptes, n := v.leafRun(i, first+count, false)
+			for j := range ptes {
+				fn(&ptes[j])
+			}
+			i += n
+		}
+	})
 }
 
 // covered reports whether [start, end) lies entirely inside mappings.
@@ -615,12 +678,11 @@ func (as *AddressSpace) removeVMARange(start, end Addr) {
 			continue
 		}
 		if v.start < start {
-			keep := int((start - v.start) >> PageShift)
-			out = append(out, &vma{start: v.start, end: start, ptes: v.ptes[:keep]})
+			out = append(out, v.sub(0, v.pageOf(start)))
 		}
 		if v.end > end {
-			skip := int((end - v.start) >> PageShift)
-			out = append(out, &vma{start: end, end: v.end, ptes: v.ptes[skip:]})
+			skip := v.pageOf(end)
+			out = append(out, v.sub(skip, v.pages()-skip))
 		}
 	}
 	sort.Slice(out, func(i, j int) bool { return out[i].start < out[j].start })
@@ -659,20 +721,10 @@ func (as *AddressSpace) Mapped(addr Addr, length int) bool {
 	return as.covered(PageAlignDown(addr), PageAlignUp(addr+Addr(length)))
 }
 
-// fault materializes the PTE for page a (demand-zero, swap-in, or COW break
-// on write), returning the frame. forWrite causes COW duplication.
-func (as *AddressSpace) fault(a Addr, forWrite bool) (*Frame, error) {
-	vi, ok := as.findVMA(a)
-	if !ok {
-		return nil, fmt.Errorf("vm: fault at %#x: %w", uint64(a), ErrBadAddress)
-	}
-	v := as.vmas[vi]
-	return as.faultPTE(a, v.pteAt(a), forWrite)
-}
-
-// faultPTE runs the fault path on an already-located PTE. Allocation goes
-// through allocFrame, so hitting physical capacity triggers a direct
-// reclaim stall instead of failing outright.
+// faultPTE materializes the PTE p of page a (demand-zero, swap-in, or COW
+// break on write) and returns its frame; forWrite causes COW duplication.
+// Allocation goes through allocFrame, so hitting physical capacity
+// triggers a direct reclaim stall instead of failing outright.
 func (as *AddressSpace) faultPTE(a Addr, p *pte, forWrite bool) (*Frame, error) {
 	if p.swapped {
 		f, err := as.allocFrame()
@@ -757,11 +809,9 @@ func (as *AddressSpace) MarkCOW(addr Addr, length int) error {
 	if !as.covered(start, end) {
 		return ErrBadAddress
 	}
-	as.forEachVMA(start, end, func(v *vma, first, count int) {
-		for i := first; i < first+count; i++ {
-			if v.ptes[i].present {
-				v.ptes[i].writable = false
-			}
+	as.forEachPTE(start, end, func(p *pte) {
+		if p.present {
+			p.writable = false
 		}
 	})
 	return nil
@@ -782,11 +832,9 @@ func (as *AddressSpace) MProtect(addr Addr, length int, writable bool) error {
 	if !writable {
 		as.notify(start, end, InvalidateProtect)
 	}
-	as.forEachVMA(start, end, func(v *vma, first, count int) {
-		for i := first; i < first+count; i++ {
-			if v.ptes[i].present {
-				v.ptes[i].writable = writable
-			}
+	as.forEachPTE(start, end, func(p *pte) {
+		if p.present {
+			p.writable = writable
 		}
 	})
 	return nil
@@ -808,8 +856,8 @@ func (as *AddressSpace) Read(addr Addr, dst []byte) error {
 	})
 }
 
-// rangeAccess walks [addr, addr+length) once, faulting pages in as needed
-// and invoking fn for each page-contiguous piece.
+// rangeAccess walks [addr, addr+length) once, a leaf at a time, faulting
+// pages in as needed and invoking fn for each page-contiguous piece.
 func (as *AddressSpace) rangeAccess(addr Addr, length int, forWrite bool,
 	fn func(f *Frame, frameOff, n, done int)) error {
 	done := 0
@@ -820,23 +868,22 @@ func (as *AddressSpace) rangeAccess(addr Addr, length int, forWrite bool,
 			return fmt.Errorf("vm: fault at %#x: %w", uint64(a), ErrBadAddress)
 		}
 		v := as.vmas[vi]
-		for done < length {
-			a = addr + Addr(done)
-			if a >= v.end {
-				break
+		limit := min(v.pages(), v.pageOf(PageAlignUp(addr+Addr(length))))
+		for i := v.pageOf(PageAlignDown(a)); i < limit; {
+			ptes, run := v.leafRun(i, limit, true)
+			for j := range ptes {
+				a = addr + Addr(done)
+				page := PageAlignDown(a)
+				f, err := as.faultPTE(page, &ptes[j], forWrite)
+				if err != nil {
+					return err
+				}
+				frameOff := int(a - page)
+				n := min(PageSize-frameOff, length-done)
+				fn(f, frameOff, n, done)
+				done += n
 			}
-			page := PageAlignDown(a)
-			f, err := as.faultPTE(page, v.pteAt(page), forWrite)
-			if err != nil {
-				return err
-			}
-			frameOff := int(a - page)
-			n := PageSize - frameOff
-			if n > length-done {
-				n = length - done
-			}
-			fn(f, frameOff, n, done)
-			done += n
+			i += run
 		}
 	}
 	return nil
@@ -847,16 +894,28 @@ func (as *AddressSpace) rangeAccess(addr Addr, length int, forWrite bool,
 // ODP-capable device makes before translating through the live page
 // table — a non-resident page means the access faults instead.
 func (as *AddressSpace) PageResident(a Addr) bool {
+	p := as.lookup(a)
+	return p != nil && p.present
+}
+
+// lookup returns the PTE of the page containing a, or nil when a is
+// unmapped or its leaf is absent. It allocates nothing.
+func (as *AddressSpace) lookup(a Addr) *pte {
 	a = PageAlignDown(a)
 	vi, ok := as.findVMA(a)
 	if !ok {
-		return false
+		return nil
 	}
-	return as.vmas[vi].pteAt(a).present
+	v := as.vmas[vi]
+	i := v.pageOf(a)
+	if ptes, _ := v.leafRun(i, i+1, false); ptes != nil {
+		return &ptes[0]
+	}
+	return nil
 }
 
 // MissingPages walks count pages starting at the page containing addr,
-// resolving the mapping once per VMA (not once per page), and returns
+// resolving the mapping once per VMA and a leaf at a time, and returns
 // the indexes — relative to the first page — of pages that are not
 // resident. Unmapped pages count as missing. A nil result means the
 // whole range is resident; this is the bulk form of PageResident the
@@ -883,11 +942,14 @@ func (as *AddressSpace) MissingPages(addr Addr, count int) []int {
 			continue
 		}
 		v := as.vmas[vi]
-		idx := int((a - v.start) >> PageShift)
-		for ; i < count && idx < len(v.ptes); idx, i = idx+1, i+1 {
-			if !v.ptes[idx].present {
-				missing = append(missing, i)
+		for idx := v.pageOf(a); i < count && idx < v.pages(); {
+			ptes, n := v.leafRun(idx, min(v.pages(), idx+count-i), false)
+			for j := range n {
+				if ptes == nil || !ptes[j].present {
+					missing = append(missing, i+j)
+				}
 			}
+			idx, i = idx+n, i+n
 		}
 	}
 	return missing
@@ -896,8 +958,8 @@ func (as *AddressSpace) MissingPages(addr Addr, count int) []int {
 // Populate materializes count pages starting at the page containing
 // addr, faulting in demand-zero and swapped pages (read faults: COW
 // sharing is left intact; a later write breaks it). Like the other
-// range operations it resolves the mapping once per VMA, not once per
-// page. It returns the number of pages that were not resident before;
+// range operations it resolves the mapping once per VMA and walks a leaf
+// at a time. It returns the number of pages that were not resident before;
 // an unmapped page stops the walk with ErrBadAddress. This is the host
 // side of an ODP page request: the device faulted, the kernel faults
 // the pages in, the device retries.
@@ -912,16 +974,17 @@ func (as *AddressSpace) Populate(addr Addr, count int) (int, error) {
 			return n, fmt.Errorf("vm: populate at %#x: %w", uint64(a), ErrBadAddress)
 		}
 		v := as.vmas[vi]
-		idx := int((a - v.start) >> PageShift)
-		for ; i < count && idx < len(v.ptes); idx, i = idx+1, i+1 {
-			pt := &v.ptes[idx]
-			if pt.present {
-				continue
+		for idx := v.pageOf(a); i < count && idx < v.pages(); {
+			ptes, run := v.leafRun(idx, min(v.pages(), idx+count-i), true)
+			for j := range ptes {
+				if pt := &ptes[j]; !pt.present {
+					if _, err := as.faultPTE(v.start+Addr(idx+j)<<PageShift, pt, false); err != nil {
+						return n, err
+					}
+					n++
+				}
 			}
-			if _, err := as.faultPTE(v.start+Addr(idx)<<PageShift, pt, false); err != nil {
-				return n, err
-			}
-			n++
+			idx, i = idx+run, i+run
 		}
 	}
 	return n, nil
@@ -930,13 +993,8 @@ func (as *AddressSpace) Populate(addr Addr, count int) (int, error) {
 // FrameAt returns the current frame backing page-aligned address a, if
 // present. Used by invariant tests to detect stale device translations.
 func (as *AddressSpace) FrameAt(a Addr) (*Frame, bool) {
-	a = PageAlignDown(a)
-	vi, ok := as.findVMA(a)
-	if !ok {
-		return nil, false
-	}
-	p := as.vmas[vi].pteAt(a)
-	if !p.present {
+	p := as.lookup(a)
+	if p == nil || !p.present {
 		return nil, false
 	}
 	return p.frame, true
@@ -954,66 +1012,88 @@ func (as *AddressSpace) Migrate(addr Addr, length int) (int, error) {
 		return 0, ErrBadAddress
 	}
 	moved := 0
-	var walkErr error
-	as.forEachVMA(start, end, func(v *vma, first, count int) {
-		if walkErr != nil {
-			return
+	err := as.migratableRuns(start, end, InvalidateMigrate, func(p *pte, a Addr) error {
+		if !p.present {
+			return nil // direct reclaim swapped it out mid-run
 		}
-		i := first
-		for i < first+count {
-			// Find the next run of migratable pages and invalidate it as
-			// one batched notifier range.
-			for i < first+count && !migratable(&v.ptes[i]) {
-				i++
-			}
-			runStart := i
-			for i < first+count && migratable(&v.ptes[i]) {
-				i++
-			}
-			if runStart == i {
-				continue
-			}
-			lo := v.start + Addr(runStart)<<PageShift
-			hi := v.start + Addr(i)<<PageShift
-			as.notify(lo, hi, InvalidateMigrate)
-			for j := runStart; j < i; j++ {
-				p := &v.ptes[j]
-				if !p.present {
-					continue // direct reclaim swapped it out mid-run
-				}
-				old := p.frame
-				// Transient reference so direct reclaim inside the
-				// allocation cannot steal the page being migrated.
-				old.kernRefs++
-				f, err := as.allocFrame()
-				old.kernRefs--
-				if err != nil {
-					walkErr = err
-					return
-				}
-				if old.mapRefs > 1 {
-					// Still mapped elsewhere (COW share): the moved copy
-					// references the page, the old frame keeps it.
-					f.pg = old.refPage()
-				} else {
-					f.pg, old.pg = old.pg, nil
-				}
-				old.mapRefs--
-				if old.mapRefs == 0 && old.pinRefs == 0 {
-					as.phys.release(old)
-				}
-				p.frame = f
-				f.mapRefs++
-				as.installFrame(f, v.start+Addr(j)<<PageShift)
-				moved++
-			}
+		old := p.frame
+		// Transient reference so direct reclaim inside the allocation
+		// cannot steal the page being migrated.
+		old.kernRefs++
+		f, err := as.allocFrame()
+		old.kernRefs--
+		if err != nil {
+			return err
 		}
+		if old.mapRefs > 1 {
+			// Still mapped elsewhere (COW share): the moved copy
+			// references the page, the old frame keeps it.
+			f.pg = old.refPage()
+		} else {
+			f.pg, old.pg = old.pg, nil
+		}
+		old.mapRefs--
+		if old.mapRefs == 0 && old.pinRefs == 0 {
+			as.phys.release(old)
+		}
+		p.frame = f
+		f.mapRefs++
+		as.installFrame(f, a)
+		moved++
+		return nil
 	})
-	return moved, walkErr
+	return moved, err
 }
 
 func migratable(p *pte) bool {
 	return p.present && p.frame.pinRefs == 0
+}
+
+// migratableRuns finds the runs of migratable pages in [start, end), a
+// leaf at a time (absent leaves hold none), and for each run fires one
+// batched reason notifier and then calls fn with each of its PTEs and
+// page addresses. An error from fn stops the walk.
+func (as *AddressSpace) migratableRuns(start, end Addr, reason InvalidateReason, fn func(p *pte, a Addr) error) error {
+	var walkErr error
+	as.forEachVMA(start, end, func(v *vma, first, count int) {
+		limit := first + count
+		for i := first; walkErr == nil && i < limit; {
+			lo := v.scan(i, limit, false)
+			i = v.scan(lo, limit, true)
+			if lo == i {
+				continue
+			}
+			as.notify(v.start+Addr(lo)<<PageShift, v.start+Addr(i)<<PageShift, reason)
+			for j := lo; j < i; {
+				ptes, n := v.leafRun(j, i, false)
+				for k := range ptes {
+					if walkErr = fn(&ptes[k], v.start+Addr(j+k)<<PageShift); walkErr != nil {
+						return
+					}
+				}
+				j += n
+			}
+		}
+	})
+	return walkErr
+}
+
+// scan returns the first page in [i, limit) of v whose migratability is
+// not want, or limit. Pages of an absent leaf are not migratable.
+func (v *vma) scan(i, limit int, want bool) int {
+	for i < limit {
+		ptes, n := v.leafRun(i, limit, false)
+		if ptes == nil && want {
+			return i
+		}
+		for j := range ptes {
+			if migratable(&ptes[j]) != want {
+				return i + j
+			}
+		}
+		i += n
+	}
+	return limit
 }
 
 // SwapOut writes the pages of [addr, addr+length) to swap and frees their
@@ -1026,27 +1106,10 @@ func (as *AddressSpace) SwapOut(addr Addr, length int) (int, error) {
 		return 0, ErrBadAddress
 	}
 	swapped := 0
-	as.forEachVMA(start, end, func(v *vma, first, count int) {
-		i := first
-		for i < first+count {
-			for i < first+count && !migratable(&v.ptes[i]) {
-				i++
-			}
-			runStart := i
-			for i < first+count && migratable(&v.ptes[i]) {
-				i++
-			}
-			if runStart == i {
-				continue
-			}
-			lo := v.start + Addr(runStart)<<PageShift
-			hi := v.start + Addr(i)<<PageShift
-			as.notify(lo, hi, InvalidateSwap)
-			for j := runStart; j < i; j++ {
-				as.swapOutPTE(&v.ptes[j])
-				swapped++
-			}
-		}
+	as.migratableRuns(start, end, InvalidateSwap, func(p *pte, _ Addr) error {
+		as.swapOutPTE(p)
+		swapped++
+		return nil
 	})
 	return swapped, nil
 }
