@@ -256,21 +256,21 @@ func pingPongHost(b *testing.B, cfg omx.Config, spec cpu.Spec, size int) float64
 
 // BenchmarkEngineOverhead puts the simulator's own dispatch speed on the
 // benchmark trajectory: raw event throughput (events/sec) and allocations
-// per scheduled event across the three queue tiers — the zero-delay fast
-// path, the timer wheel, and the far-future overflow heap. The cell bodies
-// live in internal/bench, shared with `omxsim bench`.
+// per scheduled event for zero-delay events, timed events and cancelled
+// timers. The first two cell bodies live in internal/bench, shared with
+// `omxsim bench`.
 func BenchmarkEngineOverhead(b *testing.B) {
 	b.Run("After0", func(b *testing.B) {
-		// Zero-delay schedule+fire: the fast-path ring with pooled events.
+		// Zero-delay schedule+fire: a heap push and pop of a pooled event.
 		b.ReportAllocs()
 		bench.EngineAfter0Cell(b.N)
 		b.ReportMetric(float64(b.N)/b.Elapsed().Seconds(), "events/sec")
 	})
-	b.Run("TimerWheel", func(b *testing.B) {
-		// Timed events across all wheel levels (150ns..20ms, the delays the
-		// protocol stack actually uses).
+	b.Run("Timed", func(b *testing.B) {
+		// Timed events from 150ns to 20ms, the delays the protocol stack
+		// actually uses.
 		b.ReportAllocs()
-		bench.EngineTimerWheelCell(b.N)
+		bench.EngineTimedCell(b.N)
 		b.ReportMetric(float64(b.N)/b.Elapsed().Seconds(), "events/sec")
 	})
 	b.Run("TimerCancel", func(b *testing.B) {

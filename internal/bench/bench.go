@@ -277,7 +277,7 @@ func KVServeFleetCell() (p50, p99, p999 float64, events uint64) {
 }
 
 // EngineAfter0Cell performs n zero-delay schedule+fire round trips on a
-// fresh engine (the fast-path microbenchmark body).
+// fresh engine (the pooled zero-delay microbenchmark body).
 func EngineAfter0Cell(n int) {
 	eng := sim.NewEngine(1)
 	fn := func() {}
@@ -287,18 +287,18 @@ func EngineAfter0Cell(n int) {
 	}
 }
 
-// TimerWheelDelays are the timed-scheduling delays the wheel microbenchmark
-// cycles through — the delays the protocol stack actually uses, spanning
-// every wheel level.
-var TimerWheelDelays = []sim.Duration{150, 5000, 65_000, 2_000_000, 20_000_000}
+// TimedDelays are the timed-scheduling delays the timed-event
+// microbenchmark cycles through — the delays the protocol stack actually
+// uses, from a 150 ns bottom half to a 20 ms retransmit timer.
+var TimedDelays = []sim.Duration{150, 5000, 65_000, 2_000_000, 20_000_000}
 
-// EngineTimerWheelCell performs n timed schedule+fire round trips across
-// the wheel levels.
-func EngineTimerWheelCell(n int) {
+// EngineTimedCell performs n timed schedule+fire round trips over
+// TimedDelays.
+func EngineTimedCell(n int) {
 	eng := sim.NewEngine(1)
 	fn := func() {}
 	for i := 0; i < n; i++ {
-		eng.After(TimerWheelDelays[i%len(TimerWheelDelays)], fn)
+		eng.After(TimedDelays[i%len(TimedDelays)], fn)
 		eng.Step()
 	}
 }
@@ -399,7 +399,7 @@ func kvServeFleet(metrics map[string]float64) {
 	}
 }
 
-// engineAfter0 measures the zero-delay fast path in isolation.
+// engineAfter0 measures zero-delay scheduling in isolation.
 func engineAfter0(metrics map[string]float64) {
 	const n = 2_000_000
 	start := time.Now()
@@ -407,11 +407,11 @@ func engineAfter0(metrics map[string]float64) {
 	metrics["events/sec"] = n / time.Since(start).Seconds()
 }
 
-// engineTimerWheel measures timed scheduling across the wheel levels.
-func engineTimerWheel(metrics map[string]float64) {
+// engineTimed measures timed scheduling over TimedDelays.
+func engineTimed(metrics map[string]float64) {
 	const n = 500_000
 	start := time.Now()
-	EngineTimerWheelCell(n)
+	EngineTimedCell(n)
 	metrics["events/sec"] = n / time.Since(start).Seconds()
 }
 
@@ -463,7 +463,7 @@ func Run(pr int, quick bool) Report {
 		serial,
 		par,
 		measure("EngineAfter0", 1, minWall/4, engineAfter0),
-		measure("EngineTimerWheel", 1, minWall/4, engineTimerWheel),
+		measure("EngineTimed", 1, minWall/4, engineTimed),
 		measure("Figure7Regular1MB", minIters, minWall/2, figure7Regular),
 		measure("KVServeTail", minIters, minWall/2, kvServeTail),
 		measure("KVServeFleet", minIters, minWall/2, kvServeFleet),

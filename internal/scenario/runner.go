@@ -431,7 +431,7 @@ func startFlood(eng *sim.Engine, c *cpu.Core, utilization float64) func() {
 	return func() {
 		stopped = true
 		// Cancel the armed timer so a stopped flood leaves no pending event
-		// behind (Cancel is O(1) on every queue tier).
+		// behind (Cancel removes it from the engine's heap).
 		pending.Cancel()
 	}
 }

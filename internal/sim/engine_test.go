@@ -92,21 +92,6 @@ func TestEngineRunUntil(t *testing.T) {
 	}
 }
 
-func TestEngineStop(t *testing.T) {
-	e := NewEngine(1)
-	count := 0
-	e.After(1, func() { count++; e.Stop() })
-	e.After(2, func() { count++ })
-	e.Run()
-	if count != 1 {
-		t.Fatalf("count = %d, want 1 (Stop should halt the loop)", count)
-	}
-	e.Run()
-	if count != 2 {
-		t.Fatalf("count = %d after resuming, want 2", count)
-	}
-}
-
 func TestEnginePanicsOnPastEvent(t *testing.T) {
 	e := NewEngine(1)
 	e.After(10, func() {

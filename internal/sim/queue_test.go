@@ -5,10 +5,9 @@ import (
 	"testing"
 )
 
-// buildWorkload drives an engine through a randomized schedule exercising
-// every queue tier (zero-delay fast path, all wheel levels incl. block
-// boundaries, far-future overflow heap) plus cancellations and nested
-// scheduling, recording the (time, id) trace of fired events.
+// buildWorkload drives an engine through a randomized schedule of delays
+// from zero to beyond 2^32 ns, cancellations and nested scheduling,
+// recording the (time, id) trace of fired events.
 func buildWorkload(e *Engine, seed int64) ([]Time, []int, uint64) {
 	rng := rand.New(rand.NewSource(seed))
 	var times []Time
@@ -56,38 +55,8 @@ func buildWorkload(e *Engine, seed int64) ([]Time, []int, uint64) {
 	return times, ids, e.EventsFired()
 }
 
-// TestGoldenTraceFastVsLegacyHeap asserts that the tiered queue (fast path
-// + timer wheel + overflow heap) fires exactly the same events in exactly
-// the same order as the reference single-tier heap implementation.
-func TestGoldenTraceFastVsLegacyHeap(t *testing.T) {
-	for seed := int64(1); seed <= 12; seed++ {
-		fast := NewEngine(seed)
-		ft, fi, ff := buildWorkload(fast, seed)
-
-		legacy := NewEngine(seed)
-		legacy.legacyHeap = true
-		lt, li, lf := buildWorkload(legacy, seed)
-
-		if ff != lf {
-			t.Fatalf("seed %d: EventsFired fast=%d legacy=%d", seed, ff, lf)
-		}
-		if len(ft) != len(lt) {
-			t.Fatalf("seed %d: trace length fast=%d legacy=%d", seed, len(ft), len(lt))
-		}
-		for i := range ft {
-			if ft[i] != lt[i] || fi[i] != li[i] {
-				t.Fatalf("seed %d: trace diverges at %d: fast=(%v,%d) legacy=(%v,%d)",
-					seed, i, ft[i], fi[i], lt[i], li[i])
-			}
-		}
-		if ff == 0 {
-			t.Fatalf("seed %d: workload fired nothing", seed)
-		}
-	}
-}
-
 // TestGoldenTraceDeterminism asserts run-to-run reproducibility of the
-// tiered engine itself.
+// engine itself.
 func TestGoldenTraceDeterminism(t *testing.T) {
 	t1, i1, f1 := buildWorkload(NewEngine(7), 7)
 	t2, i2, f2 := buildWorkload(NewEngine(7), 7)
@@ -101,9 +70,9 @@ func TestGoldenTraceDeterminism(t *testing.T) {
 	}
 }
 
-// TestCancelFastPathEvent asserts Event.Cancel works on the zero-delay
-// queue tier: the event must not fire, must not advance the clock, and
-// must update Pending.
+// TestCancelFastPathEvent asserts Event.Cancel works on a pooled
+// zero-delay event: the event must not fire, must not advance the clock,
+// and must update Pending.
 func TestCancelFastPathEvent(t *testing.T) {
 	e := NewEngine(1)
 	fired := false
@@ -129,27 +98,28 @@ func TestCancelFastPathEvent(t *testing.T) {
 	}
 }
 
-// TestPendingCounterAcrossTiers asserts the O(1) live-event counter stays
-// exact across scheduling, firing, and cancelling on every tier.
-func TestPendingCounterAcrossTiers(t *testing.T) {
+// TestPendingCounterAcrossDelays asserts Pending stays exact across
+// scheduling, firing, and cancelling events from zero delay to six
+// seconds out.
+func TestPendingCounterAcrossDelays(t *testing.T) {
 	e := NewEngine(1)
-	evZero := e.After(0, func() {})
-	evWheel := e.After(5000, func() {})
-	evDeep := e.After(200_000_000, func() {})
-	evHeap := e.After(6_000_000_000, func() {})
+	e.After(0, func() {})
+	evNear := e.After(5000, func() {})
+	evMid := e.After(200_000_000, func() {})
+	evFar := e.After(6_000_000_000, func() {})
 	if e.Pending() != 4 {
 		t.Fatalf("Pending = %d, want 4", e.Pending())
 	}
-	evWheel.Cancel()
+	evNear.Cancel()
 	if e.Pending() != 3 {
-		t.Fatalf("Pending = %d after wheel cancel, want 3", e.Pending())
+		t.Fatalf("Pending = %d after cancel, want 3", e.Pending())
 	}
 	e.Step() // fires the zero-delay event
 	if e.Pending() != 2 {
 		t.Fatalf("Pending = %d after step, want 2", e.Pending())
 	}
-	evDeep.Cancel()
-	evHeap.Cancel()
+	evMid.Cancel()
+	evFar.Cancel()
 	if e.Pending() != 0 {
 		t.Fatalf("Pending = %d after cancels, want 0", e.Pending())
 	}
@@ -157,12 +127,11 @@ func TestPendingCounterAcrossTiers(t *testing.T) {
 	if e.EventsFired() != 1 {
 		t.Fatalf("EventsFired = %d, want 1", e.EventsFired())
 	}
-	_ = evZero
 }
 
-// TestOverflowHeapOrdering covers events beyond the wheel horizon (~4.3 s):
-// they must interleave correctly with wheel events.
-func TestOverflowHeapOrdering(t *testing.T) {
+// TestFarFutureEventsInterleave covers events more than 2^32 ns (~4.3 s)
+// out: they must interleave correctly with near ones.
+func TestFarFutureEventsInterleave(t *testing.T) {
 	e := NewEngine(1)
 	var got []Time
 	rec := func() { got = append(got, e.Now()) }
@@ -182,10 +151,10 @@ func TestOverflowHeapOrdering(t *testing.T) {
 	}
 }
 
-// TestRunUntilDeadlineWithStaleSlotMin: a cancelled wheel event leaves its
-// slot's cached minimum stale at or below the deadline; RunUntil must still
-// not fire the next live event when it lies beyond the deadline.
-func TestRunUntilDeadlineWithStaleSlotMin(t *testing.T) {
+// TestRunUntilDeadlineAfterCancelledEvent: with a cancelled event before
+// the deadline and a live one after it, RunUntil must fire nothing and
+// stop the clock at the deadline.
+func TestRunUntilDeadlineAfterCancelledEvent(t *testing.T) {
 	e := NewEngine(1)
 	ev := e.After(15_000, func() { t.Error("cancelled event fired") })
 	fired := false
@@ -193,7 +162,7 @@ func TestRunUntilDeadlineWithStaleSlotMin(t *testing.T) {
 	ev.Cancel()
 	e.RunUntil(20_000)
 	if fired {
-		t.Fatal("RunUntil fired an event past its deadline (stale slot minimum)")
+		t.Fatal("RunUntil fired an event past its deadline")
 	}
 	if e.Now() != 20_000 {
 		t.Fatalf("Now = %v, want 20000", e.Now())
@@ -207,14 +176,38 @@ func TestRunUntilDeadlineWithStaleSlotMin(t *testing.T) {
 	}
 }
 
+// TestCancelledTimersLeaveHeap arms and cancels 10,000 retransmit-style
+// 20 ms timers while the clock steps 100 ns at a time. Each cancelled
+// timer must leave the heap at once, so it never holds more than the
+// live timer and the next step.
+func TestCancelledTimersLeaveHeap(t *testing.T) {
+	e := NewEngine(1)
+	fn := func() {}
+	for i := 0; i < 10_000; i++ {
+		timer := e.After(20*Millisecond, fn)
+		e.After(100, fn)
+		if n := len(e.queue); n > 2 {
+			t.Fatalf("step %d: heap holds %d events, want at most 2", i, n)
+		}
+		timer.Cancel()
+		e.Step()
+	}
+	if n := len(e.queue); n != 0 {
+		t.Fatalf("heap holds %d events after the last step, want 0", n)
+	}
+	if e.Now() != 10_000*100 {
+		t.Fatalf("Now = %v, want 1ms", e.Now())
+	}
+}
+
 // Allocation regressions: the zero-delay hot paths must not allocate. The
-// warmup pass grows the fast-path ring, the event pool, and waiter slices
-// to steady state before measuring.
+// warmup pass grows the heap, the event pool, and waiter slices to steady
+// state before measuring.
 
 func TestAllocsAfterZero(t *testing.T) {
 	e := NewEngine(1)
 	fn := func() {}
-	for i := 0; i < 100; i++ { // warm pool and ring
+	for i := 0; i < 100; i++ { // warm pool and heap
 		e.After(0, fn)
 		e.Step()
 	}

@@ -5,9 +5,8 @@ import "fmt"
 // Recurring is a periodic background task on the engine — the modeling
 // primitive for kernel daemons like kswapd that run forever on a timer.
 // Its events are daemon events: they fire in timestamp order like any
-// other event while foreground work exists, but they never keep
-// Run/RunUntil alive on their own, so a simulation still terminates when
-// the workload drains.
+// other event while foreground work exists, but they never keep Run alive
+// on their own, so a simulation still terminates when the workload drains.
 type Recurring struct {
 	eng     *Engine
 	period  Duration
@@ -25,23 +24,8 @@ func (e *Engine) Every(period Duration, fn func()) *Recurring {
 		panic(fmt.Sprintf("sim: recurring period %d", period))
 	}
 	r := &Recurring{eng: e, period: period, fn: fn}
-	e.recurrings = append(e.recurrings, r)
 	r.arm()
 	return r
-}
-
-// rearmStaleRecurrings re-schedules recurring tasks whose pending tick
-// was left at or before now by a RunUntil clock bump (RunUntil stops
-// early when only daemon events remain, then advances the clock to the
-// deadline). Without this, a later Run/Step would find an event in the
-// past and trip the queue invariant.
-func (e *Engine) rearmStaleRecurrings() {
-	for _, r := range e.recurrings {
-		if !r.stopped && r.ev != nil && r.ev.state == evPending && r.ev.when <= e.now {
-			r.ev.Cancel()
-			r.arm()
-		}
-	}
 }
 
 func (r *Recurring) arm() {
@@ -51,9 +35,6 @@ func (r *Recurring) arm() {
 }
 
 func (r *Recurring) tick() {
-	if r.stopped {
-		return
-	}
 	r.runs++
 	r.fn()
 	if !r.stopped {
@@ -69,12 +50,6 @@ func (r *Recurring) Stop() {
 	}
 	r.stopped = true
 	r.ev.Cancel()
-	for i, x := range r.eng.recurrings {
-		if x == r {
-			r.eng.recurrings = append(r.eng.recurrings[:i], r.eng.recurrings[i+1:]...)
-			break
-		}
-	}
 }
 
 // Runs reports how many times the callback has fired.

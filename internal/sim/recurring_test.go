@@ -101,57 +101,3 @@ func TestRunUntilFiresDaemonsThroughWindow(t *testing.T) {
 		t.Fatalf("Run fired daemon-only ticks: %d", ticks)
 	}
 }
-
-// TestRunAfterStopMidWindow: Stop() during RunUntil leaves the recurring
-// tick armed inside the window while the clock bumps to the deadline;
-// the tick must be re-armed past the new now so a later Run does not
-// find an event in the past (queue-invariant panic).
-func TestRunAfterStopMidWindow(t *testing.T) {
-	eng := NewEngine(1)
-	var ticks []Time
-	eng.Every(100, func() { ticks = append(ticks, eng.Now()) })
-	eng.After(50, func() { eng.Stop() })
-	eng.RunUntil(10_000)
-	if eng.Now() != 10_000 {
-		t.Fatalf("clock = %v, want 10000", eng.Now())
-	}
-	if len(ticks) != 0 {
-		t.Fatalf("ticks fired before Stop took effect: %v", ticks)
-	}
-	fired := false
-	eng.After(500, func() { fired = true })
-	eng.Run() // panicked before the re-arm fix
-	if !fired {
-		t.Fatal("post-bump foreground event did not fire")
-	}
-	want := []Time{10_100, 10_200, 10_300, 10_400}
-	if len(ticks) != len(want) {
-		t.Fatalf("post-bump ticks = %v, want %v", ticks, want)
-	}
-	for i := range want {
-		if ticks[i] != want[i] {
-			t.Fatalf("post-bump ticks = %v, want %v", ticks, want)
-		}
-	}
-}
-
-// TestCancelledEventSweptAfterClockBump: a plain timed event cancelled
-// before a RunUntil clock bump leaves a stale entry in a past wheel
-// slot; the dispatch loop must sweep it instead of panicking on the
-// queue invariant.
-func TestCancelledEventSweptAfterClockBump(t *testing.T) {
-	eng := NewEngine(1)
-	ev := eng.After(200, func() { t.Fatal("cancelled event fired") })
-	eng.After(50, func() { eng.Stop() })
-	ev.Cancel()
-	eng.RunUntil(10_000)
-	fired := false
-	eng.After(500, func() { fired = true })
-	eng.Run() // panicked before the past-instant sweep
-	if !fired {
-		t.Fatal("foreground event after the bump did not fire")
-	}
-	if eng.Pending() != 0 {
-		t.Fatalf("pending = %d after drain", eng.Pending())
-	}
-}

@@ -192,18 +192,14 @@ func (ss *ShardSet) RunUntil(deadline Time) { ss.run(deadline) }
 // Every window is anchored at the global minimum pending event time and
 // extends one lookahead (clamped to the deadline) — never wider, so the
 // lookahead invariant holds for every event fired inside it, daemon work
-// included. The minimum needs no extra queue scan: it is the earlier of
-// the instant the last window reported and the earliest arrival the
-// barrier delivered.
+// included.
 func (ss *ShardSet) run(deadline Time) {
 	ss.startWorkers()
 	defer ss.stopWorkers()
-	next, ok := ss.nextTime()
 	for {
-		if first, any := ss.deliver(); any && (!ok || first < next) {
-			next, ok = first, true
-		}
+		ss.deliver()
 		ss.runHooks()
+		next, ok := ss.nextTime()
 		if deadline == maxTime && (!ok || ss.foregroundPending() == 0) {
 			// Unbounded runs stop like Engine.Run: when only daemon work
 			// remains. (A daemon may revive foreground work mid-window —
@@ -215,12 +211,12 @@ func (ss *ShardSet) run(deadline Time) {
 			// Bounded runs mirror Engine.RunUntil: daemons fire through
 			// the whole budget and every clock ends at the deadline
 			// (forceAll: even shards with nothing left must advance).
-			ss.runWindow(next, deadline, true)
+			ss.runWindow(deadline, true)
 			ss.deliver()
 			ss.runHooks()
 			return
 		}
-		next, ok = ss.runWindow(next, min(next+ss.lookahead-1, deadline), false)
+		ss.runWindow(min(next+ss.lookahead-1, deadline), false)
 	}
 }
 
@@ -232,18 +228,14 @@ func (ss *ShardSet) runHooks() {
 }
 
 // deliver drains the outboxes into the destination engines in canonical
-// order and reports the earliest arrival it armed (ok=false: none). It runs
-// between windows, when no shard goroutine is active, so shard 0's outbox
-// can double as the merge buffer.
-func (ss *ShardSet) deliver() (first Time, ok bool) {
+// order. It runs between windows, when no shard goroutine is active, so
+// shard 0's outbox can double as the merge buffer.
+func (ss *ShardSet) deliver() {
 	batch := ss.outboxes[0]
 	for i, out := range ss.outboxes[1:] {
 		batch = append(batch, out...)
 		clear(out)
 		ss.outboxes[i+1] = out[:0]
-	}
-	if len(batch) == 0 {
-		return 0, false
 	}
 	if len(batch) > 1 {
 		slices.SortFunc(batch, func(a, b CrossEvent) int {
@@ -259,41 +251,30 @@ func (ss *ShardSet) deliver() (first Time, ok bool) {
 	for i := range batch {
 		ss.engines[batch[i].DstShard].At(batch[i].When, batch[i].Fn)
 	}
-	first = batch[0].When
 	clear(batch)
 	ss.outboxes[0] = batch[:0]
-	return first, true
 }
 
-// runWindow executes one window ending at end, which opens at first, and
-// reports the earliest pending instant after it. One engine fires the
-// window inline and closes it on the queue scan that finds its successor.
-// Otherwise only the shards that have an event inside the window run — an
-// idle shard's clock simply stays behind until it next has work
-// (cross-shard arming validates against windowEnd, never an engine clock,
-// so a lagging clock is unobservable). forceAll overrides the skip for the
-// bounded-run clock bump, where every shard must end at the deadline. A
-// single active shard runs on the coordinator goroutine, sparing the
+// runWindow executes one window ending at end. Only the shards that have
+// an event inside the window run — an idle shard's clock simply stays
+// behind until it next has work (cross-shard arming validates against
+// windowEnd, never an engine clock, so a lagging clock is unobservable).
+// forceAll overrides the skip for the bounded-run clock bump, where every
+// shard must end at the deadline. A single active shard — always the case
+// in a one-engine set — runs on the coordinator goroutine, sparing the
 // channel round trip; two or more run concurrently on their workers.
-func (ss *ShardSet) runWindow(first, end Time, forceAll bool) (Time, bool) {
+func (ss *ShardSet) runWindow(end Time, forceAll bool) {
 	ss.windowEnd = end
-	if len(ss.engines) == 1 && !forceAll {
-		return ss.engines[0].fireWindow(first, end)
-	}
 	active := ss.active[:0]
 	for i, e := range ss.engines {
-		if forceAll {
-			active = append(active, i)
-			continue
-		}
-		if next, has := e.nextTime(); has && next <= end {
+		if next, has := e.nextTime(); forceAll || has && next <= end {
 			active = append(active, i)
 		}
 	}
 	ss.active = active
 	if len(active) == 1 {
 		ss.engines[active[0]].RunUntil(end)
-		return ss.nextTime()
+		return
 	}
 	for _, i := range active {
 		ss.workers[i].start <- end
@@ -307,7 +288,6 @@ func (ss *ShardSet) runWindow(first, end Time, forceAll bool) (Time, bool) {
 	if failure != nil {
 		panic(failure)
 	}
-	return ss.nextTime()
 }
 
 // shardWorker is one shard's persistent window-execution goroutine. A

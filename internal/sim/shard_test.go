@@ -22,8 +22,8 @@ func TestShardSetValidation(t *testing.T) {
 }
 
 // nodeSet is a shard set over simulated nodes, block-distributed on its
-// engines: a one-engine set closes its windows inline, a two-engine set
-// runs them on worker goroutines.
+// engines: a one-engine set runs its windows on the coordinator goroutine,
+// a two-engine set on worker goroutines when both shards have work.
 type nodeSet struct {
 	ss    *ShardSet
 	nodes []*Engine // nodes[i] is node i's engine
@@ -260,9 +260,9 @@ func TestShardSetBarrierHook(t *testing.T) {
 
 // TestShardSetRandomWorkload drives a seeded random mix of local events,
 // same-instant ties, daemon ticks and cross-node messages through four
-// nodes, unbounded and bounded. The one-engine set, which closes its
-// windows inline, must reproduce the two-engine coordinator exactly: the
-// same per-node trace, the same event count and the same barriers.
+// nodes, unbounded and bounded. The one-engine set must reproduce the
+// two-engine coordinator exactly: the same per-node trace, the same event
+// count and the same barriers.
 func TestShardSetRandomWorkload(t *testing.T) {
 	for _, seed := range []int64{1, 2, 3, 4, 5} {
 		for _, budget := range []Time{0, 3_000, 40_000} {
