@@ -261,14 +261,15 @@ func pingPongHost(b *testing.B, cfg omx.Config, spec cpu.Spec, size int) float64
 // `omxsim bench`.
 func BenchmarkEngineOverhead(b *testing.B) {
 	b.Run("After0", func(b *testing.B) {
-		// Zero-delay schedule+fire: a heap push and pop of a pooled event.
+		// Zero-delay schedule+fire: a heap push and pop of a pooled event,
+		// as at every other delay.
 		b.ReportAllocs()
 		bench.EngineAfter0Cell(b.N)
 		b.ReportMetric(float64(b.N)/b.Elapsed().Seconds(), "events/sec")
 	})
 	b.Run("Timed", func(b *testing.B) {
 		// Timed events from 150ns to 20ms, the delays the protocol stack
-		// actually uses.
+		// actually uses; their event objects are pooled too.
 		b.ReportAllocs()
 		bench.EngineTimedCell(b.N)
 		b.ReportMetric(float64(b.N)/b.Elapsed().Seconds(), "events/sec")

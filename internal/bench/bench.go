@@ -277,7 +277,7 @@ func KVServeFleetCell() (p50, p99, p999 float64, events uint64) {
 }
 
 // EngineAfter0Cell performs n zero-delay schedule+fire round trips on a
-// fresh engine (the pooled zero-delay microbenchmark body).
+// fresh engine (the zero-delay microbenchmark body).
 func EngineAfter0Cell(n int) {
 	eng := sim.NewEngine(1)
 	fn := func() {}

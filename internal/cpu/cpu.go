@@ -129,12 +129,52 @@ func scale(d sim.Duration, f float64) sim.Duration {
 	return sim.Duration(float64(d)*f + 0.5)
 }
 
-// workItem is one queued unit of core time.
+// workItem is one queued unit of core time: fn(arg) runs when it
+// completes.
 type workItem struct {
 	dur  sim.Duration
-	fn   func()
+	fn   func(any)
+	arg  any
 	prio Priority
-	seq  uint64
+}
+
+// ringMin is the length of a priority queue's array outside bursts.
+const ringMin = 16
+
+// ring is one priority level's FIFO of work items: a circular buffer whose
+// array doubles when full and goes back to ringMin items when the core
+// idles, so a burst's array does not outlive the burst.
+type ring struct {
+	buf  []workItem // len is zero or a power of two
+	head int
+	n    int
+}
+
+func (r *ring) push(it workItem) {
+	if r.n == len(r.buf) {
+		buf := make([]workItem, max(2*len(r.buf), ringMin))
+		k := copy(buf, r.buf[r.head:])
+		copy(buf[k:], r.buf[:r.head])
+		r.buf, r.head = buf, 0
+	}
+	r.buf[(r.head+r.n)&(len(r.buf)-1)] = it
+	r.n++
+}
+
+func (r *ring) pop() workItem {
+	it := r.buf[r.head]
+	r.buf[r.head] = workItem{}
+	r.head = (r.head + 1) & (len(r.buf) - 1)
+	r.n--
+	return it
+}
+
+// drained releases a burst-sized array once the ring is empty.
+func (r *ring) drained() {
+	r.head = 0
+	if len(r.buf) > ringMin {
+		r.buf = nil
+	}
 }
 
 // Core is a single processor core: a non-preemptive server with one FIFO
@@ -143,13 +183,12 @@ type Core struct {
 	eng    *sim.Engine
 	spec   Spec
 	id     int
-	queues [numPriorities][]workItem
+	queues [numPriorities]ring
 	busy   bool
-	seq    uint64
 
-	// running is the item currently executing; finish is the pre-bound
-	// completion callback scheduled for it (bound once so dispatching does
-	// not allocate a closure per work item).
+	// running is the item currently executing; finish is finishItem, bound
+	// on the core's first dispatch so that dispatching schedules no new
+	// closure and a core that never works costs none.
 	running workItem
 	finish  func()
 
@@ -199,14 +238,28 @@ func (c *Core) Completed(p Priority) uint64 { return c.completed[p] }
 // queued while this item waits will run first, but a running item is never
 // preempted.
 func (c *Core) Submit(prio Priority, dur sim.Duration, fn func()) {
+	c.SubmitArg(prio, dur, call, fn)
+}
+
+// call runs the func() that Submit stored as an item's argument. A func
+// value fits in an interface without allocating.
+func call(fn any) {
+	if fn := fn.(func()); fn != nil {
+		fn()
+	}
+}
+
+// SubmitArg is Submit for a callback that takes an argument: fn(arg) runs
+// when the work completes (fn may be nil). A callback bound once and a
+// pointer argument let a caller queue work without allocating a closure.
+func (c *Core) SubmitArg(prio Priority, dur sim.Duration, fn func(any), arg any) {
 	if dur < 0 {
 		panic(fmt.Sprintf("cpu: negative work duration %d", dur))
 	}
 	if prio < 0 || prio >= numPriorities {
 		panic(fmt.Sprintf("cpu: bad priority %d", prio))
 	}
-	c.queues[prio] = append(c.queues[prio], workItem{dur: dur, fn: fn, prio: prio, seq: c.seq})
-	c.seq++
+	c.queues[prio].push(workItem{dur: dur, fn: fn, arg: arg, prio: prio})
 	if !c.busy {
 		c.dispatch()
 	}
@@ -220,21 +273,22 @@ func (c *Core) Exec(p *sim.Proc, prio Priority, dur sim.Duration) {
 	done.Wait(p)
 }
 
+// dispatch starts the first item of the highest non-empty priority, or,
+// with nothing queued, lets every ring drop its burst array.
 func (c *Core) dispatch() {
-	for prio := Priority(0); prio < numPriorities; prio++ {
-		if len(c.queues[prio]) == 0 {
-			continue
+	for prio := range c.queues {
+		if q := &c.queues[prio]; q.n > 0 {
+			c.busy = true
+			c.running = q.pop()
+			if c.finish == nil {
+				c.finish = c.finishItem
+			}
+			c.eng.After(c.running.dur, c.finish)
+			return
 		}
-		item := c.queues[prio][0]
-		c.queues[prio][0] = workItem{}
-		c.queues[prio] = c.queues[prio][1:]
-		c.busy = true
-		c.running = item
-		if c.finish == nil {
-			c.finish = c.finishItem
-		}
-		c.eng.After(item.dur, c.finish)
-		return
+	}
+	for prio := range c.queues {
+		c.queues[prio].drained()
 	}
 }
 
@@ -248,7 +302,7 @@ func (c *Core) finishItem() {
 	c.busyTime[item.prio] += item.dur
 	c.completed[item.prio]++
 	if item.fn != nil {
-		item.fn()
+		item.fn(item.arg)
 	}
 	if !c.busy { // fn may have submitted and triggered dispatch
 		c.dispatch()

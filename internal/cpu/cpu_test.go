@@ -201,3 +201,44 @@ func TestChainedSubmitFromCompletion(t *testing.T) {
 		t.Fatalf("times = %v, want [10 30]", times)
 	}
 }
+
+// TestAllocsSubmit: work queued on an idle core, and finishing it, does
+// not allocate; nor does a 1,000-item burst once a burst of that size has
+// grown the ring, since the ring keeps its array while the core is busy.
+func TestAllocsSubmit(t *testing.T) {
+	e := sim.NewEngine(1)
+	c := NewMachine(e, XeonE5460).Core(0)
+	fn, argFn := func() {}, func(any) {}
+	c.Submit(Kernel, 10, fn)
+	e.Run()
+	if n := testing.AllocsPerRun(200, func() {
+		c.Submit(Kernel, 10, fn)
+		e.Run()
+	}); n != 0 {
+		t.Fatalf("Submit on an idle core allocates %.1f/op, want 0", n)
+	}
+	if n := testing.AllocsPerRun(200, func() {
+		c.SubmitArg(Kernel, 10, argFn, c)
+		e.Run()
+	}); n != 0 {
+		t.Fatalf("SubmitArg on an idle core allocates %.1f/op, want 0", n)
+	}
+
+	// Each burst queues behind the last item of the one before, which is
+	// still running, so the core never idles between bursts.
+	burst := func() {
+		for range 1000 {
+			c.SubmitArg(BottomHalf, 1, argFn, nil)
+		}
+		e.RunUntil(e.Now() + 1000)
+	}
+	c.SubmitArg(BottomHalf, 1, argFn, nil)
+	burst()
+	if n := testing.AllocsPerRun(20, burst); n != 0 {
+		t.Fatalf("a 1,000-item burst allocates %.1f/op, want 0", n)
+	}
+	e.Run()
+	if got := c.Completed(BottomHalf); got != 1+22*1000 {
+		t.Fatalf("Completed(BottomHalf) = %d, want 22001", got)
+	}
+}

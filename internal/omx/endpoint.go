@@ -102,9 +102,9 @@ type rstate struct {
 	outstanding  int // blocks issued but not fully committed
 	lowestHole   int // first block not fully *arrived* (gap detection)
 	lastProgress sim.Time
-	reqTimer     *sim.Event
-	missRetry    *sim.Event // local fast retry after receiver-side overlap misses
-	notifyTimer  *sim.Event
+	reqTimer     sim.Event
+	missRetry    sim.Event // local fast retry after receiver-side overlap misses
+	notifyTimer  sim.Event
 	notifyTries  int
 	completed    bool
 }
@@ -125,7 +125,7 @@ type sendState struct {
 	req      *Request
 	data     []byte // eager payload kept for retransmission
 	isLarge  bool
-	rtxTimer *sim.Event
+	rtxTimer sim.Event
 	tries    int
 	acked    bool // rndv implicitly acked by first pull request
 	// quietSince is when the peer last showed signs of life for this
@@ -176,6 +176,10 @@ type Endpoint struct {
 	// the process but have their own addresses and protocol state.
 	aux []*Endpoint
 
+	// bh is bottomHalf bound once, so a received frame queues its bottom
+	// half without allocating a closure.
+	bh func(any)
+
 	closed bool
 }
 
@@ -224,18 +228,14 @@ func (ep *Endpoint) Close() {
 	ep.closed = true
 	for _, rs := range ep.rstates {
 		rs.completed = true
-		for _, tm := range []*sim.Event{rs.reqTimer, rs.missRetry, rs.notifyTimer} {
-			if tm != nil {
-				tm.Cancel()
-			}
-		}
+		rs.reqTimer.Cancel()
+		rs.missRetry.Cancel()
+		rs.notifyTimer.Cancel()
 	}
 	ep.rstates = make(map[msgKey]*rstate)
 	ep.activePulls = make(map[*rstate]struct{})
 	for _, ss := range ep.sends {
-		if ss.rtxTimer != nil {
-			ss.rtxTimer.Cancel()
-		}
+		ss.rtxTimer.Cancel()
 	}
 	ep.sends = make(map[sendKey]*sendState)
 	ep.proc.detach(ep)
@@ -510,11 +510,9 @@ func (ep *Endpoint) crashAbort(err error) {
 		ep.abortSend(ss, err)
 	}
 	for _, rs := range ep.rstates {
-		for _, tm := range []*sim.Event{rs.reqTimer, rs.missRetry, rs.notifyTimer} {
-			if tm != nil {
-				tm.Cancel()
-			}
-		}
+		rs.reqTimer.Cancel()
+		rs.missRetry.Cancel()
+		rs.notifyTimer.Cancel()
 		if rs.completed {
 			delete(ep.rstates, rs.key)
 			continue
@@ -539,28 +537,34 @@ func (ep *Endpoint) crashAbort(err error) {
 // the core servicing the frame's rx queue (queue 0 is the node's classic
 // RX core; multi-queue NICs spread flows across cores).
 func (ep *Endpoint) dispatchBH(payload any, queue int) {
-	rx := ep.node.RxCoreFor(queue)
 	cost := bhFragCost
-	switch m := payload.(type) {
-	case *eagerFrag:
+	if m, ok := payload.(*eagerFrag); ok {
 		// The copy into the kernel intermediate buffer happens in the
 		// bottom half and is unconditional (no pinning on the eager path).
 		cost += ep.core.Spec().CopyCost(len(m.data))
-		rx.Submit(cpu.BottomHalf, cost, func() { ep.handleEagerFrag(m) })
+	}
+	ep.node.RxCoreFor(queue).SubmitArg(cpu.BottomHalf, cost, ep.bh, payload)
+}
+
+// bottomHalf runs the protocol handler for one received frame's payload.
+func (ep *Endpoint) bottomHalf(payload any) {
+	switch m := payload.(type) {
+	case *eagerFrag:
+		ep.handleEagerFrag(m)
 	case *eagerAck:
-		rx.Submit(cpu.BottomHalf, cost, func() { ep.handleEagerAck(m) })
+		ep.handleEagerAck(m)
 	case *rndvMsg:
-		rx.Submit(cpu.BottomHalf, cost, func() { ep.handleRndv(m) })
+		ep.handleRndv(m)
 	case *pullReq:
-		rx.Submit(cpu.BottomHalf, cost, func() { ep.handlePullReq(m) })
+		ep.handlePullReq(m)
 	case *pullReply:
-		rx.Submit(cpu.BottomHalf, cost, func() { ep.handlePullReply(m) })
+		ep.handlePullReply(m)
 	case *notifyMsg:
-		rx.Submit(cpu.BottomHalf, cost, func() { ep.handleNotify(m) })
+		ep.handleNotify(m)
 	case *notifyAck:
-		rx.Submit(cpu.BottomHalf, cost, func() { ep.handleNotifyAck(m) })
+		ep.handleNotifyAck(m)
 	case *abortMsg:
-		rx.Submit(cpu.BottomHalf, cost, func() { ep.handleAbort(m) })
+		ep.handleAbort(m)
 	}
 }
 

@@ -134,6 +134,7 @@ func (n *Node) OpenEndpointIn(p *Process, epID, coreIdx int) (*Endpoint, error) 
 		rstates:     make(map[msgKey]*rstate),
 		activePulls: make(map[*rstate]struct{}),
 	}
+	ep.bh = ep.bottomHalf
 	p.eps = append(p.eps, ep)
 	n.endpoints[epID] = ep
 	return ep, nil

@@ -263,11 +263,10 @@ func (ep *Endpoint) noteArrival(rs *rstate, off, n int) {
 // re-arms. This is local knowledge (the receiver dropped the fragment
 // itself), so it cannot false-fire on wire or service delays.
 func (ep *Endpoint) scheduleMissRetry(rs *rstate) {
-	if rs.missRetry != nil || rs.completed || rs.matched == nil {
+	if rs.missRetry.Pending() || rs.completed || rs.matched == nil {
 		return
 	}
 	rs.missRetry = ep.node.Eng.After(gapReReqDelay, func() {
-		rs.missRetry = nil
 		if rs.completed || rs.matched == nil {
 			return
 		}
@@ -306,9 +305,7 @@ func (ep *Endpoint) armReRequest(rs *rstate) {
 }
 
 func (ep *Endpoint) armReRequestAfter(rs *rstate, delay sim.Duration) {
-	if rs.reqTimer != nil {
-		rs.reqTimer.Cancel()
-	}
+	rs.reqTimer.Cancel()
 	rs.reqTimer = ep.node.Eng.After(delay, func() {
 		if rs.completed {
 			return
@@ -444,14 +441,8 @@ func (ep *Endpoint) finishPull(rs *rstate, err error) {
 	}
 	rs.completed = true
 	delete(ep.activePulls, rs)
-	if rs.reqTimer != nil {
-		rs.reqTimer.Cancel()
-		rs.reqTimer = nil
-	}
-	if rs.missRetry != nil {
-		rs.missRetry.Cancel()
-		rs.missRetry = nil
-	}
+	rs.reqTimer.Cancel()
+	rs.missRetry.Cancel()
 	if err != nil && (errors.Is(err, ErrPeerDead) || errors.Is(err, ErrTimeout)) {
 		// The sender is dead or presumed dead: notifying it would only
 		// spin the retransmit loop against silence. Reap immediately; a
@@ -489,9 +480,6 @@ func (ep *Endpoint) handleNotifyAck(m *notifyAck) {
 	if !ok {
 		return
 	}
-	if rs.notifyTimer != nil {
-		rs.notifyTimer.Cancel()
-		rs.notifyTimer = nil
-	}
+	rs.notifyTimer.Cancel()
 	delete(ep.rstates, rs.key)
 }

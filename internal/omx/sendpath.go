@@ -124,10 +124,7 @@ func (ep *Endpoint) startRendezvous(ss *sendState, match uint64) {
 
 // abortSend fails a send request and stops its timers.
 func (ep *Endpoint) abortSend(ss *sendState, err error) {
-	if ss.rtxTimer != nil {
-		ss.rtxTimer.Cancel()
-		ss.rtxTimer = nil
-	}
+	ss.rtxTimer.Cancel()
 	delete(ep.sends, sendKey{ss.dst, ss.seq})
 	ep.complete(ss.req, err)
 }
@@ -147,9 +144,7 @@ func retryBackoff(base sim.Duration, tries int) sim.Duration {
 
 // armSendRetransmit (re)arms the control-message fallback timer.
 func (ep *Endpoint) armSendRetransmit(ss *sendState, resend func()) {
-	if ss.rtxTimer != nil {
-		ss.rtxTimer.Cancel()
-	}
+	ss.rtxTimer.Cancel()
 	ss.rtxTimer = ep.node.Eng.After(retryBackoff(ep.cfg.RetransmitTimeout, ss.tries), func() {
 		if ss.acked || ss.req.done.Done() {
 			return
@@ -173,9 +168,7 @@ func (ep *Endpoint) armSendRetransmit(ss *sendState, resend func()) {
 // send: if no pull traffic arrives for PeerDeadTimeout (or maxRetries
 // consecutive timeout periods), the peer is gone and the request aborts.
 func (ep *Endpoint) armSendInactivity(ss *sendState) {
-	if ss.rtxTimer != nil {
-		ss.rtxTimer.Cancel()
-	}
+	ss.rtxTimer.Cancel()
 	ss.rtxTimer = ep.node.Eng.After(retryBackoff(ep.cfg.RetransmitTimeout, ss.tries), func() {
 		if ss.req.done.Done() {
 			return
@@ -200,10 +193,7 @@ func (ep *Endpoint) handleEagerAck(m *eagerAck) {
 		return // duplicate ack
 	}
 	ss.acked = true
-	if ss.rtxTimer != nil {
-		ss.rtxTimer.Cancel()
-		ss.rtxTimer = nil
-	}
+	ss.rtxTimer.Cancel()
 	delete(ep.sends, sendKey{m.src, m.seq})
 	ep.complete(ss.req, nil)
 }
@@ -236,10 +226,7 @@ func (ep *Endpoint) handlePullReq(m *pullReq) {
 	// peer) aborts the send instead of hanging forever.
 	if !ss.acked {
 		ss.acked = true
-		if ss.rtxTimer != nil {
-			ss.rtxTimer.Cancel()
-			ss.rtxTimer = nil
-		}
+		ss.rtxTimer.Cancel()
 	}
 	ss.tries = 0
 	ss.quietSince = ep.node.Eng.Now()
@@ -297,10 +284,7 @@ func (ep *Endpoint) handleNotify(m *notifyMsg) {
 	if !ok {
 		return
 	}
-	if ss.rtxTimer != nil {
-		ss.rtxTimer.Cancel()
-		ss.rtxTimer = nil
-	}
+	ss.rtxTimer.Cancel()
 	delete(ep.sends, sendKey{m.src, m.seq})
 	ep.complete(ss.req, nil)
 }

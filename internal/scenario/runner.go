@@ -418,7 +418,7 @@ func scheduleFault(cl *cluster.Cluster, cr *CaseRun, fi int, f Fault, budget sim
 func startFlood(eng *sim.Engine, c *cpu.Core, utilization float64) func() {
 	const quantum = 10 * sim.Microsecond
 	stopped := false
-	var pending *sim.Event
+	var pending sim.Event
 	var tick func()
 	tick = func() {
 		if stopped {

@@ -10,8 +10,10 @@
 // The queue is one binary min-heap ordered by (time, seq). It serves mostly
 // timed work — wire frames, pin chunks, bottom halves, protocol timers —
 // and holds tens to hundreds of events when the clock advances (see
-// PERFORMANCE.md). Scheduling, firing and cancelling are O(log n); zero-delay
-// events reuse pooled Event objects, so After(0, …) does not allocate.
+// PERFORMANCE.md). Scheduling, firing and cancelling are O(log n). Every
+// event object is pooled and reused once its event fires or is cancelled,
+// so scheduling does not allocate in steady state; callers hold Event
+// handles, which a reused object cannot alias.
 package sim
 
 import (
@@ -54,17 +56,24 @@ func (t Time) Seconds() float64 { return float64(t) / 1e9 }
 // Micros converts t to floating-point microseconds.
 func (t Time) Micros() float64 { return float64(t) / 1e3 }
 
-// Event is a scheduled callback. It is returned by the scheduling methods so
-// callers can cancel it before it fires.
+// Event is a handle to a scheduled callback, returned by At and After so
+// callers can cancel it before it fires. It is a small value; the zero
+// Event refers to no event.
 //
-// Zero-delay events (After(0, …) and At(now, …)) are pooled: once such an
-// event fires, the engine reuses the Event object for a later zero-delay
-// schedule. Cancelling a zero-delay event is valid only until the instant it
-// was scheduled for has been processed; retaining one across engine steps
-// and cancelling it later is a bug (it may cancel an unrelated reused
-// event). Timed events (d > 0) are never reused, so cancelling one after it
-// fired is a no-op.
+// The engine reuses the object behind a handle once its event fires or is
+// cancelled. A handle is stamped with the sequence number its event was
+// scheduled with, which no later schedule reuses, so the number is the
+// handle's generation: a handle kept after its event fired or was
+// cancelled is stale, never aliased. Cancel and Pending on it report
+// false, at every delay, zero included, and leave the object's new event
+// alone.
 type Event struct {
+	ev  *event
+	seq uint64
+}
+
+// event is the pooled object behind an Event handle.
+type event struct {
 	when Time
 	seq  uint64
 	fn   func()
@@ -72,37 +81,40 @@ type Event struct {
 	// index is the event's position in the engine's heap while it is
 	// pending, and -1 once it has fired or been cancelled.
 	index int
-	// pooled marks zero-delay events eligible for reuse after firing.
-	pooled bool
 	// daemon marks background events (recurring kernel work like kswapd)
 	// that must not keep Run alive: Run stops once only daemon events
 	// remain pending.
 	daemon bool
 }
 
-// When reports the simulated time at which the event will fire.
-func (ev *Event) When() Time { return ev.when }
+// Pending reports whether the event is still scheduled: neither fired nor
+// cancelled.
+func (h Event) Pending() bool {
+	return h.ev != nil && h.ev.seq == h.seq && h.ev.index >= 0
+}
 
 // Cancel prevents the event from firing and reports whether it was still
-// pending. Cancelling an event that already fired or was already cancelled
-// is a no-op. The event leaves the heap at once, in O(log n).
-func (ev *Event) Cancel() bool {
-	if ev == nil || ev.index < 0 {
+// pending. Cancelling an event that already fired or was already cancelled,
+// or the zero Event, is a no-op. The event leaves the heap at once, in
+// O(log n).
+func (h Event) Cancel() bool {
+	if !h.Pending() {
 		return false
 	}
-	ev.eng.queue.remove(ev.index)
-	ev.fn = nil
-	if ev.daemon {
-		ev.eng.daemonPending--
+	e := h.ev.eng
+	e.queue.remove(h.ev.index)
+	if h.ev.daemon {
+		e.daemonPending--
 	}
+	e.release(h.ev)
 	return true
 }
 
 // eventHeap is a binary min-heap ordered by (when, seq), specialized for
-// *Event to avoid the any-boxing and interface dispatch of container/heap
+// *event to avoid the any-boxing and interface dispatch of container/heap
 // on the scheduling hot path. Each event records its own index, so any
 // event can be removed in O(log n).
-type eventHeap []*Event
+type eventHeap []*event
 
 func (h eventHeap) less(i, j int) bool {
 	if h[i].when != h[j].when {
@@ -117,14 +129,14 @@ func (h eventHeap) swap(i, j int) {
 	h[j].index = j
 }
 
-func (h *eventHeap) push(ev *Event) {
+func (h *eventHeap) push(ev *event) {
 	ev.index = len(*h)
 	*h = append(*h, ev)
 	h.up(len(*h) - 1)
 }
 
 // remove takes the event at index i out of the heap and returns it.
-func (h *eventHeap) remove(i int) *Event {
+func (h *eventHeap) remove(i int) *event {
 	s := *h
 	n := len(s) - 1
 	if i != n {
@@ -198,8 +210,8 @@ type Engine struct {
 
 	// queue holds every pending event, and nothing else.
 	queue eventHeap
-	// pool recycles zero-delay Event objects.
-	pool []*Event
+	// pool holds the event objects that are not pending, for reuse.
+	pool []*event
 }
 
 // NewEngine returns an engine with the clock at zero and a deterministic
@@ -241,26 +253,38 @@ func (e *Engine) LastForegroundTime() Time { return e.lastFgTime }
 // At schedules fn to run at absolute time t. Scheduling in the past panics:
 // a discrete-event simulation cannot rewind its clock, and silently clamping
 // would hide bugs in the caller's time arithmetic.
-func (e *Engine) At(t Time, fn func()) *Event {
+func (e *Engine) At(t Time, fn func()) Event { return e.schedule(t, fn, false) }
+
+// schedule queues fn at t, on a pooled event object when one is free.
+func (e *Engine) schedule(t Time, fn func(), daemon bool) Event {
 	if t < e.now {
 		panic(fmt.Sprintf("sim: scheduling event at %v before now %v", t, e.now))
 	}
-	var ev *Event
-	if n := len(e.pool); t == e.now && n > 0 {
+	var ev *event
+	if n := len(e.pool); n > 0 {
 		ev = e.pool[n-1]
-		e.pool[n-1] = nil
 		e.pool = e.pool[:n-1]
 	} else {
-		ev = &Event{eng: e, pooled: t == e.now}
+		ev = &event{eng: e}
 	}
-	ev.when, ev.seq, ev.fn = t, e.seq, fn
+	ev.when, ev.seq, ev.fn, ev.daemon = t, e.seq, fn, daemon
 	e.seq++
+	if daemon {
+		e.daemonPending++
+	}
 	e.queue.push(ev)
-	return ev
+	return Event{ev, ev.seq}
+}
+
+// release returns an event that left the heap to the pool. Its seq stays,
+// so handles to it read it as fired or cancelled until At reuses it.
+func (e *Engine) release(ev *event) {
+	ev.fn = nil
+	e.pool = append(e.pool, ev)
 }
 
 // After schedules fn to run d nanoseconds from now.
-func (e *Engine) After(d Duration, fn func()) *Event {
+func (e *Engine) After(d Duration, fn func()) Event {
 	if d < 0 {
 		panic(fmt.Sprintf("sim: negative delay %d", d))
 	}
@@ -291,16 +315,13 @@ func (e *Engine) step(deadline Time) bool {
 	ev := e.queue.remove(0)
 	e.now = ev.when
 	fn := ev.fn
-	ev.fn = nil
 	if ev.daemon {
 		e.daemonPending--
 		e.daemonFired++
 	} else {
 		e.lastFgTime = e.now
 	}
-	if ev.pooled {
-		e.pool = append(e.pool, ev)
-	}
+	e.release(ev)
 	if e.stepHook != nil {
 		e.stepHook(e.now)
 	}

@@ -8,7 +8,9 @@ import (
 // FuzzEngineOrder decodes a byte stream into scheduling, cancelling and
 // running operations, plays it on an Engine and on refQueue, a brute-force
 // reference, and checks that both fire the same (time, id) trace and agree
-// on Now, EventsFired and Pending after every top-level operation.
+// on Now, EventsFired and Pending after every top-level operation. It
+// cancels any retained handle, fired or not, so a stale handle whose
+// pooled object carries a later event must cancel nothing.
 func FuzzEngineOrder(f *testing.F) {
 	f.Fuzz(func(t *testing.T, data []byte) {
 		if len(data) > 2048 {
@@ -110,6 +112,8 @@ func (r *refQueue) push(t Time, fn func(), daemon bool) *refEvent {
 	return ev
 }
 
+// cancel removes ev if it is still pending; cancelling an event that
+// fired or was cancelled is a no-op.
 func (r *refQueue) cancel(ev *refEvent) bool {
 	i := slices.Index(r.pending, ev)
 	if i >= 0 {
@@ -177,12 +181,9 @@ type orderPlayer struct {
 	q     orderQueue
 	data  []byte
 	trace []orderStep
-	// timers are every scheduled event's cancel func; live[id] reports
-	// whether event id is still pending, and zero[id] whether it was
-	// scheduled with zero delay (pooled, so not cancellable once fired).
+	// timers are every scheduled event's cancel func, kept after the
+	// event fires: cancelling a fired event is a no-op at every delay.
 	timers []func() bool
-	live   []bool
-	zero   []bool
 	stops  []func()
 	ticks  int
 }
@@ -236,7 +237,6 @@ func (p *orderPlayer) act(op byte) {
 		id, d := len(p.timers), p.delay()
 		fn := func() {
 			p.record("fire", p.q.Now(), int64(id), 0)
-			p.live[id] = false
 			p.nested()
 		}
 		schedule := p.q.after
@@ -244,18 +244,12 @@ func (p *orderPlayer) act(op byte) {
 			schedule = func(d Duration, fn func()) func() bool { return p.q.at(p.q.Now()+d, fn) }
 		}
 		p.timers = append(p.timers, schedule(d, fn))
-		p.live = append(p.live, true)
-		p.zero = append(p.zero, d == 0)
-	case 2: // Cancel a retained event, unless it is a reusable pooled one
+	case 2: // Cancel a retained event, fired or not
 		if len(p.timers) == 0 {
 			return
 		}
 		id := int(p.next()) % len(p.timers)
-		if p.zero[id] && !p.live[id] {
-			return
-		}
 		p.record("cancel", 0, int64(id), b2i(p.timers[id]()))
-		p.live[id] = false
 	case 3: // Every
 		id, period := len(p.stops), orderDelays[1+int(p.next())%(len(orderDelays)-1)]
 		var stop func()

@@ -18,6 +18,8 @@ type Proc struct {
 	name  string
 	next  func() (struct{}, bool)
 	yield func(struct{}) bool
+	// resume is run bound once, so parking schedules no new closure.
+	resume func()
 }
 
 // Name returns the label the process was started with.
@@ -38,7 +40,8 @@ func (e *Engine) Go(name string, fn func(p *Proc)) *Proc {
 		p.yield = yield
 		fn(p)
 	})
-	e.After(0, p.run)
+	p.resume = p.run
+	e.After(0, p.resume)
 	return p
 }
 
@@ -55,7 +58,7 @@ func (p *Proc) Sleep(d Duration) {
 	if d < 0 {
 		panic(fmt.Sprintf("sim: Proc.Sleep negative duration %d", d))
 	}
-	p.eng.After(d, p.run)
+	p.eng.After(d, p.resume)
 	p.park()
 }
 
@@ -66,8 +69,11 @@ func (p *Proc) Yield() { p.Sleep(0) }
 // Completion is a one-shot future that processes can block on and event
 // handlers can complete. The zero value is ready to use.
 type Completion struct {
-	done    bool
-	err     error
+	done bool
+	err  error
+	// waiter is the first waiter, kept inline because most completions
+	// have exactly one; waiters holds any later ones, in arrival order.
+	waiter  func()
 	waiters []func()
 }
 
@@ -86,10 +92,22 @@ func (c *Completion) Complete(e *Engine, err error) {
 	}
 	c.done = true
 	c.err = err
+	if c.waiter != nil {
+		e.After(0, c.waiter)
+	}
 	for _, w := range c.waiters {
 		e.After(0, w)
 	}
-	c.waiters = nil
+	c.waiter, c.waiters = nil, nil
+}
+
+// await registers w to run when the completion finishes.
+func (c *Completion) await(w func()) {
+	if c.waiter == nil {
+		c.waiter = w
+	} else {
+		c.waiters = append(c.waiters, w)
+	}
 }
 
 // OnDone registers fn to run when the completion finishes (immediately, as
@@ -99,7 +117,7 @@ func (c *Completion) OnDone(e *Engine, fn func()) {
 		e.After(0, fn)
 		return
 	}
-	c.waiters = append(c.waiters, fn)
+	c.await(fn)
 }
 
 // Wait blocks the process until the completion is done and returns its error.
@@ -107,7 +125,7 @@ func (c *Completion) Wait(p *Proc) error {
 	if c.done {
 		return c.err
 	}
-	c.waiters = append(c.waiters, p.run)
+	c.await(p.resume)
 	p.park()
 	return c.err
 }
@@ -147,21 +165,32 @@ func (q *Queue[T]) Len() int { return len(q.items) }
 func (q *Queue[T]) Push(e *Engine, v T) {
 	q.items = append(q.items, v)
 	if len(q.waiters) > 0 {
-		w := q.waiters[0]
-		q.waiters = q.waiters[1:]
+		var w func()
+		w, q.waiters = popFront(q.waiters)
 		e.After(0, w)
 	}
 }
 
 // TryPop removes and returns the head item without blocking.
-func (q *Queue[T]) TryPop() (T, bool) {
-	var zero T
+func (q *Queue[T]) TryPop() (v T, ok bool) {
 	if len(q.items) == 0 {
-		return zero, false
+		return v, false
 	}
-	v := q.items[0]
-	q.items = q.items[1:]
+	v, q.items = popFront(q.items)
 	return v, true
+}
+
+// popFront removes and returns s's first element. A slice that empties
+// keeps its array, so a queue that goes back and forth between empty and
+// one entry does not allocate.
+func popFront[T any](s []T) (T, []T) {
+	v := s[0]
+	var zero T
+	s[0] = zero
+	if len(s) == 1 {
+		return v, s[:0]
+	}
+	return v, s[1:]
 }
 
 // Pop blocks the process until an item is available, then removes and
@@ -171,7 +200,7 @@ func (q *Queue[T]) Pop(p *Proc) T {
 		if v, ok := q.TryPop(); ok {
 			return v
 		}
-		q.waiters = append(q.waiters, p.run)
+		q.waiters = append(q.waiters, p.resume)
 		p.park()
 	}
 }
@@ -193,7 +222,7 @@ func (s *Semaphore) Available() int { return s.avail }
 // Acquire blocks the process until a permit is available and takes it.
 func (s *Semaphore) Acquire(p *Proc) {
 	for s.avail <= 0 {
-		s.waiters = append(s.waiters, p.run)
+		s.waiters = append(s.waiters, p.resume)
 		p.park()
 	}
 	s.avail--
@@ -212,8 +241,8 @@ func (s *Semaphore) TryAcquire() bool {
 func (s *Semaphore) Release(e *Engine) {
 	s.avail++
 	if len(s.waiters) > 0 {
-		w := s.waiters[0]
-		s.waiters = s.waiters[1:]
+		var w func()
+		w, s.waiters = popFront(s.waiters)
 		e.After(0, w)
 	}
 }

@@ -12,7 +12,7 @@ func buildWorkload(e *Engine, seed int64) ([]Time, []int, uint64) {
 	rng := rand.New(rand.NewSource(seed))
 	var times []Time
 	var ids []int
-	var live []*Event
+	var live []Event
 	id := 0
 	deltas := []Duration{0, 1, 100, 255, 256, 257, 5000, 65_535, 65_536, 1 << 20,
 		(1 << 24) - 1, 1 << 24, 200_000_000, (1 << 32) + 12345, 6_000_000_000}
@@ -34,14 +34,12 @@ func buildWorkload(e *Engine, seed int64) ([]Time, []int, uint64) {
 				live = append(live, ev)
 			}
 		}
-		// Cancel a random remembered event (it may have fired already, in
-		// which case Cancel must be a no-op). Zero-delay events are excluded:
-		// they are pooled and must not be cancelled after their instant.
+		// Cancel a random remembered event. It may have fired already, and
+		// its object may since carry another event; Cancel must then be a
+		// no-op.
 		if len(live) > 0 && rng.Intn(4) == 0 {
 			i := rng.Intn(len(live))
-			if live[i].When() > e.Now() {
-				live[i].Cancel()
-			}
+			live[i].Cancel()
 			live = append(live[:i], live[i+1:]...)
 		}
 	}
@@ -96,6 +94,66 @@ func TestCancelFastPathEvent(t *testing.T) {
 	if e.EventsFired() != 0 {
 		t.Fatalf("EventsFired = %d, want 0", e.EventsFired())
 	}
+}
+
+// TestStaleHandleCancelIsNoop keeps handles past their events, lets the
+// pool hand their objects to new events (it is LIFO), and cancels the
+// stale handles: each Cancel must report false and leave the new event to
+// fire, at zero delay as at a timed one.
+func TestStaleHandleCancelIsNoop(t *testing.T) {
+	for _, c := range []struct {
+		name   string
+		delay  Duration
+		cancel bool // end the first event by Cancel rather than by firing
+	}{
+		{"zero delay, fired", 0, false},
+		{"timed, fired", 100, false},
+		{"timed, cancelled", 100, true},
+	} {
+		t.Run(c.name, func(t *testing.T) {
+			e := NewEngine(1)
+			stale := e.After(c.delay, func() {})
+			wantFired := uint64(1)
+			if c.cancel {
+				stale.Cancel()
+				wantFired = 0
+			} else {
+				e.Run()
+			}
+			fired := false
+			next := e.After(c.delay, func() { fired = true })
+			if next.ev != stale.ev {
+				t.Fatal("the new event did not reuse the stale handle's object")
+			}
+			if stale.Pending() || stale.Cancel() {
+				t.Fatal("a stale handle reads as pending or cancels")
+			}
+			if !next.Pending() || e.Pending() != 1 {
+				t.Fatalf("new event pending = %v, engine Pending = %d, want true and 1",
+					next.Pending(), e.Pending())
+			}
+			e.Run()
+			if !fired || e.EventsFired() != wantFired+1 || e.Pending() != 0 {
+				t.Fatalf("fired = %v, EventsFired = %d, Pending = %d, want true, %d, 0",
+					fired, e.EventsFired(), e.Pending(), wantFired+1)
+			}
+		})
+	}
+	t.Run("recurring stops in its own callback", func(t *testing.T) {
+		e := NewEngine(1)
+		fired := false
+		var r *Recurring
+		r = e.Every(10, func() {
+			e.After(5, func() { fired = true }) // takes the tick's object
+			r.Stop()
+		})
+		e.After(100, func() {})
+		e.Run()
+		if !fired || r.Runs() != 1 || e.EventsFired() != 3 || e.Pending() != 0 {
+			t.Fatalf("fired = %v, Runs = %d, EventsFired = %d, Pending = %d, want true, 1, 3, 0",
+				fired, r.Runs(), e.EventsFired(), e.Pending())
+		}
+	})
 }
 
 // TestPendingCounterAcrossDelays asserts Pending stays exact across
@@ -200,9 +258,9 @@ func TestCancelledTimersLeaveHeap(t *testing.T) {
 	}
 }
 
-// Allocation regressions: the zero-delay hot paths must not allocate. The
-// warmup pass grows the heap, the event pool, and waiter slices to steady
-// state before measuring.
+// Allocation regressions: scheduling, firing, cancelling and the process
+// wake paths must not allocate. The warmup pass grows the heap, the event
+// pool, and waiter slices to steady state before measuring.
 
 func TestAllocsAfterZero(t *testing.T) {
 	e := NewEngine(1)
@@ -276,4 +334,85 @@ func TestAllocsSemaphoreRelease(t *testing.T) {
 	}); n != 0 {
 		t.Fatalf("Semaphore.Release allocates %.1f/op, want 0", n)
 	}
+}
+
+func TestAllocsTimedFireAndCancel(t *testing.T) {
+	e := NewEngine(1)
+	fn := func() {}
+	e.After(100, fn)
+	e.Step()
+	if n := testing.AllocsPerRun(200, func() {
+		e.After(100, fn)
+		e.Step()
+	}); n != 0 {
+		t.Fatalf("After(100)+Step allocates %.1f/op, want 0", n)
+	}
+	if n := testing.AllocsPerRun(200, func() {
+		e.After(20*Millisecond, fn).Cancel()
+	}); n != 0 {
+		t.Fatalf("After(20ms)+Cancel allocates %.1f/op, want 0", n)
+	}
+}
+
+// TestAllocsProcWakes measures one wake of a parked process per run: from
+// Sleep, from Completion.Wait by Complete, from Queue.Pop by Push, and a
+// Recurring tick.
+func TestAllocsProcWakes(t *testing.T) {
+	const runs = 200
+	e := NewEngine(1)
+	stop := false
+	e.Go("sleeper", func(p *Proc) {
+		for !stop {
+			p.Sleep(10)
+		}
+	})
+	e.RunUntil(10)
+	if n := testing.AllocsPerRun(runs, func() { e.RunUntil(e.Now() + 10) }); n != 0 {
+		t.Fatalf("Proc.Sleep allocates %.1f/op, want 0", n)
+	}
+	stop = true
+	e.Run()
+
+	// AllocsPerRun calls its function once more than runs.
+	cs := make([]Completion, runs+2)
+	e.Go("waiter", func(p *Proc) {
+		for i := range cs {
+			cs[i].Wait(p)
+		}
+	})
+	e.Run()
+	next := 0
+	complete := func() {
+		cs[next].Complete(e, nil)
+		next++
+		e.Run()
+	}
+	complete()
+	if n := testing.AllocsPerRun(runs, complete); n != 0 {
+		t.Fatalf("Completion.Wait+Complete allocates %.1f/op, want 0", n)
+	}
+
+	q := &Queue[int]{}
+	e.Go("popper", func(p *Proc) {
+		for q.Pop(p) >= 0 {
+		}
+	})
+	e.Run()
+	push := func() {
+		q.Push(e, 1)
+		e.Run()
+	}
+	push()
+	if n := testing.AllocsPerRun(runs, push); n != 0 {
+		t.Fatalf("Queue.Push waking Pop allocates %.1f/op, want 0", n)
+	}
+	q.Push(e, -1)
+	e.Run()
+
+	r := e.Every(10, func() {})
+	e.RunUntil(e.Now() + 10)
+	if n := testing.AllocsPerRun(runs, func() { e.RunUntil(e.Now() + 10) }); n != 0 {
+		t.Fatalf("a Recurring tick allocates %.1f/op, want 0", n)
+	}
+	r.Stop()
 }

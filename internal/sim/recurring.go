@@ -8,10 +8,12 @@ import "fmt"
 // other event while foreground work exists, but they never keep Run alive
 // on their own, so a simulation still terminates when the workload drains.
 type Recurring struct {
-	eng     *Engine
-	period  Duration
-	fn      func()
-	ev      *Event
+	eng    *Engine
+	period Duration
+	fn     func()
+	// tickFn is tick bound once, so re-arming schedules no new closure.
+	tickFn  func()
+	ev      Event
 	stopped bool
 	runs    uint64
 }
@@ -24,15 +26,12 @@ func (e *Engine) Every(period Duration, fn func()) *Recurring {
 		panic(fmt.Sprintf("sim: recurring period %d", period))
 	}
 	r := &Recurring{eng: e, period: period, fn: fn}
+	r.tickFn = r.tick
 	r.arm()
 	return r
 }
 
-func (r *Recurring) arm() {
-	r.ev = r.eng.At(r.eng.now+r.period, r.tick)
-	r.ev.daemon = true
-	r.eng.daemonPending++
-}
+func (r *Recurring) arm() { r.ev = r.eng.schedule(r.eng.now+r.period, r.tickFn, true) }
 
 func (r *Recurring) tick() {
 	r.runs++
@@ -43,7 +42,9 @@ func (r *Recurring) tick() {
 }
 
 // Stop cancels the recurring task; the callback will not fire again.
-// Stopping an already-stopped task is a no-op.
+// Stopping an already-stopped task is a no-op. Called from inside the
+// callback, Stop cancels only the re-arm: the fired tick's handle is
+// stale, so events the callback scheduled still fire.
 func (r *Recurring) Stop() {
 	if r.stopped {
 		return
