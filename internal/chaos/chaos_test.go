@@ -4,6 +4,7 @@ import (
 	"strings"
 	"testing"
 
+	"omxsim/internal/report"
 	"omxsim/internal/sim"
 )
 
@@ -124,7 +125,7 @@ func TestRecorderMerge(t *testing.T) {
 	if series[1].Recoveries != 1 || series[1].Aborts != 1 || series[1].UnpinPages != 4 {
 		t.Errorf("bucket 1 = %+v, want 1 recovery, 1 abort, -4 pages", series[1])
 	}
-	tot := Totals(series)
+	tot := (&report.ChaosSeries{Intervals: series}).Total()
 	if tot.Faults != 1 || tot.Recoveries != 1 || tot.Aborts != 1 || tot.PinPages != 4 || tot.UnpinPages != 4 {
 		t.Errorf("totals = %+v", tot)
 	}

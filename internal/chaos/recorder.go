@@ -1,23 +1,9 @@
 package chaos
 
-import "omxsim/internal/sim"
-
-// Bucket holds one interval's chaos-related activity counts.
-type Bucket struct {
-	Faults     int // fault windows opened
-	Recoveries int // fault windows restored
-	Aborts     int // requests completed with an error
-	PinPages   int // pages pinned (churn)
-	UnpinPages int // pages unpinned (churn)
-}
-
-func (b *Bucket) add(o Bucket) {
-	b.Faults += o.Faults
-	b.Recoveries += o.Recoveries
-	b.Aborts += o.Aborts
-	b.PinPages += o.PinPages
-	b.UnpinPages += o.UnpinPages
-}
+import (
+	"omxsim/internal/report"
+	"omxsim/internal/sim"
+)
 
 // Recorder buckets one node's chaos activity into fixed simulated-time
 // intervals for the stress report. Each node gets its own recorder,
@@ -26,7 +12,7 @@ func (b *Bucket) add(o Bucket) {
 // order after the run, which keeps the merged series deterministic.
 type Recorder struct {
 	interval sim.Duration
-	buckets  []Bucket
+	buckets  []report.ChaosInterval
 }
 
 // NewRecorder creates a recorder with the given bucket width (<= 0
@@ -41,13 +27,13 @@ func NewRecorder(interval sim.Duration) *Recorder {
 // Interval returns the bucket width.
 func (r *Recorder) Interval() sim.Duration { return r.interval }
 
-func (r *Recorder) bucket(t sim.Time) *Bucket {
+func (r *Recorder) bucket(t sim.Time) *report.ChaosInterval {
 	i := int(t / sim.Time(r.interval))
 	if i < 0 {
 		i = 0
 	}
 	for len(r.buckets) <= i {
-		r.buckets = append(r.buckets, Bucket{})
+		r.buckets = append(r.buckets, report.ChaosInterval{})
 	}
 	return &r.buckets[i]
 }
@@ -74,27 +60,18 @@ func (r *Recorder) PinChurn(t sim.Time, pages int, pinned bool) {
 // per-node recorders, extended to the longest series. Integer sums in
 // fixed node order are exact and order-independent, so the merged series
 // is identical across shard counts.
-func Merge(recs []*Recorder) []Bucket {
-	var out []Bucket
+func Merge(recs []*Recorder) []report.ChaosInterval {
+	var out []report.ChaosInterval
 	for _, r := range recs {
 		if r == nil {
 			continue
 		}
 		for len(out) < len(r.buckets) {
-			out = append(out, Bucket{})
+			out = append(out, report.ChaosInterval{})
 		}
 		for i, b := range r.buckets {
-			out[i].add(b)
+			out[i].Add(b)
 		}
 	}
 	return out
-}
-
-// Totals sums a series into one bucket.
-func Totals(series []Bucket) Bucket {
-	var t Bucket
-	for _, b := range series {
-		t.add(b)
-	}
-	return t
 }

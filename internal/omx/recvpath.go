@@ -215,9 +215,6 @@ func (ep *Endpoint) noteArrival(rs *rstate, off, n int) {
 	if bi > rs.lowestHole && rs.lowestHole < rs.nextBlockOff {
 		hole := &rs.blocks[rs.lowestHole]
 		if now-hole.lastReq >= gapReReqDelay {
-			if DebugGapReReq != nil {
-				DebugGapReReq(bi, rs.lowestHole, rs.nextBlockOff, hole.accepted, int(rs.key.seq))
-			}
 			ep.node.stats.OptimisticReReqs++
 			ep.reRequestBlock(rs, hole)
 		}
@@ -316,9 +313,6 @@ func (ep *Endpoint) armReRequestAfter(rs *rstate, delay sim.Duration) {
 				ep.finishPull(rs, fmt.Errorf("%w: pull silent for %v", ErrPeerDead, stalled))
 				return
 			}
-			if DebugReReq != nil {
-				DebugReReq(rs.received, rs.total, rs.outstanding, int64(stalled))
-			}
 			for i := 0; i < rs.nextBlockOff; i++ {
 				b := &rs.blocks[i]
 				if b.accepted >= b.length {
@@ -377,9 +371,6 @@ func (ep *Endpoint) handlePullReply(m *pullReply) {
 	rs.gotFrag[m.off] = true
 	ep.node.stats.PullRepliesRx++
 	ep.emit(trace.FragAccepted, m.seq, m.off, n)
-	if DebugAccept != nil {
-		DebugAccept(m.seq, m.off, n, fmt.Sprintf("%p/%s", rs, m.src))
-	}
 	// Progress is measured at fragment *arrival* (the paper's optimistic
 	// re-request reacts to missing packets, not to copy latency); this also
 	// drives the gap-based re-request of older holes.
@@ -418,16 +409,6 @@ func (ep *Endpoint) handlePullReply(m *pullReply) {
 	}
 	ep.node.rxCore.Submit(cpu.BottomHalf, ep.core.Spec().CopyCost(n), commit)
 }
-
-// DebugReReq, when non-nil, observes re-request rounds (diagnostic hook
-// used by tests and the overlapmiss tool).
-var DebugReReq func(received, total, outstanding int, stalledNs int64)
-
-// DebugGapReReq, when non-nil, observes gap-driven re-requests.
-var DebugGapReReq func(bi, lowestHole, nextBlockOff, holeAccepted, holeLen int)
-
-// DebugAccept, when non-nil, observes accepted pull-reply fragments.
-var DebugAccept func(seq uint64, off, n int, who string)
 
 // ioatSetupCost is the per-descriptor host cost of programming the DMA
 // engine.

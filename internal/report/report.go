@@ -61,12 +61,30 @@ type ChaosInterval struct {
 	UnpinPages int `json:"unpin_pages"`
 }
 
+// Add adds o's counts to c.
+func (c *ChaosInterval) Add(o ChaosInterval) {
+	c.Faults += o.Faults
+	c.Recoveries += o.Recoveries
+	c.Aborts += o.Aborts
+	c.PinPages += o.PinPages
+	c.UnpinPages += o.UnpinPages
+}
+
 // ChaosSeries is the per-interval stress time series written alongside a
 // chaos scenario's metrics (interval i covers
 // [i*interval, (i+1)*interval) of simulated time).
 type ChaosSeries struct {
 	IntervalUS float64         `json:"interval_us"`
 	Intervals  []ChaosInterval `json:"intervals"`
+}
+
+// Total sums the series' intervals.
+func (s *ChaosSeries) Total() ChaosInterval {
+	var t ChaosInterval
+	for _, iv := range s.Intervals {
+		t.Add(iv)
+	}
+	return t
 }
 
 // Result is everything one scenario run produced. It deliberately carries
@@ -196,14 +214,7 @@ func writeOne(w io.Writer, r *Result) error {
 			fmt.Fprintln(w)
 			wroteChaos = true
 		}
-		var t ChaosInterval
-		for _, iv := range c.Chaos.Intervals {
-			t.Faults += iv.Faults
-			t.Recoveries += iv.Recoveries
-			t.Aborts += iv.Aborts
-			t.PinPages += iv.PinPages
-			t.UnpinPages += iv.UnpinPages
-		}
+		t := c.Chaos.Total()
 		fmt.Fprintf(w, "chaos %s: %d faults, %d recoveries, %d aborts, pin churn +%d/-%d pages over %d x %.0fus intervals\n",
 			c.Label, t.Faults, t.Recoveries, t.Aborts, t.PinPages, t.UnpinPages,
 			len(c.Chaos.Intervals), c.Chaos.IntervalUS)

@@ -52,21 +52,6 @@ func PolicyCases(names ...string) func(cr *CaseRun) bool {
 	}
 }
 
-// AnyCase builds an assertion satisfied by at least one case cell.
-func AnyCase(name string, check func(cr *CaseRun) (bool, string)) Assertion {
-	return Assertion{Name: name, Check: func(run *Run) (bool, string) {
-		var last string
-		for _, cr := range run.Cases {
-			ok, detail := check(cr)
-			if ok {
-				return true, ""
-			}
-			last = fmt.Sprintf("%s: %s", cr.id(), detail)
-		}
-		return false, last
-	}}
-}
-
 // MetricAtLeast asserts metric >= min in every case.
 func MetricAtLeast(metric string, min float64) Assertion {
 	return EachCase(fmt.Sprintf("%s >= %g", metric, min), func(cr *CaseRun) (bool, string) {

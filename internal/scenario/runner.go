@@ -258,8 +258,11 @@ func collectChaos(cr *CaseRun) {
 	if cr.chaosRecs == nil {
 		return
 	}
-	merged := chaos.Merge(cr.chaosRecs)
-	t := chaos.Totals(merged)
+	series := &report.ChaosSeries{
+		IntervalUS: float64(cr.chaosRecs[0].Interval()) / float64(sim.Microsecond),
+		Intervals:  chaos.Merge(cr.chaosRecs),
+	}
+	t := series.Total()
 	cr.Metric("stats.chaos_faults", float64(t.Faults))
 	cr.Metric("stats.chaos_recoveries", float64(t.Recoveries))
 	cr.Metric("stats.chaos_aborts", float64(t.Aborts))
@@ -268,18 +271,6 @@ func collectChaos(cr *CaseRun) {
 		inflight += n.InFlightRequests()
 	}
 	cr.Metric("stats.requests_inflight_end", float64(inflight))
-	series := &report.ChaosSeries{
-		IntervalUS: float64(cr.chaosRecs[0].Interval()) / float64(sim.Microsecond),
-	}
-	for _, b := range merged {
-		series.Intervals = append(series.Intervals, report.ChaosInterval{
-			Faults:     b.Faults,
-			Recoveries: b.Recoveries,
-			Aborts:     b.Aborts,
-			PinPages:   b.PinPages,
-			UnpinPages: b.UnpinPages,
-		})
-	}
 	cr.chaosSeries = series
 }
 

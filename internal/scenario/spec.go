@@ -2,12 +2,16 @@
 // YAML-subset document (parsed by internal/yamlite) that describes a
 // scenario without Go code: the cluster or fleet shape, the pin-policy
 // case matrix, a workload by kind, timed fault events, a chaos profile,
-// and an ordered assertion block. ParseSpec decodes and validates with
-// file:line errors (unknown fields are hard errors — a typo must never
-// silently weaken an assertion); Compile lowers the result onto the
-// same Scenario/Runner machinery the Go builtins use and checks node and
-// rank indices against the resolved cluster, so a spec that loads does
-// not crash or misfire at run time.
+// and an ordered assertion block. LoadSpecData decodes it straight into
+// the same Scenario/Runner machinery the Go builtins use. Every mapping
+// is a table of typed fields that one walker decodes, so each key is
+// written once: the table matches it, parses its value, and lists it
+// when an unknown key is rejected (unknown fields are hard errors — a
+// typo must never silently weaken an assertion). Every error carries
+// file:line. Once the walk is done the loader resolves the fleet and
+// checks node and rank indices, kv shapes and sweep sizes against the
+// resolved cluster, so a spec that loads does not crash or misfire at
+// run time.
 package scenario
 
 import (
@@ -17,48 +21,34 @@ import (
 	"strings"
 
 	"omxsim/internal/chaos"
-	"omxsim/internal/cluster"
 	"omxsim/internal/ethernet"
+	"omxsim/internal/mpi"
 	"omxsim/internal/omx"
 	"omxsim/internal/policy"
 	"omxsim/internal/sim"
 	"omxsim/internal/yamlite"
 )
 
-// Spec is a parsed (but not yet compiled) scenario spec.
-type Spec struct {
-	// File is the source path, used in error messages.
-	File string
-	// Name is the registry key the compiled scenario claims.
-	Name string
-	// Description is the one-line listing text.
-	Description string
-
-	clusterCfg cluster.Config
-	hasCluster bool
-	fleet      *fleetSpec
-	cases      []Case
-	sizes      []int
-	quickSizes []int
-	metric     string
-	workload   *workloadSpec
-	budget     sim.Duration
-	faults     []Fault
-	chaosProf  *chaos.Profile
-	asserts    []Assertion
-	sloTenants []sloRef
-	indexRefs  []indexRef
+// dec is one spec's decoding state: the scenario it fills, and what the
+// checks after the walk read.
+type dec struct {
+	file      string
+	s         *Scenario
+	fleet     *fleetSpec
+	work      *workloadSpec
+	sloRefs   []sloRef
+	indexRefs []indexRef
 }
 
-// sloRef remembers where an SLO assertion named its tenant, for the
-// cross-reference check against the kv workload's tenant list.
+// sloRef remembers an SLO assertion and the line of its tenant name, for
+// the cross-reference check against the kv workload's tenant list.
 type sloRef struct {
-	tenant string
-	line   int
+	slo  KVSLO
+	line int
 }
 
 // indexRef remembers where a spec named a node or a rank by index, for
-// the range check against the resolved cluster in Compile.
+// the range check against the resolved cluster.
 type indexRef struct {
 	what  string
 	rank  bool // a rank index; otherwise a node index
@@ -66,63 +56,192 @@ type indexRef struct {
 	line  int
 }
 
-// fleetSpec is the fleet: section — node-group templates scaled to a
-// total node count, plus the startup schedule.
-type fleetSpec struct {
-	line    int
-	total   int
-	link    *ethernet.LinkConfig
-	groups  []fleetGroup
-	startup startupSpec
+// A field is one key of a mapping. The type of dst picks the parser:
+// *string, *int, *count, *float64, *bool, *byteSize, *sim.Duration
+// (given in µs), *[]int (a list of byte sizes), *map[string]string (a
+// mapping of strings), **ethernet.LinkConfig (a link block),
+// *policy.Policy (a registered policy name), a pointer to an enum (a
+// name matched by its String()), or a func(*yamlite.Node) error for a
+// section or a key that cross-checks.
+type field struct {
+	key string
+	dst any
 }
 
-type fleetGroup struct {
-	line         int
-	name         string
-	weight       int
-	nodes        int // explicit count; 0 = allocate by weight
-	ranksPerNode int
-	frames       int
-	epsPerNode   int // endpoints per rank-role; 0 = inherit the base config
-	nicQueues    int // NIC tx/rx queue pairs; 0 = inherit the base config
+// count is an int field holding a count: 0..maxCount, where 0 keeps the
+// default.
+type count int
+
+// byteSize is an int field holding a byte size: a plain integer or a
+// number with a B/KiB/MiB/GiB suffix ("256KiB", "1MiB").
+type byteSize int
+
+// maxCount bounds every count a spec gives (nodes, ranks, weights,
+// frames): far beyond any cluster the simulator can run, and small enough
+// that the fleet allocation arithmetic cannot overflow.
+const maxCount = 1 << 20
+
+// name is a value's dotted name in errors ("cluster.nodes"), joined only
+// when an error prints it.
+type name struct{ path, key string }
+
+func (n name) String() string {
+	if n.path == "" {
+		return n.key
+	}
+	return n.path + "." + n.key
 }
-
-// Startup patterns.
-const (
-	startInstant = iota
-	startLinear
-	startExponential
-	startWave
-)
-
-type startupSpec struct {
-	pattern int
-	spread  sim.Duration
-	waves   int
-	jitter  float64
-}
-
-// dec carries the source file name through the decoder for error
-// messages.
-type dec struct{ file string }
 
 func (d *dec) errf(line int, format string, args ...any) error {
 	return fmt.Errorf("%s:%d: %s", d.file, line, fmt.Sprintf(format, args...))
 }
 
+// walk decodes mapping n against its field table. section names the
+// mapping in errors; path prefixes its keys in value errors ("cluster"
+// makes "cluster.nodes").
+func (d *dec) walk(n *yamlite.Node, section, path string, fields []field) error {
+	if err := d.wantMap(n, name{key: section}); err != nil {
+		return err
+	}
+pairs:
+	for _, p := range n.Pairs {
+		for _, f := range fields {
+			if f.key == p.Key {
+				if err := d.set(p.Val, f.dst, name{path, p.Key}); err != nil {
+					return err
+				}
+				continue pairs
+			}
+		}
+		// Copy the keys out: handing the table's own strings to fmt would
+		// make every destination the table points at escape to the heap.
+		var keys strings.Builder
+		for i, f := range fields {
+			if i > 0 {
+				keys.WriteString(", ")
+			}
+			keys.WriteString(f.key)
+		}
+		return d.errf(p.Line, "unknown field %q (%s fields: %s)", p.Key, section, keys.String())
+	}
+	return nil
+}
+
+// set parses n into dst by dst's type (see field).
+func (d *dec) set(n *yamlite.Node, dst any, what name) (err error) {
+	switch dst := dst.(type) {
+	case func(*yamlite.Node) error:
+		err = dst(n)
+	case *string:
+		*dst, err = d.scalar(n, what)
+	case *int:
+		*dst, err = d.intVal(n, what)
+	case *count:
+		var v int
+		if v, err = d.intVal(n, what); err == nil && (v < 0 || v > maxCount) {
+			err = d.errf(n.Line, "%s: %d is out of range (0..%d)", what, v, maxCount)
+		}
+		*dst = count(v)
+	case *float64:
+		*dst, err = d.floatVal(n, what)
+	case *bool:
+		var s string
+		if s, err = d.scalar(n, what); err == nil && s != "true" && s != "false" {
+			err = d.errf(n.Line, "%s: %q is not true/false", what, s)
+		}
+		*dst = s == "true"
+	case *byteSize:
+		var v int
+		v, err = d.bytesVal(n, what)
+		*dst = byteSize(v)
+	case *sim.Duration:
+		var us float64
+		if us, err = d.floatVal(n, what); err == nil && us < 0 {
+			err = d.errf(n.Line, "%s: must be >= 0", what)
+		}
+		*dst = sim.Duration(us * float64(sim.Microsecond))
+	case *[]int:
+		if err = d.wantSeq(n, what); err != nil {
+			return err
+		}
+		for _, it := range n.Items {
+			v, err := d.bytesVal(it, what)
+			if err != nil {
+				return err
+			}
+			*dst = append(*dst, v)
+		}
+	case *map[string]string:
+		if err = d.wantMap(n, what); err != nil {
+			return err
+		}
+		*dst = map[string]string{}
+		for _, p := range n.Pairs {
+			if (*dst)[p.Key], err = d.scalar(p.Val, name{what.String(), p.Key}); err != nil {
+				return err
+			}
+		}
+	case **ethernet.LinkConfig:
+		*dst, err = d.decodeLink(n, what.String())
+	case *policy.Policy:
+		var s string
+		if s, err = d.scalar(n, what); err == nil {
+			var ok bool
+			if *dst, ok = policy.ByName(s); !ok {
+				err = d.unknown(n, what, s, policy.Names())
+			}
+		}
+	// Each enum ends at its last value.
+	case *FaultKind:
+		err = enumVal(d, n, what, dst, FaultBudgetShrink)
+	case *chaos.Class:
+		err = enumVal(d, n, what, dst, chaos.BudgetShrink)
+	case *chaos.Arrival:
+		err = enumVal(d, n, what, dst, chaos.Burst)
+	case *startPattern:
+		err = enumVal(d, n, what, dst, startWave)
+	default:
+		panic("scenario: spec field " + what.String() + " has no parser for its type")
+	}
+	return err
+}
+
+// enumVal sets dst to the value in 0..last whose String() n names.
+func enumVal[E interface {
+	~int
+	String() string
+}](d *dec, n *yamlite.Node, what name, dst *E, last E) error {
+	s, err := d.scalar(n, what)
+	if err != nil {
+		return err
+	}
+	for e := E(0); e <= last; e++ {
+		if e.String() == s {
+			*dst = e
+			return nil
+		}
+	}
+	var names []string
+	for e := E(0); e <= last; e++ {
+		names = append(names, e.String())
+	}
+	return d.unknown(n, what, s, names)
+}
+
+// unknown rejects a name that is none of names.
+func (d *dec) unknown(n *yamlite.Node, what name, s string, names []string) error {
+	return d.errf(n.Line, "%s: unknown %s %q (one of: %s)", what, what.key, s, strings.Join(names, ", "))
+}
+
 // scalar asserts the node is a scalar and returns its value.
-func (d *dec) scalar(n *yamlite.Node, what string) (string, error) {
+func (d *dec) scalar(n *yamlite.Node, what name) (string, error) {
 	if n.Kind != yamlite.Scalar {
 		return "", d.errf(n.Line, "%s: expected a scalar value, got a %s", what, n.Kind)
 	}
 	return n.Value, nil
 }
 
-func (d *dec) str(n *yamlite.Node, what string) (string, error) {
-	return d.scalar(n, what)
-}
-
-func (d *dec) intVal(n *yamlite.Node, what string) (int, error) {
+func (d *dec) intVal(n *yamlite.Node, what name) (int, error) {
 	s, err := d.scalar(n, what)
 	if err != nil {
 		return 0, err
@@ -134,22 +253,7 @@ func (d *dec) intVal(n *yamlite.Node, what string) (int, error) {
 	return v, nil
 }
 
-// maxCount bounds every count a spec gives (nodes, ranks, weights,
-// frames): far beyond any cluster the simulator can run, and small enough
-// that the fleet allocation arithmetic cannot overflow.
-const maxCount = 1 << 20
-
-// countVal parses a count: an integer in 0..maxCount, where 0 keeps the
-// default.
-func (d *dec) countVal(n *yamlite.Node, what string) (int, error) {
-	v, err := d.intVal(n, what)
-	if err == nil && (v < 0 || v > maxCount) {
-		err = d.errf(n.Line, "%s: %d is out of range (0..%d)", what, v, maxCount)
-	}
-	return v, err
-}
-
-func (d *dec) floatVal(n *yamlite.Node, what string) (float64, error) {
+func (d *dec) floatVal(n *yamlite.Node, what name) (float64, error) {
 	s, err := d.scalar(n, what)
 	if err != nil {
 		return 0, err
@@ -161,23 +265,7 @@ func (d *dec) floatVal(n *yamlite.Node, what string) (float64, error) {
 	return v, nil
 }
 
-func (d *dec) boolVal(n *yamlite.Node, what string) (bool, error) {
-	s, err := d.scalar(n, what)
-	if err != nil {
-		return false, err
-	}
-	switch s {
-	case "true":
-		return true, nil
-	case "false":
-		return false, nil
-	}
-	return false, d.errf(n.Line, "%s: %q is not true/false", what, s)
-}
-
-// bytesVal parses a byte count: a plain integer or a number with a
-// B/KiB/MiB/GiB suffix ("256KiB", "1MiB").
-func (d *dec) bytesVal(n *yamlite.Node, what string) (int, error) {
+func (d *dec) bytesVal(n *yamlite.Node, what name) (int, error) {
 	s, err := d.scalar(n, what)
 	if err != nil {
 		return 0, err
@@ -209,555 +297,295 @@ func parseBytes(s string) (int, error) {
 	return int(f * float64(mult)), nil
 }
 
-// durUS parses a duration given in microseconds of simulated time.
-func (d *dec) durUS(n *yamlite.Node, what string) (sim.Duration, error) {
-	v, err := d.floatVal(n, what)
-	if err != nil {
-		return 0, err
-	}
-	if v < 0 {
-		return 0, d.errf(n.Line, "%s: must be >= 0", what)
-	}
-	return sim.Duration(v * float64(sim.Microsecond)), nil
-}
-
-func (d *dec) wantMap(n *yamlite.Node, what string) error {
+func (d *dec) wantMap(n *yamlite.Node, what name) error {
 	if n.Kind != yamlite.Map {
 		return d.errf(n.Line, "%s: expected a mapping, got a %s", what, n.Kind)
 	}
 	return nil
 }
 
-func (d *dec) wantSeq(n *yamlite.Node, what string) error {
+func (d *dec) wantSeq(n *yamlite.Node, what name) error {
 	if n.Kind != yamlite.Seq {
 		return d.errf(n.Line, "%s: expected a sequence, got a %s", what, n.Kind)
 	}
 	return nil
 }
 
-// sizeSeq parses a list of byte sizes.
-func (d *dec) sizeSeq(n *yamlite.Node, what string) ([]int, error) {
-	if err := d.wantSeq(n, what); err != nil {
-		return nil, err
+// items decodes sequence n by calling each on every item.
+func (d *dec) items(n *yamlite.Node, what string, each func(it *yamlite.Node) error) error {
+	if err := d.wantSeq(n, name{key: what}); err != nil {
+		return err
 	}
-	var out []int
 	for _, it := range n.Items {
-		v, err := d.bytesVal(it, what)
-		if err != nil {
-			return nil, err
+		if err := each(it); err != nil {
+			return err
 		}
-		out = append(out, v)
 	}
-	return out, nil
+	return nil
 }
 
-// ParseSpec decodes and validates a scenario spec. Every decode error
-// carries file:line context; unknown fields anywhere in the document are
-// errors.
-func ParseSpec(src []byte, file string) (*Spec, error) {
+// keyLine returns the line of key in mapping n, or n's own line when the
+// key is absent.
+func keyLine(n *yamlite.Node, key string) int {
+	for _, p := range n.Pairs {
+		if p.Key == key {
+			return p.Line
+		}
+	}
+	return n.Line
+}
+
+// index reads a node or rank index into dst and remembers it, with its
+// line, for the range check against the resolved cluster.
+func (d *dec) index(n *yamlite.Node, what string, rank bool, dst *int) (err error) {
+	*dst, err = d.intVal(n, name{key: what})
+	d.indexRefs = append(d.indexRefs, indexRef{what, rank, *dst, n.Line})
+	return err
+}
+
+// LoadSpecData decodes a spec into a Scenario without registering it.
+func LoadSpecData(src []byte, file string) (*Scenario, error) {
+	d, err := loadSpec(src, file)
+	if err != nil {
+		return nil, err
+	}
+	return d.s, nil
+}
+
+// loadSpec decodes and checks a spec, returning the decoder state.
+func loadSpec(src []byte, file string) (*dec, error) {
 	root, err := yamlite.Parse(src, file)
 	if err != nil {
 		return nil, err
 	}
-	d := &dec{file: file}
-	if err := d.wantMap(root, "document root"); err != nil {
+	s := &Scenario{}
+	d := &dec{file: file, s: s}
+	if err := d.walk(root, "top-level", "", []field{
+		{"name", &s.Name},
+		{"description", &s.Description},
+		{"cluster", d.decodeCluster},
+		{"fleet", d.decodeFleet},
+		{"cases", d.decodeCases},
+		{"sizes", &s.Sizes},
+		{"quick_sizes", &s.QuickSizes},
+		{"metric", &s.Metric},
+		{"workload", d.decodeWorkload},
+		{"budget_us", &s.Budget},
+		{"faults", d.decodeFaults},
+		{"chaos", d.decodeChaos},
+		{"assertions", d.decodeAssertions},
+	}); err != nil {
 		return nil, err
 	}
-	sp := &Spec{File: file}
-	var clusterLine, fleetLine int
-	for _, p := range root.Pairs {
-		switch p.Key {
-		case "name":
-			if sp.Name, err = d.str(p.Val, "name"); err != nil {
-				return nil, err
-			}
-		case "description":
-			if sp.Description, err = d.str(p.Val, "description"); err != nil {
-				return nil, err
-			}
-		case "cluster":
-			clusterLine = p.Line
-			if err = d.decodeCluster(p.Val, sp); err != nil {
-				return nil, err
-			}
-		case "fleet":
-			fleetLine = p.Line
-			if err = d.decodeFleet(p.Val, sp); err != nil {
-				return nil, err
-			}
-		case "cases":
-			if err = d.decodeCases(p.Val, sp); err != nil {
-				return nil, err
-			}
-		case "sizes":
-			if sp.sizes, err = d.sizeSeq(p.Val, "sizes"); err != nil {
-				return nil, err
-			}
-		case "quick_sizes":
-			if sp.quickSizes, err = d.sizeSeq(p.Val, "quick_sizes"); err != nil {
-				return nil, err
-			}
-		case "metric":
-			if sp.metric, err = d.str(p.Val, "metric"); err != nil {
-				return nil, err
-			}
-		case "workload":
-			if err = d.decodeWorkload(p.Val, sp); err != nil {
-				return nil, err
-			}
-		case "budget_us":
-			if sp.budget, err = d.durUS(p.Val, "budget_us"); err != nil {
-				return nil, err
-			}
-		case "faults":
-			if err = d.decodeFaults(p.Val, sp); err != nil {
-				return nil, err
-			}
-		case "chaos":
-			if err = d.decodeChaos(p.Val, sp); err != nil {
-				return nil, err
-			}
-		case "assertions":
-			if err = d.decodeAssertions(p.Val, sp); err != nil {
-				return nil, err
-			}
-		default:
-			return nil, d.errf(p.Line, "unknown field %q (top-level fields: name, description, cluster, fleet, cases, sizes, quick_sizes, metric, workload, budget_us, faults, chaos, assertions)", p.Key)
-		}
-	}
-	if sp.Name == "" {
+	if s.Name == "" {
 		return nil, d.errf(root.Line, "spec is missing the required `name` field")
 	}
-	if sp.workload == nil {
-		return nil, d.errf(root.Line, "spec %q is missing the required `workload` section", sp.Name)
+	if d.work == nil {
+		return nil, d.errf(root.Line, "spec %q is missing the required `workload` section", s.Name)
 	}
-	if sp.hasCluster && sp.fleet != nil {
-		return nil, d.errf(fleetLine, "spec %q sets both `cluster` (line %d) and `fleet`: pick one", sp.Name, clusterLine)
+	if _, ok := root.Get("cluster"); ok && d.fleet != nil {
+		return nil, d.errf(keyLine(root, "fleet"), "spec %q sets both `cluster` (line %d) and `fleet`: pick one", s.Name, keyLine(root, "cluster"))
 	}
-	if err := d.crossCheck(sp); err != nil {
+	if err := d.crossCheck(root); err != nil {
 		return nil, err
 	}
-	return sp, nil
+	if f := d.fleet; f != nil && (f.startup.pattern != startInstant || f.startup.jitter > 0) {
+		st, total, inner := f.startup, f.total, s.Workload
+		s.Workload = func(c *mpi.Comm, cr *CaseRun) {
+			if delay := startupDelay(st, c.Endpoint().Node().ID, total, cr.Seed); delay > 0 {
+				c.Compute(delay)
+			}
+			inner(c, cr)
+		}
+	}
+	return d, nil
 }
 
-// crossCheck validates references between sections once everything is
-// decoded: workload/size coupling and SLO tenant names.
-func (d *dec) crossCheck(sp *Spec) error {
-	w := sp.workload
-	if w.needsSizes && len(sp.sizes) == 0 {
-		return d.errf(w.line, "workload kind %q reads the message size from the sweep: add a `sizes` list", w.kind)
+// crossCheck validates what spans sections once the walk is done: the
+// sweep sizes the workload reads, SLO tenant names, the fleet's
+// allocation (which it resolves onto the cluster), and every node and
+// rank index and the kv server count against the resolved cluster.
+func (d *dec) crossCheck(root *yamlite.Node) error {
+	s, w := d.s, d.work
+	if w.needsSizes {
+		if len(s.Sizes) == 0 {
+			return d.errf(w.node.Line, "workload kind %q reads the message size from the sweep: add a `sizes` list", w.kind)
+		}
+		for _, l := range [...]struct {
+			key   string
+			sizes []int
+		}{{"sizes", s.Sizes}, {"quick_sizes", s.QuickSizes}} {
+			for i, v := range l.sizes {
+				if v < w.minSize {
+					list, _ := root.Get(l.key)
+					return d.errf(list.Items[i].Line, "%s: %d bytes is below the %d-byte minimum of workload kind %q", l.key, v, w.minSize, w.kind)
+				}
+			}
+		}
 	}
-	for _, ref := range sp.sloTenants {
-		if w.kvCfg == nil {
-			return d.errf(ref.line, "slo %q: SLO assertions need a kv workload (this spec's workload kind is %q)", ref.tenant, w.kind)
+	for _, ref := range d.sloRefs {
+		tenant := ref.slo.Tenant
+		if w.kind != "kv" {
+			return d.errf(ref.line, "slo %q: SLO assertions need a kv workload (this spec's workload kind is %q)", tenant, w.kind)
 		}
 		found := false
-		for _, t := range w.kvCfg.Tenants {
-			if t.Name == ref.tenant {
-				found = true
-				break
-			}
+		for _, t := range w.kv.Tenants {
+			found = found || t.Name == tenant
 		}
 		if !found {
 			var names []string
-			for _, t := range w.kvCfg.Tenants {
+			for _, t := range w.kv.Tenants {
 				names = append(names, t.Name)
 			}
-			return d.errf(ref.line, "slo %q: no such tenant in the kv workload (tenants: %s)", ref.tenant, strings.Join(names, ", "))
+			return d.errf(ref.line, "slo %q: no such tenant in the kv workload (tenants: %s)", tenant, strings.Join(names, ", "))
 		}
 	}
-	if sp.fleet != nil {
+	if f := d.fleet; f != nil {
 		seen := map[string]bool{}
-		for _, g := range sp.fleet.groups {
-			if seen[g.name] {
-				return d.errf(g.line, "fleet group %q: duplicate group name", g.name)
+		for _, g := range f.groups {
+			if seen[g.Name] {
+				return d.errf(g.line, "fleet group %q: duplicate group name", g.Name)
 			}
-			seen[g.name] = true
+			seen[g.Name] = true
 		}
-	}
-	return nil
-}
-
-// decodeCluster fills the base cluster.Config from the cluster: section.
-func (d *dec) decodeCluster(n *yamlite.Node, sp *Spec) error {
-	if err := d.wantMap(n, "cluster"); err != nil {
-		return err
-	}
-	sp.hasCluster = true
-	cfg := &sp.clusterCfg
-	for _, p := range n.Pairs {
-		var err error
-		switch p.Key {
-		case "nodes":
-			cfg.Nodes, err = d.countVal(p.Val, "cluster.nodes")
-		case "ranks_per_node":
-			cfg.RanksPerNode, err = d.countVal(p.Val, "cluster.ranks_per_node")
-		case "ranks_per_proc":
-			cfg.RanksPerProc, err = d.countVal(p.Val, "cluster.ranks_per_proc")
-		case "endpoints_per_node":
-			cfg.EndpointsPerNode, err = d.countVal(p.Val, "cluster.endpoints_per_node")
-		case "nic_queues":
-			cfg.NICQueues, err = d.countVal(p.Val, "cluster.nic_queues")
-		case "mem_frames":
-			cfg.Mem.Frames, err = d.countVal(p.Val, "cluster.mem_frames")
-		case "link":
-			cfg.Link, err = d.decodeLink(p.Val, "cluster.link")
-		default:
-			return d.errf(p.Line, "cluster: unknown field %q (fields: nodes, ranks_per_node, ranks_per_proc, endpoints_per_node, nic_queues, mem_frames, link)", p.Key)
-		}
+		groups, err := f.resolve(d)
 		if err != nil {
 			return err
 		}
+		s.Cluster.Groups, s.Cluster.Link = groups, f.link
+	}
+	nodes, ranks := clusterSize(s.Cluster)
+	for _, r := range d.indexRefs {
+		limit, unit := nodes, "nodes"
+		if r.rank {
+			limit, unit = ranks, "ranks"
+		}
+		if r.index < 0 || r.index >= limit {
+			return d.errf(r.line, "%s: %d is out of range (the cluster has %d %s)", r.what, r.index, limit, unit)
+		}
+	}
+	if w.kind == "kv" {
+		// kv.Run makes ranks 0..servers-1 the servers and the rest clients.
+		if w.kv.Servers >= ranks {
+			return d.errf(keyLine(w.node, "servers"), "workload.servers: %d leaves no client rank (the cluster has %d ranks)", w.kv.Servers, ranks)
+		}
+		s.Report = kvReport(w.kv, ranks)
 	}
 	return nil
 }
 
-// decodeLink decodes a link override block, starting from the default
-// 10G link.
-func (d *dec) decodeLink(n *yamlite.Node, what string) (*ethernet.LinkConfig, error) {
-	if err := d.wantMap(n, what); err != nil {
+// decodeCluster decodes the cluster: section into the base cluster.Config.
+func (d *dec) decodeCluster(n *yamlite.Node) error {
+	c := &d.s.Cluster
+	return d.walk(n, "cluster", "cluster", []field{
+		{"nodes", (*count)(&c.Nodes)},
+		{"ranks_per_node", (*count)(&c.RanksPerNode)},
+		{"ranks_per_proc", (*count)(&c.RanksPerProc)},
+		{"endpoints_per_node", (*count)(&c.EndpointsPerNode)},
+		{"nic_queues", (*count)(&c.NICQueues)},
+		{"mem_frames", (*count)(&c.Mem.Frames)},
+		{"link", &c.Link},
+	})
+}
+
+// decodeLink decodes a link override block, starting from the default 10G
+// link.
+func (d *dec) decodeLink(n *yamlite.Node, path string) (*ethernet.LinkConfig, error) {
+	l := ethernet.DefaultLinkConfig()
+	if err := d.walk(n, path, path, []field{
+		// The one-way latency is the engine lookahead, so it must be at
+		// least 1ns.
+		{"prop_delay_us", func(v *yamlite.Node) error {
+			us, err := d.floatVal(v, name{path, "prop_delay_us"})
+			if l.PropDelay = sim.Duration(us * float64(sim.Microsecond)); err == nil && l.PropDelay <= 0 {
+				err = d.errf(v.Line, "%s.prop_delay_us: %g is below 1ns (the link latency is the engine lookahead)", path, us)
+			}
+			return err
+		}},
+		{"bytes_per_sec", &l.BytesPerSec},
+		{"drop_prob", &l.DropProb},
+	}); err != nil {
 		return nil, err
 	}
-	l := ethernet.DefaultLinkConfig()
-	for _, p := range n.Pairs {
-		var err error
-		switch p.Key {
-		case "prop_delay_us":
-			// The one-way latency is the engine lookahead, so it must be
-			// at least 1ns.
-			var us float64
-			if us, err = d.floatVal(p.Val, what+".prop_delay_us"); err == nil {
-				if l.PropDelay = sim.Duration(us * float64(sim.Microsecond)); l.PropDelay <= 0 {
-					err = d.errf(p.Val.Line, "%s.prop_delay_us: %g is below 1ns (the link latency is the engine lookahead)", what, us)
-				}
-			}
-		case "bytes_per_sec":
-			l.BytesPerSec, err = d.floatVal(p.Val, what+".bytes_per_sec")
-		case "drop_prob":
-			l.DropProb, err = d.floatVal(p.Val, what+".drop_prob")
-		default:
-			return nil, d.errf(p.Line, "%s: unknown field %q (fields: prop_delay_us, bytes_per_sec, drop_prob)", what, p.Key)
-		}
-		if err != nil {
-			return nil, err
-		}
+	if l.BytesPerSec <= 0 {
+		return nil, d.errf(keyLine(n, "bytes_per_sec"), "%s.bytes_per_sec: %g must be > 0", path, l.BytesPerSec)
 	}
 	return &l, nil
 }
 
-// decodeFleet parses the fleet: section.
-func (d *dec) decodeFleet(n *yamlite.Node, sp *Spec) error {
-	if err := d.wantMap(n, "fleet"); err != nil {
-		return err
-	}
-	f := &fleetSpec{line: n.Line}
-	for _, p := range n.Pairs {
-		var err error
-		switch p.Key {
-		case "total_nodes":
-			f.total, err = d.countVal(p.Val, "fleet.total_nodes")
-		case "link":
-			f.link, err = d.decodeLink(p.Val, "fleet.link")
-		case "groups":
-			err = d.decodeGroups(p.Val, f)
-		case "startup":
-			err = d.decodeStartup(p.Val, f)
-		default:
-			return d.errf(p.Line, "fleet: unknown field %q (fields: total_nodes, link, groups, startup)", p.Key)
-		}
-		if err != nil {
+// decodeCases decodes the case matrix. A zero protocol knob keeps omx's
+// default.
+func (d *dec) decodeCases(n *yamlite.Node) error {
+	return d.items(n, "cases", func(it *yamlite.Node) error {
+		c := Case{OMX: omx.DefaultConfig(nil, false)}
+		if err := d.walk(it, "case", "case", []field{
+			{"label", &c.Label},
+			{"policy", &c.OMX.Policy},
+			{"cache", &c.OMX.CacheEnabled},
+			{"use_ioat", &c.OMX.UseIOAT},
+			{"retransmit_timeout_us", &c.OMX.RetransmitTimeout},
+			{"peer_dead_timeout_us", &c.OMX.PeerDeadTimeout},
+			{"pinned_page_limit", &c.OMX.PinnedPageLimit},
+			{"params", &c.Params},
+		}); err != nil {
 			return err
 		}
-	}
-	if f.total < 2 {
-		return d.errf(n.Line, "fleet.total_nodes must be >= 2 (got %d)", f.total)
-	}
-	if len(f.groups) == 0 {
-		return d.errf(n.Line, "fleet: at least one group template is required")
-	}
-	if f.link == nil {
-		// Fleet-scale runs need a usefully wide lookahead window; default
-		// to the fleet link (one switch hop).
-		l := ethernet.DefaultLinkConfig()
-		l.PropDelay = 2 * sim.Microsecond
-		f.link = &l
-	}
-	sp.fleet = f
-	return nil
-}
-
-func (d *dec) decodeGroups(n *yamlite.Node, f *fleetSpec) error {
-	if err := d.wantSeq(n, "fleet.groups"); err != nil {
-		return err
-	}
-	for _, it := range n.Items {
-		if err := d.wantMap(it, "fleet group"); err != nil {
-			return err
-		}
-		g := fleetGroup{line: it.Line}
-		for _, p := range it.Pairs {
-			var err error
-			switch p.Key {
-			case "name":
-				g.name, err = d.str(p.Val, "group.name")
-			case "weight":
-				g.weight, err = d.countVal(p.Val, "group.weight")
-			case "nodes":
-				g.nodes, err = d.countVal(p.Val, "group.nodes")
-			case "ranks_per_node":
-				g.ranksPerNode, err = d.countVal(p.Val, "group.ranks_per_node")
-			case "endpoints_per_node":
-				g.epsPerNode, err = d.countVal(p.Val, "group.endpoints_per_node")
-			case "nic_queues":
-				g.nicQueues, err = d.countVal(p.Val, "group.nic_queues")
-			case "mem_frames":
-				g.frames, err = d.countVal(p.Val, "group.mem_frames")
-			default:
-				return d.errf(p.Line, "fleet group: unknown field %q (fields: name, weight, nodes, ranks_per_node, endpoints_per_node, nic_queues, mem_frames)", p.Key)
-			}
-			if err != nil {
-				return err
-			}
-		}
-		if g.name == "" {
-			return d.errf(it.Line, "fleet group is missing the required `name` field")
-		}
-		if g.weight == 0 && g.nodes == 0 {
-			return d.errf(it.Line, "fleet group %q: set `weight` (proportional share) or `nodes` (fixed count)", g.name)
-		}
-		f.groups = append(f.groups, g)
-	}
-	return nil
-}
-
-func (d *dec) decodeStartup(n *yamlite.Node, f *fleetSpec) error {
-	if err := d.wantMap(n, "fleet.startup"); err != nil {
-		return err
-	}
-	st := &f.startup
-	for _, p := range n.Pairs {
-		var err error
-		switch p.Key {
-		case "pattern":
-			var s string
-			if s, err = d.str(p.Val, "startup.pattern"); err == nil {
-				switch s {
-				case "instant":
-					st.pattern = startInstant
-				case "linear":
-					st.pattern = startLinear
-				case "exponential":
-					st.pattern = startExponential
-				case "wave":
-					st.pattern = startWave
-				default:
-					err = d.errf(p.Val.Line, "startup.pattern: unknown pattern %q (instant, linear, exponential, wave)", s)
-				}
-			}
-		case "spread_us":
-			st.spread, err = d.durUS(p.Val, "startup.spread_us")
-		case "waves":
-			st.waves, err = d.intVal(p.Val, "startup.waves")
-		case "jitter":
-			st.jitter, err = d.floatVal(p.Val, "startup.jitter")
-		default:
-			return d.errf(p.Line, "fleet.startup: unknown field %q (fields: pattern, spread_us, waves, jitter)", p.Key)
-		}
-		if err != nil {
-			return err
-		}
-	}
-	if st.pattern == startWave && st.waves < 1 {
-		return d.errf(n.Line, "startup.pattern `wave` needs `waves` >= 1")
-	}
-	if st.pattern != startInstant && st.spread <= 0 {
-		return d.errf(n.Line, "startup.spread_us must be > 0 for a staged pattern")
-	}
-	return nil
-}
-
-// decodeCases parses the case matrix.
-func (d *dec) decodeCases(n *yamlite.Node, sp *Spec) error {
-	if err := d.wantSeq(n, "cases"); err != nil {
-		return err
-	}
-	for _, it := range n.Items {
-		if err := d.wantMap(it, "case"); err != nil {
-			return err
-		}
-		var (
-			label   string
-			polName string
-			polLine int
-			cache   bool
-			c       Case
-			retrans sim.Duration
-			dead    sim.Duration
-			ioat    bool
-			pinLim  int
-		)
-		for _, p := range it.Pairs {
-			var err error
-			switch p.Key {
-			case "label":
-				label, err = d.str(p.Val, "case.label")
-			case "policy":
-				polLine = p.Val.Line
-				polName, err = d.str(p.Val, "case.policy")
-			case "cache":
-				cache, err = d.boolVal(p.Val, "case.cache")
-			case "use_ioat":
-				ioat, err = d.boolVal(p.Val, "case.use_ioat")
-			case "retransmit_timeout_us":
-				retrans, err = d.durUS(p.Val, "case.retransmit_timeout_us")
-			case "peer_dead_timeout_us":
-				dead, err = d.durUS(p.Val, "case.peer_dead_timeout_us")
-			case "pinned_page_limit":
-				pinLim, err = d.intVal(p.Val, "case.pinned_page_limit")
-			case "params":
-				if err = d.wantMap(p.Val, "case.params"); err == nil {
-					c.Params = map[string]string{}
-					for _, pp := range p.Val.Pairs {
-						var v string
-						if v, err = d.str(pp.Val, "case.params."+pp.Key); err != nil {
-							break
-						}
-						c.Params[pp.Key] = v
-					}
-				}
-			default:
-				return d.errf(p.Line, "case: unknown field %q (fields: label, policy, cache, use_ioat, retransmit_timeout_us, peer_dead_timeout_us, pinned_page_limit, params)", p.Key)
-			}
-			if err != nil {
-				return err
-			}
-		}
-		if label == "" {
+		if c.Label == "" {
 			return d.errf(it.Line, "case is missing the required `label` field")
 		}
-		if polName == "" {
-			return d.errf(it.Line, "case %q is missing the required `policy` field", label)
+		if c.OMX.Policy == nil {
+			return d.errf(it.Line, "case %q is missing the required `policy` field", c.Label)
 		}
-		pol, ok := policy.ByName(polName)
-		if !ok {
-			return d.errf(polLine, "case %q: unknown policy %q (policies: %s)", label, polName, strings.Join(policy.Names(), ", "))
-		}
-		for _, prev := range sp.cases {
-			if prev.Label == label {
-				return d.errf(it.Line, "case %q: duplicate case label", label)
+		for _, prev := range d.s.Cases {
+			if prev.Label == c.Label {
+				return d.errf(it.Line, "case %q: duplicate case label", c.Label)
 			}
 		}
-		c.Label = label
-		c.OMX = omx.DefaultConfig(pol, cache)
-		if retrans > 0 {
-			c.OMX.RetransmitTimeout = retrans
-		}
-		if dead > 0 {
-			c.OMX.PeerDeadTimeout = dead
-		}
-		if ioat {
-			c.OMX.UseIOAT = true
-		}
-		if pinLim > 0 {
-			c.OMX.PinnedPageLimit = pinLim
-		}
-		sp.cases = append(sp.cases, c)
-	}
-	return nil
+		d.s.Cases = append(d.s.Cases, c)
+		return nil
+	})
 }
 
-// decodeFaults parses the timed one-shot fault events.
-func (d *dec) decodeFaults(n *yamlite.Node, sp *Spec) error {
-	if err := d.wantSeq(n, "faults"); err != nil {
-		return err
-	}
-	kinds := map[string]FaultKind{
-		"free": FaultFree, "fork": FaultFork, "swapout": FaultSwapOut,
-		"flood": FaultFlood, "mprotect": FaultMProtect, "crash": FaultCrash,
-		"link-degrade": FaultLinkDegrade, "partition": FaultPartition,
-		"budget-shrink": FaultBudgetShrink,
-	}
-	for _, it := range n.Items {
-		if err := d.wantMap(it, "fault"); err != nil {
+// decodeFaults decodes the timed one-shot fault events.
+func (d *dec) decodeFaults(n *yamlite.Node) error {
+	return d.items(n, "faults", func(it *yamlite.Node) error {
+		d.s.Faults = append(d.s.Faults, Fault{})
+		f := &d.s.Faults[len(d.s.Faults)-1]
+		if err := d.walk(it, "fault", "fault", []field{
+			{"at_us", &f.At},
+			{"kind", &f.Kind},
+			{"rank", func(v *yamlite.Node) error { return d.index(v, "fault.rank", true, &f.Rank) }},
+			{"buffer", &f.Buffer},
+			{"util", &f.Util},
+			{"for_us", &f.For},
+			{"node", func(v *yamlite.Node) error { return d.index(v, "fault.node", false, &f.Node) }},
+			{"frames", &f.Frames},
+			{"extra_latency_us", &f.Degrade.ExtraLatency},
+			{"bandwidth_factor", &f.Degrade.BandwidthFactor},
+			{"drop_prob", &f.Degrade.DropProb},
+		}); err != nil {
 			return err
 		}
-		var f Fault
-		kindSet := false
-		for _, p := range it.Pairs {
-			var err error
-			switch p.Key {
-			case "at_us":
-				f.At, err = d.durUS(p.Val, "fault.at_us")
-			case "kind":
-				var s string
-				if s, err = d.str(p.Val, "fault.kind"); err == nil {
-					k, ok := kinds[s]
-					if !ok {
-						err = d.errf(p.Val.Line, "fault.kind: unknown kind %q (kinds: free, fork, swapout, flood, mprotect, crash, link-degrade, partition, budget-shrink)", s)
-					} else {
-						f.Kind, kindSet = k, true
-					}
-				}
-			case "rank":
-				if f.Rank, err = d.intVal(p.Val, "fault.rank"); err == nil {
-					sp.indexRefs = append(sp.indexRefs, indexRef{what: "fault.rank", rank: true, index: f.Rank, line: p.Line})
-				}
-			case "buffer":
-				f.Buffer, err = d.str(p.Val, "fault.buffer")
-			case "util":
-				if f.Util, err = d.floatVal(p.Val, "fault.util"); err == nil && !(f.Util >= 0 && f.Util <= 1) {
-					err = d.errf(p.Val.Line, "fault.util: %v is out of range (0..1)", f.Util)
-				}
-			case "for_us":
-				f.For, err = d.durUS(p.Val, "fault.for_us")
-			case "node":
-				if f.Node, err = d.intVal(p.Val, "fault.node"); err == nil {
-					sp.indexRefs = append(sp.indexRefs, indexRef{what: "fault.node", index: f.Node, line: p.Line})
-				}
-			case "frames":
-				f.Frames, err = d.intVal(p.Val, "fault.frames")
-			case "extra_latency_us":
-				f.Degrade.ExtraLatency, err = d.durUS(p.Val, "fault.extra_latency_us")
-			case "bandwidth_factor":
-				f.Degrade.BandwidthFactor, err = d.floatVal(p.Val, "fault.bandwidth_factor")
-			case "drop_prob":
-				f.Degrade.DropProb, err = d.floatVal(p.Val, "fault.drop_prob")
-			default:
-				return d.errf(p.Line, "fault: unknown field %q (fields: at_us, kind, rank, buffer, util, for_us, node, frames, extra_latency_us, bandwidth_factor, drop_prob)", p.Key)
-			}
-			if err != nil {
-				return err
-			}
-		}
-		if !kindSet {
+		if _, ok := it.Get("kind"); !ok {
 			return d.errf(it.Line, "fault is missing the required `kind` field")
 		}
-		sp.faults = append(sp.faults, f)
-	}
-	return nil
+		if !(f.Util >= 0 && f.Util <= 1) {
+			return d.errf(keyLine(it, "util"), "fault.util: %v is out of range (0..1)", f.Util)
+		}
+		return nil
+	})
 }
 
-// decodeChaos parses the chaos profile section.
-func (d *dec) decodeChaos(n *yamlite.Node, sp *Spec) error {
-	if err := d.wantMap(n, "chaos"); err != nil {
-		return err
-	}
+// decodeChaos decodes the chaos profile section.
+func (d *dec) decodeChaos(n *yamlite.Node) error {
 	prof := &chaos.Profile{}
-	for _, p := range n.Pairs {
-		var err error
-		switch p.Key {
-		case "horizon_us":
-			prof.Horizon, err = d.durUS(p.Val, "chaos.horizon_us")
-		case "interval_us":
-			prof.Interval, err = d.durUS(p.Val, "chaos.interval_us")
-		case "specs":
-			err = d.decodeChaosSpecs(p.Val, prof, sp)
-		default:
-			return d.errf(p.Line, "chaos: unknown field %q (fields: horizon_us, interval_us, specs)", p.Key)
-		}
-		if err != nil {
-			return err
-		}
+	d.s.Chaos = prof
+	if err := d.walk(n, "chaos", "chaos", []field{
+		{"horizon_us", &prof.Horizon},
+		{"interval_us", &prof.Interval},
+		{"specs", func(v *yamlite.Node) error { return d.items(v, "chaos.specs", d.decodeChaosSpec) }},
+	}); err != nil {
+		return err
 	}
 	if prof.Horizon <= 0 {
 		return d.errf(n.Line, "chaos.horizon_us must be > 0")
@@ -765,113 +593,81 @@ func (d *dec) decodeChaos(n *yamlite.Node, sp *Spec) error {
 	if len(prof.Specs) == 0 {
 		return d.errf(n.Line, "chaos: at least one spec is required")
 	}
-	sp.chaosProf = prof
 	return nil
 }
 
-func (d *dec) decodeChaosSpecs(n *yamlite.Node, prof *chaos.Profile, sp *Spec) error {
-	if err := d.wantSeq(n, "chaos.specs"); err != nil {
+// decodeChaosSpec decodes one chaos spec into the profile.
+func (d *dec) decodeChaosSpec(it *yamlite.Node) error {
+	prof := d.s.Chaos
+	prof.Specs = append(prof.Specs, chaos.Spec{})
+	cs := &prof.Specs[len(prof.Specs)-1]
+	if err := d.walk(it, "chaos spec", "chaos", []field{
+		{"class", &cs.Class},
+		{"arrival", &cs.Arrival},
+		{"mean_gap_us", &cs.MeanGap},
+		{"jitter", &cs.Jitter},
+		{"duration_us", &cs.Duration},
+		{"duration_jitter", &cs.DurationJitter},
+		{"burst_len", &cs.BurstLen},
+		{"nodes", func(v *yamlite.Node) error {
+			return d.items(v, "chaos.nodes", func(nn *yamlite.Node) error {
+				var node int
+				err := d.index(nn, "chaos.nodes", false, &node)
+				cs.Nodes = append(cs.Nodes, node)
+				return err
+			})
+		}},
+		{"extra_latency_us", &cs.ExtraLatency},
+		{"bandwidth_factor", &cs.BandwidthFactor},
+		{"drop_prob", &cs.DropProb},
+		{"shrink_factor", &cs.ShrinkFactor},
+		{"frames", &cs.Frames},
+	}); err != nil {
 		return err
 	}
-	classes := map[string]chaos.Class{
-		"node-crash": chaos.NodeCrash, "link-degrade": chaos.LinkDegrade,
-		"partition": chaos.Partition, "budget-shrink": chaos.BudgetShrink,
+	if _, ok := it.Get("class"); !ok {
+		return d.errf(it.Line, "chaos spec is missing the required `class` field")
 	}
-	arrivals := map[string]chaos.Arrival{
-		"poisson": chaos.Poisson, "uniform": chaos.Uniform, "burst": chaos.Burst,
-	}
-	for _, it := range n.Items {
-		if err := d.wantMap(it, "chaos spec"); err != nil {
-			return err
-		}
-		var cs chaos.Spec
-		classSet := false
-		for _, p := range it.Pairs {
-			var err error
-			switch p.Key {
-			case "class":
-				var s string
-				if s, err = d.str(p.Val, "chaos.class"); err == nil {
-					c, ok := classes[s]
-					if !ok {
-						err = d.errf(p.Val.Line, "chaos.class: unknown class %q (classes: node-crash, link-degrade, partition, budget-shrink)", s)
-					} else {
-						cs.Class, classSet = c, true
-					}
-				}
-			case "arrival":
-				var s string
-				if s, err = d.str(p.Val, "chaos.arrival"); err == nil {
-					a, ok := arrivals[s]
-					if !ok {
-						err = d.errf(p.Val.Line, "chaos.arrival: unknown arrival %q (arrivals: poisson, uniform, burst)", s)
-					} else {
-						cs.Arrival = a
-					}
-				}
-			case "mean_gap_us":
-				cs.MeanGap, err = d.durUS(p.Val, "chaos.mean_gap_us")
-			case "jitter":
-				cs.Jitter, err = d.floatVal(p.Val, "chaos.jitter")
-			case "duration_us":
-				cs.Duration, err = d.durUS(p.Val, "chaos.duration_us")
-			case "duration_jitter":
-				cs.DurationJitter, err = d.floatVal(p.Val, "chaos.duration_jitter")
-			case "burst_len":
-				cs.BurstLen, err = d.intVal(p.Val, "chaos.burst_len")
-			case "nodes":
-				if err = d.wantSeq(p.Val, "chaos.nodes"); err == nil {
-					for _, nn := range p.Val.Items {
-						var v int
-						if v, err = d.intVal(nn, "chaos.nodes"); err != nil {
-							break
-						}
-						cs.Nodes = append(cs.Nodes, v)
-						sp.indexRefs = append(sp.indexRefs, indexRef{what: "chaos.nodes", index: v, line: nn.Line})
-					}
-				}
-			case "extra_latency_us":
-				cs.ExtraLatency, err = d.durUS(p.Val, "chaos.extra_latency_us")
-			case "bandwidth_factor":
-				cs.BandwidthFactor, err = d.floatVal(p.Val, "chaos.bandwidth_factor")
-			case "drop_prob":
-				cs.DropProb, err = d.floatVal(p.Val, "chaos.drop_prob")
-			case "shrink_factor":
-				cs.ShrinkFactor, err = d.floatVal(p.Val, "chaos.shrink_factor")
-			case "frames":
-				cs.Frames, err = d.intVal(p.Val, "chaos.frames")
-			default:
-				return d.errf(p.Line, "chaos spec: unknown field %q (fields: class, arrival, mean_gap_us, jitter, duration_us, duration_jitter, burst_len, nodes, extra_latency_us, bandwidth_factor, drop_prob, shrink_factor, frames)", p.Key)
-			}
-			if err != nil {
-				return err
-			}
-		}
-		if !classSet {
-			return d.errf(it.Line, "chaos spec is missing the required `class` field")
-		}
-		if cs.MeanGap <= 0 {
-			return d.errf(it.Line, "chaos spec: `mean_gap_us` must be > 0")
-		}
-		prof.Specs = append(prof.Specs, cs)
+	if cs.MeanGap <= 0 {
+		return d.errf(it.Line, "chaos spec: `mean_gap_us` must be > 0")
 	}
 	return nil
 }
 
-// LoadSpecData parses and compiles a spec without registering it.
-func LoadSpecData(src []byte, file string) (*Scenario, error) {
-	sp, err := ParseSpec(src, file)
-	if err != nil {
-		return nil, err
-	}
-	return sp.Compile()
-}
-
-// LoadSpecFile reads, parses, and compiles a spec file.
+// LoadSpecFile reads and decodes a spec file.
 func LoadSpecFile(path string) (*Scenario, error) {
 	data, err := os.ReadFile(path)
 	if err != nil {
 		return nil, fmt.Errorf("scenario: %w", err)
 	}
 	return LoadSpecData(data, path)
+}
+
+// LoadAndRegisterSpecFile loads a spec file and registers the scenario
+// with SourceFile. A name collision — with a builtin or an earlier file —
+// is a hard error, never a silent shadow.
+func LoadAndRegisterSpecFile(path string) (*Scenario, error) {
+	s, err := LoadSpecFile(path)
+	if err != nil {
+		return nil, err
+	}
+	s.Source = SourceFile
+	if err := Register(s); err != nil {
+		return nil, fmt.Errorf("%s: %w", path, err)
+	}
+	return s, nil
+}
+
+// ValidateSpecFile loads a spec file without registering it,
+// additionally reporting a name collision with the live registry as an
+// error (what registration would reject).
+func ValidateSpecFile(path string) (*Scenario, error) {
+	s, err := LoadSpecFile(path)
+	if err != nil {
+		return nil, err
+	}
+	if prev, ok := Get(s.Name); ok {
+		return nil, fmt.Errorf("%s: scenario name %q collides with the registered %s scenario", path, s.Name, prev.Source)
+	}
+	return s, nil
 }

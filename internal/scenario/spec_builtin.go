@@ -1,9 +1,9 @@
 // spec_builtin.go — the builtins that ship as specs. The pingpong,
 // pressure-*, chaos-*, and kvserve-* families register from the YAML
-// documents embedded under specs/, exercising the spec decoder and
-// compiler on every program start. Like every builtin, each one's quick
-// report is pinned byte for byte to testdata/golden/<name>.json, at one
-// engine and at four shards (TestGoldenReports).
+// documents embedded under specs/, exercising the spec loader on every
+// program start. Like every builtin, each one's quick report is pinned
+// byte for byte to testdata/golden/<name>.json, at one engine and at four
+// shards (TestGoldenReports).
 package scenario
 
 import (

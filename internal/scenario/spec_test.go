@@ -1,11 +1,21 @@
 package scenario
 
 import (
+	"fmt"
 	"os"
 	"path/filepath"
+	"reflect"
 	"strconv"
 	"strings"
 	"testing"
+
+	"omxsim/internal/chaos"
+	"omxsim/internal/cluster"
+	"omxsim/internal/ethernet"
+	"omxsim/internal/kv"
+	"omxsim/internal/omx"
+	"omxsim/internal/policy"
+	"omxsim/internal/sim"
 )
 
 // errLine returns the line of an error that starts with `file:<line>:`,
@@ -20,9 +30,8 @@ func errLine(err error, file string) (int, bool) {
 	return line, ok && convErr == nil && line >= 1
 }
 
-// specErrAt parses and compiles src and demands an error at
-// test.yaml:<line>: (any line >= 1 when line is 0) mentioning every
-// fragment.
+// specErrAt loads src and demands an error at test.yaml:<line>: (any
+// line >= 1 when line is 0) mentioning every fragment.
 func specErrAt(t *testing.T, src string, line int, fragments ...string) {
 	t.Helper()
 	_, err := LoadSpecData([]byte(src), "test.yaml")
@@ -61,16 +70,12 @@ assertions:
 `
 
 func TestParseSpecMinimal(t *testing.T) {
-	sp, err := ParseSpec([]byte(minimalSpec), "test.yaml")
-	if err != nil {
-		t.Fatal(err)
-	}
-	s, err := sp.Compile()
+	s, err := LoadSpecData([]byte(minimalSpec), "test.yaml")
 	if err != nil {
 		t.Fatal(err)
 	}
 	if s.Name != "t-spec" || len(s.Cases) != 1 || s.Cases[0].Label != "cache" {
-		t.Fatalf("compiled scenario wrong: %+v", s)
+		t.Fatalf("loaded scenario wrong: %+v", s)
 	}
 	if len(s.Sizes) != 1 || s.Sizes[0] != 64*1024 {
 		t.Fatalf("sizes wrong: %v", s.Sizes)
@@ -172,9 +177,9 @@ func TestFleetResolve(t *testing.T) {
 	f := &fleetSpec{
 		total: 100,
 		groups: []fleetGroup{
-			{name: "compute", weight: 3},
-			{name: "storage", weight: 1},
-			{name: "infra", nodes: 4},
+			{NodeGroup: cluster.NodeGroup{Name: "compute"}, weight: 3},
+			{NodeGroup: cluster.NodeGroup{Name: "storage"}, weight: 1},
+			{NodeGroup: cluster.NodeGroup{Name: "infra", Nodes: 4}},
 		},
 	}
 	groups, err := f.resolve(&dec{file: "test.yaml"})
@@ -251,10 +256,60 @@ chaos:
 			[]string{"fault.util: -0.5 is out of range (0..1)"}},
 		{"flood-util-above-one", minimalSpec + "faults:\n  - at_us: 10\n    kind: flood\n    util: 1.5\n    for_us: 100\n", 17,
 			[]string{"fault.util: 1.5 is out of range (0..1)"}},
+		// A non-positive link bandwidth panicked ethernet.NewFabric.
+		{"cluster-zero-bandwidth", withCluster("link:\n    bytes_per_sec: 0"), 5, []string{"cluster.link.bytes_per_sec: 0 must be > 0"}},
+		{"fleet-negative-bandwidth", fleetBandwidthSpec, 5, []string{"fleet.link.bytes_per_sec: -5 must be > 0"}},
+		// kv.Run panicked when the servers left no rank to be a client.
+		{"kv-servers-cover-every-rank", strings.Replace(kvSpec, "servers: 1", "servers: 2", 1), 10,
+			[]string{"workload.servers: 2 leaves no client rank", "2 ranks"}},
+		// A value shorter than its 8-byte signature panicked the server's
+		// heap fill with a slice-bounds error.
+		{"kv-value-below-signature", strings.Replace(kvSpec, "value_bytes: 4KiB", "value_bytes: 7", 1), 12,
+			[]string{"workload.value_bytes: 7 bytes is below the 8-byte minimum"}},
+		{"kv-swept-value-below-signature", strings.Replace(kvSpec, "  value_bytes: 4KiB\n", "", 1) + "sizes:\n  - 64KiB\n  - 4\n", 18,
+			[]string{`sizes: 4 bytes is below the 8-byte minimum of workload kind "kv"`}},
+		// A zero sweep size made every pairwise-stream rank malloc(0).
+		{"stream-zero-size", streamSizeSpec, 8,
+			[]string{`quick_sizes: 0 bytes is below the 1-byte minimum of workload kind "pairwise-stream"`}},
 	} {
 		t.Run(tc.name, func(t *testing.T) { specErrAt(t, tc.src, tc.line, tc.fragments...) })
 	}
 }
+
+// fleetBandwidthSpec gives its fleet link a negative bandwidth.
+const fleetBandwidthSpec = `name: t-fleet-bw
+fleet:
+  total_nodes: 4
+  link:
+    bytes_per_sec: -5
+  groups:
+    - name: a
+      weight: 1
+cases:
+  - label: cache
+    policy: on-demand
+sizes: [64KiB]
+workload:
+  kind: pairwise-stream
+  rounds: 1
+`
+
+// streamSizeSpec sweeps pairwise-stream over a zero size under -quick.
+const streamSizeSpec = `name: t-stream-size
+cluster:
+  nodes: 2
+cases:
+  - label: cache
+    policy: on-demand
+sizes: [64KiB]
+quick_sizes: [0]
+workload:
+  kind: pairwise-stream
+  rounds: 2
+`
+
+// kvSpec is a valid one-tenant kv spec on two single-rank nodes.
+var kvSpec = kvRateSpec("\n      rate: 1000")
 
 // kvRateSpec is a one-tenant kv spec whose tenant block ends with rate.
 func kvRateSpec(rate string) string {
@@ -358,10 +413,10 @@ func TestValidateSpecFileCollision(t *testing.T) {
 	}
 }
 
-// FuzzLoadSpec feeds arbitrary documents through the spec decoder and
-// compiler: loading never panics, and every rejection starts with
-// `<file>:<line>:` at a real line. The embedded specs and the example
-// spec files seed the corpus.
+// FuzzLoadSpec feeds arbitrary documents through the spec loader:
+// loading never panics, and every rejection starts with `<file>:<line>:`
+// at a real line. The embedded specs and the example spec files seed the
+// corpus.
 func FuzzLoadSpec(f *testing.F) {
 	var paths []string
 	for _, pattern := range []string{"specs/*.yaml", "../../examples/*.yaml"} {
@@ -385,4 +440,341 @@ func FuzzLoadSpec(f *testing.F) {
 			}
 		}
 	})
+}
+
+// everyKeySpec sets every key of a cluster-shaped kv spec to a distinct
+// value; everyFleetKeySpec and everyKindSpecs cover the fleet and the
+// other workload kinds.
+const everyKeySpec = `name: t-every-key
+description: every accepted key
+cluster:
+  nodes: 3
+  ranks_per_node: 2
+  ranks_per_proc: 2
+  endpoints_per_node: 5
+  nic_queues: 4
+  mem_frames: 640
+  link:
+    prop_delay_us: 3
+    bytes_per_sec: 2.5e9
+    drop_prob: 0.01
+cases:
+  - label: odp
+    policy: odp
+    cache: true
+    use_ioat: true
+    retransmit_timeout_us: 300
+    peer_dead_timeout_us: 4000
+    pinned_page_limit: 4096
+    params:
+      advise: "1"
+  - label: on-demand
+    policy: on-demand
+sizes: [64KiB, 1MiB]
+quick_sizes: [32KiB]
+metric: kv.get.p99_us
+workload:
+  kind: kv
+  servers: 2
+  keys: 64
+  value_bytes: 4KiB
+  theta: 0.9
+  workers: 3
+  churn_bytes: 2MiB
+  churn_period_us: 150
+  replication: 2
+  failover_timeout_us: 5000
+  outage_start_us: 100
+  outage_end_us: 900
+  tenants:
+    - name: premium
+      ops: 40
+      rate: 2000
+      get_frac: 0.8
+      max_inflight: 6
+budget_us: 50000
+faults:
+  - at_us: 10
+    kind: swapout
+    rank: 5
+    buffer: comm
+    util: 0.5
+    for_us: 20
+    node: 1
+    frames: 128
+    extra_latency_us: 7
+    bandwidth_factor: 0.25
+    drop_prob: 0.1
+chaos:
+  horizon_us: 3000
+  interval_us: 500
+  specs:
+    - class: budget-shrink
+      arrival: burst
+      mean_gap_us: 700
+      jitter: 0.2
+      duration_us: 300
+      duration_jitter: 0.35
+      burst_len: 8
+      nodes: [0, 2]
+      extra_latency_us: 15
+      bandwidth_factor: 0.4
+      drop_prob: 0.05
+      shrink_factor: 0.6
+      frames: 96
+assertions:
+  - completed: true
+  - pin_accounting: true
+  - positive: ops_ok
+  - at_least: stats.chaos_faults
+    value: 11
+  - below: ops_rejected
+    value: 0.75
+  - check: kv-clean-run
+  - slo: premium
+    p50_us: 100
+    p99_us: 200
+    p999_us: 300
+    max_reject_frac: 0.45
+    min_rejects: 12
+  - tail_differential: kv.get.p999_us
+    pinned: on-demand
+    odp: odp
+    factor: 1.5
+`
+
+const everyFleetKeySpec = `name: t-every-fleet-key
+fleet:
+  total_nodes: 10
+  link:
+    prop_delay_us: 4
+    bytes_per_sec: 3e9
+    drop_prob: 0.02
+  groups:
+    - name: compute
+      weight: 3
+      ranks_per_node: 2
+      endpoints_per_node: 3
+      nic_queues: 4
+      mem_frames: 256
+    - name: infra
+      nodes: 2
+  startup:
+    pattern: wave
+    spread_us: 2000
+    waves: 5
+    jitter: 0.3
+cases:
+  - label: cache
+    policy: on-demand
+sizes: [64KiB]
+workload:
+  kind: pairwise-stream
+  rounds: 7
+  quick_rounds: 3
+`
+
+// everyKindSpecs holds a spec per remaining workload kind, each setting
+// every key of its kind.
+var everyKindSpecs = map[string]string{
+	"pingpong":       "name: t-pp\nsizes: [64KiB]\nworkload:\n  kind: pingpong\n",
+	"chaos-pingpong": "name: t-cpp\nworkload:\n  kind: chaos-pingpong\n  rounds: 6\n  quick_rounds: 2\n  bytes: 48KiB\n  recv_timeout_us: 900\n",
+	"pressure":       "name: t-pr\nworkload:\n  kind: pressure\n  rounds: 5\n  comm_bytes: 96KiB\n  churn_bytes: 3MiB\n  churn_compute_us: 40\n",
+}
+
+func mustLoadSpec(t *testing.T, src string) *dec {
+	t.Helper()
+	d, err := loadSpec([]byte(src), "test.yaml")
+	if err != nil {
+		t.Fatal(err)
+	}
+	return d
+}
+
+func wantEqual(t *testing.T, what string, got, want any) {
+	t.Helper()
+	if !reflect.DeepEqual(got, want) {
+		t.Errorf("%s:\n got %+v\nwant %+v", what, got, want)
+	}
+}
+
+// TestSpecEveryKeyLands loads fixtures that set every accepted key to a
+// distinct value and checks each value in the field it must reach.
+func TestSpecEveryKeyLands(t *testing.T) {
+	us := func(v float64) sim.Duration { return sim.Duration(v * float64(sim.Microsecond)) }
+	d := mustLoadSpec(t, everyKeySpec)
+	s := d.s
+	wantEqual(t, "name", s.Name, "t-every-key")
+	wantEqual(t, "description", s.Description, "every accepted key")
+
+	link := ethernet.DefaultLinkConfig()
+	link.PropDelay, link.BytesPerSec, link.DropProb = us(3), 2.5e9, 0.01
+	cl := cluster.Config{Nodes: 3, RanksPerNode: 2, RanksPerProc: 2, EndpointsPerNode: 5, NICQueues: 4, Link: &link}
+	cl.Mem.Frames = 640
+	wantEqual(t, "cluster", s.Cluster, cl)
+
+	odp := omx.DefaultConfig(policy.ODP, true)
+	odp.UseIOAT = true
+	odp.RetransmitTimeout, odp.PeerDeadTimeout, odp.PinnedPageLimit = us(300), us(4000), 4096
+	wantEqual(t, "cases", s.Cases, []Case{
+		{Label: "odp", OMX: odp, Params: map[string]string{"advise": "1"}},
+		{Label: "on-demand", OMX: omx.DefaultConfig(policy.OnDemand, false)},
+	})
+	wantEqual(t, "sizes", s.Sizes, []int{64 << 10, 1 << 20})
+	wantEqual(t, "quick_sizes", s.QuickSizes, []int{32 << 10})
+	wantEqual(t, "metric", s.Metric, "kv.get.p99_us")
+	wantEqual(t, "budget", s.Budget, us(50000))
+	wantEqual(t, "kv workload", d.work.kv, kv.Config{
+		Servers: 2, Keys: 64, ValueBytes: 4 << 10, Theta: 0.9, Workers: 3,
+		Tenants:    []kv.Tenant{{Name: "premium", Ops: 40, Rate: 2000, GetFrac: 0.8, MaxInflight: 6}},
+		ChurnBytes: 2 << 20, ChurnPeriod: us(150), Replication: 2, FailoverTimeout: us(5000),
+		OutageStart: us(100), OutageEnd: us(900),
+	})
+	if s.Workload == nil || s.Report == nil {
+		t.Error("kv workload or report hook not set")
+	}
+	wantEqual(t, "faults", s.Faults, []Fault{{
+		At: us(10), Kind: FaultSwapOut, Rank: 5, Buffer: "comm", Util: 0.5, For: us(20), Node: 1, Frames: 128,
+		Degrade: ethernet.Degrade{ExtraLatency: us(7), BandwidthFactor: 0.25, DropProb: 0.1},
+	}})
+	wantEqual(t, "chaos", *s.Chaos, chaos.Profile{Horizon: us(3000), Interval: us(500), Specs: []chaos.Spec{{
+		Class: chaos.BudgetShrink, Arrival: chaos.Burst, MeanGap: us(700), Jitter: 0.2,
+		Duration: us(300), DurationJitter: 0.35, BurstLen: 8, Nodes: []int{0, 2},
+		ExtraLatency: us(15), BandwidthFactor: 0.4, DropProb: 0.05, ShrinkFactor: 0.6, Frames: 96,
+	}}})
+	slo := KVSLO{Tenant: "premium", P50US: 100, P99US: 200, P999US: 300, MaxRejectFrac: 0.45, MinRejects: 12}
+	wantEqual(t, "slo", d.sloRefs[0].slo, slo)
+	var got, want []string
+	for _, a := range s.Assertions {
+		got = append(got, a.Name)
+	}
+	for _, a := range append([]Assertion{
+		Completed(), PinAccountingBalanced(), MetricPositive("ops_ok"),
+		MetricAtLeast("stats.chaos_faults", 11), MetricBelow("ops_rejected", 0.75), kvCleanRun(),
+	}, append(KVSLOBlock(slo), kvTailDifferential("kv.get.p999_us", "on-demand", "odp", 1.5))...) {
+		want = append(want, a.Name)
+	}
+	wantEqual(t, "assertions", got, want)
+
+	d = mustLoadSpec(t, everyFleetKeySpec)
+	fleetLink := ethernet.DefaultLinkConfig()
+	fleetLink.PropDelay, fleetLink.BytesPerSec, fleetLink.DropProb = us(4), 3e9, 0.02
+	wantEqual(t, "fleet link", d.s.Cluster.Link, &fleetLink)
+	compute := cluster.NodeGroup{Name: "compute", Nodes: 8, RanksPerNode: 2, EndpointsPerNode: 3, NICQueues: 4}
+	compute.Mem.Frames = 256
+	wantEqual(t, "fleet groups", d.s.Cluster.Groups, []cluster.NodeGroup{compute, {Name: "infra", Nodes: 2, RanksPerNode: 1}})
+	wantEqual(t, "fleet total", d.fleet.total, 10)
+	wantEqual(t, "fleet startup", d.fleet.startup, startupSpec{pattern: startWave, spread: us(2000), waves: 5, jitter: 0.3})
+	wantEqual(t, "pairwise-stream rounds", [2]int{d.work.rounds, d.work.quickRounds}, [2]int{7, 3})
+
+	d = mustLoadSpec(t, everyKindSpecs["chaos-pingpong"])
+	wantEqual(t, "chaos-pingpong", [4]any{d.work.rounds, d.work.quickRounds, d.work.bytes, d.work.recvTimeout},
+		[4]any{6, 2, byteSize(48 << 10), us(900)})
+	d = mustLoadSpec(t, everyKindSpecs["pressure"])
+	wantEqual(t, "pressure", [4]any{d.work.rounds, d.work.commBytes, d.work.churnBytes, d.work.churnCompute},
+		[4]any{5, byteSize(96 << 10), byteSize(3 << 20), us(40)})
+	if d = mustLoadSpec(t, everyKindSpecs["pingpong"]); !d.work.needsSizes {
+		t.Error("pingpong does not read the sweep")
+	}
+}
+
+// insertAfter inserts `bogus: 1` after the line of src equal to after, at
+// the indentation of after's keys, and returns the source and its line.
+func insertAfter(t *testing.T, src, after string) (string, int) {
+	t.Helper()
+	lines := strings.Split(src, "\n")
+	for i, l := range lines {
+		if l != after {
+			continue
+		}
+		indent := len(l) - len(strings.TrimLeft(l, " "))
+		if strings.HasPrefix(strings.TrimLeft(l, " "), "- ") {
+			indent += 2
+		}
+		out := append(append(append([]string{}, lines[:i+1]...), strings.Repeat(" ", indent)+"bogus: 1"), lines[i+1:]...)
+		return strings.Join(out, "\n"), i + 2
+	}
+	t.Fatalf("no line %q", after)
+	return "", 0
+}
+
+// TestSpecUnknownKeyListsEveryField checks, for every mapping section,
+// that an unknown key fails at its line, names the section and lists
+// every key the section accepts.
+func TestSpecUnknownKeyListsEveryField(t *testing.T) {
+	for _, tc := range []struct {
+		section, src, after, fields string
+	}{
+		{"top-level", everyKeySpec, "name: t-every-key",
+			"name, description, cluster, fleet, cases, sizes, quick_sizes, metric, workload, budget_us, faults, chaos, assertions"},
+		{"cluster", everyKeySpec, "  nodes: 3",
+			"nodes, ranks_per_node, ranks_per_proc, endpoints_per_node, nic_queues, mem_frames, link"},
+		{"cluster.link", everyKeySpec, "    prop_delay_us: 3", "prop_delay_us, bytes_per_sec, drop_prob"},
+		{"fleet", everyFleetKeySpec, "  total_nodes: 10", "total_nodes, link, groups, startup"},
+		{"fleet.link", everyFleetKeySpec, "    prop_delay_us: 4", "prop_delay_us, bytes_per_sec, drop_prob"},
+		{"fleet group", everyFleetKeySpec, "      weight: 3",
+			"name, weight, nodes, ranks_per_node, endpoints_per_node, nic_queues, mem_frames"},
+		{"fleet.startup", everyFleetKeySpec, "    pattern: wave", "pattern, spread_us, waves, jitter"},
+		{"case", everyKeySpec, "    policy: odp",
+			"label, policy, cache, use_ioat, retransmit_timeout_us, peer_dead_timeout_us, pinned_page_limit, params"},
+		{"fault", everyKeySpec, "    kind: swapout",
+			"at_us, kind, rank, buffer, util, for_us, node, frames, extra_latency_us, bandwidth_factor, drop_prob"},
+		{"chaos", everyKeySpec, "  horizon_us: 3000", "horizon_us, interval_us, specs"},
+		{"chaos spec", everyKeySpec, "      arrival: burst",
+			"class, arrival, mean_gap_us, jitter, duration_us, duration_jitter, burst_len, nodes, extra_latency_us, bandwidth_factor, drop_prob, shrink_factor, frames"},
+		{"workload kv", everyKeySpec, "  kind: kv",
+			"kind, servers, keys, value_bytes, theta, workers, churn_bytes, churn_period_us, replication, failover_timeout_us, outage_start_us, outage_end_us, tenants"},
+		{"tenant", everyKeySpec, "      rate: 2000", "name, ops, rate, get_frac, max_inflight"},
+		{"workload pairwise-stream", everyFleetKeySpec, "  kind: pairwise-stream", "kind, rounds, quick_rounds"},
+		{"workload pingpong", everyKindSpecs["pingpong"], "  kind: pingpong", "kind"},
+		{"workload chaos-pingpong", everyKindSpecs["chaos-pingpong"], "  kind: chaos-pingpong", "kind, rounds, quick_rounds, bytes, recv_timeout_us"},
+		{"workload pressure", everyKindSpecs["pressure"], "  kind: pressure", "kind, rounds, comm_bytes, churn_bytes, churn_compute_us"},
+		{"assertion", everyKeySpec, "  - completed: true", "completed"},
+		{"assertion", everyKeySpec, "  - pin_accounting: true", "pin_accounting"},
+		{"assertion", everyKeySpec, "  - positive: ops_ok", "positive"},
+		{"assertion", everyKeySpec, "  - at_least: stats.chaos_faults", "at_least, value"},
+		{"assertion", everyKeySpec, "  - below: ops_rejected", "below, value"},
+		{"assertion", everyKeySpec, "  - check: kv-clean-run", "check"},
+		{"assertion", everyKeySpec, "  - slo: premium", "slo, p50_us, p99_us, p999_us, max_reject_frac, min_rejects"},
+		{"assertion", everyKeySpec, "  - tail_differential: kv.get.p999_us", "tail_differential, pinned, odp, factor"},
+	} {
+		t.Run(strings.TrimLeft(tc.after, " -"), func(t *testing.T) {
+			src, line := insertAfter(t, tc.src, tc.after)
+			specErrAt(t, src, line, fmt.Sprintf(`unknown field "bogus" (%s fields: %s)`, tc.section, tc.fields))
+		})
+	}
+}
+
+// TestSpecUnknownNameListsEveryName checks that an unknown enum name
+// fails at its line and lists every accepted name.
+func TestSpecUnknownNameListsEveryName(t *testing.T) {
+	for _, tc := range []struct {
+		src, from, to, want string
+	}{
+		{everyKeySpec, "    kind: swapout", "    kind: bogus",
+			`fault.kind: unknown kind "bogus" (one of: free, fork, swapout, flood, mprotect, crash, link-degrade, partition, budget-shrink)`},
+		{everyKeySpec, "    - class: budget-shrink", "    - class: bogus",
+			`chaos.class: unknown class "bogus" (one of: node-crash, link-degrade, partition, budget-shrink)`},
+		{everyKeySpec, "      arrival: burst", "      arrival: bogus",
+			`chaos.arrival: unknown arrival "bogus" (one of: poisson, uniform, burst)`},
+		{everyFleetKeySpec, "    pattern: wave", "    pattern: bogus",
+			`startup.pattern: unknown pattern "bogus" (one of: instant, linear, exponential, wave)`},
+		{everyKeySpec, "  kind: kv", "  kind: bogus",
+			`workload.kind: unknown kind "bogus" (one of: pingpong, pairwise-stream, pressure, chaos-pingpong, kv)`},
+		{everyKeySpec, "    policy: odp", "    policy: bogus",
+			`case.policy: unknown policy "bogus" (one of: ` + strings.Join(policy.Names(), ", ") + ")"},
+		{everyKeySpec, "  - check: kv-clean-run", "  - check: bogus",
+			`assertion.check: unknown check "bogus" (one of: emergent-steals, frame-budget-holds, kv-clean-run, no-inflight-requests, odp-absorbs-reclaim, odp-absorbs-shrink, odp-fault-visible, pin-surfaces-shrink, pinned-tenant-buffers, pinned-working-set)`},
+		{everyKeySpec, "  - completed: true", "  - bogus: true",
+			`assertion entry has no type key (one of: completed, pin_accounting, positive, at_least, below, check, slo, tail_differential)`},
+	} {
+		t.Run(strings.Fields(tc.want)[0], func(t *testing.T) {
+			i := strings.Index(tc.src, tc.from+"\n")
+			if i < 0 {
+				t.Fatalf("no line %q", tc.from)
+			}
+			line := strings.Count(tc.src[:i], "\n") + 1
+			specErrAt(t, strings.Replace(tc.src, tc.from+"\n", tc.to+"\n", 1), line, tc.want)
+		})
+	}
 }
