@@ -232,9 +232,6 @@ func New(cfg Config) (*Cluster, error) {
 		}
 	}
 	cl.World = mpi.NewWorld(cl.Endpoints)
-	// Rank-completion flags are written by rank bodies on their own
-	// shards; AllDone readers get the barrier-published snapshot.
-	set.AddBarrierHook(cl.World.PublishDone)
 	for _, hook := range cfg.OnBuild {
 		hook(cl)
 	}

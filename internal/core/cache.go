@@ -71,18 +71,10 @@ type CacheConfig struct {
 	// Eviction names the eviction policy: "lru" (default) or "size"
 	// (largest idle entry first, ties broken least-recently-used).
 	Eviction string
-	// DropOnCOW also drops cached entries on mapping-preserving
-	// invalidations (COW break, swap-out, migration, mprotect). By
-	// default only unmap — which kills the mapping a declaration names —
-	// drops entries; the driver transparently repins through an intact
-	// mapping, which is the paper's decoupling.
-	DropOnCOW bool
 }
 
-// Evictor ranks eviction candidates; see RegisterEvictor.
+// Evictor ranks eviction candidates; see EvictorNames.
 type Evictor interface {
-	// Name is the registry key ("lru", "size", ...).
-	Name() string
 	// Better reports whether a is a better victim than b. Exact ties are
 	// broken deterministically by the cache (oldest region id wins) so
 	// simulation runs stay reproducible.
@@ -99,12 +91,10 @@ type EvictCandidate struct {
 
 type lruEvictor struct{}
 
-func (lruEvictor) Name() string                    { return "lru" }
 func (lruEvictor) Better(a, b EvictCandidate) bool { return a.LastUse < b.LastUse }
 
 type sizeEvictor struct{}
 
-func (sizeEvictor) Name() string { return "size" }
 func (sizeEvictor) Better(a, b EvictCandidate) bool {
 	if a.Bytes != b.Bytes {
 		return a.Bytes > b.Bytes
@@ -112,18 +102,10 @@ func (sizeEvictor) Better(a, b EvictCandidate) bool {
 	return a.LastUse < b.LastUse
 }
 
-var evictors = map[string]Evictor{}
-
-// RegisterEvictor adds an eviction policy to the registry; duplicate or
-// empty names are programming errors.
-func RegisterEvictor(e Evictor) {
-	if e == nil || e.Name() == "" {
-		panic("core: evictor missing name")
-	}
-	if _, dup := evictors[e.Name()]; dup {
-		panic(fmt.Sprintf("core: duplicate evictor %q", e.Name()))
-	}
-	evictors[e.Name()] = e
+// evictors maps each eviction-policy name to its Evictor.
+var evictors = map[string]Evictor{
+	"lru":  lruEvictor{},
+	"size": sizeEvictor{},
 }
 
 // EvictorByName resolves an eviction policy ("" selects LRU).
@@ -135,7 +117,7 @@ func EvictorByName(name string) (Evictor, bool) {
 	return e, ok
 }
 
-// EvictorNames returns the registered eviction-policy names, sorted.
+// EvictorNames returns the eviction-policy names, sorted.
 func EvictorNames() []string {
 	names := make([]string, 0, len(evictors))
 	for n := range evictors {
@@ -143,11 +125,6 @@ func EvictorNames() []string {
 	}
 	sort.Strings(names)
 	return names
-}
-
-func init() {
-	RegisterEvictor(lruEvictor{})
-	RegisterEvictor(sizeEvictor{})
 }
 
 // Cache is the user-space region cache of paper §3.2, grown into a
@@ -161,13 +138,12 @@ func init() {
 //     entry it overlaps, so a munmap + re-malloc at the same address can
 //     never return a declaration over the dead mapping (the staleness
 //     problem registration caches are notorious for). Mapping-preserving
-//     invalidations (COW, swap, migrate) leave entries cached by default —
-//     the driver repins transparently, which is the paper's decoupling —
-//     unless CacheConfig.DropOnCOW says otherwise.
+//     invalidations (COW, swap, migrate, mprotect) leave entries cached:
+//     the driver repins transparently, which is the paper's decoupling.
 //   - Concurrent misses for a covered range coalesce onto one in-flight
 //     declaration instead of declaring twice.
-//   - Capacity is bounded by entry count and byte budget with pluggable
-//     eviction (LRU, size-weighted).
+//   - Capacity is bounded by entry count and byte budget with a choice
+//     of eviction policy (LRU, size-weighted).
 //
 // It still deliberately knows nothing about pinning: the driver may unpin
 // and repin a cached region at any time without telling user space.
@@ -551,18 +527,17 @@ func (c *Cache) undeclareWhenIdle(r *Region) {
 	_ = c.mgr.Undeclare(r)
 }
 
-// InvalidateRange implements vm.Notifier: an unmap (always) or any
-// invalidation (with DropOnCOW) drops every cached entry overlapping the
-// range, and poisons overlapping in-flight declarations so their results
-// are not cached. The driver's own notifier — registered first — has
-// already unpinned; this callback removes the user-space mapping from
-// range to declaration, which is what makes a later re-malloc at the same
-// address a clean miss instead of a stale hit.
+// InvalidateRange implements vm.Notifier: an unmap drops every cached
+// entry overlapping the range, and poisons overlapping in-flight
+// declarations so their results are not cached. The driver's own
+// notifier — registered first — has already unpinned; this callback
+// removes the user-space mapping from range to declaration, which is what
+// makes a later re-malloc at the same address a clean miss instead of a
+// stale hit. Mapping-preserving invalidations (COW break, swap-out,
+// migration, mprotect) leave entries cached: the driver repins through
+// the intact mapping, which is the paper's decoupling.
 func (c *Cache) InvalidateRange(nr vm.NotifierRange) {
-	if !c.cfg.Enabled {
-		return
-	}
-	if nr.Reason != vm.InvalidateUnmap && !c.cfg.DropOnCOW {
+	if !c.cfg.Enabled || nr.Reason != vm.InvalidateUnmap {
 		return
 	}
 	// The index holds byte spans; widened to whole pages, the query finds

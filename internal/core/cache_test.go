@@ -268,34 +268,6 @@ func TestCacheHitAfterDriverUnpin(t *testing.T) {
 	}
 }
 
-// TestCacheDropOnCOW: with the conservative policy, mapping-preserving
-// invalidations drop entries too.
-func TestCacheDropOnCOW(t *testing.T) {
-	h := newHarness(t)
-	m := h.manager(ManagerConfig{Policy: policy.OnDemand})
-	c := cacheOn(h, m, CacheConfig{DropOnCOW: true})
-	addr := h.buf(t, 1<<20)
-	segs := []Segment{{addr, 1 << 20}}
-	h.eng.Go("app", func(p *sim.Proc) {
-		r, _ := c.Get(p, segs)
-		m.Acquire(r).Wait(p)
-		m.Release(r)
-		c.Put(r)
-		if err := h.as.MProtect(addr, 1<<20, false); err != nil {
-			t.Error(err)
-		}
-		r2, _ := c.Get(p, segs)
-		if r2 == r {
-			t.Error("DropOnCOW cache returned the invalidated declaration")
-		}
-		c.Put(r2)
-	})
-	h.eng.Run()
-	if st := c.Stats(); st.Invalidations != 1 || st.Misses != 2 {
-		t.Fatalf("stats = %+v, want 1 invalidation 2 misses", st)
-	}
-}
-
 // TestCacheEvictionUndeclaresInsideChargedWork: the undeclare of an
 // evicted entry must happen inside the charged kernel work, not
 // synchronously at eviction-decision time with a detached cost.

@@ -45,19 +45,16 @@ func matchMask(src int) uint64 {
 
 // World is a set of ranks mapped onto Open-MX endpoints.
 type World struct {
-	eps  []*omx.Endpoint
+	eps []*omx.Endpoint
+	// done[r] is set by rank r's body on the engine that owns its node, so
+	// within a run only that engine may read it (Done); AllDone reads them
+	// all once the engines have stopped.
 	done []bool
-	// snapshot is the barrier-published copy of done that AllDone reads.
-	// Rank bodies set done concurrently on different shards; readers
-	// inside the simulation (fault-injector polls) must see a consistent,
-	// shard-count-invariant view, so the coordinator publishes one at
-	// every synchronization barrier via PublishDone.
-	snapshot []bool
 }
 
 // NewWorld wraps endpoints as ranks 0..len-1.
 func NewWorld(eps []*omx.Endpoint) *World {
-	return &World{eps: eps, done: make([]bool, len(eps)), snapshot: make([]bool, len(eps))}
+	return &World{eps: eps, done: make([]bool, len(eps))}
 }
 
 // Size returns the number of ranks.
@@ -66,21 +63,21 @@ func (w *World) Size() int { return len(w.eps) }
 // Endpoint returns rank r's endpoint.
 func (w *World) Endpoint(r int) *omx.Endpoint { return w.eps[r] }
 
-// AllDone reports whether every rank's body had returned at the last
-// barrier.
+// Done reports whether rank r's body has returned. Call it on the engine
+// that owns rank r's node: that engine is the only writer of the flag, so
+// the answer is the same at every shard count.
+func (w *World) Done(r int) bool { return w.done[r] }
+
+// AllDone reports whether every rank's body has returned. Call it after
+// the engines have stopped.
 func (w *World) AllDone() bool {
-	for _, d := range w.snapshot {
+	for _, d := range w.done {
 		if !d {
 			return false
 		}
 	}
 	return true
 }
-
-// PublishDone snapshots the rank-completion flags for AllDone readers.
-// The shard coordinator calls it at every window barrier (all shards
-// parked, so the live flags are stable).
-func (w *World) PublishDone() { copy(w.snapshot, w.done) }
 
 // Run spawns one simulated process per rank executing body, each on the
 // engine that owns its endpoint's node (all the same engine in a
@@ -263,21 +260,11 @@ func (c *Comm) SendE(addr vm.Addr, n, dst, tag int) error {
 	return err
 }
 
-// RecvE is Recv with errors returned instead of panicking.
-func (c *Comm) RecvE(addr vm.Addr, n, src, tag int) (Status, error) {
-	s := src
-	if src == AnySource {
-		s = 0
-	}
-	return c.WaitE(c.ep.IrecvVHint([]omx.Segment{{Addr: addr, Len: n}},
-		encodeMatch(ctxPt2pt, s, tag), matchMask(src), true))
-}
-
-// RecvTimeout is RecvE with a deadline: if the receive has not completed
-// after d, it is cancelled and returns omx.ErrTimeout (wrapped in
-// omx.ErrAborted). The bound makes "a message that never comes" — the
-// sender crashed before its envelope hit the wire — a typed error instead
-// of a hang.
+// RecvTimeout is Recv with errors returned instead of panicking, and a
+// deadline: if the receive has not completed after d, it is cancelled and
+// returns omx.ErrTimeout (wrapped in omx.ErrAborted). The bound makes "a
+// message that never comes" — the sender crashed before its envelope hit
+// the wire — a typed error instead of a hang.
 func (c *Comm) RecvTimeout(addr vm.Addr, n, src, tag int, d sim.Duration) (Status, error) {
 	s := src
 	if src == AnySource {

@@ -38,11 +38,6 @@ type Config struct {
 	EagerThreshold int
 	// PullWindow is how many pull blocks may be outstanding.
 	PullWindow int
-	// ReRequestDelay is the pull-block requeue timeout: a requested block
-	// with missing fragments and no arrivals at all for this long is
-	// re-requested. It sits between service jitter (hundreds of µs under
-	// load) and the coarse RetransmitTimeout.
-	ReRequestDelay sim.Duration
 	// RetransmitTimeout is the coarse fallback for lost control messages
 	// (rndv, eager, notify). The paper quotes 1 s; experiments here default
 	// lower to keep simulated runs short while preserving the two-level
@@ -84,6 +79,11 @@ type Config struct {
 const (
 	// pullBlockSize is the granularity of receiver pull requests.
 	pullBlockSize = 32 * 1024
+	// reRequestDelay is the pull-block requeue timeout: a requested block
+	// with missing fragments and no arrivals at all for this long is
+	// re-requested. It sits between service jitter (hundreds of µs under
+	// load) and the coarse RetransmitTimeout.
+	reRequestDelay = 2 * sim.Millisecond
 	// gapReReqDelay rate-limits the gap-driven optimistic re-request — the
 	// "requested again optimistically, instead of waiting for the
 	// retransmission timeout (1s)" of paper footnote 4: when fragments with
@@ -111,7 +111,6 @@ func DefaultConfig(pol policy.Policy, cacheEnabled bool) Config {
 		CacheEnabled:      cacheEnabled,
 		EagerThreshold:    32 * 1024,
 		PullWindow:        8,
-		ReRequestDelay:    2 * sim.Millisecond,
 		RetransmitTimeout: 20 * sim.Millisecond,
 		SyncPrefixPages:   8, // one pull block (32 KiB)
 	}
@@ -143,9 +142,6 @@ func (c Config) withDefaults() Config {
 	}
 	if c.PullWindow == 0 {
 		c.PullWindow = d.PullWindow
-	}
-	if c.ReRequestDelay == 0 {
-		c.ReRequestDelay = d.ReRequestDelay
 	}
 	if c.RetransmitTimeout == 0 {
 		c.RetransmitTimeout = d.RetransmitTimeout

@@ -10,74 +10,49 @@ import (
 // bounded, a kswapd runs as recurring kernel work on the sim engine
 // (charged on a core like any other kernel work), and allocations that
 // hit capacity stall in direct reclaim — so swap pressure emerges from
-// the allocator instead of being injected by a fault. Zero fields pick
-// the defaults below.
+// the allocator instead of being injected by a fault.
 type MemConfig struct {
 	// Frames is the physical frame budget (0 = unlimited: no reclaim,
 	// no kswapd, no LRU cost on the fault path).
 	Frames int
-	// LowWaterFrames wakes kswapd when free frames drop below it
-	// (0 = Frames/8).
-	LowWaterFrames int
-	// HighWaterFrames is kswapd's reclaim target in free frames
-	// (0 = Frames/4).
-	HighWaterFrames int
-	// KswapdPeriod is the background reclaimer's wakeup interval
-	// (0 = 100µs).
-	KswapdPeriod sim.Duration
-	// ScanCost is the CPU time charged per frame examined by a reclaim
-	// scan (0 = 100ns).
-	ScanCost sim.Duration
-	// WritebackDelay is the CPU/IO time charged per page written to swap
-	// (0 = 2µs) — the knob that makes stealing pages expensive, not free.
-	WritebackDelay sim.Duration
 }
 
-// Defaults for MemConfig's zero fields.
+// Reclaim costs that no configuration varies.
 const (
-	DefaultKswapdPeriod   = 100 * sim.Microsecond
-	DefaultScanCost       = 100 * sim.Nanosecond
-	DefaultWritebackDelay = 2 * sim.Microsecond
+	// kswapdPeriod is the background reclaimer's wakeup interval.
+	kswapdPeriod = 100 * sim.Microsecond
+	// scanCost is the CPU time charged per frame examined by a reclaim
+	// scan.
+	scanCost = 100 * sim.Nanosecond
+	// writebackDelay is the CPU/IO time charged per page written to
+	// swap: what makes stealing pages expensive, not free.
+	writebackDelay = 2 * sim.Microsecond
 )
-
-func (m MemConfig) withDefaults() MemConfig {
-	if m.KswapdPeriod == 0 {
-		m.KswapdPeriod = DefaultKswapdPeriod
-	}
-	if m.ScanCost == 0 {
-		m.ScanCost = DefaultScanCost
-	}
-	if m.WritebackDelay == 0 {
-		m.WritebackDelay = DefaultWritebackDelay
-	}
-	return m
-}
 
 // ConfigureMemory bounds the node's physical memory per mem and starts
 // its kswapd. Call it before opening processes (the capacity must be set
 // before any frame materializes). A no-op when mem.Frames <= 0.
 //
-// The kswapd is daemon work: it ticks every KswapdPeriod, and when free
-// frames sit below the low watermark it reclaims toward the high
-// watermark, charging scan + writeback time as kernel work on the RX
-// core (the same core that loses time to bottom halves — memory pressure
-// and interrupt pressure compete for it, as they do on a real host).
-// Direct-reclaim stalls charge the same way; the state change itself is
-// immediate, matching how the driver charges unpin costs.
+// The kswapd is daemon work: it ticks every kswapdPeriod, and when free
+// frames sit below the low watermark (Frames/8) it reclaims toward the
+// high watermark (Frames/4), charging scan + writeback time as kernel
+// work on the RX core (the same core that loses time to bottom halves —
+// memory pressure and interrupt pressure compete for it, as they do on a
+// real host). Direct-reclaim stalls charge the same way; the state change
+// itself is immediate, matching how the driver charges unpin costs.
 func (n *Node) ConfigureMemory(mem MemConfig) {
 	if mem.Frames <= 0 {
 		return
 	}
-	mem = mem.withDefaults()
 	n.Phys.SetCapacity(mem.Frames)
-	n.Phys.SetWatermarks(mem.LowWaterFrames, mem.HighWaterFrames)
+	n.Phys.SetWatermarks(0, 0)
 	n.Phys.SetReclaimHook(func(scanned, stolen int, direct bool) {
-		cost := sim.Duration(scanned)*mem.ScanCost + sim.Duration(stolen)*mem.WritebackDelay
+		cost := sim.Duration(scanned)*scanCost + sim.Duration(stolen)*writebackDelay
 		if cost > 0 {
 			n.rxCore.Submit(cpu.Kernel, cost, nil)
 		}
 	})
-	n.kswapd = n.Eng.Every(mem.KswapdPeriod, func() {
+	n.kswapd = n.Eng.Every(kswapdPeriod, func() {
 		n.Phys.KswapdPass()
 	})
 }

@@ -74,16 +74,13 @@ func (n *Node) Crashed() bool { return n.crashed }
 // completions).
 func (n *Node) SetAbortHook(fn func(kind ReqKind, err error)) { n.onAbort = fn }
 
-// SetIntrDelay changes the IRQ/NAPI pipeline latency for this node's NIC:
-// the latency between a frame landing in the NIC ring and its bottom half
-// being runnable (IRQ signalling + NAPI scheduling). It is pure pipeline
+// DefaultIntrDelay is every node's IRQ/NAPI pipeline latency: the time
+// between a frame landing in the NIC ring and its bottom half being
+// runnable (IRQ signalling + NAPI scheduling). It is pure pipeline
 // latency — it does not consume core time — and is the dominant term in
-// Open-MX's 10-20us rendezvous round trip (paper §3.3 footnote 2). The NIC
-// applies it at frame delivery (one event per frame instead of two).
-func (n *Node) SetIntrDelay(d sim.Duration) { n.NIC.SetRxDelay(d) }
-
-// DefaultIntrDelay places the simulated rendezvous round trip in the
-// paper's 10-20us window.
+// Open-MX's 10-20us rendezvous round trip (paper §3.3 footnote 2); 5us
+// places the simulated round trip in that window. The NIC applies it at
+// frame delivery (one event per frame instead of two).
 const DefaultIntrDelay = 5 * sim.Microsecond
 
 // rxCoreIdx is the core that services NIC interrupts on every node (the
@@ -105,7 +102,7 @@ func NewNode(eng *sim.Engine, fabric *ethernet.Fabric, spec cpu.Spec, id int) *N
 	n.rxCore = n.Machine.Core(rxCoreIdx)
 	n.rxQueues = 1
 	n.NIC.SetHandler(n.onFrame)
-	n.SetIntrDelay(DefaultIntrDelay)
+	n.NIC.SetRxDelay(DefaultIntrDelay)
 	return n
 }
 
@@ -231,7 +228,7 @@ func (n *Node) onFrame(fr *ethernet.Frame) {
 		return // stale frame for a closed endpoint: dropped
 	}
 	// The IRQ/NAPI pipeline latency was already applied by the NIC's
-	// delivery event (SetIntrDelay wires it into the fabric), so the bottom
-	// half can be queued directly.
+	// delivery event (NewNode sets it as the NIC's rx delay), so the
+	// bottom half can be queued directly.
 	ep.dispatchBH(fr.Payload, fr.Queue)
 }

@@ -377,7 +377,6 @@ func TestVectorialSendRecv(t *testing.T) {
 
 func TestPacketLossRecovery(t *testing.T) {
 	cfg := DefaultConfig(policy.OnDemand, true)
-	cfg.ReRequestDelay = 100 * sim.Microsecond
 	cfg.RetransmitTimeout = 2 * sim.Millisecond
 	p := newPair(t, cfg)
 	// Drop ~2% of all frames, deterministically.

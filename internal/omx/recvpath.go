@@ -6,6 +6,7 @@ import (
 	"sort"
 
 	"omxsim/internal/cpu"
+	"omxsim/internal/ioat"
 	"omxsim/internal/sim"
 	"omxsim/internal/trace"
 )
@@ -298,7 +299,7 @@ func (ep *Endpoint) scheduleMissRetry(rs *rstate) {
 // declares the sender dead: the pull aborts with ErrPeerDead instead of
 // re-requesting a crashed or partitioned peer forever.
 func (ep *Endpoint) armReRequest(rs *rstate) {
-	ep.armReRequestAfter(rs, ep.cfg.ReRequestDelay)
+	ep.armReRequestAfter(rs, reRequestDelay)
 }
 
 func (ep *Endpoint) armReRequestAfter(rs *rstate, delay sim.Duration) {
@@ -308,7 +309,7 @@ func (ep *Endpoint) armReRequestAfter(rs *rstate, delay sim.Duration) {
 			return
 		}
 		stalled := ep.node.Eng.Now() - rs.lastProgress
-		if stalled >= ep.cfg.ReRequestDelay {
+		if stalled >= reRequestDelay {
 			if stalled >= ep.cfg.PeerDeadTimeout {
 				ep.finishPull(rs, fmt.Errorf("%w: pull silent for %v", ErrPeerDead, stalled))
 				return
@@ -321,7 +322,7 @@ func (ep *Endpoint) armReRequestAfter(rs *rstate, delay sim.Duration) {
 				ep.reRequestBlock(rs, b)
 			}
 			next := delay * 2
-			if max := 8 * ep.cfg.ReRequestDelay; next > max {
+			if max := 8 * reRequestDelay; next > max {
 				next = max
 			}
 			ep.armReRequestAfter(rs, next)
@@ -402,17 +403,13 @@ func (ep *Endpoint) handlePullReply(m *pullReply) {
 		}
 	}
 	if ep.cfg.UseIOAT {
-		ep.node.rxCore.Submit(cpu.BottomHalf, ioatSetupCost, func() {
+		ep.node.rxCore.Submit(cpu.BottomHalf, ioat.SetupCost, func() {
 			ep.node.IOAT.SubmitCopy(n, nil, commit)
 		})
 		return
 	}
 	ep.node.rxCore.Submit(cpu.BottomHalf, ep.core.Spec().CopyCost(n), commit)
 }
-
-// ioatSetupCost is the per-descriptor host cost of programming the DMA
-// engine.
-const ioatSetupCost = 150 * sim.Nanosecond
 
 // finishPull completes a large receive: notify the sender (with
 // retransmission until acked), release the region, complete the request.

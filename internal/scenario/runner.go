@@ -366,8 +366,8 @@ func scheduleFault(cl *cluster.Cluster, cr *CaseRun, fi int, f Fault, budget sim
 			addr, size, ok := cr.Buffer(f.Rank, f.Buffer)
 			if !ok {
 				// The workload has not registered the target yet; poll
-				// until it does or the run ends.
-				if !cl.World.AllDone() {
+				// until it does or the target rank returns.
+				if !cl.World.Done(f.Rank) {
 					polls++
 					eng.After(faultRetry, fire)
 				} else {

@@ -4,7 +4,9 @@ import (
 	"bytes"
 	"testing"
 
+	"omxsim/internal/mpi"
 	"omxsim/internal/report"
+	"omxsim/internal/sim"
 )
 
 // TestDeterministicForFixedSeed: the same scenario and seed must serialise
@@ -46,6 +48,36 @@ func TestFaultInjectionInvalidateHits(t *testing.T) {
 	}
 	if !res.Passed {
 		t.Fatalf("faults scenario failed its assertions: %+v", res.Assertions)
+	}
+}
+
+// TestFaultPollStopsWhenTargetRankReturns: a buffer fault whose target is
+// never registered gives up as soon as its target rank has returned, not
+// when the slowest rank does, so neither its note nor the events its polls
+// fire depend on other ranks or on the shard layout.
+func TestFaultPollStopsWhenTargetRankReturns(t *testing.T) {
+	s := &Scenario{
+		Name: "fault-poll-target-rank",
+		Workload: func(c *mpi.Comm, cr *CaseRun) {
+			if c.Rank() == 1 {
+				c.Compute(2 * sim.Millisecond)
+			}
+		},
+		Faults: []Fault{{At: 10 * sim.Microsecond, Kind: FaultSwapOut, Rank: 0, Buffer: "never"}},
+	}
+	const want = "t=10.000us: swapout fault never fired: buffer 0/never was never registered"
+	for _, shards := range []int{1, 2} {
+		res, err := s.Run(Options{Shards: shards})
+		if err != nil {
+			t.Fatal(err)
+		}
+		c := res.Cases[0]
+		if len(c.Notes) != 1 || c.Notes[0] != want {
+			t.Errorf("shards=%d: notes = %q, want [%q]", shards, c.Notes, want)
+		}
+		if ev := c.Metrics["stats.events_fired"]; ev != 5 {
+			t.Errorf("shards=%d: stats.events_fired = %g, want 5", shards, ev)
+		}
 	}
 }
 

@@ -125,7 +125,8 @@ func (k FaultKind) String() string {
 
 // Fault is one injected event at a simulated time. Buffer-targeted faults
 // wait (polling the registry) until the workload has registered the named
-// buffer, so declaration order does not matter.
+// buffer, so declaration order does not matter, or until the target rank
+// has returned without registering it.
 type Fault struct {
 	// At is the injection time, measured from simulation start.
 	At sim.Duration

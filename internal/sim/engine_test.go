@@ -257,46 +257,6 @@ func TestQueueTryPop(t *testing.T) {
 	}
 }
 
-func TestSemaphoreLimitsConcurrency(t *testing.T) {
-	e := NewEngine(1)
-	sem := NewSemaphore(2)
-	active, maxActive := 0, 0
-	for i := 0; i < 5; i++ {
-		e.Go("worker", func(p *Proc) {
-			sem.Acquire(p)
-			active++
-			if active > maxActive {
-				maxActive = active
-			}
-			p.Sleep(10)
-			active--
-			sem.Release(e)
-		})
-	}
-	e.Run()
-	if maxActive != 2 {
-		t.Fatalf("maxActive = %d, want 2", maxActive)
-	}
-	if sem.Available() != 2 {
-		t.Fatalf("Available = %d, want 2", sem.Available())
-	}
-}
-
-func TestSemaphoreTryAcquire(t *testing.T) {
-	e := NewEngine(1)
-	sem := NewSemaphore(1)
-	if !sem.TryAcquire() {
-		t.Fatal("first TryAcquire failed")
-	}
-	if sem.TryAcquire() {
-		t.Fatal("second TryAcquire succeeded")
-	}
-	sem.Release(e)
-	if !sem.TryAcquire() {
-		t.Fatal("TryAcquire after Release failed")
-	}
-}
-
 func TestTimeString(t *testing.T) {
 	cases := []struct {
 		t    Time

@@ -204,45 +204,3 @@ func (q *Queue[T]) Pop(p *Proc) T {
 		p.park()
 	}
 }
-
-// Semaphore is a counting semaphore for simulated processes. Like Queue,
-// wakes are Mesa-style hints: a woken acquirer that loses its permit to a
-// TryAcquire interloper re-parks and is re-woken by the next Release.
-type Semaphore struct {
-	avail   int
-	waiters []func()
-}
-
-// NewSemaphore returns a semaphore with n initial permits.
-func NewSemaphore(n int) *Semaphore { return &Semaphore{avail: n} }
-
-// Available reports the current number of permits.
-func (s *Semaphore) Available() int { return s.avail }
-
-// Acquire blocks the process until a permit is available and takes it.
-func (s *Semaphore) Acquire(p *Proc) {
-	for s.avail <= 0 {
-		s.waiters = append(s.waiters, p.resume)
-		p.park()
-	}
-	s.avail--
-}
-
-// TryAcquire takes a permit without blocking, reporting success.
-func (s *Semaphore) TryAcquire() bool {
-	if s.avail <= 0 {
-		return false
-	}
-	s.avail--
-	return true
-}
-
-// Release returns a permit and wakes the oldest waiter, if any.
-func (s *Semaphore) Release(e *Engine) {
-	s.avail++
-	if len(s.waiters) > 0 {
-		var w func()
-		w, s.waiters = popFront(s.waiters)
-		e.After(0, w)
-	}
-}

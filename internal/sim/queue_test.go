@@ -324,18 +324,6 @@ func TestAllocsCompletionComplete(t *testing.T) {
 	}
 }
 
-func TestAllocsSemaphoreRelease(t *testing.T) {
-	e := NewEngine(1)
-	s := NewSemaphore(0)
-	if n := testing.AllocsPerRun(200, func() {
-		s.Release(e)
-		s.TryAcquire()
-		e.Run()
-	}); n != 0 {
-		t.Fatalf("Semaphore.Release allocates %.1f/op, want 0", n)
-	}
-}
-
 func TestAllocsTimedFireAndCancel(t *testing.T) {
 	e := NewEngine(1)
 	fn := func() {}

@@ -53,10 +53,8 @@ type ShardSet struct {
 	// events must arrive strictly after it (the lookahead invariant).
 	windowEnd Time
 
-	// barrierHooks run between windows, while every shard is parked.
-	// Cluster glue uses them to publish cross-shard snapshots (e.g. MPI
-	// rank completion flags) with a happens-before edge to the next
-	// window.
+	// barrierHooks run between windows, while every shard is parked, with
+	// a happens-before edge to the next window.
 	barrierHooks []func()
 
 	workers []*shardWorker

@@ -2,13 +2,13 @@ package sim
 
 import "testing"
 
-// Wake-one semantics audit: Queue.Push and Semaphore.Release wake exactly
-// one waiter per item/permit, Mesa-style — the woken waiter re-checks the
-// condition and may find that a TryPop/TryAcquire interloper (or an earlier
-// waiter) took the item between the wake being scheduled and the waiter
-// running. The contract under test: such a waiter re-parks on the waiter
-// list and IS re-woken by the next Push/Release. A stranded waiter (parked
-// forever while items/permits flow) would deadlock the simulation.
+// Wake-one semantics audit: Queue.Push wakes exactly one waiter per item,
+// Mesa-style — the woken waiter re-checks the condition and may find that
+// a TryPop interloper (or an earlier waiter) took the item between the
+// wake being scheduled and the waiter running. The contract under test:
+// such a waiter re-parks on the waiter list and IS re-woken by the next
+// Push. A stranded waiter (parked forever while items flow) would
+// deadlock the simulation.
 
 // TestQueueWokenWaiterLosesToTryPopInterloper: the wake is in flight when
 // an interloper steals the item; the next Push must re-wake the waiter.
@@ -99,58 +99,5 @@ func TestQueueTwoWaitersInterleavedSteals(t *testing.T) {
 	}
 	if q.Len() != 0 {
 		t.Fatalf("queue still holds %d items", q.Len())
-	}
-}
-
-// TestSemaphoreWokenWaiterLosesToTryAcquireInterloper: same audit for
-// Semaphore.Release vs TryAcquire.
-func TestSemaphoreWokenWaiterLosesToTryAcquireInterloper(t *testing.T) {
-	e := NewEngine(1)
-	s := NewSemaphore(0)
-	acquired := false
-	e.Go("waiter", func(p *Proc) {
-		s.Acquire(p)
-		acquired = true
-	})
-	e.After(10, func() {
-		s.Release(e) // wakes the waiter...
-		if !s.TryAcquire() {
-			t.Error("interloper TryAcquire failed")
-		}
-	})
-	e.After(20, func() {
-		// Waiter re-parked; this Release must re-wake it.
-		s.Release(e)
-	})
-	e.Run()
-	if !acquired {
-		t.Fatal("waiter stranded: never acquired after second Release")
-	}
-	if s.Available() != 0 {
-		t.Fatalf("Available = %d, want 0", s.Available())
-	}
-}
-
-// TestSemaphoreReleaseBurstWhileWakesInFlight: N permits released
-// back-to-back with N parked waiters must unblock all of them even though
-// every wake is scheduled before any waiter runs.
-func TestSemaphoreReleaseBurstWhileWakesInFlight(t *testing.T) {
-	e := NewEngine(1)
-	s := NewSemaphore(0)
-	acquired := 0
-	for w := 0; w < 3; w++ {
-		e.Go("waiter", func(p *Proc) {
-			s.Acquire(p)
-			acquired++
-		})
-	}
-	e.After(10, func() {
-		s.Release(e)
-		s.Release(e)
-		s.Release(e)
-	})
-	e.Run()
-	if acquired != 3 {
-		t.Fatalf("acquired = %d, want 3", acquired)
 	}
 }

@@ -43,16 +43,9 @@ const (
 	// CacheInvalidate is a cached declaration dropped because an
 	// MMU-notifier invalidation overlapped it (A = vm.InvalidateReason).
 	CacheInvalidate
-	// Chaos / lifecycle events (A = node id unless noted).
+	// Chaos / lifecycle events (A = node id).
 	NodeCrash
 	NodeRestart
-	// LinkDegraded is a degradation window opening on a node's NIC
-	// (A = node id); LinkRestored closes it.
-	LinkDegraded
-	LinkRestored
-	// BudgetShrink is a runtime memory-budget change (A = new frame
-	// budget, B = previous).
-	BudgetShrink
 	numKinds
 )
 
@@ -64,8 +57,7 @@ func (k Kind) String() string {
 		"notify-sent", "msg-complete",
 		"pin-start", "pin-done", "pin-fail", "unpin", "invalidate",
 		"cache-hit", "cache-miss", "odp-fault", "cache-invalidate",
-		"node-crash", "node-restart", "link-degraded", "link-restored",
-		"budget-shrink",
+		"node-crash", "node-restart",
 	}
 	if int(k) < len(names) {
 		return names[k]

@@ -57,10 +57,8 @@ func PageCount(addr Addr, length int) int {
 // Errors returned by address-space operations.
 var (
 	ErrBadAddress  = errors.New("vm: address range not mapped")
-	ErrPinned      = errors.New("vm: page is pinned")
 	ErrNoMemory    = errors.New("vm: out of physical frames")
 	ErrBadUnmap    = errors.New("vm: unmap range does not match a mapping")
-	ErrNotSwapped  = errors.New("vm: page not swapped")
 	ErrDoubleUnpin = errors.New("vm: unpin without matching pin")
 )
 
