@@ -1,15 +1,18 @@
 package omxsim
 
 // The documentation checks behind CI's docs job: every relative
-// markdown link resolves, and the README's scenario table matches the
-// registry (`omxsim list -markdown`). Run with:
+// markdown link resolves, the README's scenario table matches the
+// registry (`omxsim list -markdown`), and the authoring guide lists every
+// automatic stats.* metric. Run with:
 //
 //	go test -run TestDocs .
 
 import (
+	"maps"
 	"os"
 	"path/filepath"
 	"regexp"
+	"slices"
 	"strings"
 	"testing"
 
@@ -122,6 +125,30 @@ func TestDocsRequiredFiles(t *testing.T) {
 		}
 		if !strings.Contains(string(readme), f) {
 			t.Errorf("README.md does not link %s", f)
+		}
+	}
+}
+
+// TestDocsStatsMetrics checks that docs/scenario-authoring.md lists, in
+// its automatic-metrics tables, every stats.* metric a cell records: each
+// `stat`-tagged counter field and the runner's own values, read off a
+// quickstart report.
+func TestDocsStatsMetrics(t *testing.T) {
+	data, err := os.ReadFile("docs/scenario-authoring.md")
+	if err != nil {
+		t.Fatal(err)
+	}
+	s, ok := scenario.Get("quickstart")
+	if !ok {
+		t.Fatal("quickstart is not registered")
+	}
+	res, err := s.Run(scenario.Options{Quick: true})
+	if err != nil {
+		t.Fatal(err)
+	}
+	for _, name := range slices.Sorted(maps.Keys(res.Cases[0].Metrics)) {
+		if strings.HasPrefix(name, "stats.") && !strings.Contains(string(data), "\n| `"+name+"` |") {
+			t.Errorf("docs/scenario-authoring.md does not list %s in its automatic stats.* tables", name)
 		}
 	}
 }

@@ -26,31 +26,32 @@ const (
 	UndeclareCost = 300 * sim.Nanosecond
 )
 
-// CacheStats counts user-space cache activity.
+// CacheStats counts user-space cache activity. A `stat` tag names the
+// field's per-cell scenario metric (stats.<name>, summed over processes).
 type CacheStats struct {
 	// Hits are lookups satisfied by an entry with a byte-identical
 	// segment list.
-	Hits uint64
+	Hits uint64 `stat:"cache_hits"`
 	// SubrangeHits are lookups fully covered by a larger cached
 	// declaration: the request is served as an offset view of the cached
 	// region, with no new declaration.
-	SubrangeHits uint64
+	SubrangeHits uint64 `stat:"cache_subrange_hits"`
 	// Misses are lookups that had to start a new declaration.
-	Misses uint64
+	Misses uint64 `stat:"cache_misses"`
 	// Coalesced are lookups that joined a declaration already in flight
 	// for a covering range instead of declaring again.
-	Coalesced uint64
+	Coalesced uint64 `stat:"cache_coalesced"`
 	// Merges counts miss declarations that extended over one or more
 	// overlapping cached entries (the old entries are retired).
-	Merges uint64
+	Merges uint64 `stat:"cache_merges"`
 	// Evictions counts entries retired by capacity or byte-budget
 	// pressure.
-	Evictions uint64
+	Evictions uint64 `stat:"cache_evictions"`
 	// Invalidations counts entries (and in-flight declarations) dropped
 	// because an MMU-notifier invalidation overlapped them.
-	Invalidations uint64
+	Invalidations uint64 `stat:"cache_invalidations"`
 	// BytesCached is the current total of cached declaration bytes.
-	BytesCached int
+	BytesCached int `stat:"cache_bytes"`
 }
 
 // Lookups returns the total number of cache lookups (every Get lands in

@@ -22,28 +22,36 @@ type ManagerConfig struct {
 	// also request some unpinning"). 0 means unlimited.
 	PinnedPageLimit int
 	// PinChunkPages is the granularity of pin/unpin work on the core, so
-	// bottom-half processing can interleave with a large pin. 0 lets the
-	// backend choose (the driver default is 32 pages, 128 KiB).
+	// bottom-half processing can interleave with a large pin (which is
+	// what lets an interrupt flood starve pinning, paper §4.3). 0 means
+	// defaultPinChunkPages.
 	PinChunkPages int
 }
 
-// Stats counts the manager's activity.
+// defaultPinChunkPages is the default pin-work granularity: 32 pages
+// (128 KiB) per kernel work item, matching Open-MX's chunked
+// get_user_pages loop.
+const defaultPinChunkPages = 32
+
+// Stats counts the manager's activity. A `stat` tag names the field's
+// per-cell scenario metric (stats.<name>, summed over processes);
+// untagged fields are not reported.
 type Stats struct {
-	Declares         uint64
+	Declares         uint64 `stat:"declares"`
 	Undeclares       uint64
-	PinOps           uint64 // full-region pin completions
-	UnpinOps         uint64 // full-region unpins
-	PagesPinned      uint64
-	PagesUnpinned    uint64
-	Repins           uint64 // pins of a region previously invalidated
-	InvalidateHits   uint64 // notifier callbacks overlapping declared regions
-	LRUUnpins        uint64 // unpins forced by the pinned-page limit
-	PinFailures      uint64
-	AcquiresPinned   uint64 // acquires that found the region already pinned
-	AcquiresUnpinned uint64
-	SpeculativePins  uint64 // pins started with no communication waiting (declare/hint driven)
-	ODPFaults        uint64 // ODP page-request rounds serviced for the NIC
-	ODPFaultPages    uint64 // pages materialized by ODP fault service
+	PinOps           uint64 `stat:"pin_ops"`   // full-region pin completions
+	UnpinOps         uint64 `stat:"unpin_ops"` // full-region unpins
+	PagesPinned      uint64 `stat:"pages_pinned"`
+	PagesUnpinned    uint64 `stat:"pages_unpinned"`
+	Repins           uint64 `stat:"repins"`          // pins of a region previously invalidated
+	InvalidateHits   uint64 `stat:"invalidate_hits"` // notifier callbacks overlapping declared regions
+	LRUUnpins        uint64 `stat:"lru_unpins"`      // unpins forced by the pinned-page limit
+	PinFailures      uint64 `stat:"pin_failures"`
+	AcquiresPinned   uint64 `stat:"acquires_pinned"` // acquires that found the region already pinned
+	AcquiresUnpinned uint64 `stat:"acquires_unpinned"`
+	SpeculativePins  uint64 `stat:"speculative_pins"` // pins started with no communication waiting (declare/hint driven)
+	ODPFaults        uint64 `stat:"odp_faults"`       // ODP page-request rounds serviced for the NIC
+	ODPFaultPages    uint64 `stat:"odp_fault_pages"`  // pages materialized by ODP fault service
 }
 
 // Manager is the driver-side pinning engine: it owns declared regions,
@@ -94,7 +102,9 @@ func NewManager(eng *sim.Engine, as *vm.AddressSpace, core *cpu.Core, cfg Manage
 	if cfg.Policy == nil {
 		cfg.Policy = policy.PinEachComm
 	}
-	cfg.PinChunkPages = cfg.Policy.PinChunkPages(cfg.PinChunkPages)
+	if cfg.PinChunkPages <= 0 {
+		cfg.PinChunkPages = defaultPinChunkPages
+	}
 	m := &Manager{
 		eng:  eng,
 		as:   as,

@@ -185,6 +185,38 @@ func TestOverlappedPinProgressesInChunks(t *testing.T) {
 	}
 }
 
+// TestPinChunkDefault checks the pin-work granularity: a zero
+// PinChunkPages pins in Open-MX's 32-page chunks, and a configured value
+// is honored.
+func TestPinChunkDefault(t *testing.T) {
+	for _, tc := range []struct{ configured, want int }{{0, 32}, {8, 8}} {
+		h := newHarness(t)
+		m := h.manager(ManagerConfig{Policy: policy.OnDemand, PinChunkPages: tc.configured})
+		var chunks []int
+		m.OnPinChurn = func(pages int, pinned bool) {
+			if pinned {
+				chunks = append(chunks, pages)
+			}
+		}
+		addr := h.buf(t, 64*vm.PageSize)
+		r, err := m.Declare([]Segment{{addr, 64 * vm.PageSize}})
+		if err != nil {
+			t.Fatal(err)
+		}
+		m.Acquire(r)
+		h.eng.Run()
+		if len(chunks) != 64/tc.want {
+			t.Fatalf("PinChunkPages %d: pinned in chunks %v, want %d chunks of %d pages",
+				tc.configured, chunks, 64/tc.want, tc.want)
+		}
+		for _, n := range chunks {
+			if n != tc.want {
+				t.Fatalf("PinChunkPages %d: pinned in chunks %v, want %d pages each", tc.configured, chunks, tc.want)
+			}
+		}
+	}
+}
+
 func TestReadyTracksPinnedPrefix(t *testing.T) {
 	h := newHarness(t)
 	m := h.manager(ManagerConfig{Policy: policy.Overlapped, PinChunkPages: 16})

@@ -41,8 +41,8 @@ type Segment struct {
 type RegionID uint32
 
 // PinPolicy and the three values below are aliases the omxbench module
-// still imports; ROADMAP item (b) under "One implementation per thing"
-// deletes them. Nothing else may use them.
+// still imports; ROADMAP item 2, which lifts the freeze omxbench puts on
+// the APIs, deletes them. Nothing else may use them.
 //
 // Deprecated: a pinning strategy is a policy.Policy.
 type PinPolicy = policy.Policy

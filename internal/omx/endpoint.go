@@ -1,8 +1,10 @@
 package omx
 
 import (
+	"cmp"
 	"errors"
 	"fmt"
+	"slices"
 
 	"omxsim/internal/core"
 	"omxsim/internal/cpu"
@@ -500,16 +502,38 @@ func (ep *Endpoint) CancelRecv(req *Request, err error) bool {
 	return true
 }
 
+// inOrder returns the values of m sorted by compare. Walks that complete
+// requests, queue core work or put frames on the wire go in such an order,
+// never in Go's randomized map order.
+func inOrder[K comparable, V any](m map[K]V, compare func(a, b V) int) []V {
+	vs := make([]V, 0, len(m))
+	for _, v := range m {
+		vs = append(vs, v)
+	}
+	slices.SortFunc(vs, compare)
+	return vs
+}
+
+// bySendKey and byMsgKey order protocol state by peer address, then
+// sequence number; byEndpointID orders a node's endpoints.
+func bySendKey(a, b *sendState) int   { return comparePeerSeq(a.dst, a.seq, b.dst, b.seq) }
+func byMsgKey(a, b *rstate) int       { return comparePeerSeq(a.key.src, a.key.seq, b.key.src, b.key.seq) }
+func byEndpointID(a, b *Endpoint) int { return cmp.Compare(a.addr.EP, b.addr.EP) }
+
+func comparePeerSeq(a EndpointAddr, aSeq uint64, b EndpointAddr, bSeq uint64) int {
+	return cmp.Or(cmp.Compare(a.Node, b.Node), cmp.Compare(a.EP, b.EP), cmp.Compare(aSeq, bSeq))
+}
+
 // crashAbort tears down every in-flight exchange when the owning node
 // crashes: sends and matched receives complete with the given typed error
 // and no wire traffic (the NIC is dark). Posted-but-unmatched receives
 // stay live — peers may re-establish after a restart — and the per-peer
 // sequence state survives so post-restart admission stays in order.
 func (ep *Endpoint) crashAbort(err error) {
-	for _, ss := range ep.sends {
+	for _, ss := range inOrder(ep.sends, bySendKey) {
 		ep.abortSend(ss, err)
 	}
-	for _, rs := range ep.rstates {
+	for _, rs := range inOrder(ep.rstates, byMsgKey) {
 		rs.reqTimer.Cancel()
 		rs.missRetry.Cancel()
 		rs.notifyTimer.Cancel()
@@ -593,14 +617,13 @@ func (ep *Endpoint) handleAbort(m *abortMsg) {
 // were ripped out by an MMU-notifier invalidation (application freed the
 // buffer mid-communication).
 func (ep *Endpoint) abortRegionUsers(r *core.Region) {
-	for k, ss := range ep.sends {
+	for _, ss := range inOrder(ep.sends, bySendKey) {
 		if ss.req.region != nil && ss.req.region.Base() == r && !ss.req.done.Done() {
 			ep.node.send(ss.dst.Node, 0, &abortMsg{src: ep.addr, dst: ss.dst, seq: ss.seq})
-			_ = k
 			ep.abortSend(ss, fmt.Errorf("%w: buffer invalidated during send", ErrPinAborted))
 		}
 	}
-	for _, rs := range ep.rstates {
+	for _, rs := range inOrder(ep.rstates, byMsgKey) {
 		if rs.matched != nil && !rs.completed &&
 			rs.matched.region != nil && rs.matched.region.Base() == r {
 			ep.finishPull(rs, fmt.Errorf("%w: buffer invalidated during receive", ErrPinAborted))

@@ -2,6 +2,7 @@ package omx
 
 import (
 	"fmt"
+	"slices"
 
 	"omxsim/internal/cpu"
 	"omxsim/internal/ethernet"
@@ -12,22 +13,24 @@ import (
 )
 
 // NodeStats aggregates driver-level counters, including the overlap-miss
-// counters the paper added for §4.3.
+// counters the paper added for §4.3. A `stat` tag names the field's
+// per-cell scenario metric (stats.<name>, summed over nodes; the two
+// overlap-miss fields share one); untagged fields are not reported.
 type NodeStats struct {
-	FramesRx            uint64
+	FramesRx            uint64 `stat:"frames_rx"`
 	FramesTx            uint64
 	EagerFragsRx        uint64
 	PullReqsRx          uint64
-	PullRepliesRx       uint64
-	OverlapMissSender   uint64 // pull request dropped: send region not pinned far enough
-	OverlapMissReceiver uint64 // pull reply dropped: recv region not pinned far enough
-	ReRequests          uint64 // pull re-requests issued (all causes)
+	PullRepliesRx       uint64 `stat:"pull_replies"`
+	OverlapMissSender   uint64 `stat:"overlap_misses"` // pull request dropped: send region not pinned far enough
+	OverlapMissReceiver uint64 `stat:"overlap_misses"` // pull reply dropped: recv region not pinned far enough
+	ReRequests          uint64 `stat:"rereqs"`         // pull re-requests issued (all causes)
 	OptimisticReReqs    uint64 // gap-driven re-requests (higher offsets seen)
-	Retransmits         uint64 // control-message timeouts (rndv/eager/notify)
+	Retransmits         uint64 `stat:"retransmits"` // control-message timeouts (rndv/eager/notify)
 	DupFrags            uint64 // duplicate data fragments discarded
-	ReqAborts           uint64 // requests completed with an error
-	Crashes             uint64 // node crash events
-	Restarts            uint64 // node restart events
+	ReqAborts           uint64 `stat:"req_aborts"` // requests completed with an error
+	Crashes             uint64 `stat:"crashes"`    // node crash events
+	Restarts            uint64 `stat:"restarts"`   // node restart events
 }
 
 // Node is one host: cores, physical memory, a NIC, an I/OAT engine, and the
@@ -156,13 +159,18 @@ func (n *Node) Crash() {
 	n.stats.Crashes++
 	n.NIC.SetDown(true)
 	err := fmt.Errorf("%w: node %d crashed", ErrPeerDead, n.ID)
-	procs := make(map[*Process]struct{})
-	for _, ep := range n.endpoints {
+	// Endpoints by id and processes in endpoint order: each abort wakes a
+	// waiter and queues unpin work, so the walk must not follow Go's
+	// randomized map order.
+	var procs []*Process
+	for _, ep := range inOrder(n.endpoints, byEndpointID) {
 		ep.emit(trace.NodeCrash, 0, n.ID, 0)
 		ep.crashAbort(err)
-		procs[ep.proc] = struct{}{}
+		if !slices.Contains(procs, ep.proc) {
+			procs = append(procs, ep.proc)
+		}
 	}
-	for p := range procs {
+	for _, p := range procs {
 		p.mgr.ReleaseAll()
 	}
 }
@@ -177,7 +185,7 @@ func (n *Node) Restart() {
 	n.crashed = false
 	n.stats.Restarts++
 	n.NIC.SetDown(false)
-	for _, ep := range n.endpoints {
+	for _, ep := range inOrder(n.endpoints, byEndpointID) {
 		ep.emit(trace.NodeRestart, 0, n.ID, 0)
 	}
 }

@@ -3,7 +3,7 @@ package omx
 import (
 	"errors"
 	"fmt"
-	"sort"
+	"slices"
 
 	"omxsim/internal/cpu"
 	"omxsim/internal/ioat"
@@ -242,13 +242,7 @@ func (ep *Endpoint) noteArrival(rs *rstate, off, n int) {
 			stalled = append(stalled, other)
 		}
 	}
-	sort.Slice(stalled, func(i, j int) bool {
-		a, b := stalled[i].key, stalled[j].key
-		if a.src != b.src {
-			return a.src.EP < b.src.EP
-		}
-		return a.seq < b.seq
-	})
+	slices.SortFunc(stalled, byMsgKey)
 	for _, other := range stalled {
 		ep.node.stats.OptimisticReReqs++
 		ep.reRequestBlock(other, &other.blocks[other.lowestHole])

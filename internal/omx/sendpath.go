@@ -38,7 +38,7 @@ func (ep *Endpoint) startEager(ss *sendState, match uint64) {
 	copyCost := ep.core.Spec().CopyCost(ss.total)
 	ep.core.Submit(cpu.Kernel, copyCost, func() {
 		ep.sendEagerFrags(ss, match)
-		ep.armSendRetransmit(ss, func() { ep.sendEagerFrags(ss, match) })
+		ep.armSendTimer(ss, func() { ep.sendEagerFrags(ss, match) })
 	})
 }
 
@@ -87,7 +87,7 @@ func (ep *Endpoint) startRendezvous(ss *sendState, match uint64) {
 				src: ep.addr, dst: ss.dst, seq: ss.seq, match: match, total: ss.total,
 				doneBelow: ep.doneBelow(ss.dst),
 			})
-			ep.armSendRetransmit(ss, func() {
+			ep.armSendTimer(ss, func() {
 				ep.node.send(ss.dst.Node, 0, &rndvMsg{
 					src: ep.addr, dst: ss.dst, seq: ss.seq, match: match, total: ss.total,
 					doneBelow: ep.doneBelow(ss.dst),
@@ -142,11 +142,16 @@ func retryBackoff(base sim.Duration, tries int) sim.Duration {
 	return base << uint(shift)
 }
 
-// armSendRetransmit (re)arms the control-message fallback timer.
-func (ep *Endpoint) armSendRetransmit(ss *sendState, resend func()) {
+// armSendTimer (re)arms a send's timer. While resend is non-nil the
+// control message (the eager fragments or the rendezvous) is unacked, and
+// each timeout resends it. A nil resend means a pull request acked the
+// rendezvous and the send waits for the notify: pull traffic re-arms the
+// timer. Either way PeerDeadTimeout of silence, or maxRetries consecutive
+// timeout periods, aborts the request.
+func (ep *Endpoint) armSendTimer(ss *sendState, resend func()) {
 	ss.rtxTimer.Cancel()
 	ss.rtxTimer = ep.node.Eng.After(retryBackoff(ep.cfg.RetransmitTimeout, ss.tries), func() {
-		if ss.acked || ss.req.done.Done() {
+		if ss.req.done.Done() || (resend != nil && ss.acked) {
 			return
 		}
 		if quiet := ep.node.Eng.Now() - ss.quietSince; quiet >= ep.cfg.PeerDeadTimeout {
@@ -155,34 +160,18 @@ func (ep *Endpoint) armSendRetransmit(ss *sendState, resend func()) {
 		}
 		ss.tries++
 		if ss.tries > maxRetries {
-			ep.abortSend(ss, fmt.Errorf("%w: retransmit limit", ErrAborted))
+			if resend == nil {
+				ep.abortSend(ss, fmt.Errorf("%w: peer inactive", ErrAborted))
+			} else {
+				ep.abortSend(ss, fmt.Errorf("%w: retransmit limit", ErrAborted))
+			}
 			return
 		}
-		ep.node.stats.Retransmits++
-		resend()
-		ep.armSendRetransmit(ss, resend)
-	})
-}
-
-// armSendInactivity (re)arms the liveness bound on an in-progress large
-// send: if no pull traffic arrives for PeerDeadTimeout (or maxRetries
-// consecutive timeout periods), the peer is gone and the request aborts.
-func (ep *Endpoint) armSendInactivity(ss *sendState) {
-	ss.rtxTimer.Cancel()
-	ss.rtxTimer = ep.node.Eng.After(retryBackoff(ep.cfg.RetransmitTimeout, ss.tries), func() {
-		if ss.req.done.Done() {
-			return
+		if resend != nil {
+			ep.node.stats.Retransmits++
+			resend()
 		}
-		if quiet := ep.node.Eng.Now() - ss.quietSince; quiet >= ep.cfg.PeerDeadTimeout {
-			ep.abortSend(ss, fmt.Errorf("%w: silent for %v", ErrPeerDead, quiet))
-			return
-		}
-		ss.tries++
-		if ss.tries > maxRetries {
-			ep.abortSend(ss, fmt.Errorf("%w: peer inactive", ErrAborted))
-			return
-		}
-		ep.armSendInactivity(ss)
+		ep.armSendTimer(ss, resend)
 	})
 }
 
@@ -230,7 +219,7 @@ func (ep *Endpoint) handlePullReq(m *pullReq) {
 	}
 	ss.tries = 0
 	ss.quietSince = ep.node.Eng.Now()
-	ep.armSendInactivity(ss)
+	ep.armSendTimer(ss, nil)
 	region := ss.req.region
 	maxData := ep.node.maxData()
 	// Filter the burst through the overlap-miss check per block, then serve

@@ -1,31 +1,18 @@
 package policy
 
-// DefaultPinChunkPages is the driver's default pin-work granularity: 32
-// pages (128 KiB) per kernel work item, matching Open-MX's chunked
-// get_user_pages loop.
-const DefaultPinChunkPages = 32
-
 // base carries the common no-op answers; each backend overrides what it
 // cares about.
 type base struct {
 	name, desc string
 }
 
-func (b base) Name() string        { return b.name }
-func (b base) Description() string { return b.desc }
-func (b base) Access() AccessMode  { return AccessPinned }
-func (b base) PinAtDeclare() bool  { return false }
-func (b base) UnpinOnRelease() bool {
-	return false
-}
+func (b base) Name() string                                 { return b.name }
+func (b base) Description() string                          { return b.desc }
+func (b base) Access() AccessMode                           { return AccessPinned }
+func (b base) PinAtDeclare() bool                           { return false }
+func (b base) UnpinOnRelease() bool                         { return false }
 func (b base) OverlapTransfer(blocking, adaptive bool) bool { return false }
-func (b base) PinChunkPages(configured int) int {
-	if configured > 0 {
-		return configured
-	}
-	return DefaultPinChunkPages
-}
-func (b base) RequiresCache() bool { return false }
+func (b base) RequiresCache() bool                          { return false }
 
 // pinEachComm is the classical synchronous model: pin when a
 // communication acquires the region, unpin when it releases it (Figure

@@ -96,11 +96,6 @@ type Policy interface {
 	// blocking is the application's hint (paper §5); adaptive is the
 	// endpoint's AdaptiveOverlap configuration.
 	OverlapTransfer(blocking, adaptive bool) bool
-	// PinChunkPages returns the granularity of chunked pin work on the
-	// core given the endpoint's configured value (0 = backend default).
-	// Bottom halves interleave between chunks, which is what lets an
-	// interrupt flood starve pinning (paper §4.3).
-	PinChunkPages(configured int) int
 	// RequiresCache forces the user-space region cache on: pin-ahead
 	// needs it because dropping the declaration at Put would discard the
 	// speculative pin it exists to keep warm.

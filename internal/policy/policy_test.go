@@ -35,12 +35,3 @@ func TestRegisterRejects(t *testing.T) {
 		t.Fatalf("duplicate registration not rejected: %v", err)
 	}
 }
-
-func TestChunkDefaulting(t *testing.T) {
-	if got := OnDemand.PinChunkPages(0); got != DefaultPinChunkPages {
-		t.Fatalf("default chunk = %d", got)
-	}
-	if got := OnDemand.PinChunkPages(8); got != 8 {
-		t.Fatalf("configured chunk ignored: %d", got)
-	}
-}

@@ -19,8 +19,8 @@ const goldenDir = "testdata/golden"
 
 // TestGoldenReports pins every builtin's quick report, byte for byte, to
 // testdata/golden/<name>.json: the same bytes its entry in `omxsim sweep
-// -quick -json` holds. Builtins compiled from embedded specs run again on
-// four engine shards against the same file. A change that moves any
+// -quick -json` holds (TestShardCountInvariance replays each on four
+// engine shards against the same file). A change that moves any
 // reproduced number fails here; if the move is intended, rerun with
 // -update and review the golden diff.
 func TestGoldenReports(t *testing.T) {
@@ -40,9 +40,6 @@ func TestGoldenReports(t *testing.T) {
 				t.Fatalf("%v (run with -update to create it)", err)
 			}
 			goldenDiff(t, path, "shards=1", want, got)
-			if s.Source == SourceBuiltinSpec {
-				goldenDiff(t, path, "shards=4", want, scenarioBytes(t, s, Options{Quick: true, Shards: 4}))
-			}
 		})
 	}
 	// A golden whose builtin was renamed or deleted fails too.

@@ -2,19 +2,18 @@ package scenario
 
 import (
 	"fmt"
+	"reflect"
 	"sort"
 	"strings"
 
 	"omxsim/internal/chaos"
 	"omxsim/internal/cluster"
-	"omxsim/internal/core"
 	"omxsim/internal/cpu"
 	"omxsim/internal/mpi"
 	"omxsim/internal/omx"
 	"omxsim/internal/policy"
 	"omxsim/internal/report"
 	"omxsim/internal/sim"
-	"omxsim/internal/vm"
 )
 
 // floodCap bounds a flood fault with For == 0 in a scenario without a
@@ -427,113 +426,64 @@ func startFlood(eng *sim.Engine, c *cpu.Core, utilization float64) func() {
 	}
 }
 
-// collectStats folds the cluster's protocol counters and every endpoint's
-// manager/cache counters into "stats."-prefixed metrics.
+// collectStats folds the cell's counters into "stats."-prefixed metrics.
+// Each layer names what it reports where the count is kept: every field
+// of omx.NodeStats, vm.ReclaimStats, core.Stats and core.CacheStats that
+// carries a `stat:"name"` tag is summed into stats.<name>, node counters
+// in node order, then each process's manager and cache (endpoints sharing
+// a process share both, so each is folded once). The six values below the
+// fold are not counters of those structs.
 func collectStats(cr *CaseRun) {
 	cl := cr.Cluster
-	st := cl.Stats()
-	set := cr.Metric
-	set("stats.elapsed_us", cl.Now().Micros())
+	sums := make(map[string]uint64)
+	swappedEnd, peakOccupied := 0, 0
+	for _, n := range cl.Nodes {
+		addStats(sums, n.Stats())
+		addStats(sums, n.Phys.ReclaimStats())
+		swappedEnd += n.Phys.SwappedPages()
+		peakOccupied += n.Phys.PeakOccupied()
+	}
+	var swapIns uint64
+	pinnedEnd := 0
+	for _, p := range cl.Processes() {
+		addStats(sums, p.Manager().Stats())
+		addStats(sums, p.Cache().Stats())
+		swapIns += p.AS.SwapIns()
+		pinnedEnd += p.Manager().PinnedPages()
+	}
+	for name, v := range sums {
+		cr.Metric("stats."+name, float64(v))
+	}
+	cr.Metric("stats.elapsed_us", cl.Now().Micros())
 	// Simulator-speed trajectory: events dispatched for this cell (divide by
 	// host wall clock to get events/sec; see PERFORMANCE.md). Foreground
 	// only: daemon ticks (kswapd) run up to shard-layout-dependent window
 	// boundaries and would break report invariance across shard counts.
-	set("stats.events_fired", float64(cl.ForegroundEventsFired()))
-	set("stats.frames_rx", float64(st.FramesRx))
-	set("stats.pull_replies", float64(st.PullRepliesRx))
-	set("stats.overlap_misses", float64(st.OverlapMissSender+st.OverlapMissReceiver))
-	set("stats.rereqs", float64(st.ReRequests))
-	set("stats.retransmits", float64(st.Retransmits))
-	set("stats.req_aborts", float64(st.ReqAborts))
-	set("stats.crashes", float64(st.Crashes))
-	set("stats.restarts", float64(st.Restarts))
+	cr.Metric("stats.events_fired", float64(cl.ForegroundEventsFired()))
+	cr.Metric("stats.pinned_pages_end", float64(pinnedEnd))
+	cr.Metric("stats.swapped_pages_end", float64(swappedEnd))
+	cr.Metric("stats.peak_occupied_pages", float64(peakOccupied))
+	cr.Metric("stats.swap_ins", float64(swapIns))
+}
 
-	// Reclaim counters are per node (one PhysMem per host), swap-in
-	// counts per process address space.
-	var rs vm.ReclaimStats
-	swappedEnd, peakOccupied := 0, 0
-	for _, n := range cl.Nodes {
-		s := n.Phys.ReclaimStats()
-		rs.PgScan += s.PgScan
-		rs.PgSteal += s.PgSteal
-		rs.PinnedResists += s.PinnedResists
-		rs.KswapdRuns += s.KswapdRuns
-		rs.KswapdSteals += s.KswapdSteals
-		rs.DirectStalls += s.DirectStalls
-		rs.DirectSteals += s.DirectSteals
-		rs.Failures += s.Failures
-		swappedEnd += n.Phys.SwappedPages()
-		peakOccupied += n.Phys.PeakOccupied()
+// addStats adds each `stat`-tagged integer field of the struct s into
+// sums under its tag.
+func addStats(sums map[string]uint64, s any) {
+	v := reflect.ValueOf(s)
+	for i := 0; i < v.NumField(); i++ {
+		name := v.Type().Field(i).Tag.Get("stat")
+		if name == "" {
+			continue
+		}
+		switch f := v.Field(i); {
+		case f.CanUint():
+			sums[name] += f.Uint()
+		case f.CanInt():
+			sums[name] += uint64(f.Int())
+		default:
+			panic(fmt.Sprintf("scenario: stat %q tags a %s field", name, f.Kind()))
+		}
 	}
-	set("stats.pgscan", float64(rs.PgScan))
-	set("stats.pgsteal", float64(rs.PgSteal))
-	set("stats.pinned_resists", float64(rs.PinnedResists))
-	set("stats.kswapd_runs", float64(rs.KswapdRuns))
-	set("stats.kswapd_steals", float64(rs.KswapdSteals))
-	set("stats.direct_reclaim_stalls", float64(rs.DirectStalls))
-	set("stats.direct_reclaim_steals", float64(rs.DirectSteals))
-	set("stats.reclaim_failures", float64(rs.Failures))
-	set("stats.swapped_pages_end", float64(swappedEnd))
-	set("stats.peak_occupied_pages", float64(peakOccupied))
-
-	var mgr core.Stats
-	var cache core.CacheStats
-	var swapIns uint64
-	pinnedNow := 0
-	// Endpoints sharing a process share one manager and one cache; fold
-	// each in once.
-	for _, p := range cl.Processes() {
-		swapIns += p.AS.SwapIns()
-		m := p.Manager().Stats()
-		mgr.Declares += m.Declares
-		mgr.PinOps += m.PinOps
-		mgr.UnpinOps += m.UnpinOps
-		mgr.PagesPinned += m.PagesPinned
-		mgr.PagesUnpinned += m.PagesUnpinned
-		mgr.Repins += m.Repins
-		mgr.InvalidateHits += m.InvalidateHits
-		mgr.LRUUnpins += m.LRUUnpins
-		mgr.PinFailures += m.PinFailures
-		mgr.AcquiresPinned += m.AcquiresPinned
-		mgr.AcquiresUnpinned += m.AcquiresUnpinned
-		mgr.SpeculativePins += m.SpeculativePins
-		mgr.ODPFaults += m.ODPFaults
-		mgr.ODPFaultPages += m.ODPFaultPages
-		c := p.Cache().Stats()
-		cache.Hits += c.Hits
-		cache.SubrangeHits += c.SubrangeHits
-		cache.Misses += c.Misses
-		cache.Coalesced += c.Coalesced
-		cache.Merges += c.Merges
-		cache.Evictions += c.Evictions
-		cache.Invalidations += c.Invalidations
-		cache.BytesCached += c.BytesCached
-		pinnedNow += p.Manager().PinnedPages()
-	}
-	set("stats.declares", float64(mgr.Declares))
-	set("stats.pin_ops", float64(mgr.PinOps))
-	set("stats.unpin_ops", float64(mgr.UnpinOps))
-	set("stats.pages_pinned", float64(mgr.PagesPinned))
-	set("stats.pages_unpinned", float64(mgr.PagesUnpinned))
-	set("stats.repins", float64(mgr.Repins))
-	set("stats.invalidate_hits", float64(mgr.InvalidateHits))
-	set("stats.lru_unpins", float64(mgr.LRUUnpins))
-	set("stats.pin_failures", float64(mgr.PinFailures))
-	set("stats.acquires_pinned", float64(mgr.AcquiresPinned))
-	set("stats.acquires_unpinned", float64(mgr.AcquiresUnpinned))
-	set("stats.speculative_pins", float64(mgr.SpeculativePins))
-	set("stats.odp_faults", float64(mgr.ODPFaults))
-	set("stats.odp_fault_pages", float64(mgr.ODPFaultPages))
-	set("stats.cache_hits", float64(cache.Hits))
-	set("stats.cache_subrange_hits", float64(cache.SubrangeHits))
-	set("stats.cache_misses", float64(cache.Misses))
-	set("stats.cache_coalesced", float64(cache.Coalesced))
-	set("stats.cache_merges", float64(cache.Merges))
-	set("stats.cache_evictions", float64(cache.Evictions))
-	set("stats.cache_invalidations", float64(cache.Invalidations))
-	set("stats.cache_bytes", float64(cache.BytesCached))
-	set("stats.pinned_pages_end", float64(pinnedNow))
-	set("stats.swap_ins", float64(swapIns))
 }
 
 // buildTables renders the automatic tables: the size × case matrix of the

@@ -116,3 +116,21 @@ func TestSweepTableShape(t *testing.T) {
 		}
 	}
 }
+
+// TestAddStatsFoldsTaggedFields: the stats fold sums every `stat`-tagged
+// integer field under its tag, fields sharing a tag add up, and untagged
+// fields stay out.
+func TestAddStatsFoldsTaggedFields(t *testing.T) {
+	type counters struct {
+		Sent     uint64 `stat:"misses"`
+		Received uint64 `stat:"misses"`
+		Bytes    int    `stat:"bytes"`
+		Hidden   uint64
+	}
+	sums := make(map[string]uint64)
+	addStats(sums, counters{Sent: 2, Received: 3, Bytes: 7, Hidden: 100})
+	addStats(sums, counters{Sent: 1, Bytes: 5})
+	if len(sums) != 2 || sums["misses"] != 6 || sums["bytes"] != 12 {
+		t.Fatalf("folded %v, want map[bytes:12 misses:6]", sums)
+	}
+}

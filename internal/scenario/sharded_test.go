@@ -2,6 +2,9 @@ package scenario
 
 import (
 	"bytes"
+	"fmt"
+	"os"
+	"path/filepath"
 	"runtime"
 	"testing"
 
@@ -45,53 +48,43 @@ func scenarioBytes(t *testing.T, s *Scenario, opts Options) []byte {
 
 // TestShardCountInvariance is the parallel engine's determinism gate: the
 // same seed must produce byte-identical results whether the cluster runs
-// on 1, 2, or more shards, and regardless of GOMAXPROCS. Shards=1 is the
-// serial reference (one engine closing its windows inline); higher counts
-// actually run shard goroutines concurrently.
+// on 1, 2, or more shards, and regardless of GOMAXPROCS. Every builtin's
+// quick report is replayed on four engine shards against its golden (the
+// one-shard bytes TestGoldenReports pins); clusters smaller than four
+// nodes clamp to one shard per node. Shards=1 is the serial reference (one
+// engine closing its windows inline); higher counts actually run shard
+// goroutines concurrently.
 func TestShardCountInvariance(t *testing.T) {
-	cases := []struct {
-		scenario string
-		shards   []int
-		opts     Options
-	}{
-		// pressure-policies exercises daemons (kswapd), reclaim, swap and
-		// four pinning backends on 2 nodes: shards 1 vs 2.
-		{scenario: "pressure-policies", shards: []int{1, 2}, opts: Options{Quick: true}},
-		// fleet-stream is the 8-node parallel workload: sweep the shard
-		// counts the benchmark uses.
-		{scenario: "fleet-stream", shards: []int{1, 2, 4, 8}, opts: Options{Quick: true}},
-		// The chaos family must stay invariant too: the fault schedule is
-		// precomputed per cell, so crashes, degrade windows, and budget
-		// shrinks land at the same simulated instants on every layout.
-		{scenario: "chaos-crash-recover", shards: []int{1, 2, 4}},
-		{scenario: "chaos-degraded-link", shards: []int{1, 4}},
-		{scenario: "chaos-budget-shrink", shards: []int{1, 2}},
-		// Fault injectors on different nodes fire at the same instant on
-		// different shards; their notes must still come out in one order:
-		// a fork of both ranks at once, and buffer-polling swap-outs whose
-		// polls coincide.
-		{scenario: "policy-fork", shards: []int{1, 2, 4}, opts: Options{Quick: true}},
-		{scenario: "policy-swapout", shards: []int{1, 2, 4}, opts: Options{Quick: true}},
-		// The paper's Table 1, §4.3 and NPB runs: one-node pin timing
-		// cells, interrupt floods armed per node on each node's own
-		// engine, and four ranks over two nodes.
-		{scenario: "pinbench", shards: []int{1, 2}},
-		{scenario: "overlapmiss", shards: []int{1, 2}, opts: Options{Quick: true}},
-		{scenario: "overload", shards: []int{1, 2}, opts: Options{Quick: true}},
-		{scenario: "npbis", shards: []int{1, 2}, opts: Options{Quick: true}},
+	// Layouts beyond the four-shard replay. fleet-stream, the 8-node
+	// parallel workload, runs at the other shard counts the benchmark
+	// uses. The chaos family runs again at full size against its own
+	// one-shard report: the fault schedule is precomputed per cell, so
+	// crashes, degrade windows, and budget shrinks land at the same
+	// simulated instants on every layout.
+	quickShards := map[string][]int{"fleet-stream": {2, 8}}
+	fullShards := map[string][]int{
+		"chaos-crash-recover": {2, 4},
+		"chaos-degraded-link": {4},
+		"chaos-budget-shrink": {2},
 	}
-	for _, tc := range cases {
-		tc := tc
-		t.Run(tc.scenario, func(t *testing.T) {
-			opts := tc.opts
-			opts.Shards = tc.shards[0]
-			ref := resultBytes(t, tc.scenario, opts)
-			for _, n := range tc.shards[1:] {
-				opts.Shards = n
-				got := resultBytes(t, tc.scenario, opts)
-				if !bytes.Equal(ref, got) {
-					t.Fatalf("%s: shards=%d result differs from shards=%d reference:\n--- shards=%d ---\n%s\n--- shards=%d ---\n%s",
-						tc.scenario, n, tc.shards[0], tc.shards[0], ref, n, got)
+	for _, s := range All() {
+		t.Run(s.Name, func(t *testing.T) {
+			t.Parallel()
+			path := filepath.Join(goldenDir, s.Name+".json")
+			want, err := os.ReadFile(path)
+			if err != nil {
+				t.Fatal(err)
+			}
+			for _, n := range append([]int{4}, quickShards[s.Name]...) {
+				goldenDiff(t, path, fmt.Sprintf("shards=%d", n), want, scenarioBytes(t, s, Options{Quick: true, Shards: n}))
+			}
+			if shards := fullShards[s.Name]; len(shards) > 0 {
+				ref := scenarioBytes(t, s, Options{Shards: 1})
+				for _, n := range shards {
+					if got := scenarioBytes(t, s, Options{Shards: n}); !bytes.Equal(ref, got) {
+						t.Fatalf("%s: full-size shards=%d result differs from shards=1:\n--- shards=1 ---\n%s\n--- shards=%d ---\n%s",
+							s.Name, n, ref, n, got)
+					}
 				}
 			}
 		})

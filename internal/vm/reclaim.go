@@ -58,16 +58,18 @@ func (l *lruList) remove(f *Frame) {
 }
 
 // ReclaimStats counts the reclaim subsystem's activity, mirroring the
-// /proc/vmstat fields the eBPF-mm instrumentation reads.
+// /proc/vmstat fields the eBPF-mm instrumentation reads. A `stat` tag
+// names the field's per-cell scenario metric (stats.<name>, summed over
+// nodes).
 type ReclaimStats struct {
-	PgScan        uint64 // frames examined by reclaim scans
-	PgSteal       uint64 // frames reclaimed to swap
-	PinnedResists uint64 // scanned frames that resisted because they were pinned
-	KswapdRuns    uint64 // kswapd passes that found the low watermark breached
-	KswapdSteals  uint64 // frames stolen by kswapd passes
-	DirectStalls  uint64 // direct-reclaim stalls on the allocation path
-	DirectSteals  uint64 // frames stolen by direct reclaim
-	Failures      uint64 // allocations that failed even after direct reclaim
+	PgScan        uint64 `stat:"pgscan"`                // frames examined by reclaim scans
+	PgSteal       uint64 `stat:"pgsteal"`               // frames reclaimed to swap
+	PinnedResists uint64 `stat:"pinned_resists"`        // scanned frames that resisted because they were pinned
+	KswapdRuns    uint64 `stat:"kswapd_runs"`           // kswapd passes that found the low watermark breached
+	KswapdSteals  uint64 `stat:"kswapd_steals"`         // frames stolen by kswapd passes
+	DirectStalls  uint64 `stat:"direct_reclaim_stalls"` // direct-reclaim stalls on the allocation path
+	DirectSteals  uint64 `stat:"direct_reclaim_steals"` // frames stolen by direct reclaim
+	Failures      uint64 `stat:"reclaim_failures"`      // allocations that failed even after direct reclaim
 }
 
 // directReclaimBatch is how many frames one direct-reclaim stall tries to
