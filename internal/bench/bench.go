@@ -141,7 +141,7 @@ func ParallelShards() int {
 // measure the same work.
 func SimWallClockParallelCell(shards int) (mbps, simMicros float64, events uint64) {
 	link := ethernet.DefaultLinkConfig()
-	link.PropDelay = 2 * sim.Microsecond // switch-hop latency = lookahead window
+	link.PropDelay = 2 * sim.Microsecond // switch-hop latency, part of the lookahead window
 	cl, err := cluster.New(cluster.Config{
 		Nodes:        8,
 		RanksPerNode: 2,

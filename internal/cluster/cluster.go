@@ -82,17 +82,17 @@ type Config struct {
 	Mem omx.MemConfig
 	// Shards splits the cluster across that many engine shards (clamped
 	// to [1, Nodes]; 0, the default, means 1), with each node group
-	// block-distributed over all of them and the fabric's one-way link
-	// latency (PropDelay) as the conservative lookahead window. Every
-	// count produces the same results; two or more run the shards in
-	// parallel.
+	// block-distributed over all of them and the fabric's minimum frame
+	// latency (ethernet.Fabric.MinLatency: tx overhead, PropDelay and the
+	// interrupt delay) as the conservative lookahead window. Every count
+	// produces the same results; two or more run the shards in parallel.
 	Shards int
 	// AppsOnRxCore forces every rank onto the interrupt core, reproducing
 	// the paper's §4.3 overload scenario (application pinning work starved
 	// by bottom halves).
 	AppsOnRxCore bool
 	// Link overrides the fabric parameters (default: 10G, 500ns). Its
-	// PropDelay must be positive: it is the engine lookahead.
+	// PropDelay must be positive, and it is part of the engine lookahead.
 	Link *ethernet.LinkConfig
 	// Seed makes the run deterministic (default 1).
 	Seed int64
@@ -182,7 +182,7 @@ func New(cfg Config) (*Cluster, error) {
 		link = *cfg.Link
 	}
 	if link.PropDelay <= 0 {
-		return nil, fmt.Errorf("cluster: the link PropDelay is the engine lookahead and must be positive (got %v)", link.PropDelay)
+		return nil, fmt.Errorf("cluster: the link PropDelay must be positive (got %v): no physical link delivers instantly", link.PropDelay)
 	}
 	// One engine per shard. Each group splits into one contiguous block of
 	// near-equal size per shard, so every shard carries its share of
@@ -207,8 +207,21 @@ func New(cfg Config) (*Cluster, error) {
 	fabric.Seed = cfg.Seed
 	fabric.LoopbackBytesPerSec = loopbackBytesPerSec
 
-	set := sim.NewShardSet(link.PropDelay, engines)
-	cl := &Cluster{Eng: engines[0], Fabric: fabric, Set: set}
+	cl := &Cluster{Eng: engines[0], Fabric: fabric}
+	// Nodes lay out group by group.
+	n := 0
+	for _, g := range groups {
+		for k := 0; k < g.Nodes; k++ {
+			if err := cl.addNode(&cfg, g, n, engines[shardOf[n]]); err != nil {
+				return nil, err
+			}
+			n++
+		}
+	}
+	// The shard set is built once every NIC has its rx delay, since the
+	// fabric's minimum frame latency is its lookahead.
+	set := sim.NewShardSet(fabric.MinLatency(), engines)
+	cl.Set = set
 	fabric.SetRouter(func(dst *ethernet.NIC, fr *ethernet.Frame, when, sendTime sim.Time, srcSeq uint64) {
 		set.Post(sim.CrossEvent{
 			When:     when,
@@ -221,16 +234,6 @@ func New(cfg Config) (*Cluster, error) {
 			Fn:       func() { dst.Deliver(fr) },
 		})
 	})
-	// Nodes lay out group by group.
-	n := 0
-	for _, g := range groups {
-		for k := 0; k < g.Nodes; k++ {
-			if err := cl.addNode(&cfg, g, n, engines[shardOf[n]]); err != nil {
-				return nil, err
-			}
-			n++
-		}
-	}
 	cl.World = mpi.NewWorld(cl.Endpoints)
 	for _, hook := range cfg.OnBuild {
 		hook(cl)
@@ -394,7 +397,6 @@ func (cl *Cluster) Stats() omx.NodeStats {
 		total.FramesRx += s.FramesRx
 		total.FramesTx += s.FramesTx
 		total.EagerFragsRx += s.EagerFragsRx
-		total.PullReqsRx += s.PullReqsRx
 		total.PullRepliesRx += s.PullRepliesRx
 		total.OverlapMissSender += s.OverlapMissSender
 		total.OverlapMissReceiver += s.OverlapMissReceiver

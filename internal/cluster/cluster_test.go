@@ -170,8 +170,8 @@ func TestClusterDeterminism(t *testing.T) {
 
 // TestShardCounts checks the shard count is a layout choice only: 0 and 1
 // both build one engine shard, and one or two shards end a run at the same
-// simulated time after the same events. A link without latency leaves no
-// lookahead window and is refused.
+// simulated time after the same events. A link without latency is not a
+// physical link and is refused.
 func TestShardCounts(t *testing.T) {
 	run := func(shards int) (int, sim.Time, uint64) {
 		cl, err := cluster.New(cluster.Config{Shards: shards, OMX: omx.DefaultConfig(policy.Overlapped, true)})
@@ -299,6 +299,32 @@ func TestCustomLinkConfig(t *testing.T) {
 	}
 	if got := cl.Fabric.Config().BytesPerSec; got != cfgLink.BytesPerSec {
 		t.Fatalf("link bandwidth = %v", got)
+	}
+}
+
+// TestLookaheadIsMinFrameLatency: the shard window is the fabric's
+// minimum send-to-handler latency — tx overhead, PropDelay and the
+// interrupt delay — on the default 500 ns link and on fleet-style 2 µs
+// links, at one shard and at two.
+func TestLookaheadIsMinFrameLatency(t *testing.T) {
+	for _, c := range []struct {
+		prop, want sim.Duration
+	}{
+		{500 * sim.Nanosecond, 5700 * sim.Nanosecond},
+		{2 * sim.Microsecond, 7200 * sim.Nanosecond},
+	} {
+		for _, shards := range []int{1, 2} {
+			link := ethernet.DefaultLinkConfig()
+			link.PropDelay = c.prop
+			cl, err := cluster.New(cluster.Config{Shards: shards, Link: &link})
+			if err != nil {
+				t.Fatal(err)
+			}
+			if got := cl.Set.Lookahead(); got != c.want || got != cl.Fabric.MinLatency() {
+				t.Errorf("PropDelay %v, %d shards: lookahead %v, want %v (fabric minimum %v)",
+					c.prop, shards, got, c.want, cl.Fabric.MinLatency())
+			}
+		}
 	}
 }
 

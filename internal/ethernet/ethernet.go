@@ -26,6 +26,11 @@ const (
 	WireOverhead = 38
 )
 
+// TxOverhead is every NIC's host-side per-frame send cost (descriptor
+// ring, DMA setup). It is charged on the tx lane's schedule, so it
+// serializes with the frames queued there.
+const TxOverhead = 200 * sim.Nanosecond
+
 // Frame is one Ethernet frame. Payload is an opaque protocol message; Size
 // is the payload size in bytes as serialized on the wire (protocol headers
 // included), which determines transmission time.
@@ -84,9 +89,6 @@ type NIC struct {
 	eng    *sim.Engine
 	nodeID int
 	mtu    int
-	// TxOverhead is host-side per-frame send cost charged on the wire
-	// schedule (descriptor ring, DMA setup). It serializes with frames.
-	txOverhead sim.Duration
 	// rxDelay is additional latency between a frame finishing on the wire
 	// and the handler running (IRQ signalling + NAPI scheduling). Folding it
 	// into the delivery event spares the receiver one timer per frame.
@@ -229,7 +231,9 @@ func (n *NIC) ClearDegraded() {
 func (n *NIC) SetHandler(h func(*Frame)) { n.handler = h }
 
 // SetRxDelay sets the latency between wire arrival and handler invocation
-// (IRQ + NAPI pipeline latency; pure delay, no core time).
+// (IRQ + NAPI pipeline latency; pure delay, no core time). It bounds
+// MinLatency, so set it before anything reads that (cluster.New does, once
+// its nodes are built).
 func (n *NIC) SetRxDelay(d sim.Duration) { n.rxDelay = d }
 
 // Fabric is a set of NICs with a link between every pair (and a loopback
@@ -295,12 +299,11 @@ func (f *Fabric) AddNICOn(eng *sim.Engine, nodeID, mtu int) *NIC {
 		mtu = DefaultMTU
 	}
 	n := &NIC{
-		eng:        eng,
-		nodeID:     nodeID,
-		mtu:        mtu,
-		txOverhead: 200 * sim.Nanosecond,
-		fabric:     f,
-		txBusy:     make(map[txKey]sim.Time),
+		eng:    eng,
+		nodeID: nodeID,
+		mtu:    mtu,
+		fabric: f,
+		txBusy: make(map[txKey]sim.Time),
 	}
 	n.SetQueues(1)
 	f.nics[nodeID] = n
@@ -329,6 +332,23 @@ func (f *Fabric) NIC(nodeID int) *NIC { return f.nics[nodeID] }
 
 // Config returns the fabric's link configuration.
 func (f *Fabric) Config() LinkConfig { return f.cfg }
+
+// MinLatency reports the shortest time any frame can take from Send to its
+// handler: TxOverhead, then PropDelay, then the smallest rx delay among the
+// fabric's NICs. It leaves out wire time, so no bandwidth, loopback rate or
+// degradation window can undercut it (degradation only adds latency). A
+// frame sent at t is never handled before t+MinLatency, which makes it the
+// conservative lookahead of a sharded cluster's engines.
+func (f *Fabric) MinLatency() sim.Duration {
+	var rx sim.Duration
+	first := true
+	for _, n := range f.nics {
+		if first || n.rxDelay < rx {
+			rx, first = n.rxDelay, false
+		}
+	}
+	return TxOverhead + f.cfg.PropDelay + rx
+}
 
 // Send transmits a frame. The frame occupies the (src,dst) direction of the
 // wire for its serialization time; frames queued behind it wait. Delivery
@@ -373,7 +393,7 @@ func (n *NIC) Send(fr *Frame) {
 	if start < sendTime {
 		start = sendTime
 	}
-	start += n.txOverhead
+	start += TxOverhead
 	end := start + wireTime
 	n.txBusy[lane] = end
 

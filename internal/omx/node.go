@@ -20,7 +20,6 @@ type NodeStats struct {
 	FramesRx            uint64 `stat:"frames_rx"`
 	FramesTx            uint64
 	EagerFragsRx        uint64
-	PullReqsRx          uint64
 	PullRepliesRx       uint64 `stat:"pull_replies"`
 	OverlapMissSender   uint64 `stat:"overlap_misses"` // pull request dropped: send region not pinned far enough
 	OverlapMissReceiver uint64 `stat:"overlap_misses"` // pull reply dropped: recv region not pinned far enough

@@ -169,7 +169,6 @@ func (ep *Endpoint) issueBlocks(rs *rstate) {
 		rs.nextBlockOff++
 		rs.outstanding++
 		b.lastReq = ep.node.Eng.Now()
-		ep.node.stats.PullReqsRx++ // counted at issue for simplicity
 		ep.emit(trace.PullReqSent, rs.key.seq, b.off, b.length)
 		burst = append(burst, pullRange{off: b.off, length: b.length})
 	}

@@ -17,8 +17,9 @@ import (
 
 // fleetLink widens the one-way link latency to 2µs — a store-and-forward
 // switch hop at 10G rather than the two-node testbed's 500ns cable. For
-// the sharded engine that latency doubles as the conservative lookahead,
-// so fleet-scale scenarios get usefully wide synchronization windows.
+// the sharded engine that latency is part of the conservative lookahead
+// (the fabric's minimum frame latency, 7.2µs here), so fleet-scale
+// scenarios get wider synchronization windows.
 func fleetLink() *ethernet.LinkConfig {
 	l := ethernet.DefaultLinkConfig()
 	l.PropDelay = 2 * sim.Microsecond

@@ -6,8 +6,10 @@ import (
 	"os"
 	"path/filepath"
 	"runtime"
+	"slices"
 	"testing"
 
+	"omxsim/internal/cluster"
 	"omxsim/internal/report"
 )
 
@@ -89,6 +91,72 @@ func TestShardCountInvariance(t *testing.T) {
 			}
 		})
 	}
+}
+
+// TestWindowWidthInvariance: the engine's window width must not show in
+// any report. Every builtin's quick report and the examples/fleet-kv.yaml
+// fleet are replayed with the window narrowed from the fabric's minimum
+// frame latency to the bare link PropDelay, which leaves out the tx
+// overhead and the interrupt delay; the bytes must equal the goldens (for
+// fleet-kv, its report at the full width). Every replay runs on one
+// shard, so the race detector has no concurrency to check in it; under
+// -race the test is skipped, which keeps the GOMAXPROCS=1 race run of
+// this package inside go test's default timeout.
+func TestWindowWidthInvariance(t *testing.T) {
+	if raceEnabled {
+		t.Skip("one-shard replays: nothing for the race detector to check")
+	}
+	for _, s := range All() {
+		t.Run(s.Name, func(t *testing.T) {
+			t.Parallel()
+			path := filepath.Join(goldenDir, s.Name+".json")
+			want, err := os.ReadFile(path)
+			if err != nil {
+				t.Fatal(err)
+			}
+			goldenDiff(t, path, "narrowed window", want, scenarioBytes(t, narrowed(t, s), Options{Quick: true}))
+		})
+	}
+	t.Run("examples/fleet-kv", func(t *testing.T) {
+		if testing.Short() {
+			t.Skip("fleet-scale run skipped in -short mode")
+		}
+		t.Parallel()
+		s := loadFleetKV(t)
+		want := scenarioBytes(t, s, Options{})
+		if got := scenarioBytes(t, narrowed(t, s), Options{}); !bytes.Equal(want, got) {
+			t.Fatalf("fleet-kv report differs with the window narrowed:\n--- full width ---\n%s\n--- narrowed ---\n%s", want, got)
+		}
+	})
+}
+
+// narrowed returns a copy of s whose every case, once its cluster is
+// built, narrows the engine lookahead to the link's PropDelay through
+// sim.ShardSet.NarrowLookahead.
+func narrowed(t *testing.T, s *Scenario) *Scenario {
+	n := *s
+	n.Cases = nil
+	cases := s.Cases
+	if len(cases) == 0 {
+		cases = []Case{defaultCase()}
+	}
+	for _, c := range cases {
+		tweak := c.Tweak
+		c.Tweak = func(cfg *cluster.Config) {
+			if tweak != nil {
+				tweak(cfg)
+			}
+			cfg.OnBuild = append(slices.Clip(cfg.OnBuild), func(cl *cluster.Cluster) {
+				prop := cl.Fabric.Config().PropDelay
+				if cl.Set.Lookahead() <= prop {
+					t.Errorf("%s: lookahead %v is already no wider than PropDelay %v", s.Name, cl.Set.Lookahead(), prop)
+				}
+				cl.Set.NarrowLookahead(prop)
+			})
+		}
+		n.Cases = append(n.Cases, c)
+	}
+	return &n
 }
 
 // TestShardGomaxprocsInvariance pins GOMAXPROCS to 1 and re-checks a

@@ -57,12 +57,12 @@ type indexRef struct {
 }
 
 // A field is one key of a mapping. The type of dst picks the parser:
-// *string, *int, *count, *float64, *bool, *byteSize, *sim.Duration
-// (given in µs), *[]int (a list of byte sizes), *map[string]string (a
-// mapping of strings), **ethernet.LinkConfig (a link block),
-// *policy.Policy (a registered policy name), a pointer to an enum (a
-// name matched by its String()), or a func(*yamlite.Node) error for a
-// section or a key that cross-checks.
+// *string, *int, *count, *float64, *fraction, *bool, *byteSize,
+// *sim.Duration (given in µs), *[]int (a list of byte sizes),
+// *map[string]string (a mapping of strings), **ethernet.LinkConfig (a
+// link block), *policy.Policy (a registered policy name), a pointer to an
+// enum (a name matched by its String()), or a func(*yamlite.Node) error
+// for a section or a key that cross-checks.
 type field struct {
 	key string
 	dst any
@@ -71,6 +71,10 @@ type field struct {
 // count is an int field holding a count: 0..maxCount, where 0 keeps the
 // default.
 type count int
+
+// fraction is a float64 field holding a value in 0..1: a probability, a
+// utilization or a scale factor.
+type fraction float64
 
 // byteSize is an int field holding a byte size: a plain integer or a
 // number with a B/KiB/MiB/GiB suffix ("256KiB", "1MiB").
@@ -144,6 +148,12 @@ func (d *dec) set(n *yamlite.Node, dst any, what name) (err error) {
 		*dst = count(v)
 	case *float64:
 		*dst, err = d.floatVal(n, what)
+	case *fraction:
+		var v float64
+		if v, err = d.floatVal(n, what); err == nil && !(v >= 0 && v <= 1) {
+			err = d.errf(n.Line, "%s: %v is out of range (0..1)", what, v)
+		}
+		*dst = fraction(v)
 	case *bool:
 		var s string
 		if s, err = d.scalar(n, what); err == nil && s != "true" && s != "false" {
@@ -493,17 +503,17 @@ func (d *dec) decodeCluster(n *yamlite.Node) error {
 func (d *dec) decodeLink(n *yamlite.Node, path string) (*ethernet.LinkConfig, error) {
 	l := ethernet.DefaultLinkConfig()
 	if err := d.walk(n, path, path, []field{
-		// The one-way latency is the engine lookahead, so it must be at
-		// least 1ns.
+		// cluster.New refuses a link that delivers instantly, so the
+		// one-way latency must be at least 1ns.
 		{"prop_delay_us", func(v *yamlite.Node) error {
 			us, err := d.floatVal(v, name{path, "prop_delay_us"})
 			if l.PropDelay = sim.Duration(us * float64(sim.Microsecond)); err == nil && l.PropDelay <= 0 {
-				err = d.errf(v.Line, "%s.prop_delay_us: %g is below 1ns (the link latency is the engine lookahead)", path, us)
+				err = d.errf(v.Line, "%s.prop_delay_us: %g is below 1ns (no physical link delivers instantly)", path, us)
 			}
 			return err
 		}},
 		{"bytes_per_sec", &l.BytesPerSec},
-		{"drop_prob", &l.DropProb},
+		{"drop_prob", (*fraction)(&l.DropProb)},
 	}); err != nil {
 		return nil, err
 	}
@@ -556,21 +566,18 @@ func (d *dec) decodeFaults(n *yamlite.Node) error {
 			{"kind", &f.Kind},
 			{"rank", func(v *yamlite.Node) error { return d.index(v, "fault.rank", true, &f.Rank) }},
 			{"buffer", &f.Buffer},
-			{"util", &f.Util},
+			{"util", (*fraction)(&f.Util)},
 			{"for_us", &f.For},
 			{"node", func(v *yamlite.Node) error { return d.index(v, "fault.node", false, &f.Node) }},
 			{"frames", &f.Frames},
 			{"extra_latency_us", &f.Degrade.ExtraLatency},
-			{"bandwidth_factor", &f.Degrade.BandwidthFactor},
-			{"drop_prob", &f.Degrade.DropProb},
+			{"bandwidth_factor", (*fraction)(&f.Degrade.BandwidthFactor)},
+			{"drop_prob", (*fraction)(&f.Degrade.DropProb)},
 		}); err != nil {
 			return err
 		}
 		if _, ok := it.Get("kind"); !ok {
 			return d.errf(it.Line, "fault is missing the required `kind` field")
-		}
-		if !(f.Util >= 0 && f.Util <= 1) {
-			return d.errf(keyLine(it, "util"), "fault.util: %v is out of range (0..1)", f.Util)
 		}
 		return nil
 	})
@@ -618,8 +625,8 @@ func (d *dec) decodeChaosSpec(it *yamlite.Node) error {
 			})
 		}},
 		{"extra_latency_us", &cs.ExtraLatency},
-		{"bandwidth_factor", &cs.BandwidthFactor},
-		{"drop_prob", &cs.DropProb},
+		{"bandwidth_factor", (*fraction)(&cs.BandwidthFactor)},
+		{"drop_prob", (*fraction)(&cs.DropProb)},
 		{"shrink_factor", &cs.ShrinkFactor},
 		{"frames", &cs.Frames},
 	}); err != nil {

@@ -73,8 +73,8 @@ func (d *dec) decodeFleet(n *yamlite.Node) error {
 		return d.errf(n.Line, "fleet: at least one group template is required")
 	}
 	if f.link == nil {
-		// Fleet-scale runs need a usefully wide lookahead window; default
-		// to the fleet link (one switch hop).
+		// Default to the fleet link (one switch hop), which also widens
+		// the engine's lookahead window.
 		l := ethernet.DefaultLinkConfig()
 		l.PropDelay = 2 * sim.Microsecond
 		f.link = &l

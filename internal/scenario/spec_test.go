@@ -225,6 +225,14 @@ chaos:
       mean_gap_us: 100
       nodes: [0, 7]
 `
+	// degradeSpec and chaosDegradeSpec set field on the last line of a
+	// link-degrade fault (line 19) and chaos spec (line 17).
+	degradeSpec := func(field string) string {
+		return minimalSpec + "faults:\n  - at_us: 10\n    kind: link-degrade\n    node: 1\n    for_us: 100\n    " + field + "\n"
+	}
+	chaosDegradeSpec := func(field string) string {
+		return strings.NewReplacer("node-crash", "link-degrade", "nodes: [0, 7]", field).Replace(chaosSpec)
+	}
 	for _, tc := range []struct {
 		name, src string
 		line      int
@@ -236,8 +244,8 @@ chaos:
 		{"negative-nodes", withCluster("nodes: -1"), 4, []string{"cluster.nodes: -1 is out of range"}},
 		// Zero ranks ran and every assertion passed vacuously.
 		{"negative-ranks-per-node", withCluster("ranks_per_node: -2"), 4, []string{"cluster.ranks_per_node: -2 is out of range"}},
-		// A zero-latency link gives the engine no lookahead window:
-		// cluster.New refused it only when the scenario ran.
+		// cluster.New refuses a link that delivers instantly, but only
+		// when the scenario ran.
 		{"zero-link-latency", withCluster("link:\n    prop_delay_us: 0"), 5, []string{"cluster.link.prop_delay_us: 0 is below 1ns"}},
 		{"sub-ns-link-latency", withCluster("link:\n    prop_delay_us: 0.0001"), 5, []string{"cluster.link.prop_delay_us: 0.0001 is below 1ns"}},
 		{"negative-link-latency", withCluster("link:\n    prop_delay_us: -2"), 5, []string{"cluster.link.prop_delay_us: -2 is below 1ns"}},
@@ -256,6 +264,15 @@ chaos:
 			[]string{"fault.util: -0.5 is out of range (0..1)"}},
 		{"flood-util-above-one", minimalSpec + "faults:\n  - at_us: 10\n    kind: flood\n    util: 1.5\n    for_us: 100\n", 17,
 			[]string{"fault.util: 1.5 is out of range (0..1)"}},
+		// A degradation factor above 1 made a "degraded" link faster than
+		// the fabric, and a negative one was silently ignored; a drop
+		// probability outside 0..1 is no probability.
+		{"degrade-bandwidth-above-one", degradeSpec("bandwidth_factor: 4"), 19, []string{"fault.bandwidth_factor: 4 is out of range (0..1)"}},
+		{"degrade-negative-bandwidth", degradeSpec("bandwidth_factor: -3"), 19, []string{"fault.bandwidth_factor: -3 is out of range (0..1)"}},
+		{"degrade-drop-prob-above-one", degradeSpec("drop_prob: 1.5"), 19, []string{"fault.drop_prob: 1.5 is out of range (0..1)"}},
+		{"chaos-bandwidth-above-one", chaosDegradeSpec("bandwidth_factor: 4"), 17, []string{"chaos.bandwidth_factor: 4 is out of range (0..1)"}},
+		{"chaos-negative-drop-prob", chaosDegradeSpec("drop_prob: -0.1"), 17, []string{"chaos.drop_prob: -0.1 is out of range (0..1)"}},
+		{"link-drop-prob-above-one", withCluster("link:\n    drop_prob: 2"), 5, []string{"cluster.link.drop_prob: 2 is out of range (0..1)"}},
 		// A non-positive link bandwidth panicked ethernet.NewFabric.
 		{"cluster-zero-bandwidth", withCluster("link:\n    bytes_per_sec: 0"), 5, []string{"cluster.link.bytes_per_sec: 0 must be > 0"}},
 		{"fleet-negative-bandwidth", fleetBandwidthSpec, 5, []string{"fleet.link.bytes_per_sec: -5 must be > 0"}},

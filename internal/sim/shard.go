@@ -3,27 +3,32 @@ package sim
 import (
 	"cmp"
 	"fmt"
+	"runtime"
 	"slices"
+	"sync"
+	"sync/atomic"
 )
 
 // ShardSet coordinates one or more engines (shards) under conservative
 // parallel discrete-event synchronization. Each shard owns a disjoint
 // slice of the simulated world (nodes of a cluster) and runs its own
-// event queue, on its own goroutine when there are two or more; the only
-// interaction between shards is cross-shard events posted through Post,
-// which the coordinator delivers at window barriers. A one-engine set runs
-// the same windows and barriers without a goroutine.
+// event queue; the only interaction between shards is cross-shard events
+// posted through Post, which the coordinator delivers at window barriers.
+// In a window where two or more shards have work, the coordinator runs
+// the first of them itself and the rest run concurrently on one worker
+// goroutine each. A one-engine set runs the same windows and barriers
+// without a worker.
 //
 // The synchronization protocol is the classical conservative-lookahead
 // window scheme: if every cross-shard interaction takes at least
 // `lookahead` of simulated time to arrive (for an Ethernet fabric, the
-// one-way link latency — a frame sent at t is never delivered before
-// t+lookahead), then all shards can run a window [T, T+lookahead)
-// concurrently without ever receiving an event in their past. At the end
-// of each window the coordinator collects the events produced, sorts
-// them into a canonical order, schedules them on their destination
-// engines, and opens the next window at the new global minimum event
-// time.
+// shortest send-to-handler latency of any frame — a frame sent at t is
+// never handled before t+lookahead), then all shards can run a window
+// [T, T+lookahead) concurrently without ever receiving an event in their
+// past. At the end of each window the coordinator collects the events
+// produced, sorts them into a canonical order, schedules them on their
+// destination engines, and opens the next window at the new global
+// minimum event time.
 //
 // Determinism. The same seed must produce the same per-node trace
 // regardless of shard count or GOMAXPROCS. Two properties deliver that:
@@ -45,19 +50,22 @@ type ShardSet struct {
 	engines   []*Engine
 
 	// outboxes[i] collects the cross events shard i posts during the
-	// current window. Only shard i's goroutine appends during a window;
-	// the coordinator drains between windows.
+	// current window. Only the goroutine running shard i appends during a
+	// window; the coordinator drains between windows.
 	outboxes [][]CrossEvent
 
 	// windowEnd is the deadline of the window currently running; posted
 	// events must arrive strictly after it (the lookahead invariant).
 	windowEnd Time
 
-	// barrierHooks run between windows, while every shard is parked, with
+	// barrierHooks run between windows, while no shard is running, with
 	// a happens-before edge to the next window.
 	barrierHooks []func()
 
+	// workers[i] runs shard i's windows for i >= 1 while a run is in
+	// progress; running counts the worker goroutines still alive.
 	workers []*shardWorker
+	running sync.WaitGroup
 	active  []int
 }
 
@@ -99,6 +107,21 @@ func NewShardSet(lookahead Duration, engines []*Engine) *ShardSet {
 	}
 }
 
+// Lookahead reports the window width: the minimum delay of every cross-
+// shard event.
+func (ss *ShardSet) Lookahead() Duration { return ss.lookahead }
+
+// NarrowLookahead shrinks the window width to d, which must be positive
+// and no wider than the current one: a narrower window stays conservative,
+// a wider one could not. Results do not depend on the width, so a test can
+// narrow it to check exactly that. Call it before the run starts.
+func (ss *ShardSet) NarrowLookahead(d Duration) {
+	if d <= 0 || d > ss.lookahead {
+		panic(fmt.Sprintf("sim: cannot narrow shard lookahead %d to %d", ss.lookahead, d))
+	}
+	ss.lookahead = d
+}
+
 // NumShards reports the number of engines in the set.
 func (ss *ShardSet) NumShards() int { return len(ss.engines) }
 
@@ -106,16 +129,16 @@ func (ss *ShardSet) NumShards() int { return len(ss.engines) }
 func (ss *ShardSet) Engine(i int) *Engine { return ss.engines[i] }
 
 // AddBarrierHook registers fn to run at every window barrier (and once
-// before the first window), on the coordinator goroutine while all
-// shards are parked. Hooks publish state; they must not schedule events.
+// before the first window), on the coordinator goroutine while no shard is
+// running. Hooks publish state; they must not schedule events.
 func (ss *ShardSet) AddBarrierHook(fn func()) {
 	ss.barrierHooks = append(ss.barrierHooks, fn)
 }
 
 // Post queues a cross-shard event for delivery at the next barrier. It
-// must be called from ev.SrcShard's goroutine (during that shard's
-// window) and ev.When must respect the lookahead invariant: an event may
-// never arrive inside the window that produced it.
+// must be called from the goroutine running ev.SrcShard (during that
+// shard's window) and ev.When must respect the lookahead invariant: an
+// event may never arrive inside the window that produced it.
 func (ss *ShardSet) Post(ev CrossEvent) {
 	if ev.When <= ss.windowEnd {
 		panic(fmt.Sprintf("sim: cross-shard event at %v violates lookahead window ending %v",
@@ -258,9 +281,11 @@ func (ss *ShardSet) deliver() {
 // behind until it next has work (cross-shard arming validates against
 // windowEnd, never an engine clock, so a lagging clock is unobservable).
 // forceAll overrides the skip for the bounded-run clock bump, where every
-// shard must end at the deadline. A single active shard — always the case
-// in a one-engine set — runs on the coordinator goroutine, sparing the
-// channel round trip; two or more run concurrently on their workers.
+// shard must end at the deadline. The first active shard — the only one
+// in a one-engine set — runs on the coordinator goroutine; the rest run
+// concurrently on their workers. A panic in any of them is re-raised here
+// once every worker has finished the window, so no worker is mid-window
+// when it reaches the caller of Run.
 func (ss *ShardSet) runWindow(end Time, forceAll bool) {
 	ss.windowEnd = end
 	active := ss.active[:0]
@@ -270,16 +295,17 @@ func (ss *ShardSet) runWindow(end Time, forceAll bool) {
 		}
 	}
 	ss.active = active
-	if len(active) == 1 {
-		ss.engines[active[0]].RunUntil(end)
+	first, rest := active[0], active[1:]
+	if len(rest) == 0 {
+		ss.engines[first].RunUntil(end)
 		return
 	}
-	for _, i := range active {
-		ss.workers[i].start <- end
+	for _, i := range rest {
+		ss.workers[i].begin(end)
 	}
-	var failure any
-	for _, i := range active {
-		if r := <-ss.workers[i].done; r != nil && failure == nil {
+	failure := runShard(ss.engines[first], end)
+	for _, i := range rest {
+		if r := ss.workers[i].finish(); r != nil && failure == nil {
 			failure = r
 		}
 	}
@@ -288,44 +314,128 @@ func (ss *ShardSet) runWindow(end Time, forceAll bool) {
 	}
 }
 
-// shardWorker is one shard's persistent window-execution goroutine. A
-// panic inside a window (protocol bug, simulation invariant) is captured
-// and re-raised on the coordinator goroutine after the barrier, so it
-// surfaces on the caller of Run like a single-engine panic would.
-type shardWorker struct {
-	eng   *Engine
-	start chan Time
-	done  chan any
-}
-
-func (ss *ShardSet) startWorkers() {
-	if len(ss.engines) == 1 || ss.workers != nil {
-		return
-	}
-	for _, e := range ss.engines {
-		w := &shardWorker{eng: e, start: make(chan Time), done: make(chan any)}
-		ss.workers = append(ss.workers, w)
-		go func(w *shardWorker) {
-			for end := range w.start {
-				w.done <- w.runOne(end)
-			}
-		}(w)
-	}
-}
-
-func (w *shardWorker) runOne(end Time) (failure any) {
-	defer func() {
-		if r := recover(); r != nil {
-			failure = r
-		}
-	}()
-	w.eng.RunUntil(end)
+// runShard runs one shard's window and returns the value of any panic in
+// it.
+func runShard(e *Engine, end Time) (failure any) {
+	defer func() { failure = recover() }()
+	e.RunUntil(end)
 	return nil
 }
 
+// spinPolls bounds how many times a side of a window barrier polls before
+// it parks. Each poll yields the processor, so the bound comes to tens of
+// microseconds of host time: long enough to outlast a typical fleet
+// window, so with a processor free for each side a barrier completes
+// without parking, and short enough that a side left waiting soon stops
+// taking a processor from the rest.
+const spinPolls = 256
+
+// gate hands one goroutine's progress to another: the signaller advances
+// an epoch, and the waiter waits until the epoch reaches the one it
+// expects, polling for a bounded number of times before it parks. The low
+// bit of state records a parked waiter; the signaller's swap clears it
+// and wakes the waiter only then, so neither side can miss the other.
+type gate struct {
+	state atomic.Uint64 // epoch<<1 | parked
+	wake  chan struct{} // one token per parked wait; buffered 1
+}
+
+// signal advances the gate to epoch, waking the waiter if it parked.
+func (g *gate) signal(epoch uint64) {
+	if g.state.Swap(epoch<<1)&1 != 0 {
+		g.wake <- struct{}{}
+	}
+}
+
+// wait returns once the gate reaches epoch, which must be one past its
+// current epoch. It polls up to spin times, then parks.
+func (g *gate) wait(epoch uint64, spin int) {
+	for range spin {
+		if g.state.Load()>>1 == epoch {
+			return
+		}
+		runtime.Gosched()
+	}
+	if prev := (epoch - 1) << 1; g.state.CompareAndSwap(prev, prev|1) {
+		<-g.wake
+	}
+}
+
+// shardWorker is one shard's persistent window-execution goroutine. The
+// coordinator hands it a window through start and waits for it through
+// done; both count the windows handed out so far.
+type shardWorker struct {
+	eng     *Engine
+	spin    int
+	windows uint64
+	// end and failure pass a window's deadline to the worker and its
+	// panic back; the gates order each write before the other side's read.
+	end         Time
+	failure     any
+	start, done gate
+}
+
+// begin hands the worker the window ending at end.
+func (w *shardWorker) begin(end Time) {
+	w.end = end
+	w.windows++
+	w.start.signal(w.windows)
+}
+
+// finish waits for the worker's window and returns its panic, if any.
+func (w *shardWorker) finish() any {
+	w.done.wait(w.windows, w.spin)
+	return w.failure
+}
+
+// loop runs windows until it is handed the stop deadline.
+func (w *shardWorker) loop() {
+	for n := uint64(1); ; n++ {
+		w.start.wait(n, w.spin)
+		if w.end == stopWorker {
+			return
+		}
+		w.failure = runShard(w.eng, w.end)
+		w.done.signal(n)
+	}
+}
+
+// stopWorker is the deadline that tells a worker to exit.
+const stopWorker = Time(-1)
+
+// startWorkers starts a worker for every shard but the first, which only
+// ever runs on the coordinator (it is the first active shard whenever it
+// is active). Both sides of a barrier spin only when there is a second
+// processor to run the other side meanwhile.
+func (ss *ShardSet) startWorkers() {
+	if len(ss.engines) == 1 {
+		return
+	}
+	spin := 0
+	if runtime.GOMAXPROCS(0) > 1 {
+		spin = spinPolls
+	}
+	ss.workers = make([]*shardWorker, len(ss.engines))
+	for i, e := range ss.engines[1:] {
+		w := &shardWorker{eng: e, spin: spin}
+		w.start.wake = make(chan struct{}, 1)
+		w.done.wake = make(chan struct{}, 1)
+		ss.workers[i+1] = w
+		ss.running.Add(1)
+		go func() {
+			defer ss.running.Done()
+			w.loop()
+		}()
+	}
+}
+
+// stopWorkers stops every worker and returns once all have exited.
 func (ss *ShardSet) stopWorkers() {
 	for _, w := range ss.workers {
-		close(w.start)
+		if w != nil {
+			w.begin(stopWorker)
+		}
 	}
+	ss.running.Wait()
 	ss.workers = nil
 }

@@ -3,8 +3,12 @@ package sim
 import (
 	"fmt"
 	"math/rand"
+	"runtime"
 	"slices"
+	"strings"
+	"sync/atomic"
 	"testing"
+	"time"
 )
 
 // TestShardSetValidation covers the constructor's argument checks.
@@ -62,9 +66,10 @@ func forShardCounts(t *testing.T, fn func(t *testing.T, engines int)) {
 }
 
 // TestProcPanicReachesRunCaller: a panic inside a simulated process must
-// unwind to the caller of Run — on a lone engine and through a two-engine
-// set's worker, whose recover re-raises it on the coordinator — so a
-// crashed simulation can be recovered instead of killing the program.
+// unwind to the caller of Run — on a lone engine, from the shard a
+// two-engine set's coordinator runs inline, and through the worker of the
+// other shard, whose recover hands it to the coordinator — so a crashed
+// simulation can be recovered instead of killing the program.
 func TestProcPanicReachesRunCaller(t *testing.T) {
 	caught := func(run func()) (r any) {
 		defer func() { r = recover() }()
@@ -82,14 +87,160 @@ func TestProcPanicReachesRunCaller(t *testing.T) {
 		t.Errorf("one engine: recovered %v, want boom", r)
 	}
 
-	// Both engines have work in the first window, so both run it on their
-	// workers rather than inline on the coordinator.
-	es := []*Engine{NewEngine(1), NewEngine(1)}
-	ss := NewShardSet(100, es)
-	es[0].Go("boom", boom)
-	es[1].Go("idle", func(p *Proc) { p.Sleep(10) })
-	if r := caught(ss.Run); r != "boom" {
-		t.Errorf("two-engine set: recovered %v, want boom", r)
+	// Both engines have work in the first window, so shard 0 runs it
+	// inline on the coordinator and shard 1 on its worker.
+	for bad := range 2 {
+		es := []*Engine{NewEngine(1), NewEngine(1)}
+		ss := NewShardSet(100, es)
+		es[bad].Go("boom", boom)
+		es[1-bad].Go("idle", func(p *Proc) { p.Sleep(10) })
+		if r := caught(ss.Run); r != "boom" {
+			t.Errorf("two-engine set, panic on shard %d: recovered %v, want boom", bad, r)
+		}
+	}
+}
+
+// TestShardSetPanicWaitsForWorkers: a panic on one shard reaches the
+// caller of Run only once every other shard has finished the window, so
+// no worker is still touching simulation state when the caller recovers.
+// The panicking shard lets the other one into its window, then panics
+// while it is still running.
+func TestShardSetPanicWaitsForWorkers(t *testing.T) {
+	for bad := range 2 {
+		es := []*Engine{NewEngine(1), NewEngine(1)}
+		ss := NewShardSet(100, es)
+		entered, release := make(chan struct{}), make(chan struct{})
+		var finished atomic.Bool
+		es[1-bad].At(10, func() {
+			close(entered)
+			<-release
+			time.Sleep(20 * time.Millisecond)
+			finished.Store(true)
+		})
+		es[bad].At(10, func() {
+			<-entered
+			close(release)
+			panic("boom")
+		})
+		r := func() (r any) {
+			defer func() { r = recover() }()
+			ss.Run()
+			return nil
+		}()
+		if r != "boom" {
+			t.Errorf("panic on shard %d: recovered %v, want boom", bad, r)
+		}
+		if !finished.Load() {
+			t.Errorf("panic on shard %d reached the caller while shard %d was mid-window", bad, 1-bad)
+		}
+	}
+}
+
+// TestShardSetWorkersExit: no worker goroutine outlives Run, whether it
+// returns or panics.
+func TestShardSetWorkersExit(t *testing.T) {
+	for _, fail := range []bool{false, true} {
+		es := []*Engine{NewEngine(1), NewEngine(1), NewEngine(1)}
+		ss := NewShardSet(100, es)
+		for i, e := range es {
+			e.At(Time(10*i), func() {
+				if fail && i == 2 {
+					panic("boom")
+				}
+			})
+		}
+		func() {
+			defer func() {
+				if r := recover(); (r != nil) != fail {
+					t.Errorf("fail=%v: recovered %v", fail, r)
+				}
+			}()
+			ss.Run()
+		}()
+		// Run has waited for every worker to leave its loop; give the
+		// goroutines the moment they need to return from it.
+		deadline := time.Now().Add(5 * time.Second)
+		for workerGoroutines() > 0 {
+			if time.Now().After(deadline) {
+				t.Fatalf("fail=%v: %d worker goroutines still alive after Run", fail, workerGoroutines())
+			}
+			runtime.Gosched()
+		}
+	}
+}
+
+// workerGoroutines counts the goroutines running a shard worker's loop.
+func workerGoroutines() int {
+	buf := make([]byte, 1<<20)
+	return strings.Count(string(buf[:runtime.Stack(buf, true)]), "(*shardWorker).loop")
+}
+
+// TestShardSetBarrierParks is the barrier's lost-wakeup stress test: three
+// shards run a few thousand windows in which, now and then, a shard or a
+// barrier hook sleeps on the host for longer than a side spins, so both
+// the coordinator and the workers park and are woken. At GOMAXPROCS 1
+// neither side spins. Every window's events must run, and each shard's
+// trace must be the serial one.
+func TestShardSetBarrierParks(t *testing.T) {
+	for _, procs := range []int{1, 2} {
+		t.Run(fmt.Sprintf("GOMAXPROCS=%d", procs), func(t *testing.T) {
+			defer runtime.GOMAXPROCS(runtime.GOMAXPROCS(procs))
+			const L, windows = Duration(100), 2000
+			ns := newNodeSet(L, 3, 3)
+			rng := rand.New(rand.NewSource(int64(procs)))
+			// Which windows sleep is drawn up front: the shards must not
+			// share an RNG while they run.
+			nap := make([][]bool, 3)
+			for n := range nap {
+				nap[n] = make([]bool, windows)
+				for w := range nap[n] {
+					nap[n][w] = rng.Intn(16) == 0
+				}
+			}
+			hookNaps := 0
+			ns.ss.AddBarrierHook(func() {
+				if hookNaps++; hookNaps%16 == 0 {
+					time.Sleep(200 * time.Microsecond)
+				}
+			})
+			got := make([][]Time, 3)
+			for n := range 3 {
+				dst := (n + 1) % 3
+				var tick func(w int)
+				tick = func(w int) {
+					if nap[n][w] {
+						time.Sleep(200 * time.Microsecond)
+					}
+					if w+1 < windows {
+						ns.post(n, dst, ns.nodes[n].Now()+L, uint64(w), func() {
+							got[dst] = append(got[dst], ns.nodes[dst].Now())
+						})
+						ns.nodes[n].After(L, func() { tick(w + 1) })
+					}
+				}
+				ns.nodes[n].At(0, func() { tick(0) })
+			}
+			done := make(chan struct{})
+			go func() {
+				defer close(done)
+				ns.ss.Run()
+			}()
+			select {
+			case <-done:
+			case <-time.After(time.Minute):
+				t.Fatal("shard set hung: a barrier lost its wakeup")
+			}
+			for n, times := range got {
+				if len(times) != windows-1 {
+					t.Fatalf("node %d received %d messages, want %d", n, len(times), windows-1)
+				}
+				for w, at := range times {
+					if want := Time(w+1) * L; at != want {
+						t.Fatalf("node %d message %d arrived at %d, want %d", n, w, at, want)
+					}
+				}
+			}
+		})
 	}
 }
 
