@@ -363,8 +363,9 @@ func (cl *Cluster) RunFor(budget sim.Duration, body func(c *mpi.Comm)) bool {
 	return cl.World.AllDone()
 }
 
-// dropFreePages empties every node's recycled-page free list once a run
-// ends, so a finished simulation holds no pooled page buffers.
+// dropFreePages empties every node's recycled page and frame free lists
+// once a run ends, so a finished simulation holds no pooled page buffers
+// or frames.
 func (cl *Cluster) dropFreePages() {
 	for _, n := range cl.Nodes {
 		n.Phys.DropFreePages()

@@ -6,6 +6,7 @@ import (
 
 	"omxsim/internal/cpu"
 	"omxsim/internal/policy"
+	"omxsim/internal/vm"
 )
 
 func TestNoPinningNeverPins(t *testing.T) {
@@ -105,5 +106,51 @@ func TestNoPinningVectorial(t *testing.T) {
 	}
 	if !bytes.Equal(got, data) {
 		t.Fatal("vectorial no-pin round trip failed")
+	}
+}
+
+// TestNoPinningBufByReference: a page-table-translated region lends its
+// live pages through ReadBufAt and writes a Buf through WriteBufAt, one
+// segment piece at a time from one BufWriter. The lent view keeps the
+// snapshot a copy would have taken, whether the destination's segments
+// split the range at a page boundary (whole pages adopted) or mid-page
+// (copied).
+func TestNoPinningBufByReference(t *testing.T) {
+	h := newHarness(t)
+	m := h.manager(ManagerConfig{Policy: policy.NoPinning})
+	const n = 5 * vm.PageSize
+	src, a1, a2 := h.buf(t, 256<<10), h.buf(t, 256<<10), h.buf(t, 256<<10)
+	want := make([]byte, n)
+	for i := range want {
+		want[i] = byte(i*7 + 1)
+	}
+	rs, _ := m.Declare([]Segment{{src, n}})
+	for _, segs := range [][]Segment{
+		{{a1, 2 * vm.PageSize}, {a2, 3 * vm.PageSize}},
+		{{a1 + 100, 3000}, {a2 + 5, n - 3000}},
+	} {
+		rd, err := m.Declare(segs)
+		if err != nil {
+			t.Fatal(err)
+		}
+		m.Acquire(rs)
+		m.Acquire(rd)
+		h.eng.Run()
+		h.as.Write(src, want)
+		b, err := rs.ReadBufAt(0, n)
+		if err != nil {
+			t.Fatal(err)
+		}
+		h.as.Write(src, []byte("rewritten")) // after the loan: clones
+		if err := rd.WriteBufAt(0, &b); err != nil {
+			t.Fatal(err)
+		}
+		b.Release()
+		got := make([]byte, n)
+		if err := rd.ReadAt(0, got); err != nil || !bytes.Equal(got, want) {
+			t.Fatalf("segments %v: the region does not hold the lent snapshot (err %v)", segs, err)
+		}
+		m.Release(rs)
+		m.Release(rd)
 	}
 }

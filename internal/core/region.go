@@ -75,11 +75,12 @@ const (
 	statePinned
 )
 
-// segPin holds the pin handles and flattened frames of one segment.
+// segPin holds the pin handles and flattened frame references of one
+// segment.
 type segPin struct {
 	pages   int // total pages covering the segment
 	handles []*vm.Pinned
-	frames  []*vm.Frame // flattened, one per pinned page so far
+	frames  []vm.FrameRef // flattened, one per pinned page so far
 }
 
 // Region is a declared user region (driver side).
@@ -345,53 +346,63 @@ func (r *Region) odpReady(off, length int) bool {
 	return false
 }
 
-// access iterates the pinned frames covering [off, off+length). NoPinning
-// regions delegate to the virtual accessors instead.
+// segments splits the region byte range [off, off+length) into its
+// per-segment pieces and calls fn with each piece's segment index, virtual
+// address, offset into the range and length, stopping at the first error.
+// Every accessor walks the range through it: page-table-translated regions
+// hand each piece to the address space, pinned ones split it further into
+// pinned frames (access).
+func (r *Region) segments(off, length int, fn func(si int, a vm.Addr, done, n int) error) error {
+	if off < 0 || off+length > r.bytes {
+		return fmt.Errorf("core: access [%d,%d) outside region of %d bytes", off, off+length, r.bytes)
+	}
+	done := 0
+	for si, seg := range r.segs {
+		if done == length {
+			break
+		}
+		if off >= seg.Len {
+			off -= seg.Len
+			continue
+		}
+		n := min(seg.Len-off, length-done)
+		if err := fn(si, seg.Addr+vm.Addr(off), done, n); err != nil {
+			return err
+		}
+		off, done = 0, done+n
+	}
+	return nil
+}
+
+// access iterates the pinned frames covering [off, off+length), resolving
+// each through the pin table's generation-stamped references.
 func (r *Region) access(off, length int, fn func(f *vm.Frame, frameOff, n, done int)) error {
 	if !r.Ready(off, length) {
 		return fmt.Errorf("core: access [%d,%d) beyond pinned prefix (%d/%d pages): %w",
 			off, off+length, r.pinnedPages, r.pages, ErrPinFailed)
 	}
-	done := 0
-	segOff := off
-	for si, seg := range r.segs {
-		if segOff >= seg.Len {
-			segOff -= seg.Len
-			continue
+	return r.segments(off, length, func(si int, a vm.Addr, done, n int) error {
+		frames := r.segPin[si].frames
+		base := vm.PageAlignDown(r.segs[si].Addr)
+		for end := done + n; done < end; {
+			frameOff := int(a & (vm.PageSize - 1))
+			m := min(vm.PageSize-frameOff, end-done)
+			fn(frames[(vm.PageAlignDown(a)-base)>>vm.PageShift].Frame(), frameOff, m, done)
+			a += vm.Addr(m)
+			done += m
 		}
-		sp := &r.segPin[si]
-		for done < length && segOff < seg.Len {
-			a := seg.Addr + vm.Addr(segOff)
-			pageIdx := int((vm.PageAlignDown(a) - vm.PageAlignDown(seg.Addr)) >> vm.PageShift)
-			frameOff := int(a - vm.PageAlignDown(a))
-			n := vm.PageSize - frameOff
-			if n > length-done {
-				n = length - done
-			}
-			if n > seg.Len-segOff {
-				n = seg.Len - segOff
-			}
-			f := sp.frames[pageIdx]
-			fn(f, frameOff, n, done)
-			done += n
-			segOff += n
-		}
-		segOff = 0
-		if done >= length {
-			return nil
-		}
-	}
-	if done != length {
-		return fmt.Errorf("core: internal: accessed %d of %d bytes", done, length)
-	}
-	return nil
+		return nil
+	})
 }
 
 // ReadBufAt returns a zero-copy (copy-on-reference) view of length bytes at
-// region byte offset off, through the pinned frames. This is the device-side
-// read the sender's pull path uses: O(pages) references instead of O(bytes)
-// copies; see vm.Buf for the snapshot semantics. The range must be Ready.
-// The view holds page references: its final consumer must Release it.
+// region byte offset off. This is the device-side read the sender's pull
+// path uses: O(pages) references instead of O(bytes) copies; see vm.Buf
+// for the snapshot semantics. Pinned regions read through their pinned
+// frames and the range must be Ready; page-table-translated ones (the
+// NIC-MMU model) lend the live page table's pages through
+// vm.AddressSpace.ReadBuf. The view holds page references: its final
+// consumer must Release it.
 func (r *Region) ReadBufAt(off, length int) (vm.Buf, error) {
 	if r.parent != nil {
 		if off < 0 || off+length > r.bytes {
@@ -400,23 +411,20 @@ func (r *Region) ReadBufAt(off, length int) (vm.Buf, error) {
 		}
 		return r.parent.ReadBufAt(r.parentOff+off, length)
 	}
+	// Each segment's piece of the range spans at most its length/PageSize+2
+	// pages.
 	var b vm.Buf
+	b.Grow(length/vm.PageSize + 2*len(r.segs))
+	var err error
 	if r.noPin {
-		// NIC-MMU model: translate through the live page table; the copy is
-		// part of the model, so materialize.
-		dst := make([]byte, length)
-		if err := r.virtAccess(off, length, func(a vm.Addr, bb []byte) error {
-			return r.as.Read(a, bb)
-		}, dst); err != nil {
-			return b, err
-		}
-		return vm.BufOf(dst), nil
+		err = r.segments(off, length, func(_ int, a vm.Addr, _, n int) error {
+			return r.as.ReadBuf(a, n, &b)
+		})
+	} else {
+		err = r.access(off, length, func(f *vm.Frame, fo, n, _ int) {
+			b.AppendFrame(f, fo, n)
+		})
 	}
-	// A range of length bytes spans at most length/PageSize+2 pages.
-	b.Grow(length/vm.PageSize + 2)
-	err := r.access(off, length, func(f *vm.Frame, fo, n, done int) {
-		b.AppendFrame(f, fo, n)
-	})
 	if err != nil {
 		b.Release()
 	}
@@ -425,7 +433,8 @@ func (r *Region) ReadBufAt(off, length int) (vm.Buf, error) {
 
 // WriteBufAt writes a zero-copy view into the region at byte offset off,
 // adopting whole-page chunks by reference (the receive-side analogue of
-// ReadBufAt). The range must be Ready.
+// ReadBufAt): into the pinned frames, which must be Ready, or through the
+// live page table for page-table-translated regions.
 func (r *Region) WriteBufAt(off int, b *vm.Buf) error {
 	if r.parent != nil {
 		if off < 0 || off+b.Len() > r.bytes {
@@ -434,11 +443,13 @@ func (r *Region) WriteBufAt(off int, b *vm.Buf) error {
 		}
 		return r.parent.WriteBufAt(r.parentOff+off, b)
 	}
-	if r.noPin {
-		return r.WriteAt(off, b.Bytes())
-	}
 	w := vm.NewBufWriter(b)
-	return r.access(off, b.Len(), func(f *vm.Frame, fo, n, done int) {
+	if r.noPin {
+		return r.segments(off, b.Len(), func(_ int, a vm.Addr, _, n int) error {
+			return r.as.WriteBuf(a, &w, n)
+		})
+	}
+	return r.access(off, b.Len(), func(f *vm.Frame, fo, n, _ int) {
 		w.WriteTo(f, fo, n)
 	})
 }
@@ -456,9 +467,9 @@ func (r *Region) ReadAt(off int, dst []byte) error {
 		return r.parent.ReadAt(r.parentOff+off, dst)
 	}
 	if r.noPin {
-		return r.virtAccess(off, len(dst), func(a vm.Addr, b []byte) error {
-			return r.as.Read(a, b)
-		}, dst)
+		return r.segments(off, len(dst), func(_ int, a vm.Addr, done, n int) error {
+			return r.as.Read(a, dst[done:done+n])
+		})
 	}
 	return r.access(off, len(dst), func(f *vm.Frame, fo, n, done int) {
 		f.Read(fo, dst[done:done+n])
@@ -476,42 +487,13 @@ func (r *Region) WriteAt(off int, src []byte) error {
 		return r.parent.WriteAt(r.parentOff+off, src)
 	}
 	if r.noPin {
-		return r.virtAccess(off, len(src), func(a vm.Addr, b []byte) error {
-			return r.as.Write(a, b)
-		}, src)
+		return r.segments(off, len(src), func(_ int, a vm.Addr, done, n int) error {
+			return r.as.Write(a, src[done:done+n])
+		})
 	}
 	return r.access(off, len(src), func(f *vm.Frame, fo, n, done int) {
 		f.Write(fo, src[done:done+n])
 	})
-}
-
-// virtAccess walks the segment list and performs op on each virtual piece
-// of [off, off+length).
-func (r *Region) virtAccess(off, length int, op func(vm.Addr, []byte) error, buf []byte) error {
-	if off < 0 || off+length > r.bytes {
-		return fmt.Errorf("core: access [%d,%d) outside region of %d bytes", off, off+length, r.bytes)
-	}
-	done := 0
-	segOff := off
-	for _, seg := range r.segs {
-		if segOff >= seg.Len {
-			segOff -= seg.Len
-			continue
-		}
-		n := seg.Len - segOff
-		if n > length-done {
-			n = length - done
-		}
-		if err := op(seg.Addr+vm.Addr(segOff), buf[done:done+n]); err != nil {
-			return err
-		}
-		done += n
-		segOff = 0
-		if done >= length {
-			return nil
-		}
-	}
-	return nil
 }
 
 // pinnedOverlaps reports whether [start,end) intersects the region's

@@ -96,7 +96,9 @@ type Config struct {
 	// ChurnBytes, when positive, runs a memory hog on every server rank:
 	// a background process dirtying this much buffer every ChurnPeriod,
 	// overcommitting the node's frame budget so reclaim pressure on the
-	// value heaps is emergent (the PR 5 machinery).
+	// value heaps is emergent (vm's reclaim machinery). The hog writes one
+	// shared dirt page by reference into each whole page of its buffer
+	// and copies only a final partial page, never past ChurnBytes.
 	ChurnBytes int
 	// ChurnPeriod is the hog's sweep period (default 200µs).
 	ChurnPeriod sim.Duration
@@ -381,6 +383,9 @@ func runServer(c *mpi.Comm, sink Sink, cfg Config) {
 	// Memory hog: emergent pressure against the node's frame budget,
 	// sweeping a churn arena while the serving loop runs (the PR 5
 	// reclaim machinery steals cold heap pages — unless they're pinned).
+	// Every whole churn page takes the same dirt page by reference: the
+	// sweep faults, swaps in and steals exactly as a copy would, but moves
+	// no bytes.
 	hogStop := false
 	var hogDone *sim.Completion
 	if cfg.ChurnBytes > 0 {
@@ -388,13 +393,16 @@ func runServer(c *mpi.Comm, sink Sink, cfg Config) {
 		churn := mustMalloc(ep, cfg.ChurnBytes)
 		eng.Go(fmt.Sprintf("kv-srv%d-hog", rank), func(p *sim.Proc) {
 			defer hogDone.Complete(eng, nil)
-			dirt := make([]byte, vm.PageSize)
-			for i := range dirt {
-				dirt[i] = byte(i + 1)
+			pattern := make([]byte, vm.PageSize)
+			for i := range pattern {
+				pattern[i] = byte(i + 1)
 			}
+			dirt := vm.PageBuf(pattern)
+			defer dirt.Release()
 			for !hogStop {
 				for off := 0; off < cfg.ChurnBytes && !hogStop; off += vm.PageSize {
-					if err := ep.AS.Write(churn+vm.Addr(off), dirt); err != nil {
+					w := vm.NewBufWriter(&dirt)
+					if err := ep.AS.WriteBuf(churn+vm.Addr(off), &w, min(vm.PageSize, cfg.ChurnBytes-off)); err != nil {
 						panic(fmt.Sprintf("kv: server %d churn: %v", rank, err))
 					}
 				}

@@ -166,6 +166,14 @@ func (c *Comm) WriteBytes(a vm.Addr, b []byte) {
 	}
 }
 
+// WriteBuf writes the next n bytes of w at a, adopting whole pages by
+// reference (see vm.AddressSpace.WriteBuf).
+func (c *Comm) WriteBuf(a vm.Addr, w *vm.BufWriter, n int) {
+	if err := c.ep.AS.WriteBuf(a, w, n); err != nil {
+		panic(fmt.Sprintf("mpi: rank %d write: %v", c.rank, err))
+	}
+}
+
 // ReadBytes copies n bytes at a into a fresh slice.
 func (c *Comm) ReadBytes(a vm.Addr, n int) []byte {
 	b := make([]byte, n)

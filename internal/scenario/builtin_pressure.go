@@ -22,6 +22,9 @@ import (
 // frame budget. The comm buffer is written first, so its frames are the
 // oldest the reclaim scan visits: a pinned backend must resist exactly
 // there. churnCompute gives kswapd simulated time to run between rounds.
+// The hog writes one shared dirt page by reference into each whole page
+// of its buffer (faulting and reclaiming exactly as a copy would) and
+// copies only a final partial page, never past churnBytes.
 func pressureWorkload(rounds, commBytes, churnBytes int, churnCompute sim.Duration) Workload {
 	return func(c *mpi.Comm, cr *CaseRun) {
 		half := c.Size() / 2
@@ -36,15 +39,18 @@ func pressureWorkload(rounds, commBytes, churnBytes int, churnCompute sim.Durati
 		if cr.Param("advise") != "" {
 			c.Advise(comm, commBytes)
 		}
-		dirt := make([]byte, vm.PageSize)
-		for i := range dirt {
-			dirt[i] = byte(i + 1)
+		pattern := make([]byte, vm.PageSize)
+		for i := range pattern {
+			pattern[i] = byte(i + 1)
 		}
+		dirt := vm.PageBuf(pattern)
+		defer dirt.Release()
 		c.Barrier()
 		start := c.Now()
 		for r := 0; r < rounds; r++ {
 			for off := 0; off < churnBytes; off += vm.PageSize {
-				c.WriteBytes(churn+vm.Addr(off), dirt)
+				w := vm.NewBufWriter(&dirt)
+				c.WriteBuf(churn+vm.Addr(off), &w, min(vm.PageSize, churnBytes-off))
 			}
 			c.Compute(churnCompute)
 			if c.Rank() < half {

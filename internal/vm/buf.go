@@ -105,6 +105,25 @@ func BufOf(data []byte) Buf {
 	return b
 }
 
+// PageBuf returns a Buf that owns page buffers holding a copy of data, one
+// chunk a page (the last may be partial). Written at a page-aligned address
+// through AddressSpace.WriteBuf, its whole pages are adopted by reference:
+// a writer that stores the same contents over and over (a memory hog
+// dirtying its pages) builds it once and copies no bytes per write. The
+// Buf holds one reference per page; Release it when done.
+func PageBuf(data []byte) Buf {
+	var b Buf
+	b.Grow(PageCount(0, len(data)))
+	for off := 0; off < len(data); off += PageSize {
+		pg := &page{data: new([PageSize]byte)}
+		pg.refs.Store(1)
+		n := copy(pg.data[:], data[off:])
+		b.chunks = append(b.chunks, bufChunk{data: pg.data[:], pg: pg, n: n})
+		b.length += n
+	}
+	return b
+}
+
 // CopyTo materializes the view into dst, which must be at least Len bytes.
 func (b *Buf) CopyTo(dst []byte) {
 	pos := 0

@@ -124,3 +124,53 @@ func TestBufPartialPageCopies(t *testing.T) {
 		t.Fatalf("released source page has %d holders, want 1", refs)
 	}
 }
+
+// TestPageBufAdoptedByReference: WriteBuf adopts a PageBuf's whole pages
+// into page-aligned frames and copies its partial last page; written at
+// an unaligned address, every piece is copied. A later write to an
+// adopting frame clones, so the PageBuf keeps its bytes, and once every
+// adopter has cloned away, releasing the PageBuf leaves its pages unheld.
+func TestPageBufAdoptedByReference(t *testing.T) {
+	const n = 2*PageSize + 100
+	data := make([]byte, n)
+	for i := range data {
+		data[i] = byte(i*13 + 1)
+	}
+	pb := PageBuf(data)
+	as := NewAddressSpace(1, NewPhysMem(0))
+	a, _ := as.Mmap(4 * PageSize)
+	w := NewBufWriter(&pb)
+	if err := as.WriteBuf(a, &w, n); err != nil {
+		t.Fatal(err)
+	}
+	for i, c := range pb.chunks {
+		f, _ := as.FrameAt(a + Addr(i)<<PageShift)
+		if adopted := f.pg == c.pg; adopted != (c.n == PageSize) {
+			t.Fatalf("page %d: adopted=%v for a %d-byte chunk", i, adopted, c.n)
+		}
+	}
+	as.Write(a, []byte{0xFF})
+	if f, _ := as.FrameAt(a); f.pg == pb.chunks[0].pg {
+		t.Fatal("a write into an adopted page did not clone it")
+	}
+	if !bytes.Equal(pb.Bytes(), data) {
+		t.Fatal("the PageBuf changed under a write to an adopting frame")
+	}
+	u := a + PageSize + 7
+	w = NewBufWriter(&pb)
+	if err := as.WriteBuf(u, &w, PageSize+1); err != nil {
+		t.Fatal(err)
+	}
+	got := make([]byte, PageSize+1)
+	as.Read(u, got)
+	if !bytes.Equal(got, data[:PageSize+1]) {
+		t.Fatal("an unaligned WriteBuf wrote the wrong bytes")
+	}
+	chunks := pb.chunks
+	pb.Release()
+	for i, c := range chunks {
+		if n := c.pg.refs.Load(); n != 0 {
+			t.Fatalf("page %d of the released PageBuf still has %d holders", i, n)
+		}
+	}
+}

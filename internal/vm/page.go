@@ -71,7 +71,11 @@ func (pm *PhysMem) putPage(pg *page) {
 // because a frame or swap slot dropped their last reference.
 func (pm *PhysMem) RecycledPages() uint64 { return pm.recycled }
 
-// DropFreePages empties the free list, leaving its pages to the garbage
-// collector. A run's end calls it so an idle simulation holds no pooled
-// page buffers.
-func (pm *PhysMem) DropFreePages() { pm.freePages = nil }
+// DropFreePages empties the page and frame free lists, leaving what they
+// held to the garbage collector. A run's end calls it so an idle
+// simulation holds no pooled page buffers or frames. A FrameRef to a
+// dropped frame stays stale: its generation moved on at release.
+func (pm *PhysMem) DropFreePages() {
+	pm.freePages = nil
+	pm.spareFrames = nil
+}

@@ -15,6 +15,7 @@ type pageLedger struct {
 	pm       *PhysMem
 	bufs     map[*Buf]bool
 	lentPage map[*page]bool
+	bufPages int // pages made by PageBuf, outside any PhysMem
 }
 
 func newPageLedger(pm *PhysMem) *pageLedger {
@@ -42,13 +43,26 @@ func (l *pageLedger) lend(as *AddressSpace, addr Addr, n int) (*Buf, bool) {
 		b.AppendFrame(f, off, m)
 		done += m
 	}
+	l.register(b)
+	return b, true
+}
+
+// register counts a live Buf's page references as holders until it is
+// released.
+func (l *pageLedger) register(b *Buf) {
 	for _, c := range b.chunks {
 		if c.pg != nil {
 			l.lentPage[c.pg] = true
 		}
 	}
 	l.bufs[b] = true
-	return b, true
+}
+
+// own registers a PageBuf: its references count like a lent Buf's, and its
+// pages, which no PhysMem made, count in the teardown total.
+func (l *pageLedger) own(b *Buf) {
+	l.register(b)
+	l.bufPages += len(b.chunks)
 }
 
 // release releases a lent Buf.
@@ -77,8 +91,8 @@ func (l *pageLedger) check(spaces []*AddressSpace, pins []*Pinned) error {
 		}
 	}
 	for _, h := range pins {
-		for _, f := range h.Frames() {
-			frames[f] = true
+		for _, r := range h.Frames() {
+			frames[r.Frame()] = true
 		}
 	}
 	for f := range frames {
@@ -112,8 +126,9 @@ func (l *pageLedger) check(spaces []*AddressSpace, pins []*Pinned) error {
 }
 
 // checkTornDown verifies the ledger after every mapping, pin and Buf is
-// gone: every page ever made is back on the free list or was last held by
-// a released Buf, and none of them has a holder left.
+// gone: every page ever made, by the PhysMem or by a PageBuf, is back on
+// the free list or was last held by a released Buf, and none of them has a
+// holder left.
 func (l *pageLedger) checkTornDown() error {
 	if len(l.bufs) != 0 {
 		return fmt.Errorf("%d Bufs still lent", len(l.bufs))
@@ -130,8 +145,8 @@ func (l *pageLedger) checkTornDown() error {
 			return fmt.Errorf("page %p still has count %d", pg, n)
 		}
 	}
-	if uint64(len(seen)) != l.pm.pagesMade {
-		return fmt.Errorf("%d pages made, %d accounted for", l.pm.pagesMade, len(seen))
+	if made := l.pm.pagesMade + uint64(l.bufPages); uint64(len(seen)) != made {
+		return fmt.Errorf("%d pages made, %d accounted for", made, len(seen))
 	}
 	return nil
 }
@@ -283,5 +298,82 @@ func TestPageRefsConcurrentRelease(t *testing.T) {
 		if n := pg.refs.Load(); n != 0 {
 			t.Fatalf("free-list page has count %d", n)
 		}
+	}
+}
+
+// TestPageRefsConcurrentAdopt is the page-table-translated pull path
+// across two engine shards: one goroutine owns the sender's memory and
+// lends ranges through ReadBuf; another owns the receiver's, adopts each
+// loan through WriteBuf into its own mapping, releases it and lets its
+// frames go. Pages cross between the two PhysMems by reference and end on
+// whichever free list their last holder belongs to. Run it under -race;
+// every adopted range must read what was lent.
+func TestPageRefsConcurrentAdopt(t *testing.T) {
+	const (
+		rounds = 200
+		pages  = 4
+		n      = pages * PageSize
+	)
+	type loan struct {
+		b    *Buf
+		want []byte
+	}
+	// As in TestPageRefsConcurrentRelease, a few loans of slack let the
+	// sender rewrite and free before and after each adoption.
+	loans := make(chan loan, 8)
+	errs := make(chan error, 1)
+	fail := func(err error) {
+		select {
+		case errs <- err:
+		default:
+		}
+	}
+	var wg sync.WaitGroup
+	wg.Add(1)
+	go func() {
+		defer wg.Done()
+		as := NewAddressSpace(2, NewPhysMem(0))
+		got := make([]byte, n)
+		for ln := range loans {
+			a, _ := as.Mmap(n)
+			w := NewBufWriter(ln.b)
+			if err := as.WriteBuf(a, &w, n); err != nil {
+				fail(err)
+			}
+			ln.b.Release()
+			as.Read(a, got)
+			if !bytes.Equal(got, ln.want) {
+				fail(fmt.Errorf("adopted range differs from the loan"))
+			}
+			// Write into an adopted page while the sender may still hold
+			// it (a clone), then let every frame go.
+			as.Write(a+PageSize/2, []byte{0x5A})
+			as.Munmap(a, n)
+		}
+	}()
+	as := NewAddressSpace(1, NewPhysMem(0))
+	data := make([]byte, n)
+	for r := 0; r < rounds; r++ {
+		a, _ := as.Mmap(n)
+		for i := range data {
+			data[i] = byte(r + i/PageSize)
+		}
+		as.Write(a, data)
+		b := &Buf{}
+		if err := as.ReadBuf(a, n, b); err != nil {
+			close(loans)
+			wg.Wait()
+			t.Fatal(err)
+		}
+		loans <- loan{b: b, want: append([]byte(nil), data...)}
+		as.Write(a, bytes.Repeat([]byte{0xAA}, n/2))
+		as.Munmap(a, n)
+	}
+	close(loans)
+	wg.Wait()
+	select {
+	case err := <-errs:
+		t.Fatal(err)
+	default:
 	}
 }

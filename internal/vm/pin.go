@@ -10,7 +10,7 @@ import "fmt"
 type Pinned struct {
 	as     *AddressSpace
 	start  Addr // page aligned
-	frames []*Frame
+	frames []FrameRef
 	active bool
 }
 
@@ -45,7 +45,7 @@ func (as *AddressSpace) PinPages(addr Addr, first, count int) (*Pinned, error) {
 // traversal, no per-page lookups (the batching NP-RDMA and eBPF-mm identify
 // as the difference between per-page and per-range costs).
 func (as *AddressSpace) pinRange(start Addr, count int) (*Pinned, error) {
-	p := &Pinned{as: as, start: start, frames: make([]*Frame, 0, count), active: true}
+	p := &Pinned{as: as, start: start, frames: make([]FrameRef, 0, count), active: true}
 	a := start
 	end := start + Addr(count)<<PageShift
 	for a < end {
@@ -70,7 +70,7 @@ func (as *AddressSpace) pinRange(start Addr, count int) (*Pinned, error) {
 				}
 				f.pinRefs++
 				pt.pins++
-				p.frames = append(p.frames, f)
+				p.frames = append(p.frames, f.ref())
 				a += PageSize
 			}
 			i += n
@@ -90,13 +90,14 @@ func (p *Pinned) Active() bool { return p.active }
 
 // Frame returns pinned page i's frame. This is the translation a driver
 // uses for device access: stable for the lifetime of the handle.
-func (p *Pinned) Frame(i int) *Frame { return p.frames[i] }
+func (p *Pinned) Frame(i int) *Frame { return p.frames[i].Frame() }
 
-// Frames returns the handle's frame slice (one entry per pinned page). The
+// Frames returns the handle's frame references (one per pinned page). The
 // slice is owned by the handle; callers must not modify it. It lets the
 // driver bulk-extend its own translation tables instead of copying frame by
-// frame.
-func (p *Pinned) Frames() []*Frame { return p.frames }
+// frame. The references resolve while the handle is active and never once
+// Unpin has released their frames.
+func (p *Pinned) Frames() []FrameRef { return p.frames }
 
 // Unpin drops all pin references. Frames whose mappings are already gone
 // are freed here (the put_page of the last reference).
@@ -117,14 +118,15 @@ func (p *Pinned) unpinAll() {
 		for i := first; i < first+count; {
 			ptes, n := v.leafRun(i, first+count, false)
 			for j := range ptes {
-				if pt := &ptes[j]; pt.present && pt.frame == frames[i-first+j] && pt.pins > 0 {
+				if pt := &ptes[j]; pt.present && pt.frame == frames[i-first+j].f && pt.pins > 0 {
 					pt.pins--
 				}
 			}
 			i += n
 		}
 	})
-	for _, f := range p.frames {
+	for _, r := range p.frames {
+		f := r.Frame()
 		f.pinRefs--
 		if f.pinRefs < 0 {
 			panic(fmt.Sprintf("vm: negative pin count on frame %d", f.pfn))
@@ -169,7 +171,7 @@ func (p *Pinned) access(off, length int, fn func(f *Frame, frameOff, n, done int
 		if n > length-done {
 			n = length - done
 		}
-		fn(p.frames[idx], fo, n, done)
+		fn(p.frames[idx].Frame(), fo, n, done)
 		done += n
 	}
 	return nil

@@ -38,7 +38,7 @@ func TestPropPressureInterleavings(t *testing.T) {
 
 		type pin struct {
 			h      *Pinned
-			frames []*Frame
+			frames []FrameRef
 			mi     int
 			off    int // byte offset of the pinned range in the mapping
 			length int
@@ -182,7 +182,7 @@ func TestPropPressureInterleavings(t *testing.T) {
 				}
 				pins = append(pins, &pin{
 					h:      h,
-					frames: append([]*Frame(nil), h.Frames()...),
+					frames: append([]FrameRef(nil), h.Frames()...),
 					mi:     mi,
 					off:    first * PageSize,
 					length: count * PageSize,

@@ -245,11 +245,15 @@ func TestPropMunmapAlwaysNotifiesWholeRange(t *testing.T) {
 // bytes an op, and checks after every operation that each page's reference
 // count equals its holders and that no free-list page is held; Bufs must
 // read the snapshot they were lent and live mappings must match a sparse
-// model. Three mappings fit in one page-table leaf; the fourth spans more
-// than three, and ops address it at random pages. A partial munmap cuts a
-// hole inside a mapping, splitting its VMA (usually inside a leaf), and
-// maps the hole again. At teardown every page ever made is accounted for
-// with no holder left.
+// model. Writes also go through WriteBuf from a PageBuf (adopted whole
+// pages, or an unaligned range) that stays out as a loan, and lends also
+// go through ReadBuf. Three mappings fit in one page-table leaf; the
+// fourth spans more than three, and ops address it at random pages. A
+// partial munmap cuts a hole inside a mapping, splitting its VMA (usually
+// inside a leaf), and maps the hole again. Released frames are reused, so
+// after every op each active pin's references must resolve and no
+// reference taken before its frame's release may. At teardown every page
+// ever made is accounted for with no holder left.
 func FuzzPageRefs(f *testing.F) {
 	mapPages := [...]int{4, 4, 4, 3*leafPages + 5}
 	const maxOps = 200
@@ -295,6 +299,28 @@ func FuzzPageRefs(f *testing.F) {
 		var loans []loan
 		var children []*AddressSpace
 		var pins []*Pinned
+		// dead holds the newest references whose frames an op released,
+		// at most 128 so that checking them after every op stays cheap.
+		var dead []FrameRef
+		retire := func(refs []FrameRef) {
+			for _, r := range refs {
+				if r.f.freed {
+					dead = append(dead, r)
+				}
+			}
+			dead = dead[max(0, len(dead)-128):]
+		}
+		// resident takes references to the frames of pages [first,
+		// first+n) of mapping mi.
+		resident := func(mi, first, n int) []FrameRef {
+			var refs []FrameRef
+			for p := first; p < first+n; p++ {
+				if f, ok := as.FrameAt(addrs[mi] + Addr(p)<<PageShift); ok {
+					refs = append(refs, f.ref())
+				}
+			}
+			return refs
+		}
 		release := func(i int) {
 			ln := loans[i]
 			if !bytes.Equal(ln.b.Bytes(), ln.want) {
@@ -321,7 +347,7 @@ func FuzzPageRefs(f *testing.F) {
 			first := a % pages
 			base := first * PageSize
 			window := min(4, pages-first) * PageSize
-			switch op[0] % 11 {
+			switch op[0] % 13 {
 			case 0, 1: // write: the whole window (adopt-sized) or a partial range
 				off, n := base, window
 				if b&1 != 0 {
@@ -371,13 +397,17 @@ func FuzzPageRefs(f *testing.F) {
 				}
 			case 7: // pin or unpin a page: pinned frames survive munmap
 				if len(pins) > 0 && b&1 == 0 {
+					refs := pins[0].Frames()
 					pins[0].Unpin()
+					retire(refs)
 					pins = pins[1:]
 				} else if h, err := as.PinPages(addrs[mi], first, 1); err == nil {
 					pins = append(pins, h)
 				}
-			case 8: // free and re-malloc: freed pages are recycled
+			case 8: // free and re-malloc: freed frames and pages are recycled
+				refs := resident(mi, 0, pages)
 				as.Munmap(addrs[mi], pages*PageSize)
+				retire(refs)
 				addrs[mi], _ = as.Mmap(pages * PageSize)
 				models[mi] = make(map[int][]byte)
 			case 9: // read the window back through the live page tables
@@ -390,14 +420,55 @@ func FuzzPageRefs(f *testing.F) {
 				hole := 1 + a%(pages-2)
 				n := 1 + b%min(4, pages-1-hole)
 				at := addrs[mi] + Addr(hole)<<PageShift
+				refs := resident(mi, hole, n)
 				if err := as.Munmap(at, n*PageSize); err != nil {
 					t.Fatalf("op %d: partial munmap: %v", step/8, err)
 				}
+				retire(refs)
 				if err := as.MmapFixed(at, n*PageSize); err != nil {
 					t.Fatalf("op %d: remap: %v", step/8, err)
 				}
 				for p := hole; p < hole+n; p++ {
 					delete(models[mi], p)
+				}
+			case 11: // write a PageBuf through WriteBuf (whole pages are adopted); it stays out as a loan
+				off, n := base, window
+				if b&1 != 0 {
+					off += b % (window - 1)
+					n = 1 + c%(base+window-off)
+				}
+				data := make([]byte, n)
+				for i := range data {
+					data[i] = byte(c) ^ byte(i*7+3)
+				}
+				pb := PageBuf(data)
+				l.own(&pb)
+				w := NewBufWriter(&pb)
+				if err := as.WriteBuf(addrs[mi]+Addr(off), &w, n); err != nil {
+					t.Fatalf("op %d: WriteBuf: %v", step/8, err)
+				}
+				modelWrite(mi, off, data)
+				loans = append(loans, loan{&pb, data})
+			case 12: // lend a range through ReadBuf, faulting absent pages in
+				off := base + b%(window-1)
+				n := 1 + c%(base+window-off)
+				lb := &Buf{}
+				if err := as.ReadBuf(addrs[mi]+Addr(off), n, lb); err != nil {
+					t.Fatalf("op %d: ReadBuf: %v", step/8, err)
+				}
+				l.register(lb)
+				loans = append(loans, loan{lb, modelRead(mi, off, n)})
+			}
+			for _, h := range pins {
+				for i, r := range h.Frames() {
+					if !r.live() {
+						t.Fatalf("op %d: page %d of an active pin no longer resolves", step/8, i)
+					}
+				}
+			}
+			for _, r := range dead {
+				if r.live() {
+					t.Fatalf("op %d: a reference to released frame %d resolves", step/8, r.f.pfn)
 				}
 			}
 			if err := l.check(append([]*AddressSpace{as}, children...), pins); err != nil {

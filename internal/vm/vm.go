@@ -19,7 +19,9 @@
 // page buffers (see page and Buf): readers take O(1) references, the 4 KiB
 // copy is paid only if a side writes while another still holds the page,
 // and a page whose last holder lets go is recycled through its node's free
-// list instead of being garbage.
+// list instead of being garbage. Released frames are recycled the same way,
+// behind a generation stamp that makes every reference taken before the
+// release stale (see FrameRef).
 package vm
 
 import (
@@ -87,11 +89,49 @@ type Frame struct {
 	vaddr            Addr
 	lruPrev, lruNext *Frame
 	onLRU            uint8
-	freed            bool
+	// freed marks a frame released and not yet reused; gen counts its
+	// releases, so a FrameRef stamped before a release no longer matches.
+	freed bool
+	gen   uint32
 }
 
 // PinCount returns the frame's current pin reference count.
 func (f *Frame) PinCount() int { return f.pinRefs }
+
+// FrameRef is a generation-stamped reference to a frame, the form a holder
+// keeps when it holds a frame past the fault that returned it (pin handles
+// and core's pin table). A released frame goes onto its node's free
+// list and comes back as a different page's frame, so PhysMem.release bumps
+// the frame's generation: a reference taken before the release never
+// resolves again, the way a capability is retyped when the memory it names
+// is reused.
+type FrameRef struct {
+	f   *Frame
+	gen uint32
+}
+
+// ref stamps a reference to f with its current generation.
+func (f *Frame) ref() FrameRef { return FrameRef{f: f, gen: f.gen} }
+
+// live reports whether the frame has not been released since r was taken.
+func (r FrameRef) live() bool { return r.f.gen == r.gen }
+
+// Frame resolves the reference. It panics if the frame was released since
+// the reference was taken, whether or not it has been reused since.
+func (r FrameRef) Frame() *Frame {
+	if !r.live() {
+		r.stale()
+	}
+	return r.f
+}
+
+// stale panics for Frame, out of line so that Frame inlines on the access
+// paths that resolve a reference per page.
+//
+//go:noinline
+func (r FrameRef) stale() {
+	panic(fmt.Sprintf("vm: stale reference to frame %d (generation %d, now %d)", r.f.pfn, r.gen, r.f.gen))
+}
 
 // Read copies min(len(dst), PageSize-off) bytes from the frame at off.
 func (f *Frame) Read(off int, dst []byte) int {
@@ -233,6 +273,11 @@ type PhysMem struct {
 	freePages []*page
 	recycled  uint64 // pages ever put on freePages
 	pagesMade uint64 // page buffers ever allocated
+
+	// Released frames, reused (most recent first) before new ones are
+	// made. Like freePages it never outgrows the node's peak of live
+	// frames.
+	spareFrames []*Frame
 }
 
 // NewPhysMem returns physical memory with capacity frames (0 = unlimited).
@@ -277,11 +322,12 @@ func (pm *PhysMem) Resize(frames int) {
 	pm.capacity = frames
 }
 
+// alloc returns a zeroed frame, a released one from the free list when
+// there is one. A reused frame keeps its frame number and generation.
 func (pm *PhysMem) alloc() (*Frame, error) {
 	if pm.capacity > 0 && pm.inUse >= pm.capacity {
 		return nil, ErrNoMemory
 	}
-	pm.nextPFN++
 	pm.inUse++
 	if pm.inUse > pm.peak {
 		pm.peak = pm.inUse
@@ -289,9 +335,20 @@ func (pm *PhysMem) alloc() (*Frame, error) {
 	if occ := pm.OccupiedPages(); occ > pm.peakOccupied {
 		pm.peakOccupied = occ
 	}
+	if n := len(pm.spareFrames); n > 0 {
+		f := pm.spareFrames[n-1]
+		pm.spareFrames[n-1] = nil
+		pm.spareFrames = pm.spareFrames[:n-1]
+		*f = Frame{pfn: f.pfn, gen: f.gen, pm: pm}
+		return f, nil
+	}
+	pm.nextPFN++
 	return &Frame{pfn: pm.nextPFN, pm: pm}, nil
 }
 
+// release frees a frame nothing maps or pins: its page reference goes, its
+// generation moves on (so every FrameRef to it goes stale), and it waits
+// on the free list for alloc.
 func (pm *PhysMem) release(f *Frame) {
 	if f.freed {
 		panic(fmt.Sprintf("vm: double free of frame %d", f.pfn))
@@ -302,9 +359,11 @@ func (pm *PhysMem) release(f *Frame) {
 	pm.lruRemove(f)
 	f.owner = nil
 	f.freed = true
+	f.gen++
 	pm.putPage(f.pg)
 	f.pg = nil
 	pm.inUse--
+	pm.spareFrames = append(pm.spareFrames, f)
 }
 
 // pte is a page-table entry.
@@ -851,6 +910,27 @@ func (as *AddressSpace) Write(addr Addr, data []byte) error {
 func (as *AddressSpace) Read(addr Addr, dst []byte) error {
 	return as.rangeAccess(addr, len(dst), false, func(f *Frame, frameOff, n, done int) {
 		f.Read(frameOff, dst[done:done+n])
+	})
+}
+
+// WriteBuf writes the next n bytes of w into the address space at addr,
+// faulting exactly as Write does. A whole-page chunk landing on a whole
+// page is adopted by reference, as BufWriter does for pinned frames, so
+// writing the same PageBuf again and again moves no bytes; partial pages
+// are copied.
+func (as *AddressSpace) WriteBuf(addr Addr, w *BufWriter, n int) error {
+	return as.rangeAccess(addr, n, true, func(f *Frame, frameOff, m, _ int) {
+		w.WriteTo(f, frameOff, m)
+	})
+}
+
+// ReadBuf appends to b a copy-on-reference view of length bytes at addr,
+// faulting exactly as Read does: one page reference per page instead of a
+// copy, with Buf's snapshot semantics. The references are b's to release,
+// including those appended before an error.
+func (as *AddressSpace) ReadBuf(addr Addr, length int, b *Buf) error {
+	return as.rangeAccess(addr, length, false, func(f *Frame, frameOff, n, _ int) {
+		b.AppendFrame(f, frameOff, n)
 	})
 }
 
