@@ -1,15 +1,24 @@
 package bench
 
-import "testing"
+import (
+	"runtime"
+	"testing"
+)
 
-// simWallClockAllocs is what one SimWallClockCell run allocated once the
-// event core stopped allocating per event, pooling events and binding
-// bottom halves and core work items once (it was 109,428 before).
-const simWallClockAllocs = 60_574
+// simWallClockAllocs and simWallClockBytes are what one SimWallClockCell
+// run allocates once each segment's pins live in one pin handle and
+// vm.Buf chunks hold only page references. The count was 109,428 before
+// the event core stopped allocating per event, and 60,586 objects of
+// 5,624,000 bytes before the pin table stopped copying references.
+const (
+	simWallClockAllocs = 60_285
+	simWallClockBytes  = 4_665_800
+)
 
 // TestSimWallClockAllocBudget holds the acceptance-gate cell within 5% of
-// simWallClockAllocs. Unlike its ns/op, the count does not depend on the
-// host. The race detector allocates more, so the race build skips it.
+// simWallClockAllocs objects and simWallClockBytes bytes a run. Unlike its
+// ns/op, neither depends on the host. The race detector allocates more,
+// so the race build skips it.
 func TestSimWallClockAllocBudget(t *testing.T) {
 	if raceEnabled {
 		t.Skip("the race detector changes allocation counts")
@@ -18,5 +27,13 @@ func TestSimWallClockAllocBudget(t *testing.T) {
 	if budget := 1.05 * simWallClockAllocs; n > budget {
 		t.Fatalf("SimWallClockCell allocates %.0f/run, over its budget of %.0f (1.05 x %d)",
 			n, budget, simWallClockAllocs)
+	}
+	var before, after runtime.MemStats
+	runtime.ReadMemStats(&before)
+	SimWallClockCell()
+	runtime.ReadMemStats(&after)
+	if b, budget := after.TotalAlloc-before.TotalAlloc, 1.05*simWallClockBytes; float64(b) > budget {
+		t.Fatalf("SimWallClockCell allocates %d bytes/run, over its budget of %.0f (1.05 x %d)",
+			b, budget, simWallClockBytes)
 	}
 }

@@ -396,15 +396,11 @@ func (cl *Cluster) Stats() omx.NodeStats {
 	for _, n := range cl.Nodes {
 		s := n.Stats()
 		total.FramesRx += s.FramesRx
-		total.FramesTx += s.FramesTx
-		total.EagerFragsRx += s.EagerFragsRx
 		total.PullRepliesRx += s.PullRepliesRx
 		total.OverlapMissSender += s.OverlapMissSender
 		total.OverlapMissReceiver += s.OverlapMissReceiver
 		total.ReRequests += s.ReRequests
-		total.OptimisticReReqs += s.OptimisticReReqs
 		total.Retransmits += s.Retransmits
-		total.DupFrags += s.DupFrags
 		total.ReqAborts += s.ReqAborts
 		total.Crashes += s.Crashes
 		total.Restarts += s.Restarts

@@ -140,7 +140,7 @@ func TestStatsAggregation(t *testing.T) {
 		}
 	})
 	st := cl.Stats()
-	if st.FramesTx == 0 || st.FramesRx == 0 || st.PullRepliesRx == 0 {
+	if st.FramesRx == 0 || st.PullRepliesRx == 0 {
 		t.Fatalf("stats empty: %+v", st)
 	}
 }

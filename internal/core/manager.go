@@ -34,11 +34,9 @@ type ManagerConfig struct {
 const defaultPinChunkPages = 32
 
 // Stats counts the manager's activity. A `stat` tag names the field's
-// per-cell scenario metric (stats.<name>, summed over processes);
-// untagged fields are not reported.
+// per-cell scenario metric (stats.<name>, summed over processes).
 type Stats struct {
 	Declares         uint64 `stat:"declares"`
-	Undeclares       uint64
 	PinOps           uint64 `stat:"pin_ops"`   // full-region pin completions
 	UnpinOps         uint64 `stat:"unpin_ops"` // full-region unpins
 	PagesPinned      uint64 `stat:"pages_pinned"`
@@ -224,7 +222,6 @@ func (m *Manager) Undeclare(r *Region) error {
 	m.unpinNow(r)
 	m.regions = append(m.regions[:i], m.regions[i+1:]...)
 	m.byAddr.remove(r.lo, r.id, r)
-	m.stats.Undeclares++
 	return nil
 }
 
@@ -380,21 +377,23 @@ func (m *Manager) startPin(r *Region) {
 			cost += m.spec.PinCost(0) // base overhead charged once per pin
 			first = false
 		}
-		segIdx, segPage, n := si, pageInSeg, count
+		segIdx, n := si, count
 		last := start+count >= r.pages
 		m.core.Submit(cpu.Kernel, cost, func() {
 			if r.epoch != epoch || r.state != statePinning {
 				return // invalidated while the work was queued/running
 			}
 			m.evictForLimit(n, r)
-			h, err := m.as.PinPages(r.segs[segIdx].Addr, segPage, n)
-			if err != nil {
+			// Chunks run in submission order, so each extends its
+			// segment's handle by the pages that follow the last chunk's.
+			sp := &r.segPin[segIdx]
+			if sp.pin == nil {
+				sp.pin = m.as.NewPin(r.segs[segIdx].Addr, sp.pages)
+			}
+			if err := sp.pin.Extend(n); err != nil {
 				m.finishPin(r, fmt.Errorf("%w: %v", ErrPinFailed, err))
 				return
 			}
-			sp := &r.segPin[segIdx]
-			sp.handles = append(sp.handles, h)
-			sp.frames = append(sp.frames, h.Frames()...)
 			r.pinnedPages += n
 			m.pinnedTotal += n
 			m.stats.PagesPinned += uint64(n)
@@ -480,13 +479,11 @@ func (m *Manager) startUnpin(r *Region) {
 func (m *Manager) unpinNow(r *Region) {
 	dropped := 0
 	for si := range r.segPin {
-		sp := &r.segPin[si]
-		for _, h := range sp.handles {
-			dropped += h.NumPages()
-			h.Unpin()
+		if sp := &r.segPin[si]; sp.pin != nil {
+			dropped += sp.pin.NumPages()
+			sp.pin.Unpin()
+			sp.pin = nil
 		}
-		sp.handles = nil
-		sp.frames = nil
 	}
 	if dropped > 0 {
 		m.pinnedTotal -= dropped

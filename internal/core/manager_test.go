@@ -43,6 +43,26 @@ func (h *harness) buf(t *testing.T, size int) vm.Addr {
 	return a
 }
 
+// readAt copies len(dst) bytes at region offset off through ReadBufAt,
+// the path the pull engine reads regions through.
+func readAt(r *Region, off int, dst []byte) error {
+	b, err := r.ReadBufAt(off, len(dst))
+	if err != nil {
+		return err
+	}
+	b.CopyTo(dst)
+	b.Release()
+	return nil
+}
+
+// writeAt writes src at region offset off through WriteBufAt, the path
+// pull replies land through.
+func writeAt(r *Region, off int, src []byte) error {
+	b := vm.PageBuf(src)
+	defer b.Release()
+	return r.WriteBufAt(off, &b)
+}
+
 func TestDeclareDoesNotPin(t *testing.T) {
 	h := newHarness(t)
 	m := h.manager(ManagerConfig{Policy: policy.OnDemand})
@@ -272,6 +292,67 @@ func TestPinFailsOnInvalidSegmentAtAcquireTime(t *testing.T) {
 	}
 }
 
+// TestPinOneHandlePerSegment: a region pinned in several chunks holds one
+// pin handle per segment, sized once for the segment's pages. A chunk
+// that fails partway through a segment leaves nothing pinned, and once
+// the range is mapped again a repin pins every page exactly once.
+func TestPinOneHandlePerSegment(t *testing.T) {
+	h := newHarness(t)
+	m := h.manager(ManagerConfig{Policy: policy.OnDemand, PinChunkPages: 4})
+	a1, _ := h.as.Mmap(10 * vm.PageSize)
+	a2, _ := h.as.Mmap(7 * vm.PageSize)
+	// A hole at pages 6-7 of the first segment fails its second chunk
+	// after that chunk has pinned pages 4-5.
+	hole := a1 + 6*vm.PageSize
+	if err := h.as.Munmap(hole, 2*vm.PageSize); err != nil {
+		t.Fatal(err)
+	}
+	r, _ := m.Declare([]Segment{{a1 + 100, 10*vm.PageSize - 100}, {a2, 7 * vm.PageSize}})
+	done := m.Acquire(r)
+	h.eng.Run()
+	if done.Err() == nil {
+		t.Fatal("pin across a hole succeeded")
+	}
+	m.Release(r)
+	if m.PinnedPages() != 0 || m.Stats().PagesPinned != 4 || m.Stats().PagesUnpinned != 4 {
+		t.Fatalf("failed pin left %d pages pinned (pinned %d, unpinned %d), want 0 (4, 4)",
+			m.PinnedPages(), m.Stats().PagesPinned, m.Stats().PagesUnpinned)
+	}
+	for si, sp := range r.segPin {
+		if sp.pin != nil {
+			t.Fatalf("segment %d keeps a pin handle after the failed pin", si)
+		}
+	}
+	if err := h.as.MmapFixed(hole, 2*vm.PageSize); err != nil {
+		t.Fatal(err)
+	}
+	done = m.Acquire(r)
+	h.eng.Run()
+	if done.Err() != nil || !r.Pinned() {
+		t.Fatalf("repin failed: %v", done.Err())
+	}
+	for si, sp := range r.segPin {
+		if sp.pin == nil {
+			t.Fatalf("segment %d has no pin handle", si)
+		}
+		if n, c := sp.pin.NumPages(), cap(sp.pin.Frames()); n != sp.pages || c != sp.pages {
+			t.Fatalf("segment %d: handle holds %d pages in room for %d, want %d sized once", si, n, c, sp.pages)
+		}
+		for i := 0; i < sp.pages; i++ {
+			if n := sp.pin.Frame(i).PinCount(); n != 1 {
+				t.Fatalf("segment %d page %d pinned %d times, want 1", si, i, n)
+			}
+		}
+	}
+	m.Release(r)
+	if err := m.Undeclare(r); err != nil {
+		t.Fatal(err)
+	}
+	if m.PinnedPages() != 0 || r.segPin[0].pin != nil || r.segPin[1].pin != nil {
+		t.Fatal("undeclare left pins behind")
+	}
+}
+
 func TestNotifierUnpinsOnFree(t *testing.T) {
 	// The paper's Figure 3 scenario: malloc, communicate (pin), free
 	// (invalidate -> unpin), malloc again (same buffer), communicate
@@ -403,14 +484,14 @@ func TestRegionDataAccessThroughPins(t *testing.T) {
 	m.Acquire(r)
 	h.eng.Run()
 	got := make([]byte, 64*1024)
-	if err := r.ReadAt(0, got); err != nil {
+	if err := readAt(r, 0, got); err != nil {
 		t.Fatal(err)
 	}
 	if !bytes.Equal(got, payload) {
-		t.Fatal("ReadAt mismatch")
+		t.Fatal("read-back mismatch")
 	}
 	// Device write lands in the app's virtual view.
-	if err := r.WriteAt(1000, []byte("dma-landed")); err != nil {
+	if err := writeAt(r, 1000, []byte("dma-landed")); err != nil {
 		t.Fatal(err)
 	}
 	check := make([]byte, 10)
@@ -443,7 +524,7 @@ func TestVectorialRegion(t *testing.T) {
 	for i := range data {
 		data[i] = byte(i * 13)
 	}
-	if err := r.WriteAt(0, data); err != nil {
+	if err := writeAt(r, 0, data); err != nil {
 		t.Fatal(err)
 	}
 	// First segment bytes land in buffer 1, rest in buffer 2.
@@ -455,7 +536,7 @@ func TestVectorialRegion(t *testing.T) {
 		t.Fatal("vectorial write did not land in the right segments")
 	}
 	got := make([]byte, 15000)
-	if err := r.ReadAt(0, got); err != nil {
+	if err := readAt(r, 0, got); err != nil {
 		t.Fatal(err)
 	}
 	if !bytes.Equal(got, data) {

@@ -47,13 +47,13 @@ func TestNoPinningAccessThroughPageTable(t *testing.T) {
 	m.Acquire(r)
 	h.eng.Run()
 	got := make([]byte, 128*1024)
-	if err := r.ReadAt(0, got); err != nil {
+	if err := readAt(r, 0, got); err != nil {
 		t.Fatal(err)
 	}
 	if !bytes.Equal(got, want) {
 		t.Fatal("NoPinning read mismatch")
 	}
-	if err := r.WriteAt(5000, []byte("nic-mmu")); err != nil {
+	if err := writeAt(r, 5000, []byte("nic-mmu")); err != nil {
 		t.Fatal(err)
 	}
 	check := make([]byte, 7)
@@ -77,7 +77,7 @@ func TestNoPinningSurvivesMigration(t *testing.T) {
 		t.Fatalf("migrate = %d, %v", n, err)
 	}
 	got := make([]byte, 6)
-	if err := r.ReadAt(0, got); err != nil {
+	if err := readAt(r, 0, got); err != nil {
 		t.Fatal(err)
 	}
 	if string(got) != "before" {
@@ -97,11 +97,11 @@ func TestNoPinningVectorial(t *testing.T) {
 	for i := range data {
 		data[i] = byte(i * 3)
 	}
-	if err := r.WriteAt(0, data); err != nil {
+	if err := writeAt(r, 0, data); err != nil {
 		t.Fatal(err)
 	}
 	got := make([]byte, 9000)
-	if err := r.ReadAt(0, got); err != nil {
+	if err := readAt(r, 0, got); err != nil {
 		t.Fatal(err)
 	}
 	if !bytes.Equal(got, data) {
@@ -147,7 +147,7 @@ func TestNoPinningBufByReference(t *testing.T) {
 		}
 		b.Release()
 		got := make([]byte, n)
-		if err := rd.ReadAt(0, got); err != nil || !bytes.Equal(got, want) {
+		if err := readAt(rd, 0, got); err != nil || !bytes.Equal(got, want) {
 			t.Fatalf("segments %v: the region does not hold the lent snapshot (err %v)", segs, err)
 		}
 		m.Release(rs)

@@ -98,7 +98,7 @@ func TestODPSwapOutRefaults(t *testing.T) {
 		t.Fatal("pages not faulted back after swap")
 	}
 	got := make([]byte, len(want))
-	if err := r.ReadAt(0, got); err != nil {
+	if err := readAt(r, 0, got); err != nil {
 		t.Fatal(err)
 	}
 	if string(got) != string(want) {

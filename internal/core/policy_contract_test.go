@@ -59,11 +59,11 @@ func TestPolicyContractAccounting(t *testing.T) {
 
 			waitReady(t, h, r, 0, size)
 			want := []byte("policy-contract")
-			if err := r.WriteAt(4096, want); err != nil {
+			if err := writeAt(r, 4096, want); err != nil {
 				t.Fatal(err)
 			}
 			got := make([]byte, len(want))
-			if err := r.ReadAt(4096, got); err != nil {
+			if err := readAt(r, 4096, got); err != nil {
 				t.Fatal(err)
 			}
 			if !bytes.Equal(got, want) {

@@ -75,12 +75,11 @@ const (
 	statePinned
 )
 
-// segPin holds the pin handles and flattened frame references of one
-// segment.
+// segPin is one segment's pin state: the pages covering it and the handle
+// its pin chunks extend in page order (nil while none of it is pinned).
 type segPin struct {
-	pages   int // total pages covering the segment
-	handles []*vm.Pinned
-	frames  []vm.FrameRef // flattened, one per pinned page so far
+	pages int
+	pin   *vm.Pinned
 }
 
 // Region is a declared user region (driver side).
@@ -348,11 +347,11 @@ func (r *Region) odpReady(off, length int) bool {
 
 // segments splits the region byte range [off, off+length) into its
 // per-segment pieces and calls fn with each piece's segment index, virtual
-// address, offset into the range and length, stopping at the first error.
-// Every accessor walks the range through it: page-table-translated regions
-// hand each piece to the address space, pinned ones split it further into
-// pinned frames (access).
-func (r *Region) segments(off, length int, fn func(si int, a vm.Addr, done, n int) error) error {
+// address and length, stopping at the first error. Every accessor walks
+// the range through it: page-table-translated regions hand each piece to
+// the address space, pinned ones split it further into pinned frames
+// (access).
+func (r *Region) segments(off, length int, fn func(si int, a vm.Addr, n int) error) error {
 	if off < 0 || off+length > r.bytes {
 		return fmt.Errorf("core: access [%d,%d) outside region of %d bytes", off, off+length, r.bytes)
 	}
@@ -366,7 +365,7 @@ func (r *Region) segments(off, length int, fn func(si int, a vm.Addr, done, n in
 			continue
 		}
 		n := min(seg.Len-off, length-done)
-		if err := fn(si, seg.Addr+vm.Addr(off), done, n); err != nil {
+		if err := fn(si, seg.Addr+vm.Addr(off), n); err != nil {
 			return err
 		}
 		off, done = 0, done+n
@@ -375,21 +374,20 @@ func (r *Region) segments(off, length int, fn func(si int, a vm.Addr, done, n in
 }
 
 // access iterates the pinned frames covering [off, off+length), resolving
-// each through the pin table's generation-stamped references.
-func (r *Region) access(off, length int, fn func(f *vm.Frame, frameOff, n, done int)) error {
+// each through its segment's pin handle.
+func (r *Region) access(off, length int, fn func(f *vm.Frame, frameOff, n int)) error {
 	if !r.Ready(off, length) {
 		return fmt.Errorf("core: access [%d,%d) beyond pinned prefix (%d/%d pages): %w",
 			off, off+length, r.pinnedPages, r.pages, ErrPinFailed)
 	}
-	return r.segments(off, length, func(si int, a vm.Addr, done, n int) error {
-		frames := r.segPin[si].frames
-		base := vm.PageAlignDown(r.segs[si].Addr)
-		for end := done + n; done < end; {
+	return r.segments(off, length, func(si int, a vm.Addr, n int) error {
+		pin := r.segPin[si].pin
+		for n > 0 {
 			frameOff := int(a & (vm.PageSize - 1))
-			m := min(vm.PageSize-frameOff, end-done)
-			fn(frames[(vm.PageAlignDown(a)-base)>>vm.PageShift].Frame(), frameOff, m, done)
+			m := min(vm.PageSize-frameOff, n)
+			fn(pin.Frame(int((vm.PageAlignDown(a)-pin.Start())>>vm.PageShift)), frameOff, m)
 			a += vm.Addr(m)
-			done += m
+			n -= m
 		}
 		return nil
 	})
@@ -417,13 +415,11 @@ func (r *Region) ReadBufAt(off, length int) (vm.Buf, error) {
 	b.Grow(length/vm.PageSize + 2*len(r.segs))
 	var err error
 	if r.noPin {
-		err = r.segments(off, length, func(_ int, a vm.Addr, _, n int) error {
+		err = r.segments(off, length, func(_ int, a vm.Addr, n int) error {
 			return r.as.ReadBuf(a, n, &b)
 		})
 	} else {
-		err = r.access(off, length, func(f *vm.Frame, fo, n, _ int) {
-			b.AppendFrame(f, fo, n)
-		})
+		err = r.access(off, length, b.AppendFrame)
 	}
 	if err != nil {
 		b.Release()
@@ -445,55 +441,11 @@ func (r *Region) WriteBufAt(off int, b *vm.Buf) error {
 	}
 	w := vm.NewBufWriter(b)
 	if r.noPin {
-		return r.segments(off, b.Len(), func(_ int, a vm.Addr, _, n int) error {
+		return r.segments(off, b.Len(), func(_ int, a vm.Addr, n int) error {
 			return r.as.WriteBuf(a, &w, n)
 		})
 	}
-	return r.access(off, b.Len(), func(f *vm.Frame, fo, n, _ int) {
-		w.WriteTo(f, fo, n)
-	})
-}
-
-// ReadAt copies length bytes at region byte offset off into dst, through
-// the pinned frames (device-side access: no page-table walk). The range
-// must be Ready. NoPinning regions translate through the live page table
-// (the NIC-MMU model).
-func (r *Region) ReadAt(off int, dst []byte) error {
-	if r.parent != nil {
-		if off < 0 || off+len(dst) > r.bytes {
-			return fmt.Errorf("core: access [%d,%d) outside view of %d bytes",
-				off, off+len(dst), r.bytes)
-		}
-		return r.parent.ReadAt(r.parentOff+off, dst)
-	}
-	if r.noPin {
-		return r.segments(off, len(dst), func(_ int, a vm.Addr, done, n int) error {
-			return r.as.Read(a, dst[done:done+n])
-		})
-	}
-	return r.access(off, len(dst), func(f *vm.Frame, fo, n, done int) {
-		f.Read(fo, dst[done:done+n])
-	})
-}
-
-// WriteAt copies src into the region at byte offset off. The range must be
-// Ready.
-func (r *Region) WriteAt(off int, src []byte) error {
-	if r.parent != nil {
-		if off < 0 || off+len(src) > r.bytes {
-			return fmt.Errorf("core: access [%d,%d) outside view of %d bytes",
-				off, off+len(src), r.bytes)
-		}
-		return r.parent.WriteAt(r.parentOff+off, src)
-	}
-	if r.noPin {
-		return r.segments(off, len(src), func(_ int, a vm.Addr, done, n int) error {
-			return r.as.Write(a, src[done:done+n])
-		})
-	}
-	return r.access(off, len(src), func(f *vm.Frame, fo, n, done int) {
-		f.Write(fo, src[done:done+n])
-	})
+	return r.access(off, b.Len(), w.WriteTo)
 }
 
 // pinnedOverlaps reports whether [start,end) intersects the region's

@@ -15,21 +15,17 @@ import (
 // NodeStats aggregates driver-level counters, including the overlap-miss
 // counters the paper added for §4.3. A `stat` tag names the field's
 // per-cell scenario metric (stats.<name>, summed over nodes; the two
-// overlap-miss fields share one); untagged fields are not reported.
+// overlap-miss fields share one).
 type NodeStats struct {
 	FramesRx            uint64 `stat:"frames_rx"`
-	FramesTx            uint64
-	EagerFragsRx        uint64
 	PullRepliesRx       uint64 `stat:"pull_replies"`
 	OverlapMissSender   uint64 `stat:"overlap_misses"` // pull request dropped: send region not pinned far enough
 	OverlapMissReceiver uint64 `stat:"overlap_misses"` // pull reply dropped: recv region not pinned far enough
 	ReRequests          uint64 `stat:"rereqs"`         // pull re-requests issued (all causes)
-	OptimisticReReqs    uint64 // gap-driven re-requests (higher offsets seen)
-	Retransmits         uint64 `stat:"retransmits"` // control-message timeouts (rndv/eager/notify)
-	DupFrags            uint64 // duplicate data fragments discarded
-	ReqAborts           uint64 `stat:"req_aborts"` // requests completed with an error
-	Crashes             uint64 `stat:"crashes"`    // node crash events
-	Restarts            uint64 `stat:"restarts"`   // node restart events
+	Retransmits         uint64 `stat:"retransmits"`    // control-message timeouts (rndv/eager/notify)
+	ReqAborts           uint64 `stat:"req_aborts"`     // requests completed with an error
+	Crashes             uint64 `stat:"crashes"`        // node crash events
+	Restarts            uint64 `stat:"restarts"`       // node restart events
 }
 
 // Node is one host: cores, physical memory, a NIC, an I/OAT engine, and the
@@ -209,7 +205,6 @@ func (n *Node) maxData() int { return n.NIC.MTU() - headerBytes }
 // steering it onto the flow of its (src endpoint, dst endpoint) pair so
 // multi-queue NICs keep each endpoint conversation on one lane.
 func (n *Node) send(dst int, dataLen int, payload wirePayload) {
-	n.stats.FramesTx++
 	src, dstAddr := payload.addrs()
 	n.NIC.Send(&ethernet.Frame{
 		Dst:     dst,

@@ -32,11 +32,9 @@ func (ep *Endpoint) handleEagerFrag(m *eagerFrag) {
 		ep.admit(m.src)
 	}
 	if rs.gotFrag[m.off] {
-		ep.node.stats.DupFrags++
 		return
 	}
 	rs.gotFrag[m.off] = true
-	ep.node.stats.EagerFragsRx++
 	copy(rs.buf[m.off:], m.data)
 	rs.received += len(m.data)
 	rs.fragsGot++
@@ -215,7 +213,6 @@ func (ep *Endpoint) noteArrival(rs *rstate, off, n int) {
 	if bi > rs.lowestHole && rs.lowestHole < rs.nextBlockOff {
 		hole := &rs.blocks[rs.lowestHole]
 		if now-hole.lastReq >= gapReReqDelay {
-			ep.node.stats.OptimisticReReqs++
 			ep.reRequestBlock(rs, hole)
 		}
 	}
@@ -243,7 +240,6 @@ func (ep *Endpoint) noteArrival(rs *rstate, off, n int) {
 	}
 	slices.SortFunc(stalled, byMsgKey)
 	for _, other := range stalled {
-		ep.node.stats.OptimisticReReqs++
 		ep.reRequestBlock(other, &other.blocks[other.lowestHole])
 	}
 }
@@ -343,7 +339,6 @@ func (ep *Endpoint) handlePullReply(m *pullReply) {
 	region := rs.matched.region
 	n := m.buf.Len()
 	if rs.gotFrag[m.off] {
-		ep.node.stats.DupFrags++
 		m.buf.Release()
 		return
 	}

@@ -1,6 +1,7 @@
 // builtin.go registers the paper's evaluation section (§4) as scenarios:
-// Figures 6 and 7, Table 1, the §4.3 overlap-miss runs and Table 2, each
-// an ordinary case matrix the declarative runner drives cell by cell.
+// Figure 7, Table 1, the §4.3 overlap-miss runs and Table 2, each an
+// ordinary case matrix the declarative runner drives cell by cell.
+// Figure 6 ships as the embedded spec specs/figure6.yaml.
 package scenario
 
 import (
@@ -26,22 +27,6 @@ func figure7Matrix() []Case {
 		{Label: "overlapped", OMX: omx.DefaultConfig(policy.Overlapped, false)},
 		{Label: "cache", OMX: omx.DefaultConfig(policy.OnDemand, true)},
 		{Label: "overlapped-cache", OMX: omx.DefaultConfig(policy.Overlapped, true)},
-	}
-}
-
-// figure6Matrix is the paper's Figure 6 matrix: pin-per-communication vs
-// permanent pinning, with and without I/OAT copy offload.
-func figure6Matrix() []Case {
-	mk := func(pol policy.Policy, cache, ioat bool) omx.Config {
-		cfg := omx.DefaultConfig(pol, cache)
-		cfg.UseIOAT = ioat
-		return cfg
-	}
-	return []Case{
-		{Label: "pin-per-comm", OMX: mk(policy.PinEachComm, false, false)},
-		{Label: "permanent", OMX: mk(policy.Permanent, true, false)},
-		{Label: "pin-per-comm+ioat", OMX: mk(policy.PinEachComm, false, true)},
-		{Label: "permanent+ioat", OMX: mk(policy.Permanent, true, true)},
 	}
 }
 
@@ -417,18 +402,6 @@ func table1Report(run *Run) {
 }
 
 func init() {
-	// figure6: the paper's Figure 6 sweep.
-	MustRegister(&Scenario{
-		Name:        "figure6",
-		Description: "Figure 6: PingPong, pin-per-communication vs permanent pinning, with/without I/OAT",
-		Cases:       figure6Matrix(),
-		Sizes:       imb.LargeSizes(),
-		QuickSizes:  []int{64 * 1024, 1 << 20, 16 << 20},
-		Metric:      "mbps",
-		Workload:    pingPongWorkload,
-		Assertions:  []Assertion{MetricPositive("mbps"), Completed()},
-	})
-
 	// figure7: the paper's Figure 7 sweep.
 	MustRegister(&Scenario{
 		Name:        "figure7",

@@ -15,6 +15,13 @@ import (
 	"omxsim/internal/sim"
 )
 
+// fleetLink is the fleet specs' default link: a 2µs switch hop.
+func fleetLink() *ethernet.LinkConfig {
+	l := ethernet.DefaultLinkConfig()
+	l.PropDelay = 2 * sim.Microsecond
+	return &l
+}
+
 // TestMaxRetriesSurfacesTypedError is the regression test for the abort
 // contract: a send whose control traffic is lost forever must exhaust
 // maxRetries and surface a typed omx.ErrAborted through mpi.Comm — not a

@@ -1,7 +1,7 @@
 // spec_builtin.go — the builtins that ship as specs. The pingpong,
-// pressure-*, chaos-*, and kvserve-* families register from the YAML
-// documents embedded under specs/, exercising the spec loader on every
-// program start. Like every builtin, each one's quick report is pinned
+// figure6, fleet-stream, pressure-*, chaos-*, and kvserve-* scenarios
+// register from the YAML documents embedded under specs/, exercising the
+// spec loader on every program start. Like every builtin, each one's quick report is pinned
 // byte for byte to testdata/golden/<name>.json, at one engine and at four
 // shards (TestGoldenReports).
 package scenario

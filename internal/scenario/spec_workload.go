@@ -1,7 +1,7 @@
 // spec_workload.go — the workload kinds of the spec format. Every kind
-// lowers onto a workload constructor of the builtin families
-// (pingPongWorkload, pressureWorkload, chaosWorkload, fleetWorkload,
-// kvWorkload), shared with the Go builtins that run the same workload.
+// lowers onto a workload constructor (pingPongWorkload, pressureWorkload,
+// chaosWorkload, fleetWorkload, kvWorkload), shared with the Go builtins
+// and tests that run the same workload.
 package scenario
 
 import (
@@ -108,6 +108,38 @@ func (d *dec) decodePairwiseStream(w *workloadSpec) error {
 	// Every rank mallocs a buffer of the sweep size.
 	w.needsSizes, w.minSize = true, 1
 	return nil
+}
+
+// fleetWorkload pairs rank i with rank i+size/2 (block rank placement
+// puts every pair on different nodes) and streams `rounds` round trips of
+// the cell's message size. Rank 0 records the fleet-aggregate throughput.
+func fleetWorkload(rounds int) Workload {
+	return func(c *mpi.Comm, cr *CaseRun) {
+		half := c.Size() / 2
+		peer := (c.Rank() + half) % c.Size()
+		bytes := cr.Size
+		tx := c.Malloc(bytes)
+		rx := c.Malloc(bytes)
+		c.Barrier()
+		start := c.Now()
+		for r := 0; r < rounds; r++ {
+			if c.Rank() < half {
+				c.Send(tx, bytes, peer, 7)
+				c.Recv(rx, bytes, peer, 7)
+			} else {
+				c.Recv(rx, bytes, peer, 7)
+				c.Send(tx, bytes, peer, 7)
+			}
+		}
+		c.Barrier()
+		if c.Rank() == 0 {
+			elapsed := c.Now() - start
+			// Every pair moves rounds*bytes in each direction: size/2
+			// pairs * 2 directions = size transfers of rounds*bytes.
+			total := float64(rounds) * float64(bytes) * float64(c.Size())
+			cr.Metric("agg_mbps", total/elapsed.Seconds()/(1<<20))
+		}
+	}
 }
 
 // decodePressure: the allocator-churn workload of the pressure family.

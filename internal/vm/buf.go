@@ -6,10 +6,10 @@ import (
 )
 
 // Buf is a zero-copy, copy-on-reference view of byte contents assembled
-// from page frames (and literal byte runs). It is what the simulated wire
-// carries instead of materialized []byte payloads: building a Buf from
-// pinned frames is O(chunks) — no 4 KiB copies, no zero-fill — and writing
-// one into destination frames adopts whole-page chunks by reference.
+// from page buffers. It is what the simulated wire carries instead of
+// materialized []byte payloads: building a Buf from pinned frames is
+// O(chunks) — no 4 KiB copies, no zero-fill — and writing one into
+// destination frames adopts whole-page chunks by reference.
 //
 // Snapshot semantics: every frame chunk holds a reference to its page, so
 // a write to the source frame while the Buf is alive clones the page first
@@ -29,14 +29,13 @@ type Buf struct {
 	chunks []bufChunk
 }
 
-// bufChunk is one contiguous piece: n bytes at data[off:]. A nil data slice
-// reads as zeros (an unmaterialized page). Frame chunks carry the page
-// whose reference they hold; literal byte runs have pg == nil.
+// bufChunk is one contiguous piece: n bytes at offset off of a page whose
+// reference the chunk holds. A nil page reads as zeros (an unmaterialized
+// page, or a zero run).
 type bufChunk struct {
-	data []byte
-	pg   *page
-	off  int
-	n    int
+	pg  *page
+	off int
+	n   int
 }
 
 // Len reports the byte length of the view.
@@ -55,7 +54,7 @@ func (b *Buf) AppendFrame(f *Frame, off, n int) {
 		b.AppendZeros(n)
 		return
 	}
-	b.chunks = append(b.chunks, bufChunk{data: pg.data[:], pg: pg, off: off, n: n})
+	b.chunks = append(b.chunks, bufChunk{pg: pg, off: off, n: n})
 	b.length += n
 }
 
@@ -80,29 +79,12 @@ func (b *Buf) AppendZeros(n int) {
 	if n <= 0 {
 		return
 	}
-	if last := len(b.chunks) - 1; last >= 0 && b.chunks[last].data == nil {
+	if last := len(b.chunks) - 1; last >= 0 && b.chunks[last].pg == nil {
 		b.chunks[last].n += n
 	} else {
 		b.chunks = append(b.chunks, bufChunk{n: n})
 	}
 	b.length += n
-}
-
-// AppendBytes appends a literal byte slice by reference (the caller must
-// not mutate it afterwards).
-func (b *Buf) AppendBytes(data []byte) {
-	if len(data) == 0 {
-		return
-	}
-	b.chunks = append(b.chunks, bufChunk{data: data, n: len(data)})
-	b.length += len(data)
-}
-
-// BufOf returns a Buf viewing the given bytes (by reference).
-func BufOf(data []byte) Buf {
-	var b Buf
-	b.AppendBytes(data)
-	return b
 }
 
 // PageBuf returns a Buf that owns page buffers holding a copy of data, one
@@ -118,7 +100,7 @@ func PageBuf(data []byte) Buf {
 		pg := &page{data: new([PageSize]byte)}
 		pg.refs.Store(1)
 		n := copy(pg.data[:], data[off:])
-		b.chunks = append(b.chunks, bufChunk{data: pg.data[:], pg: pg, n: n})
+		b.chunks = append(b.chunks, bufChunk{pg: pg, n: n})
 		b.length += n
 	}
 	return b
@@ -128,12 +110,10 @@ func PageBuf(data []byte) Buf {
 func (b *Buf) CopyTo(dst []byte) {
 	pos := 0
 	for _, c := range b.chunks {
-		if c.data == nil {
-			for i := pos; i < pos+c.n; i++ {
-				dst[i] = 0
-			}
+		if c.pg == nil {
+			clear(dst[pos : pos+c.n])
 		} else {
-			copy(dst[pos:pos+c.n], c.data[c.off:c.off+c.n])
+			copy(dst[pos:pos+c.n], c.pg.data[c.off:c.off+c.n])
 		}
 		pos += c.n
 	}
@@ -171,17 +151,18 @@ func (w *BufWriter) WriteTo(f *Frame, frameOff, n int) {
 			w.co = 0
 			continue
 		}
-		if c.data == nil {
+		if c.pg == nil {
 			if frameOff == 0 && m == PageSize {
 				f.adopt(nil) // full zero page: drop any materialized data
 			} else {
 				f.writeZeros(frameOff, m)
 			}
-		} else if c.pg != nil && frameOff == 0 && m == PageSize && c.off+w.co == 0 {
-			// The chunk piece is exactly a page buffer: share it.
+		} else if frameOff == 0 && m == PageSize {
+			// The chunk piece is a whole page buffer (a chunk never spans
+			// past its page's end): share it.
 			f.adopt(c.pg)
 		} else {
-			f.Write(frameOff, c.data[c.off+w.co:c.off+w.co+m])
+			f.Write(frameOff, c.pg.data[c.off+w.co:c.off+w.co+m])
 		}
 		frameOff += m
 		n -= m

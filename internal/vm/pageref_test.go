@@ -74,7 +74,8 @@ func (l *pageLedger) release(b *Buf) {
 // check verifies that every reachable page's count equals its holders —
 // one per distinct frame (mapped through the given address spaces or kept
 // alive by the given pins), one per swap slot, one per live Buf chunk —
-// and that free-list pages are held by nobody.
+// that free-list pages are held by nobody, and that every reachable
+// frame's pin count equals the pin references the given pins hold to it.
 func (l *pageLedger) check(spaces []*AddressSpace, pins []*Pinned) error {
 	holders := make(map[*page]int32)
 	frames := make(map[*Frame]bool)
@@ -90,12 +91,17 @@ func (l *pageLedger) check(spaces []*AddressSpace, pins []*Pinned) error {
 			})
 		}
 	}
+	pinned := make(map[*Frame]int)
 	for _, h := range pins {
 		for _, r := range h.Frames() {
 			frames[r.Frame()] = true
+			pinned[r.f]++
 		}
 	}
 	for f := range frames {
+		if f.pinRefs != pinned[f] {
+			return fmt.Errorf("frame %d: pin count %d, %d pin references held", f.pfn, f.pinRefs, pinned[f])
+		}
 		if f.pg != nil {
 			holders[f.pg]++
 		}

@@ -6,7 +6,8 @@ import "fmt"
 // physical location is guaranteed stable until Unpin. The handle holds one
 // pin reference per page; while any pin reference exists the frame cannot be
 // migrated, swapped, or freed (even if the mapping goes away, the frame
-// itself survives until the last unpin).
+// itself survives until the last unpin). Extend grows a handle in page
+// order, so one handle can hold a whole segment pinned chunk by chunk.
 type Pinned struct {
 	as     *AddressSpace
 	start  Addr // page aligned
@@ -23,41 +24,56 @@ func (as *AddressSpace) Pin(addr Addr, length int) (*Pinned, error) {
 	if length <= 0 {
 		return nil, fmt.Errorf("vm: pin of %d bytes: %w", length, ErrBadAddress)
 	}
-	start := PageAlignDown(addr)
-	end := PageAlignUp(addr + Addr(length))
-	return as.pinRange(start, int((end-start)>>PageShift))
+	return as.PinPages(addr, 0, PageCount(addr, length))
 }
 
 // PinPages pins exactly count pages starting at the page containing addr,
-// beginning at page index first. It is the incremental primitive behind
-// overlapped pinning: the driver pins a region in chunks, advancing a
-// progress cursor. The returned handle covers only the requested pages.
+// beginning at page index first. The returned handle covers only the
+// requested pages.
 func (as *AddressSpace) PinPages(addr Addr, first, count int) (*Pinned, error) {
 	if count <= 0 || first < 0 {
 		return nil, fmt.Errorf("vm: pin pages first=%d count=%d: %w", first, count, ErrBadAddress)
 	}
-	start := PageAlignDown(addr) + Addr(first)<<PageShift
-	return as.pinRange(start, count)
+	p := as.NewPin(PageAlignDown(addr)+Addr(first)<<PageShift, count)
+	if err := p.Extend(count); err != nil {
+		return nil, err
+	}
+	return p, nil
 }
 
-// pinRange is the range-based get_user_pages: it resolves the mapping once
-// per vma and pins pages by walking the page table a leaf at a time — one
-// traversal, no per-page lookups (the batching NP-RDMA and eBPF-mm identify
-// as the difference between per-page and per-range costs).
-func (as *AddressSpace) pinRange(start Addr, count int) (*Pinned, error) {
-	p := &Pinned{as: as, start: start, frames: make([]FrameRef, 0, count), active: true}
-	a := start
-	end := start + Addr(count)<<PageShift
+// NewPin returns a handle that holds no pins yet, with room for the pages
+// pages starting at the page containing addr. It is the incremental
+// primitive behind overlapped pinning: the driver pins a segment in chunks,
+// each Extend pinning the next pages in order, so the segment keeps one
+// handle and one reference per pinned page however many chunks it takes.
+func (as *AddressSpace) NewPin(addr Addr, pages int) *Pinned {
+	return &Pinned{as: as, start: PageAlignDown(addr), frames: make([]FrameRef, 0, pages), active: true}
+}
+
+// Extend pins the n pages that follow the handle's pinned pages. It is the
+// range-based get_user_pages: it resolves the mapping once per vma and
+// walks the page table a leaf at a time — one traversal, no per-page
+// lookups (the batching NP-RDMA and eBPF-mm identify as the difference
+// between per-page and per-range costs). If a page is outside a mapping or
+// cannot be faulted in, Extend unpins the pages it pinned itself and fails;
+// the pages pinned before the call stay pinned.
+func (p *Pinned) Extend(n int) error {
+	if !p.active {
+		return fmt.Errorf("vm: extend of an unpinned handle: %w", ErrDoubleUnpin)
+	}
+	as, from := p.as, len(p.frames)
+	a := p.start + Addr(from)<<PageShift
+	end := a + Addr(n)<<PageShift
 	for a < end {
 		vi, ok := as.findVMA(a)
 		if !ok {
-			p.unpinAll() // roll back partial pin
-			return nil, fmt.Errorf("vm: pin at %#x: %w", uint64(a), ErrBadAddress)
+			p.unpinFrom(from)
+			return fmt.Errorf("vm: pin at %#x: %w", uint64(a), ErrBadAddress)
 		}
 		v := as.vmas[vi]
 		limit := min(v.pages(), v.pageOf(end))
 		for i := v.pageOf(a); i < limit; {
-			ptes, n := v.leafRun(i, limit, true)
+			ptes, run := v.leafRun(i, limit, true)
 			for j := range ptes {
 				// Pinning faults for write: the device may DMA into the
 				// page, so a COW-shared page must be broken now, not when
@@ -65,18 +81,18 @@ func (as *AddressSpace) pinRange(start Addr, count int) (*Pinned, error) {
 				pt := &ptes[j]
 				f, err := as.faultPTE(a, pt, true)
 				if err != nil {
-					p.unpinAll()
-					return nil, err
+					p.unpinFrom(from)
+					return err
 				}
 				f.pinRefs++
 				pt.pins++
 				p.frames = append(p.frames, f.ref())
 				a += PageSize
 			}
-			i += n
+			i += run
 		}
 	}
-	return p, nil
+	return nil
 }
 
 // NumPages reports the number of pinned pages.
@@ -93,10 +109,9 @@ func (p *Pinned) Active() bool { return p.active }
 func (p *Pinned) Frame(i int) *Frame { return p.frames[i].Frame() }
 
 // Frames returns the handle's frame references (one per pinned page). The
-// slice is owned by the handle; callers must not modify it. It lets the
-// driver bulk-extend its own translation tables instead of copying frame by
-// frame. The references resolve while the handle is active and never once
-// Unpin has released their frames.
+// slice is owned by the handle; callers must not modify it. The references
+// resolve while the handle is active and never once Unpin has released
+// their frames.
 func (p *Pinned) Frames() []FrameRef { return p.frames }
 
 // Unpin drops all pin references. Frames whose mappings are already gone
@@ -105,16 +120,21 @@ func (p *Pinned) Unpin() error {
 	if !p.active {
 		return ErrDoubleUnpin
 	}
-	p.unpinAll()
+	p.unpinFrom(0)
+	p.frames, p.active = nil, false
 	return nil
 }
 
-func (p *Pinned) unpinAll() {
+// unpinFrom drops the pin references of the handle's pages from on and
+// truncates the handle to its first from pages.
+func (p *Pinned) unpinFrom(from int) {
+	refs := p.frames[from:]
+	start := p.start + Addr(from)<<PageShift
 	// The PTEs the pins went through may since have been unmapped, swapped
 	// or remapped: each gives its pin back only while it still maps the
 	// pinned frame. Absent leaves map nothing, and the walk allocates none.
-	p.as.forEachVMA(p.start, p.start+Addr(len(p.frames))<<PageShift, func(v *vma, first, count int) {
-		frames := p.frames[(v.start+Addr(first)<<PageShift-p.start)>>PageShift:]
+	p.as.forEachVMA(start, start+Addr(len(refs))<<PageShift, func(v *vma, first, count int) {
+		frames := refs[(v.start+Addr(first)<<PageShift-start)>>PageShift:]
 		for i := first; i < first+count; {
 			ptes, n := v.leafRun(i, first+count, false)
 			for j := range ptes {
@@ -125,7 +145,7 @@ func (p *Pinned) unpinAll() {
 			i += n
 		}
 	})
-	for _, r := range p.frames {
+	for _, r := range refs {
 		f := r.Frame()
 		f.pinRefs--
 		if f.pinRefs < 0 {
@@ -135,8 +155,7 @@ func (p *Pinned) unpinAll() {
 			p.as.phys.release(f)
 		}
 	}
-	p.frames = nil
-	p.active = false
+	p.frames = p.frames[:from]
 }
 
 // ReadAt copies length bytes starting at byte offset off within the pinned

@@ -241,19 +241,20 @@ func TestPropMunmapAlwaysNotifiesWholeRange(t *testing.T) {
 }
 
 // FuzzPageRefs drives write / lend / release / fork / COW / swap /
-// migrate / pin / munmap / re-mmap sequences on unbounded memory, eight
-// bytes an op, and checks after every operation that each page's reference
-// count equals its holders and that no free-list page is held; Bufs must
-// read the snapshot they were lent and live mappings must match a sparse
-// model. Writes also go through WriteBuf from a PageBuf (adopted whole
-// pages, or an unaligned range) that stays out as a loan, and lends also
-// go through ReadBuf. Three mappings fit in one page-table leaf; the
+// migrate / pin / extend / munmap / re-mmap sequences on unbounded memory,
+// eight bytes an op, and checks after every operation that each page's
+// reference count equals its holders, that each frame's pin count equals
+// the pin references held to it, and that no free-list page is held; Bufs
+// must read the snapshot they were lent and live mappings must match a
+// sparse model. Writes also go through WriteBuf from a PageBuf (adopted
+// whole pages, or an unaligned range) that stays out as a loan, and lends
+// also go through ReadBuf. Three mappings fit in one page-table leaf; the
 // fourth spans more than three, and ops address it at random pages. A
 // partial munmap cuts a hole inside a mapping, splitting its VMA (usually
 // inside a leaf), and maps the hole again. Released frames are reused, so
-// after every op each active pin's references must resolve and no
-// reference taken before its frame's release may. At teardown every page
-// ever made is accounted for with no holder left.
+// after every op each active pin's references must resolve and no reference
+// taken before its frame's release may. At teardown every page ever made is
+// accounted for with no holder left.
 func FuzzPageRefs(f *testing.F) {
 	mapPages := [...]int{4, 4, 4, 3*leafPages + 5}
 	const maxOps = 200
@@ -395,14 +396,26 @@ func FuzzPageRefs(f *testing.F) {
 				} else {
 					as.Migrate(addrs[mi], pages*PageSize)
 				}
-			case 7: // pin or unpin a page: pinned frames survive munmap
-				if len(pins) > 0 && b&1 == 0 {
+			case 7: // pin a page, extend a pin or unpin: pinned frames survive munmap
+				switch {
+				case len(pins) > 0 && b&1 == 0:
 					refs := pins[0].Frames()
 					pins[0].Unpin()
 					retire(refs)
 					pins = pins[1:]
-				} else if h, err := as.PinPages(addrs[mi], first, 1); err == nil {
-					pins = append(pins, h)
+				case len(pins) > 0 && c&1 != 0:
+					// Past the pin's mapping lies a guard page, and past a
+					// freed mapping nothing: an extend that reaches either
+					// fails and unpins only the pages it pinned itself.
+					h := pins[len(pins)-1]
+					n := h.NumPages()
+					if err := h.Extend(1 + c>>1%4); err != nil && h.NumPages() != n {
+						t.Fatalf("op %d: a failed extend kept %d of its pages", step/8, h.NumPages()-n)
+					}
+				default:
+					if h, err := as.PinPages(addrs[mi], first, 1); err == nil {
+						pins = append(pins, h)
+					}
 				}
 			case 8: // free and re-malloc: freed frames and pages are recycled
 				refs := resident(mi, 0, pages)

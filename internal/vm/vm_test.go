@@ -2,6 +2,7 @@ package vm
 
 import (
 	"bytes"
+	"errors"
 	"testing"
 )
 
@@ -446,6 +447,66 @@ func TestPinPagesIncremental(t *testing.T) {
 	}
 	if as.Phys().FramesInUse() != 10 {
 		t.Fatal("frames should remain mapped after unpin")
+	}
+}
+
+// TestPinExtendRollsBackAtHole: an Extend that runs into an unmapped hole
+// fails and unpins only the pages it pinned itself. The handle keeps its
+// earlier pages, every frame's pinRefs and every PTE's pins match the
+// handle, and a later Unpin releases everything.
+func TestPinExtendRollsBackAtHole(t *testing.T) {
+	as := newAS(t)
+	addr, _ := as.Mmap(8 * PageSize)
+	if err := as.Munmap(addr+5*PageSize, PageSize); err != nil {
+		t.Fatal(err)
+	}
+	p := as.NewPin(addr, 8)
+	if err := p.Extend(2); err != nil {
+		t.Fatal(err)
+	}
+	if err := p.Extend(4); !errors.Is(err, ErrBadAddress) {
+		t.Fatalf("extend across the hole: err = %v, want ErrBadAddress", err)
+	}
+	if p.NumPages() != 2 || cap(p.Frames()) != 8 {
+		t.Fatalf("after the failed extend the handle holds %d pages (cap %d), want 2 (cap 8)",
+			p.NumPages(), cap(p.Frames()))
+	}
+	balanced := func(pinnedPages int) {
+		t.Helper()
+		for i := 0; i < 5; i++ {
+			want := 0
+			if i < pinnedPages {
+				want = 1
+			}
+			pt := as.lookup(addr + Addr(i)<<PageShift)
+			if pt == nil || !pt.present {
+				t.Fatalf("page %d not resident", i)
+			}
+			if pt.frame.pinRefs != want || pt.pins != want {
+				t.Fatalf("page %d: pinRefs %d, PTE pins %d, want %d", i, pt.frame.pinRefs, pt.pins, want)
+			}
+		}
+	}
+	balanced(2)
+	// The hole mapped again, the same handle extends past it.
+	if err := as.MmapFixed(addr+5*PageSize, PageSize); err != nil {
+		t.Fatal(err)
+	}
+	if err := p.Extend(6); err != nil {
+		t.Fatal(err)
+	}
+	if err := p.Unpin(); err != nil {
+		t.Fatal(err)
+	}
+	balanced(0)
+	if err := p.Extend(1); !errors.Is(err, ErrDoubleUnpin) || p.NumPages() != 0 {
+		t.Fatalf("extend after unpin: err = %v with %d pages, want ErrDoubleUnpin and none", err, p.NumPages())
+	}
+	if err := as.Munmap(addr, 8*PageSize); err != nil {
+		t.Fatal(err)
+	}
+	if n := as.Phys().FramesInUse(); n != 0 {
+		t.Fatalf("%d frames in use after unpin and munmap, want 0", n)
 	}
 }
 
