@@ -381,11 +381,15 @@ func runServer(c *mpi.Comm, sink Sink, cfg Config) {
 	}
 
 	// Memory hog: emergent pressure against the node's frame budget,
-	// sweeping a churn arena while the serving loop runs (the PR 5
-	// reclaim machinery steals cold heap pages — unless they're pinned).
-	// Every whole churn page takes the same dirt page by reference: the
-	// sweep faults, swaps in and steals exactly as a copy would, but moves
-	// no bytes.
+	// sweeping a churn arena while the serving loop runs (the reclaim
+	// machinery steals cold heap pages — unless they're pinned). Every
+	// whole churn page takes the same dirt page by reference: the sweep
+	// faults, swaps in and steals exactly as a copy would, but moves no
+	// bytes. Each sweep is one WriteBuf over the whole arena, which runs
+	// the same faults, steals and notifier calls in the same order as a
+	// call per page that checked hogStop between pages: a vm call never
+	// yields, and the reclaim hook and the MMU notifiers it fires only
+	// queue work, so nothing can set hogStop in the middle of a sweep.
 	hogStop := false
 	var hogDone *sim.Completion
 	if cfg.ChurnBytes > 0 {
@@ -397,14 +401,12 @@ func runServer(c *mpi.Comm, sink Sink, cfg Config) {
 			for i := range pattern {
 				pattern[i] = byte(i + 1)
 			}
-			dirt := vm.PageBuf(pattern)
+			dirt := vm.RepeatPage(pattern, vm.PageCount(0, cfg.ChurnBytes))
 			defer dirt.Release()
 			for !hogStop {
-				for off := 0; off < cfg.ChurnBytes && !hogStop; off += vm.PageSize {
-					w := vm.NewBufWriter(&dirt)
-					if err := ep.AS.WriteBuf(churn+vm.Addr(off), &w, min(vm.PageSize, cfg.ChurnBytes-off)); err != nil {
-						panic(fmt.Sprintf("kv: server %d churn: %v", rank, err))
-					}
+				w := vm.NewBufWriter(&dirt)
+				if err := ep.AS.WriteBuf(churn, &w, cfg.ChurnBytes); err != nil {
+					panic(fmt.Sprintf("kv: server %d churn: %v", rank, err))
 				}
 				p.Sleep(cfg.churnPeriod())
 			}

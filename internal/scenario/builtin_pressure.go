@@ -22,9 +22,10 @@ import (
 // frame budget. The comm buffer is written first, so its frames are the
 // oldest the reclaim scan visits: a pinned backend must resist exactly
 // there. churnCompute gives kswapd simulated time to run between rounds.
-// The hog writes one shared dirt page by reference into each whole page
-// of its buffer (faulting and reclaiming exactly as a copy would) and
-// copies only a final partial page, never past churnBytes.
+// Each round the hog writes one shared dirt page by reference into each
+// whole page of its buffer with a single WriteBuf (faulting and reclaiming
+// exactly as a copy, or a call per page, would) and copies only a final
+// partial page, never past churnBytes.
 func pressureWorkload(rounds, commBytes, churnBytes int, churnCompute sim.Duration) Workload {
 	return func(c *mpi.Comm, cr *CaseRun) {
 		half := c.Size() / 2
@@ -43,15 +44,13 @@ func pressureWorkload(rounds, commBytes, churnBytes int, churnCompute sim.Durati
 		for i := range pattern {
 			pattern[i] = byte(i + 1)
 		}
-		dirt := vm.PageBuf(pattern)
+		dirt := vm.RepeatPage(pattern, vm.PageCount(0, churnBytes))
 		defer dirt.Release()
 		c.Barrier()
 		start := c.Now()
 		for r := 0; r < rounds; r++ {
-			for off := 0; off < churnBytes; off += vm.PageSize {
-				w := vm.NewBufWriter(&dirt)
-				c.WriteBuf(churn+vm.Addr(off), &w, min(vm.PageSize, churnBytes-off))
-			}
+			w := vm.NewBufWriter(&dirt)
+			c.WriteBuf(churn, &w, churnBytes)
 			c.Compute(churnCompute)
 			if c.Rank() < half {
 				c.Send(comm, commBytes, c.Rank()+half, 31)

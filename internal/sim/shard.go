@@ -259,21 +259,33 @@ func (ss *ShardSet) deliver() {
 		ss.outboxes[i+1] = out[:0]
 	}
 	if len(batch) > 1 {
-		slices.SortFunc(batch, func(a, b CrossEvent) int {
-			return cmp.Or(
-				cmp.Compare(a.When, b.When),
-				cmp.Compare(a.DstNode, b.DstNode),
-				cmp.Compare(a.SendTime, b.SendTime),
-				cmp.Compare(a.SrcNode, b.SrcNode),
-				cmp.Compare(a.SrcSeq, b.SrcSeq),
-			)
-		})
+		slices.SortFunc(batch, compareCross)
 	}
 	for i := range batch {
 		ss.engines[batch[i].DstShard].At(batch[i].When, batch[i].Fn)
 	}
 	clear(batch)
 	ss.outboxes[0] = batch[:0]
+}
+
+// compareCross is the canonical order of cross-shard events: arrival
+// time, then destination node, send time, source node and source
+// sequence. It compares a key only while every key before it ties, so
+// the common comparison, decided by When, reads one field.
+func compareCross(a, b CrossEvent) int {
+	if a.When != b.When {
+		return cmp.Compare(a.When, b.When)
+	}
+	if a.DstNode != b.DstNode {
+		return cmp.Compare(a.DstNode, b.DstNode)
+	}
+	if a.SendTime != b.SendTime {
+		return cmp.Compare(a.SendTime, b.SendTime)
+	}
+	if a.SrcNode != b.SrcNode {
+		return cmp.Compare(a.SrcNode, b.SrcNode)
+	}
+	return cmp.Compare(a.SrcSeq, b.SrcSeq)
 }
 
 // runWindow executes one window ending at end. Only the shards that have

@@ -1,6 +1,7 @@
 package sim
 
 import (
+	"cmp"
 	"fmt"
 	"math/rand"
 	"runtime"
@@ -328,6 +329,45 @@ func TestShardSetMergeOrder(t *testing.T) {
 			t.Fatalf("delivery order %v, want %v", got, want)
 		}
 	})
+}
+
+// TestCompareCrossMatchesKeyTuple sorts shuffled barrier batches whose
+// keys tie often on the leading fields (a few arrival times, nodes and
+// send times) with compareCross, and checks the order against a
+// comparison of the whole (When, DstNode, SendTime, SrcNode, SrcSeq)
+// tuple at once.
+func TestCompareCrossMatchesKeyTuple(t *testing.T) {
+	tuple := func(a, b CrossEvent) int {
+		return cmp.Or(
+			cmp.Compare(a.When, b.When),
+			cmp.Compare(a.DstNode, b.DstNode),
+			cmp.Compare(a.SendTime, b.SendTime),
+			cmp.Compare(a.SrcNode, b.SrcNode),
+			cmp.Compare(a.SrcSeq, b.SrcSeq),
+		)
+	}
+	rng := rand.New(rand.NewSource(1))
+	for trial := 0; trial < 50; trial++ {
+		batch := make([]CrossEvent, 1+rng.Intn(300))
+		for i := range batch {
+			batch[i] = CrossEvent{
+				When:     Time(100 + rng.Intn(3)),
+				DstNode:  rng.Intn(3),
+				SendTime: Time(rng.Intn(3)),
+				SrcNode:  rng.Intn(3),
+				SrcSeq:   uint64(i), // unique: the order is total
+			}
+		}
+		rng.Shuffle(len(batch), func(i, j int) { batch[i], batch[j] = batch[j], batch[i] })
+		want := slices.Clone(batch)
+		slices.SortFunc(want, tuple)
+		slices.SortFunc(batch, compareCross)
+		for i := range batch {
+			if tuple(batch[i], want[i]) != 0 {
+				t.Fatalf("trial %d: event %d is %+v, want %+v", trial, i, batch[i], want[i])
+			}
+		}
+	}
 }
 
 // TestShardSetLookaheadViolation checks that posting an event inside the

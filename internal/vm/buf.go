@@ -106,6 +106,30 @@ func PageBuf(data []byte) Buf {
 	return b
 }
 
+// RepeatPage returns a Buf of n whole-page chunks that all reference one
+// page buffer holding a copy of data (at most a page; the rest reads as
+// zeros), with one reference per chunk. A hog that dirties an n-page arena
+// with the same contents builds it once and writes the whole arena with a
+// single AddressSpace.WriteBuf: every page is adopted by reference, and a
+// write of fewer than n whole pages copies only its final partial page.
+// Release it when done.
+func RepeatPage(data []byte, n int) Buf {
+	if len(data) > PageSize {
+		panic(fmt.Sprintf("vm: repeated page of %d bytes", len(data)))
+	}
+	if n <= 0 {
+		return Buf{}
+	}
+	pg := &page{data: new([PageSize]byte)}
+	pg.refs.Store(int32(n))
+	copy(pg.data[:], data)
+	b := Buf{length: n * PageSize, chunks: make([]bufChunk, n)}
+	for i := range b.chunks {
+		b.chunks[i] = bufChunk{pg: pg, n: PageSize}
+	}
+	return b
+}
+
 // CopyTo materializes the view into dst, which must be at least Len bytes.
 func (b *Buf) CopyTo(dst []byte) {
 	pos := 0

@@ -44,7 +44,7 @@ func (as *AddressSpace) Fork(childPID int) (*AddressSpace, error) {
 					f.pg = p.frame.refPage()
 					f.mapRefs++
 					cptes[j] = pte{frame: f, present: true, writable: true}
-					child.installFrame(f, v.start+Addr(i+j)<<PageShift)
+					child.installFrame(&cptes[j], v.start+Addr(i+j)<<PageShift)
 				case p.present:
 					// Share read-only; either side's next write breaks COW.
 					p.writable = false

@@ -2,6 +2,7 @@ package vm
 
 import (
 	"bytes"
+	"slices"
 	"testing"
 )
 
@@ -51,23 +52,48 @@ func hogWrites(pattern []byte, dirt *Buf) []hogWrite {
 	}
 }
 
+// sweepOnce writes the whole arena in one WriteBuf of rep, a RepeatPage
+// Buf of the pattern, as the hogs sweep.
+func sweepOnce(as *AddressSpace, arena Addr, rep *Buf) error {
+	w := NewBufWriter(rep)
+	return as.WriteBuf(arena, &w, hogPages*PageSize)
+}
+
 // TestFrameReuseHogSweepAllocFree: once the pages exist, a hog sweep that
-// faults every page back in from swap allocates nothing. Each fault takes
-// a released frame off the free list instead of making one, and the page
+// faults every page back in from swap allocates nothing, whether it writes
+// a page at a time or the whole arena in one call. Each fault takes a
+// released frame off the free list instead of making one, and the page
 // contents move by reference between frame and swap slot (and, through
 // WriteBuf, from the shared dirt page).
 func TestFrameReuseHogSweepAllocFree(t *testing.T) {
 	pattern := hogPattern()
-	dirt := PageBuf(pattern)
+	dirt, rep := PageBuf(pattern), RepeatPage(pattern, hogPages)
 	defer dirt.Release()
+	defer rep.Release()
+	type hogSweep struct {
+		name  string
+		sweep func(as *AddressSpace, arena Addr) error
+	}
+	var sweeps []hogSweep
 	for _, hw := range hogWrites(pattern, &dirt) {
-		t.Run(hw.name, func(t *testing.T) {
+		sweeps = append(sweeps, hogSweep{hw.name, func(as *AddressSpace, arena Addr) error {
+			for p := 0; p < hogPages; p++ {
+				if err := hw.write(as, arena+Addr(p)<<PageShift); err != nil {
+					return err
+				}
+			}
+			return nil
+		}})
+	}
+	sweeps = append(sweeps, hogSweep{"Sweep", func(as *AddressSpace, arena Addr) error {
+		return sweepOnce(as, arena, &rep)
+	}})
+	for _, hs := range sweeps {
+		t.Run(hs.name, func(t *testing.T) {
 			as, arena := newHogArena(t)
 			sweep := func() {
-				for p := 0; p < hogPages; p++ {
-					if err := hw.write(as, arena+Addr(p)<<PageShift); err != nil {
-						t.Fatal(err)
-					}
+				if err := hs.sweep(as, arena); err != nil {
+					t.Fatal(err)
 				}
 			}
 			sweep() // makes the pages, the leaf and the free list's room
@@ -87,6 +113,121 @@ func TestFrameReuseHogSweepAllocFree(t *testing.T) {
 				}
 			}
 		})
+	}
+}
+
+// notifierLog records every MMU-notifier call, in order.
+type notifierLog []NotifierRange
+
+func (l *notifierLog) InvalidateRange(r NotifierRange) { *l = append(*l, r) }
+
+// TestHogSweepOneCallMatchesPerPage: a churn sweep written as one WriteBuf
+// of a RepeatPage Buf over the whole arena is the program the per-page
+// loop it replaced ran. Two identical bounded rigs, each holding a pinned
+// range that the scans must resist, sweep an arena that ends 1,808 bytes
+// into its last page several times, with a kswapd pass between sweeps
+// (its watermarks raised so that each pass steals): one a page at a time
+// through a one-page PageBuf, one in a single call. Reclaim counters,
+// faults and swap-ins, every notifier call, and the final state of every
+// page (where it lives, which frame, and whether it holds the dirt page by
+// reference or its own bytes) must match, and the single call must write
+// nothing past the arena's last byte.
+func TestHogSweepOneCallMatchesPerPage(t *testing.T) {
+	const (
+		pinnedPages = 8
+		churnBytes  = hogPages*PageSize - 1808
+		sweeps      = 4
+	)
+	pattern := hogPattern()
+	type rig struct {
+		as          *AddressSpace
+		arena, tail Addr // tail is a canary page behind the arena
+		log         notifierLog
+	}
+	newRig := func() *rig {
+		r := &rig{as: NewAddressSpace(1, NewPhysMem(hogFrames))}
+		r.as.Phys().SetWatermarks(hogFrames/2, 3*hogFrames/4)
+		r.as.RegisterNotifier(&r.log)
+		pinned, _ := r.as.Mmap(pinnedPages * PageSize)
+		r.as.Write(pinned, bytes.Repeat([]byte{0x3C}, pinnedPages*PageSize))
+		if _, err := r.as.Pin(pinned, pinnedPages*PageSize); err != nil {
+			t.Fatal(err)
+		}
+		// The arena and the canary page share one mapping, so a write past
+		// churnBytes would land on the canary instead of faulting.
+		r.arena, _ = r.as.Mmap(churnBytes + PageSize)
+		r.tail = PageAlignUp(r.arena + churnBytes)
+		r.as.Write(r.tail, []byte{0xC5})
+		return r
+	}
+	perPage, oneCall := newRig(), newRig()
+	dirt := PageBuf(pattern)
+	defer dirt.Release()
+	rep := RepeatPage(pattern, PageCount(0, churnBytes))
+	defer rep.Release()
+	for s := 0; s < sweeps; s++ {
+		for off := 0; off < churnBytes; off += PageSize {
+			w := NewBufWriter(&dirt)
+			if err := perPage.as.WriteBuf(perPage.arena+Addr(off), &w, min(PageSize, churnBytes-off)); err != nil {
+				t.Fatal(err)
+			}
+		}
+		w := NewBufWriter(&rep)
+		if err := oneCall.as.WriteBuf(oneCall.arena, &w, churnBytes); err != nil {
+			t.Fatal(err)
+		}
+		perPage.as.Phys().KswapdPass()
+		oneCall.as.Phys().KswapdPass()
+	}
+	if a, b := perPage.as.Phys().ReclaimStats(), oneCall.as.Phys().ReclaimStats(); a != b {
+		t.Fatalf("reclaim stats differ:\nper page %+v\none call %+v", a, b)
+	}
+	if a := perPage.as.Phys().ReclaimStats(); a.DirectSteals == 0 || a.KswapdSteals == 0 || a.PinnedResists == 0 {
+		t.Fatalf("the rig missed direct reclaim, kswapd or a pinned frame: %+v", a)
+	}
+	if perPage.as.Faults() != oneCall.as.Faults() || perPage.as.SwapIns() != oneCall.as.SwapIns() {
+		t.Fatalf("faults %d/%d, swap-ins %d/%d (per page / one call)",
+			perPage.as.Faults(), oneCall.as.Faults(), perPage.as.SwapIns(), oneCall.as.SwapIns())
+	}
+	if !slices.Equal(perPage.log, oneCall.log) {
+		t.Fatalf("notifier calls differ: %d per page, %d in one call", len(perPage.log), len(oneCall.log))
+	}
+	// pageState is what a page's PTE holds, with the rig's own dirt page
+	// and frame numbers made comparable across the rigs.
+	type pageState struct {
+		present, swapped, dirt bool
+		pfn                    uint64
+		data                   string // the page's bytes when it is not the dirt page
+	}
+	states := func(r *rig, dirtPage *page) []pageState {
+		var out []pageState
+		for _, v := range r.as.vmas {
+			r.as.forEachPTE(v.start, v.end, func(p *pte) {
+				st := pageState{present: p.present, swapped: p.swapped}
+				pg := p.swapPg
+				if p.present {
+					st.pfn, pg = p.frame.pfn, p.frame.pg
+				}
+				if st.dirt = pg == dirtPage; !st.dirt && pg != nil {
+					st.data = string(pg.data[:])
+				}
+				out = append(out, st)
+			})
+		}
+		return out
+	}
+	a, b := states(perPage, dirt.chunks[0].pg), states(oneCall, rep.chunks[0].pg)
+	if !slices.Equal(a, b) {
+		t.Fatal("the final page states differ")
+	}
+	// Besides the Bufs themselves, the same number of frames and swap
+	// slots hold each rig's dirt page.
+	if x, y := dirt.chunks[0].pg.refs.Load()-1, rep.chunks[0].pg.refs.Load()-int32(len(rep.chunks)); x != y {
+		t.Fatalf("the dirt page has %d holders per page, %d in one call", x, y)
+	}
+	got := make([]byte, 2)
+	if err := oneCall.as.Read(oneCall.tail-1, got); err != nil || got[1] != 0xC5 || got[0] != 0 {
+		t.Fatalf("the bytes around the arena's end read %x (err %v), want 00c5", got, err)
 	}
 }
 
@@ -164,11 +305,14 @@ func TestFrameReuseStalePin(t *testing.T) {
 // BenchmarkReclaimFault times one steady-state hog page write: a fault
 // that swaps the page back in and, every directReclaimBatch writes, a
 // direct-reclaim stall that steals a batch. Write copies the page; WriteBuf
-// adopts a shared PageBuf by reference.
+// adopts a shared PageBuf by reference. Sweep times a whole-arena sweep in
+// one WriteBuf of a RepeatPage Buf, as the hogs write, and reports its
+// cost per page beside the per-page cells'.
 func BenchmarkReclaimFault(b *testing.B) {
 	pattern := hogPattern()
-	dirt := PageBuf(pattern)
+	dirt, rep := PageBuf(pattern), RepeatPage(pattern, hogPages)
 	defer dirt.Release()
+	defer rep.Release()
 	for _, hw := range hogWrites(pattern, &dirt) {
 		b.Run(hw.name, func(b *testing.B) {
 			as, arena := newHogArena(b)
@@ -187,4 +331,17 @@ func BenchmarkReclaimFault(b *testing.B) {
 			}
 		})
 	}
+	b.Run("Sweep", func(b *testing.B) {
+		as, arena := newHogArena(b)
+		if err := sweepOnce(as, arena, &rep); err != nil {
+			b.Fatal(err)
+		}
+		b.ReportAllocs()
+		for b.Loop() {
+			if err := sweepOnce(as, arena, &rep); err != nil {
+				b.Fatal(err)
+			}
+		}
+		b.ReportMetric(float64(b.Elapsed().Nanoseconds())/float64(b.N*hogPages), "ns/page")
+	})
 }

@@ -58,11 +58,16 @@ func (l *pageLedger) register(b *Buf) {
 	l.bufs[b] = true
 }
 
-// own registers a PageBuf: its references count like a lent Buf's, and its
-// pages, which no PhysMem made, count in the teardown total.
+// own registers a PageBuf or RepeatPage Buf: its references count like a
+// lent Buf's, and its distinct pages, which no PhysMem made, count in the
+// teardown total.
 func (l *pageLedger) own(b *Buf) {
 	l.register(b)
-	l.bufPages += len(b.chunks)
+	pages := make(map[*page]bool)
+	for _, c := range b.chunks {
+		pages[c.pg] = true
+	}
+	l.bufPages += len(pages)
 }
 
 // release releases a lent Buf.

@@ -119,14 +119,14 @@ func TestPageTableSplitKeepsPages(t *testing.T) {
 			lo, _ := as.PinPages(a, tc.first-2, 4)
 			hi, _ := as.PinPages(a, tc.first+tc.cuts-2, 4)
 			type state struct {
-				p    *pte
-				f    *Frame
-				pins int
+				p       *pte
+				f       *Frame
+				pinRefs int
 			}
 			before := make([]state, pages)
 			for i := range before {
 				p := as.lookup(a + Addr(i)<<PageShift)
-				before[i] = state{p, p.frame, p.pins}
+				before[i] = state{p, p.frame, p.frame.pinRefs}
 			}
 			if err := as.Munmap(a+Addr(tc.first)<<PageShift, tc.cuts*PageSize); err != nil {
 				t.Fatal(err)
@@ -143,8 +143,7 @@ func TestPageTableSplitKeepsPages(t *testing.T) {
 					continue
 				}
 				p := as.lookup(pa)
-				if p != before[i].p || p.frame != before[i].f || p.pins != before[i].pins ||
-					p.frame.PinCount() != before[i].f.PinCount() {
+				if p != before[i].p || p.frame != before[i].f || p.frame.PinCount() != before[i].pinRefs {
 					t.Fatalf("page %d changed across the split", i)
 				}
 				got := make([]byte, 3)
@@ -161,8 +160,8 @@ func TestPageTableSplitKeepsPages(t *testing.T) {
 			}
 			for _, v := range as.vmas {
 				as.forEachPTE(v.start, v.end, func(p *pte) {
-					if p.pins != 0 {
-						t.Fatal("a PTE kept a pin after every handle unpinned")
+					if p.present && p.frame.pinRefs != 0 {
+						t.Fatal("a frame kept a pin after every handle unpinned")
 					}
 				})
 			}

@@ -78,14 +78,12 @@ func (p *Pinned) Extend(n int) error {
 				// Pinning faults for write: the device may DMA into the
 				// page, so a COW-shared page must be broken now, not when
 				// the DMA lands.
-				pt := &ptes[j]
-				f, err := as.faultPTE(a, pt, true)
+				f, err := as.faultPTE(a, &ptes[j], true)
 				if err != nil {
 					p.unpinFrom(from)
 					return err
 				}
 				f.pinRefs++
-				pt.pins++
 				p.frames = append(p.frames, f.ref())
 				a += PageSize
 			}
@@ -126,26 +124,10 @@ func (p *Pinned) Unpin() error {
 }
 
 // unpinFrom drops the pin references of the handle's pages from on and
-// truncates the handle to its first from pages.
+// truncates the handle to its first from pages. The pins live on the
+// frames, not the page tables, so this walks only the handle's references.
 func (p *Pinned) unpinFrom(from int) {
-	refs := p.frames[from:]
-	start := p.start + Addr(from)<<PageShift
-	// The PTEs the pins went through may since have been unmapped, swapped
-	// or remapped: each gives its pin back only while it still maps the
-	// pinned frame. Absent leaves map nothing, and the walk allocates none.
-	p.as.forEachVMA(start, start+Addr(len(refs))<<PageShift, func(v *vma, first, count int) {
-		frames := refs[(v.start+Addr(first)<<PageShift-start)>>PageShift:]
-		for i := first; i < first+count; {
-			ptes, n := v.leafRun(i, first+count, false)
-			for j := range ptes {
-				if pt := &ptes[j]; pt.present && pt.frame == frames[i-first+j].f && pt.pins > 0 {
-					pt.pins--
-				}
-			}
-			i += n
-		}
-	})
-	for _, r := range refs {
+	for _, r := range p.frames[from:] {
 		f := r.Frame()
 		f.pinRefs--
 		if f.pinRefs < 0 {

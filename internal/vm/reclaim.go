@@ -180,16 +180,16 @@ func pageBytes(pg *page) int {
 // memory pays the (small) list cost on the fault path.
 func (pm *PhysMem) lruTracked() bool { return pm.capacity > 0 }
 
-// installFrame records the frame's reverse mapping (owner address space
-// and virtual address) and enters it on the active LRU list, as the fault
-// path does for new anonymous pages.
-func (as *AddressSpace) installFrame(f *Frame, a Addr) {
+// installFrame records the reverse mapping of p's frame (owner address
+// space, virtual address a and the PTE p) and enters the frame on the
+// active LRU list, as the fault path does for new anonymous pages.
+func (as *AddressSpace) installFrame(p *pte, a Addr) {
 	pm := as.phys
 	if !pm.lruTracked() {
 		return
 	}
-	f.owner = as
-	f.vaddr = PageAlignDown(a)
+	f := p.frame
+	f.owner, f.vaddr, f.ptep = as, PageAlignDown(a), p
 	if f.onLRU != lruNone {
 		pm.lruRemove(f)
 	}
@@ -197,17 +197,17 @@ func (as *AddressSpace) installFrame(f *Frame, a Addr) {
 	f.onLRU = lruActive
 }
 
-// touchFrame records an access: frames aged into the inactive list are
-// promoted back to active (the second-touch working-set signal), and the
-// reverse mapping is refreshed to the last accessor — so a frame whose
-// original owner unmapped it (e.g. a fork child now sole mapper) becomes
-// reclaimable again at its next touch instead of rotating forever. A
-// frame whose surviving mapper never touches it keeps a cleared/stale
-// reverse mapping and stays resident; a full rmap would be needed to
-// reclaim it.
-func (as *AddressSpace) touchFrame(f *Frame, a Addr) {
-	f.owner = as
-	f.vaddr = PageAlignDown(a)
+// touchFrame records an access through PTE p at address a: frames aged
+// into the inactive list are promoted back to active (the second-touch
+// working-set signal), and the reverse mapping is refreshed to the last
+// accessor — so a frame whose original owner unmapped it (e.g. a fork
+// child now sole mapper) becomes reclaimable again at its next touch
+// instead of rotating forever. A frame whose surviving mapper never
+// touches it keeps a cleared/stale reverse mapping and stays resident; a
+// full rmap would be needed to reclaim it.
+func (as *AddressSpace) touchFrame(p *pte, a Addr) {
+	f := p.frame
+	f.owner, f.vaddr, f.ptep = as, PageAlignDown(a), p
 	if f.onLRU == lruInactive {
 		pm := as.phys
 		pm.inactive.remove(f)
@@ -308,12 +308,21 @@ func (pm *PhysMem) KswapdPass() (scanned, stolen int) {
 // reclaimFrame swaps out the single mapping of f, verifying the reverse
 // mapping is current and firing the InvalidateSwap notifier before the
 // mapping changes. It reports whether the frame was reclaimed.
+//
+// The reverse map holds the PTE itself, so the check needs no page-table
+// lookup: the PTE still maps f exactly when looking vaddr up again would
+// find it mapping f. A leaf is allocated once and never moves, and a vma
+// split (vma.sub) shares its leaves instead of copying them, so the
+// pointer names the PTE at vaddr for as long as the mapping lives. Once
+// the mapping goes, dropPTE has zeroed that PTE (a remap at the same
+// address gets fresh leaves), so a stale pointer fails the check wherever
+// lookup would have failed.
 func (as *AddressSpace) reclaimFrame(f *Frame) bool {
-	a := f.vaddr
-	p := as.lookup(a)
-	if p == nil || !p.present || p.frame != f {
+	p := f.ptep
+	if !p.present || p.frame != f {
 		return false // stale reverse mapping
 	}
+	a := f.vaddr
 	as.notify(a, a+PageSize, InvalidateSwap)
 	// The notifier may have unpinned other pages but cannot have pinned
 	// this one (callbacks only drop pins); re-check defensively anyway.

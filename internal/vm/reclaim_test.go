@@ -181,6 +181,46 @@ func TestReclaimReownsFrameAfterParentUnmaps(t *testing.T) {
 	}
 }
 
+// TestReclaimSkipsStaleReverseMap: a parent's write after fork moves its
+// page to a new frame, which it pins, and the old frame, which only the
+// child now maps, keeps a reverse mapping that names the parent's PTE. The
+// scan finds that PTE mapping another frame and moves on without touching
+// it: no steal, no swap notifier on the parent, and both pages stay
+// resident. Once the child touches the old frame it re-owns it, and the
+// frame reclaims normally.
+func TestReclaimSkipsStaleReverseMap(t *testing.T) {
+	pm := NewPhysMem(32)
+	as := NewAddressSpace(1, pm)
+	addr, _ := as.Mmap(PageSize)
+	fillPages(t, as, addr, 1)
+	child, err := as.Fork(2)
+	if err != nil {
+		t.Fatal(err)
+	}
+	old, _ := child.FrameAt(addr)
+	if _, err := as.Pin(addr, PageSize); err != nil { // COW break, then pin
+		t.Fatal(err)
+	}
+	if mine, _ := as.FrameAt(addr); mine == old || old.owner != as {
+		t.Fatal("the COW break did not leave the old frame reverse mapped to the parent")
+	}
+	if _, stolen := pm.shrink(2); stolen != 0 {
+		t.Fatalf("stole %d frames through a stale reverse mapping", stolen)
+	}
+	if n := as.Notifications(InvalidateSwap); n != 0 {
+		t.Fatalf("the stale reverse mapping fired %d swap notifiers on the parent", n)
+	}
+	if !as.PageResident(addr) || !child.PageResident(addr) {
+		t.Fatal("a page left memory through a stale reverse mapping")
+	}
+	if err := child.Read(addr, make([]byte, 1)); err != nil {
+		t.Fatal(err)
+	}
+	if _, stolen := pm.shrink(2); stolen != 1 || child.PageResident(addr) {
+		t.Fatalf("stole %d frames after the child re-owned its frame, want its page", stolen)
+	}
+}
+
 func TestSwapAccountingAcrossTeardown(t *testing.T) {
 	pm := NewPhysMem(0)
 	as := NewAddressSpace(1, pm)

@@ -84,9 +84,11 @@ type Frame struct {
 
 	// Reverse mapping and LRU linkage, maintained only on bounded PhysMem
 	// (see reclaim.go): owner/vaddr record the (single) mapping reclaim
-	// would tear down, lruPrev/lruNext thread the active/inactive lists.
+	// would tear down and ptep the PTE that holds it, lruPrev/lruNext
+	// thread the active/inactive lists.
 	owner            *AddressSpace
 	vaddr            Addr
+	ptep             *pte
 	lruPrev, lruNext *Frame
 	onLRU            uint8
 	// freed marks a frame released and not yet reused; gen counts its
@@ -357,7 +359,7 @@ func (pm *PhysMem) release(f *Frame) {
 		panic(fmt.Sprintf("vm: freeing frame %d with refs map=%d pin=%d", f.pfn, f.mapRefs, f.pinRefs))
 	}
 	pm.lruRemove(f)
-	f.owner = nil
+	f.owner, f.ptep = nil, nil
 	f.freed = true
 	f.gen++
 	pm.putPage(f.pg)
@@ -370,7 +372,6 @@ func (pm *PhysMem) release(f *Frame) {
 type pte struct {
 	frame  *Frame
 	swapPg *page // contents saved at swap-out (one page reference)
-	pins   int   // pins through *this mapping*
 	// swapWritable preserves writability across a swap round trip: a
 	// COW-shared read-only page must come back read-only so the next
 	// write still runs breakCOW (and fires its notifier) instead of
@@ -382,7 +383,7 @@ type pte struct {
 }
 
 // A leaf is one page-table page: the PTEs of leafPages consecutive pages,
-// 2 MiB of address space as on x86-64 (16 KiB here, at 32 bytes a PTE).
+// 2 MiB of address space as on x86-64 (12 KiB here, at 24 bytes a PTE).
 const (
 	leafShift = 9
 	leafPages = 1 << leafShift
@@ -800,7 +801,7 @@ func (as *AddressSpace) faultPTE(a Addr, p *pte, forWrite bool) (*Frame, error) 
 		p.writable = p.swapWritable
 		p.swapWritable = false
 		f.mapRefs++
-		as.installFrame(f, a)
+		as.installFrame(p, a)
 		as.swapIns++
 		as.faults++
 	}
@@ -813,7 +814,7 @@ func (as *AddressSpace) faultPTE(a Addr, p *pte, forWrite bool) (*Frame, error) 
 		p.present = true
 		p.writable = true
 		f.mapRefs++
-		as.installFrame(f, a)
+		as.installFrame(p, a)
 		as.faults++
 	}
 	if forWrite && !p.writable {
@@ -822,7 +823,7 @@ func (as *AddressSpace) faultPTE(a Addr, p *pte, forWrite bool) (*Frame, error) 
 		}
 	}
 	if as.phys.lruTracked() {
-		as.touchFrame(p.frame, a)
+		as.touchFrame(p, a)
 	}
 	return p.frame, nil
 }
@@ -852,7 +853,7 @@ func (as *AddressSpace) breakCOW(a Addr, p *pte) error {
 	p.frame = f
 	p.writable = true
 	f.mapRefs++
-	as.installFrame(f, a)
+	as.installFrame(p, a)
 	as.cowBreaks++
 	return nil
 }
@@ -1116,7 +1117,7 @@ func (as *AddressSpace) Migrate(addr Addr, length int) (int, error) {
 		}
 		p.frame = f
 		f.mapRefs++
-		as.installFrame(f, a)
+		as.installFrame(p, a)
 		moved++
 		return nil
 	})

@@ -452,8 +452,8 @@ func TestPinPagesIncremental(t *testing.T) {
 
 // TestPinExtendRollsBackAtHole: an Extend that runs into an unmapped hole
 // fails and unpins only the pages it pinned itself. The handle keeps its
-// earlier pages, every frame's pinRefs and every PTE's pins match the
-// handle, and a later Unpin releases everything.
+// earlier pages, every frame's pinRefs match the handle, and a later Unpin
+// releases everything.
 func TestPinExtendRollsBackAtHole(t *testing.T) {
 	as := newAS(t)
 	addr, _ := as.Mmap(8 * PageSize)
@@ -482,8 +482,8 @@ func TestPinExtendRollsBackAtHole(t *testing.T) {
 			if pt == nil || !pt.present {
 				t.Fatalf("page %d not resident", i)
 			}
-			if pt.frame.pinRefs != want || pt.pins != want {
-				t.Fatalf("page %d: pinRefs %d, PTE pins %d, want %d", i, pt.frame.pinRefs, pt.pins, want)
+			if pt.frame.pinRefs != want {
+				t.Fatalf("page %d: pinRefs %d, want %d", i, pt.frame.pinRefs, want)
 			}
 		}
 	}
