@@ -87,12 +87,11 @@ func (b *Buf) AppendZeros(n int) {
 	b.length += n
 }
 
-// PageBuf returns a Buf that owns page buffers holding a copy of data, one
-// chunk a page (the last may be partial). Written at a page-aligned address
-// through AddressSpace.WriteBuf, its whole pages are adopted by reference:
-// a writer that stores the same contents over and over (a memory hog
-// dirtying its pages) builds it once and copies no bytes per write. The
-// Buf holds one reference per page; Release it when done.
+// PageBuf returns a page-backed copy of data: a Buf that owns page
+// buffers holding data, one chunk a page (the last may be partial).
+// Written at a page-aligned address through AddressSpace.WriteBuf, its
+// whole pages are adopted by reference and only a partial last page is
+// copied. The Buf holds one reference per page; Release it when done.
 func PageBuf(data []byte) Buf {
 	var b Buf
 	b.Grow(PageCount(0, len(data)))

@@ -5,7 +5,6 @@ import (
 	"encoding/binary"
 	"fmt"
 	"math/rand"
-	"slices"
 	"testing"
 )
 
@@ -36,14 +35,19 @@ func TestPropPressureInterleavings(t *testing.T) {
 //     mappings always match a plain in-memory model;
 //  4. page reference counts equal their holders after every operation,
 //     lent Bufs keep their snapshots through reclaim, and at teardown
-//     every page ever made is accounted for with no holder left.
+//     every page ever made is accounted for with no holder left;
+//  5. every swap notifier the parent fires announces a page that then
+//     leaves the frame it mapped: a notification for a page that stays
+//     would make a driver drop and repin a region for nothing.
 //
 // Each op is 8 bytes: a kind, a mapping, and three 16-bit arguments. A
 // hog sweep writes a whole mapping, or a prefix of it, in one WriteBuf of
-// a RepeatPage Buf, as the churn hogs do. A remap under pins unmaps a
-// mapping while pins still hold its frames and maps the same address
-// again, so the reverse map of each pinned frame names a PTE its mapping
-// no longer has while reclaim scans the new mapping's frames.
+// a RepeatPage Buf, as the churn hogs do. A remap unmaps a mapping, pins
+// and all, and maps it again, at the same address or elsewhere. A COW
+// break under a fork child leaves the child's frame with a reverse map
+// that names the parent's PTE, which now maps the copy, and a kswapd pass
+// then scans it: invariant 5 catches a reclaim that trusts that stale
+// reverse map.
 func FuzzPressure(f *testing.F) {
 	f.Fuzz(checkPressure)
 }
@@ -69,6 +73,26 @@ func checkPressure(t *testing.T, ops []byte) {
 	// The hog sweeps' Buf stays out for the whole run, as a hog's does.
 	rep := RepeatPage(pattern, mapPages)
 	l.own(&rep)
+	// swapped records each page a swap notifier announces on the parent
+	// with the frame it maps at that moment; by the end of the op the page
+	// must map that frame no more (invariant 5).
+	type swapNote struct {
+		a   Addr
+		ref FrameRef
+	}
+	var swapped []swapNote
+	as.RegisterNotifier(notifierFunc(func(r NotifierRange) {
+		if r.Reason != InvalidateSwap {
+			return
+		}
+		for a := r.Start; a < r.End; a += PageSize {
+			p := as.lookup(a)
+			if p == nil || !p.present {
+				t.Fatalf("a swap notifier announced %#x, which maps no frame", a)
+			}
+			swapped = append(swapped, swapNote{a, p.frame.ref()})
+		}
+	}))
 
 	type pin struct {
 		h      *Pinned
@@ -232,8 +256,8 @@ func checkPressure(t *testing.T, ops []byte) {
 				continue // alloc failure under pressure: rolled back
 			}
 			children = append(children, child)
-		case 7: // free a whole mapping and map a fresh one elsewhere
-			unmap(mi, false)
+		case 7: // free a whole mapping, pins and all, and map it again
+			unmap(mi, b&1 != 0) // odd b: at the same address
 		case 8: // injected swap pressure on top of the emergent kind
 			if _, err := as.SwapOut(addrs[mi], mapBytes); err != nil {
 				t.Fatalf("swapout: %v", err)
@@ -270,13 +294,28 @@ func checkPressure(t *testing.T, ops []byte) {
 			for i := range n {
 				model[mi][i] = pattern[i%PageSize]
 			}
-		case 13: // unmap a mapping while pins hold its frames, then map the same address again
-			held := slices.ContainsFunc(pins, func(p *pin) bool { return p.mi == mi && p.frozen == nil })
-			if !held && len(pins) < 4 && pinnedPages < capacity/2 {
-				pinRange(mi, a%mapPages, 1)
+		case 13: // break COW under a fork child, then a kswapd pass
+			// The child never touches its frames, so the old frame keeps
+			// a reverse map naming the parent's PTE, which maps the copy.
+			if len(children) == 0 {
+				child, err := as.Fork(100 + step/8)
+				if err != nil {
+					continue
+				}
+				children = append(children, child)
 			}
-			unmap(mi, true)
+			off := a % mapBytes
+			if err := as.Write(addrs[mi]+Addr(off), []byte{byte(c)}); err == nil {
+				model[mi][off] = byte(c)
+			}
+			pm.KswapdPass()
 		}
+		for _, n := range swapped {
+			if p := as.lookup(n.a); p != nil && p.present && p.frame.ref() == n.ref {
+				t.Fatalf("op %d: a swap notifier announced %#x, but it still maps the same frame", step/8, n.a)
+			}
+		}
+		swapped = swapped[:0]
 		handles := make([]*Pinned, len(pins))
 		for i, p := range pins {
 			handles[i] = p.h
