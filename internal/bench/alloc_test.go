@@ -6,13 +6,15 @@ import (
 )
 
 // simWallClockAllocs and simWallClockBytes are what one SimWallClockCell
-// run allocates once each segment's pins live in one pin handle and
-// vm.Buf chunks hold only page references. The count was 109,428 before
-// the event core stopped allocating per event, and 60,586 objects of
-// 5,624,000 bytes before the pin table stopped copying references.
+// run allocates once the pull path recycles its wire frames, pull
+// requests and replies and binds its bottom halves once. The count was
+// 109,428 before the event core stopped allocating per event, 60,586
+// objects of 5,624,000 bytes before the pin table stopped copying
+// references, and 60,285 objects of 4,665,800 bytes before the pull path
+// stopped allocating per fragment and per window.
 const (
-	simWallClockAllocs = 60_285
-	simWallClockBytes  = 4_665_800
+	simWallClockAllocs = 7_525
+	simWallClockBytes  = 1_151_800
 )
 
 // TestSimWallClockAllocBudget holds the acceptance-gate cell within 5% of

@@ -222,7 +222,9 @@ func New(cfg Config) (*Cluster, error) {
 	// fabric's minimum frame latency is its lookahead.
 	set := sim.NewShardSet(fabric.MinLatency(), engines)
 	cl.Set = set
-	fabric.SetRouter(func(dst *ethernet.NIC, fr *ethernet.Frame, when, sendTime sim.Time, srcSeq uint64) {
+	// Each frame object brings its delivery callback, bound once, so
+	// routing a frame allocates nothing.
+	fabric.SetRouter(func(fr *ethernet.Frame, deliver func(), when, sendTime sim.Time, srcSeq uint64) {
 		set.Post(sim.CrossEvent{
 			When:     when,
 			SendTime: sendTime,
@@ -231,7 +233,7 @@ func New(cfg Config) (*Cluster, error) {
 			SrcNode:  fr.Src,
 			DstNode:  fr.Dst,
 			SrcSeq:   srcSeq,
-			Fn:       func() { dst.Deliver(fr) },
+			Fn:       deliver,
 		})
 	})
 	cl.World = mpi.NewWorld(cl.Endpoints)
@@ -363,12 +365,14 @@ func (cl *Cluster) RunFor(budget sim.Duration, body func(c *mpi.Comm)) bool {
 	return cl.World.AllDone()
 }
 
-// dropFreePages empties every node's recycled page and frame free lists
-// once a run ends, so a finished simulation holds no pooled page buffers
-// or frames.
+// dropFreePages empties every node's free lists once a run ends — its
+// recycled page buffers and vm frames, and its wire frames, pull
+// requests and pull replies — so a finished simulation holds no pooled
+// objects.
 func (cl *Cluster) dropFreePages() {
 	for _, n := range cl.Nodes {
 		n.Phys.DropFreePages()
+		n.DropFreeLists()
 	}
 }
 

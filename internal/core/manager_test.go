@@ -46,8 +46,8 @@ func (h *harness) buf(t *testing.T, size int) vm.Addr {
 // readAt copies len(dst) bytes at region offset off through ReadBufAt,
 // the path the pull engine reads regions through.
 func readAt(r *Region, off int, dst []byte) error {
-	b, err := r.ReadBufAt(off, len(dst))
-	if err != nil {
+	var b vm.Buf
+	if err := r.ReadBufAt(off, len(dst), &b); err != nil {
 		return err
 	}
 	b.CopyTo(dst)

@@ -137,8 +137,8 @@ func TestNoPinningBufByReference(t *testing.T) {
 		m.Acquire(rd)
 		h.eng.Run()
 		h.as.Write(src, want)
-		b, err := rs.ReadBufAt(0, n)
-		if err != nil {
+		var b vm.Buf
+		if err := rs.ReadBufAt(0, n, &b); err != nil {
 			t.Fatal(err)
 		}
 		h.as.Write(src, []byte("rewritten")) // after the loan: clones

@@ -393,30 +393,30 @@ func (r *Region) access(off, length int, fn func(f *vm.Frame, frameOff, n int)) 
 	})
 }
 
-// ReadBufAt returns a zero-copy (copy-on-reference) view of length bytes at
-// region byte offset off. This is the device-side read the sender's pull
-// path uses: O(pages) references instead of O(bytes) copies; see vm.Buf
-// for the snapshot semantics. Pinned regions read through their pinned
-// frames and the range must be Ready; page-table-translated ones (the
-// NIC-MMU model) lend the live page table's pages through
-// vm.AddressSpace.ReadBuf. The view holds page references: its final
-// consumer must Release it.
-func (r *Region) ReadBufAt(off, length int) (vm.Buf, error) {
+// ReadBufAt fills b, which must be empty, with a zero-copy
+// (copy-on-reference) view of length bytes at region byte offset off.
+// This is the device-side read the sender's pull path uses: O(pages)
+// references instead of O(bytes) copies; see vm.Buf for the snapshot
+// semantics. Pinned regions read through their pinned frames and the
+// range must be Ready; page-table-translated ones (the NIC-MMU model) lend
+// the live page table's pages through vm.AddressSpace.ReadBuf. The view
+// holds page references: its final consumer must Release it. On an error
+// b is left released.
+func (r *Region) ReadBufAt(off, length int, b *vm.Buf) error {
 	if r.parent != nil {
 		if off < 0 || off+length > r.bytes {
-			return vm.Buf{}, fmt.Errorf("core: access [%d,%d) outside view of %d bytes",
+			return fmt.Errorf("core: access [%d,%d) outside view of %d bytes",
 				off, off+length, r.bytes)
 		}
-		return r.parent.ReadBufAt(r.parentOff+off, length)
+		return r.parent.ReadBufAt(r.parentOff+off, length, b)
 	}
 	// Each segment's piece of the range spans at most its length/PageSize+2
-	// pages.
-	var b vm.Buf
+	// pages; a Buf refilled after Release already has the room.
 	b.Grow(length/vm.PageSize + 2*len(r.segs))
 	var err error
 	if r.noPin {
 		err = r.segments(off, length, func(_ int, a vm.Addr, n int) error {
-			return r.as.ReadBuf(a, n, &b)
+			return r.as.ReadBuf(a, n, b)
 		})
 	} else {
 		err = r.access(off, length, b.AppendFrame)
@@ -424,7 +424,7 @@ func (r *Region) ReadBufAt(off, length int) (vm.Buf, error) {
 	if err != nil {
 		b.Release()
 	}
-	return b, err
+	return err
 }
 
 // WriteBufAt writes a zero-copy view into the region at byte offset off,

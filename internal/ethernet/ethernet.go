@@ -46,6 +46,13 @@ type Frame struct {
 	// Queue is the destination rx queue, filled in by Send from the
 	// seeded steering function and the destination NIC's queue count.
 	Queue int
+
+	// to is the NIC the frame is in flight to, and deliver the callback
+	// that hands it over (to.Deliver(fr)). Send binds deliver the first
+	// time it routes the frame object, so a frame that is recycled and
+	// sent again schedules its delivery without allocating.
+	to      *NIC
+	deliver func()
 }
 
 // LinkConfig describes one direction-pair of cabling.
@@ -260,11 +267,12 @@ type Fabric struct {
 	LoopbackBytesPerSec float64
 }
 
-// RouteFunc carries one frame across a shard boundary: schedule
-// dst.Deliver(fr) on dst's engine at arrival time when. sendTime and
-// srcSeq (the sending NIC's frame counter) are the canonical tie-break
-// key for arrivals sharing an instant.
-type RouteFunc func(dst *NIC, fr *Frame, when, sendTime sim.Time, srcSeq uint64)
+// RouteFunc carries one frame across a shard boundary: schedule deliver,
+// the frame's bound hand-over to its destination NIC, on the engine that
+// owns node fr.Dst at arrival time when. sendTime and srcSeq (the sending
+// NIC's frame counter) are the canonical tie-break key for arrivals
+// sharing an instant.
+type RouteFunc func(fr *Frame, deliver func(), when, sendTime sim.Time, srcSeq uint64)
 
 // NewFabric creates an empty fabric with the given link parameters.
 func NewFabric(eng *sim.Engine, cfg LinkConfig) *Fabric {
@@ -413,11 +421,15 @@ func (n *NIC) Send(fr *Frame) {
 		}
 		when += n.degrade.ExtraLatency
 	}
+	fr.to = dst
+	if fr.deliver == nil {
+		fr.deliver = func() { fr.to.Deliver(fr) }
+	}
 	if n.fabric.route != nil {
-		n.fabric.route(dst, fr, when, sendTime, n.txFrames)
+		n.fabric.route(fr, fr.deliver, when, sendTime, n.txFrames)
 		return
 	}
-	n.eng.At(when, func() { dst.Deliver(fr) })
+	n.eng.At(when, fr.deliver)
 }
 
 // Deliver hands an arrived frame to the NIC's handler, in interrupt

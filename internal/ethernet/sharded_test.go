@@ -101,13 +101,13 @@ func TestFabricShardedSendsRaceFree(t *testing.T) {
 	f.Seed = 1
 	a := f.AddNICOn(ea, 0, 0)
 	b := f.AddNICOn(eb, 1, 0)
-	f.SetRouter(func(dst *NIC, fr *Frame, when, sendTime sim.Time, srcSeq uint64) {
+	f.SetRouter(func(fr *Frame, deliver func(), when, sendTime sim.Time, srcSeq uint64) {
 		dstShard := fr.Dst // node i lives on shard i
 		ss.Post(sim.CrossEvent{
 			When: when, SendTime: sendTime,
 			SrcShard: fr.Src, DstShard: dstShard,
 			SrcNode: fr.Src, DstNode: fr.Dst, SrcSeq: srcSeq,
-			Fn: func() { dst.Deliver(fr) },
+			Fn: deliver,
 		})
 	})
 	const rounds = 200

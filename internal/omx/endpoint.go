@@ -90,9 +90,11 @@ type rstate struct {
 	matched  *Request // nil until matched
 	isLarge  bool
 
+	// got dedups fragments, eager and pull alike (fragSet).
+	got fragSet
+
 	// Eager reassembly (kernel intermediate buffer).
 	buf      []byte
-	gotFrag  map[int]bool // by byte offset
 	received int
 	nfrags   int
 	fragsGot int // distinct fragments seen (counts, not bytes, so
@@ -105,10 +107,31 @@ type rstate struct {
 	lowestHole   int // first block not fully *arrived* (gap detection)
 	lastProgress sim.Time
 	reqTimer     sim.Event
-	missRetry    sim.Event // local fast retry after receiver-side overlap misses
+	reqDelay     sim.Duration // the delay reqTimer was armed with
+	onReqTimer   func()       // reRequestTimeout bound to this pull
+	missRetry    sim.Event    // local fast retry after receiver-side overlap misses
 	notifyTimer  sim.Event
 	notifyTries  int
 	completed    bool
+}
+
+// fragSet records which fragments of a message arrived, one bit each.
+// Eager fragments index it by eagerFrag.frag. Pull replies index it by
+// block and fragment within the block (pullFrag), one 64-bit word per
+// block: fragment k of a block starts k·maxData past the block's offset,
+// and NewNode checks that a block has at most 64.
+type fragSet []uint64
+
+func newFragSet(frags int) fragSet { return make(fragSet, (frags+63)/64) }
+
+func (s fragSet) has(i int) bool { return s[i>>6]&(1<<(i&63)) != 0 }
+func (s fragSet) add(i int)      { s[i>>6] |= 1 << (i & 63) }
+func (s fragSet) remove(i int)   { s[i>>6] &^= 1 << (i & 63) }
+
+// pullFrag is the fragSet index of the pull fragment at byte offset off.
+func pullFrag(off, maxData int) int {
+	bi := off / pullBlockSize
+	return bi<<6 | (off-bi*pullBlockSize)/maxData
 }
 
 type blockState struct {
@@ -128,8 +151,13 @@ type sendState struct {
 	data     []byte // eager payload kept for retransmission
 	isLarge  bool
 	rtxTimer sim.Event
-	tries    int
-	acked    bool // rndv implicitly acked by first pull request
+	// resend retransmits the unacked control message when the timer
+	// fires (nil once a pull request acked the rendezvous); onTimer is
+	// sendTimeout bound to this send at its first arm (armSendTimer).
+	resend  func()
+	onTimer func()
+	tries   int
+	acked   bool // rndv implicitly acked by first pull request
 	// quietSince is when the peer last showed signs of life for this
 	// message (submission, then every pull request). A send whose peer
 	// has been quiet for PeerDeadTimeout aborts with ErrPeerDead.

@@ -60,7 +60,35 @@ type Node struct {
 	// onAbort, when set, observes every request completing with an error
 	// (the chaos stress report counts aborts per interval through it).
 	onAbort func(kind ReqKind, err error)
+
+	// Free lists of the wire objects this node is done with. A frame is
+	// its sender's until NIC.Send, the fabric's in flight, and the
+	// receiving node's from onFrame on, which empties it onto this list;
+	// a frame lost in flight is left to the garbage collector. Pull
+	// requests and replies come from the sending node's list and go onto
+	// the receiving node's once handled. Each list is touched only on its
+	// node's shard (objects cross shards inside frames, through the window
+	// barrier); none is capped, and DropFreeLists empties them at run end.
+	freeFrames  freeList[ethernet.Frame]
+	freeReqs    freeList[pullReq]
+	freeReplies freeList[pullReply]
 }
+
+// freeList is a LIFO of recycled objects.
+type freeList[T any] []*T
+
+// get pops the most recently recycled object, or allocates one.
+func (l *freeList[T]) get() *T {
+	k := len(*l) - 1
+	if k < 0 {
+		return new(T)
+	}
+	x := (*l)[k]
+	*l = (*l)[:k]
+	return x
+}
+
+func (l *freeList[T]) put(x *T) { *l = append(*l, x) }
 
 // InFlightRequests reports requests issued but not yet completed.
 func (n *Node) InFlightRequests() int { return n.inflight }
@@ -101,7 +129,17 @@ func NewNode(eng *sim.Engine, fabric *ethernet.Fabric, spec cpu.Spec, id int) *N
 	n.rxQueues = 1
 	n.NIC.SetHandler(n.onFrame)
 	n.NIC.SetRxDelay(DefaultIntrDelay)
+	// Pull replies are deduplicated by one 64-bit word per block (fragSet).
+	if frags := (pullBlockSize + n.maxData() - 1) / n.maxData(); frags > 64 {
+		panic(fmt.Sprintf("omx: %d fragments per pull block, at most 64", frags))
+	}
 	return n
+}
+
+// DropFreeLists empties the node's recycled frame, pull-request and
+// pull-reply lists, so a finished run holds none of them.
+func (n *Node) DropFreeLists() {
+	n.freeFrames, n.freeReqs, n.freeReplies = nil, nil, nil
 }
 
 // ConfigureQueues resizes the node's NIC to q tx/rx queues and spreads the
@@ -201,29 +239,34 @@ func (n *Node) ResizeMemory(frames int) bool {
 // maxData is the data payload available per frame after the MXoE header.
 func (n *Node) maxData() int { return n.NIC.MTU() - headerBytes }
 
-// send transmits one protocol message, sizing the frame from its data and
-// steering it onto the flow of its (src endpoint, dst endpoint) pair so
-// multi-queue NICs keep each endpoint conversation on one lane.
+// send transmits one protocol message in a frame from the node's free
+// list, sizing it from its data and steering it onto the flow of its (src
+// endpoint, dst endpoint) pair so multi-queue NICs keep each endpoint
+// conversation on one lane.
 func (n *Node) send(dst int, dataLen int, payload wirePayload) {
 	src, dstAddr := payload.addrs()
-	n.NIC.Send(&ethernet.Frame{
-		Dst:     dst,
-		Size:    headerBytes + dataLen,
-		Payload: payload,
-		Flow:    FlowOf(src, dstAddr),
-	})
+	fr := n.freeFrames.get()
+	fr.Dst, fr.Size, fr.Payload, fr.Flow = dst, headerBytes+dataLen, payload, FlowOf(src, dstAddr)
+	n.NIC.Send(fr)
 }
 
 // onFrame runs in interrupt context: it only schedules bottom-half work on
 // the frame's rx-queue core. All protocol processing happens in the BH at
 // BottomHalf priority — which is what starves same-core application
-// pinning under flood (paper §4.3).
+// pinning under flood (paper §4.3). The node owns every frame delivered
+// here: once the payload and rx queue are read, the frame is emptied onto
+// the free list. An empty payload marks a recycled frame.
 func (n *Node) onFrame(fr *ethernet.Frame) {
 	n.stats.FramesRx++
+	if fr.Payload == nil {
+		panic("omx: ethernet frame handled after it was recycled")
+	}
 	p, ok := fr.Payload.(wirePayload)
 	if !ok {
 		panic(fmt.Sprintf("omx: unknown payload %T", fr.Payload))
 	}
+	queue := fr.Queue
+	n.recycleFrame(fr)
 	_, dst := p.addrs()
 	ep, epOK := n.endpoints[dst.EP]
 	if !epOK {
@@ -232,5 +275,58 @@ func (n *Node) onFrame(fr *ethernet.Frame) {
 	// The IRQ/NAPI pipeline latency was already applied by the NIC's
 	// delivery event (NewNode sets it as the NIC's rx delay), so the
 	// bottom half can be queued directly.
-	ep.dispatchBH(fr.Payload, fr.Queue)
+	ep.dispatchBH(p, queue)
+}
+
+// recycleFrame empties a delivered frame onto the free list. Its bound
+// delivery callback stays, so the next send of it allocates nothing.
+func (n *Node) recycleFrame(fr *ethernet.Frame) {
+	if fr.Payload == nil {
+		panic("omx: ethernet frame recycled twice")
+	}
+	fr.Src, fr.Dst, fr.Size, fr.Payload, fr.Flow, fr.Queue = 0, 0, 0, nil, 0, 0
+	n.freeFrames.put(fr)
+}
+
+// newPullReq takes a pull request from the free list, keeping its blocks
+// array, and addresses it.
+func (n *Node) newPullReq(src, dst EndpointAddr, seq uint64) *pullReq {
+	m := n.freeReqs.get()
+	m.src, m.dst, m.seq, m.blocks, m.live = src, dst, seq, m.blocks[:0], true
+	return m
+}
+
+// recyclePullReq puts a handled pull request on the free list.
+func (n *Node) recyclePullReq(m *pullReq) {
+	if !m.live {
+		panic("omx: pull request recycled twice")
+	}
+	m.live, m.ep, m.ss, m.region = false, nil, nil, nil
+	n.freeReqs.put(m)
+}
+
+// newPullReply takes a pull reply from the free list, its buf empty but
+// keeping its chunk array, and addresses it.
+func (n *Node) newPullReply(src, dst EndpointAddr, seq uint64, off int) *pullReply {
+	m := n.freeReplies.get()
+	m.src, m.dst, m.seq, m.off, m.live = src, dst, seq, off, true
+	return m
+}
+
+// recyclePullReply releases a received reply's page references and puts
+// it on the free list.
+func (n *Node) recyclePullReply(m *pullReply) {
+	if !m.live {
+		panic("omx: pull reply recycled twice")
+	}
+	m.buf.Release()
+	m.live, m.ep, m.rs, m.region = false, nil, nil, nil
+	n.freeReplies.put(m)
+}
+
+// mustBeLive panics when a pull message is handled after it was recycled.
+func mustBeLive(live bool, what string) {
+	if !live {
+		panic("omx: " + what + " handled after it was recycled")
+	}
 }

@@ -26,15 +26,15 @@ func (ep *Endpoint) handleEagerFrag(m *eagerFrag) {
 		}
 		rs = &rstate{
 			key: key, match: m.match, total: m.total,
-			buf: make([]byte, m.total), gotFrag: make(map[int]bool), nfrags: m.nfrags,
+			buf: make([]byte, m.total), got: newFragSet(m.nfrags), nfrags: m.nfrags,
 		}
 		ep.rstates[key] = rs
 		ep.admit(m.src)
 	}
-	if rs.gotFrag[m.off] {
+	if rs.got.has(m.frag) {
 		return
 	}
-	rs.gotFrag[m.off] = true
+	rs.got.add(m.frag)
 	copy(rs.buf[m.off:], m.data)
 	rs.received += len(m.data)
 	rs.fragsGot++
@@ -124,6 +124,7 @@ func (ep *Endpoint) startPull(rs *rstate, req *Request) {
 		}
 		rs.blocks[i] = blockState{off: off, length: l}
 	}
+	rs.got = make(fragSet, nblocks)
 	ep.activePulls[rs] = struct{}{}
 	acq := ep.proc.mgr.Acquire(req.region)
 	req.acquired = true
@@ -161,19 +162,20 @@ func (ep *Endpoint) startPull(rs *rstate, req *Request) {
 // single request frame — the per-window burst — so filling a window costs
 // one wire event instead of one per block.
 func (ep *Endpoint) issueBlocks(rs *rstate) {
-	var burst []pullRange
+	var req *pullReq
 	for rs.outstanding < ep.cfg.PullWindow && rs.nextBlockOff < len(rs.blocks) {
 		b := &rs.blocks[rs.nextBlockOff]
 		rs.nextBlockOff++
 		rs.outstanding++
 		b.lastReq = ep.node.Eng.Now()
 		ep.emit(trace.PullReqSent, rs.key.seq, b.off, b.length)
-		burst = append(burst, pullRange{off: b.off, length: b.length})
+		if req == nil {
+			req = ep.node.newPullReq(ep.addr, rs.key.src, rs.key.seq)
+		}
+		req.blocks = append(req.blocks, pullRange{off: b.off, length: b.length})
 	}
-	if len(burst) > 0 {
-		ep.node.send(rs.key.src.Node, 0, &pullReq{
-			src: ep.addr, dst: rs.key.src, seq: rs.key.seq, blocks: burst,
-		})
+	if req != nil {
+		ep.node.send(rs.key.src.Node, 0, req)
 	}
 	rs.lastProgress = ep.node.Eng.Now()
 }
@@ -184,10 +186,9 @@ func (ep *Endpoint) reRequestBlock(rs *rstate, b *blockState) {
 	b.lastReq = ep.node.Eng.Now()
 	ep.node.stats.ReRequests++
 	ep.emit(trace.ReRequest, rs.key.seq, b.off, b.length)
-	ep.node.send(rs.key.src.Node, 0, &pullReq{
-		src: ep.addr, dst: rs.key.src, seq: rs.key.seq,
-		blocks: []pullRange{{off: b.off, length: b.length}},
-	})
+	req := ep.node.newPullReq(ep.addr, rs.key.src, rs.key.seq)
+	req.blocks = append(req.blocks, pullRange{off: b.off, length: b.length})
+	ep.node.send(rs.key.src.Node, 0, req)
 }
 
 // noteArrival records an accepted fragment for gap detection and performs
@@ -291,34 +292,45 @@ func (ep *Endpoint) armReRequest(rs *rstate) {
 	ep.armReRequestAfter(rs, reRequestDelay)
 }
 
+// armReRequestAfter arms the timer to fire after delay. Arming cancels
+// the pending timer, so the one that fires always sees the delay it was
+// armed with; the callback is bound once per pull, so re-arming allocates
+// nothing.
 func (ep *Endpoint) armReRequestAfter(rs *rstate, delay sim.Duration) {
 	rs.reqTimer.Cancel()
-	rs.reqTimer = ep.node.Eng.After(delay, func() {
-		if rs.completed {
+	rs.reqDelay = delay
+	if rs.onReqTimer == nil {
+		rs.onReqTimer = func() { ep.reRequestTimeout(rs) }
+	}
+	rs.reqTimer = ep.node.Eng.After(delay, rs.onReqTimer)
+}
+
+// reRequestTimeout runs when a pull's silence timer fires.
+func (ep *Endpoint) reRequestTimeout(rs *rstate) {
+	if rs.completed {
+		return
+	}
+	stalled := ep.node.Eng.Now() - rs.lastProgress
+	if stalled >= reRequestDelay {
+		if stalled >= ep.cfg.PeerDeadTimeout {
+			ep.finishPull(rs, fmt.Errorf("%w: pull silent for %v", ErrPeerDead, stalled))
 			return
 		}
-		stalled := ep.node.Eng.Now() - rs.lastProgress
-		if stalled >= reRequestDelay {
-			if stalled >= ep.cfg.PeerDeadTimeout {
-				ep.finishPull(rs, fmt.Errorf("%w: pull silent for %v", ErrPeerDead, stalled))
-				return
+		for i := 0; i < rs.nextBlockOff; i++ {
+			b := &rs.blocks[i]
+			if b.accepted >= b.length {
+				continue
 			}
-			for i := 0; i < rs.nextBlockOff; i++ {
-				b := &rs.blocks[i]
-				if b.accepted >= b.length {
-					continue
-				}
-				ep.reRequestBlock(rs, b)
-			}
-			next := delay * 2
-			if max := 8 * reRequestDelay; next > max {
-				next = max
-			}
-			ep.armReRequestAfter(rs, next)
-			return
+			ep.reRequestBlock(rs, b)
 		}
-		ep.armReRequest(rs)
-	})
+		next := rs.reqDelay * 2
+		if max := 8 * reRequestDelay; next > max {
+			next = max
+		}
+		ep.armReRequestAfter(rs, next)
+		return
+	}
+	ep.armReRequest(rs)
 }
 
 // handlePullReply lands one data fragment in the receive region. This is
@@ -328,18 +340,21 @@ func (ep *Endpoint) armReRequestAfter(rs *rstate, delay sim.Duration) {
 // (paper §3.3: "drop the incoming packet and let retransmission happen").
 //
 // The fragment's payload is a Buf lent from the sender's pinned frames.
-// Every path that consumes or drops it releases it exactly once, here on
-// the receiver's shard, so the sender's pages stop counting this holder.
+// Every path that consumes or drops it recycles the reply, which releases
+// the Buf exactly once, here on the receiver's shard, so the sender's
+// pages stop counting this holder.
 func (ep *Endpoint) handlePullReply(m *pullReply) {
+	mustBeLive(m.live, "pull reply")
 	rs, ok := ep.rstates[msgKey{m.src, m.seq}]
 	if !ok || rs.completed || rs.matched == nil {
-		m.buf.Release()
+		ep.node.recyclePullReply(m)
 		return // late fragment after completion
 	}
 	region := rs.matched.region
 	n := m.buf.Len()
-	if rs.gotFrag[m.off] {
-		m.buf.Release()
+	frag := pullFrag(m.off, ep.node.maxData())
+	if rs.got.has(frag) {
+		ep.node.recyclePullReply(m)
 		return
 	}
 	if !region.Ready(m.off, n) {
@@ -351,52 +366,61 @@ func (ep *Endpoint) handlePullReply(m *pullReply) {
 		ep.node.stats.OverlapMissReceiver++
 		ep.emit(trace.OverlapMissRcv, m.seq, m.off, n)
 		ep.scheduleMissRetry(rs)
-		m.buf.Release()
+		ep.node.recyclePullReply(m)
 		return
 	}
-	if rs.gotFrag == nil {
-		rs.gotFrag = make(map[int]bool)
-	}
-	rs.gotFrag[m.off] = true
+	rs.got.add(frag)
 	ep.node.stats.PullRepliesRx++
 	ep.emit(trace.FragAccepted, m.seq, m.off, n)
 	// Progress is measured at fragment *arrival* (the paper's optimistic
 	// re-request reacts to missing packets, not to copy latency); this also
 	// drives the gap-based re-request of older holes.
 	ep.noteArrival(rs, m.off, n)
-	commit := func() {
-		defer m.buf.Release()
-		if rs.completed {
-			return
-		}
-		if err := region.WriteBufAt(m.off, &m.buf); err != nil {
-			// Invalidated between check and copy: give the fragment back.
-			delete(rs.gotFrag, m.off)
-			rs.blocks[m.off/pullBlockSize].accepted -= n
-			ep.node.stats.OverlapMissReceiver++
-			return
-		}
-		rs.received += n
-		bi := m.off / pullBlockSize
-		b := &rs.blocks[bi]
-		b.received += n
-		rs.lastProgress = ep.node.Eng.Now()
-		if !b.done && b.received >= b.length {
-			b.done = true
-			rs.outstanding--
-			ep.issueBlocks(rs)
-		}
-		if rs.received >= rs.total {
-			ep.finishPull(rs, nil)
-		}
-	}
+	m.ep, m.rs, m.region = ep, rs, region
 	if ep.cfg.UseIOAT {
 		ep.node.rxCore.Submit(cpu.BottomHalf, ioat.SetupCost, func() {
-			ep.node.IOAT.SubmitCopy(n, nil, commit)
+			ep.node.IOAT.SubmitCopy(n, nil, func() { ep.commitReply(m) })
 		})
 		return
 	}
-	ep.node.rxCore.Submit(cpu.BottomHalf, ep.core.Spec().CopyCost(n), commit)
+	ep.node.rxCore.SubmitArg(cpu.BottomHalf, ep.core.Spec().CopyCost(n), commitReplyBH, m)
+}
+
+func commitReplyBH(arg any) {
+	m := arg.(*pullReply)
+	m.ep.commitReply(m)
+}
+
+// commitReply copies an accepted fragment into the receive region once
+// its copy is charged, then recycles the reply.
+func (ep *Endpoint) commitReply(m *pullReply) {
+	mustBeLive(m.live, "pull reply")
+	defer ep.node.recyclePullReply(m)
+	rs := m.rs
+	if rs.completed {
+		return
+	}
+	n := m.buf.Len()
+	if err := m.region.WriteBufAt(m.off, &m.buf); err != nil {
+		// Invalidated between check and copy: give the fragment back.
+		rs.got.remove(pullFrag(m.off, ep.node.maxData()))
+		rs.blocks[m.off/pullBlockSize].accepted -= n
+		ep.node.stats.OverlapMissReceiver++
+		return
+	}
+	rs.received += n
+	bi := m.off / pullBlockSize
+	b := &rs.blocks[bi]
+	b.received += n
+	rs.lastProgress = ep.node.Eng.Now()
+	if !b.done && b.received >= b.length {
+		b.done = true
+		rs.outstanding--
+		ep.issueBlocks(rs)
+	}
+	if rs.received >= rs.total {
+		ep.finishPull(rs, nil)
+	}
 }
 
 // finishPull completes a large receive: notify the sender (with

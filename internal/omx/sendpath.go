@@ -147,32 +147,41 @@ func retryBackoff(base sim.Duration, tries int) sim.Duration {
 // each timeout resends it. A nil resend means a pull request acked the
 // rendezvous and the send waits for the notify: pull traffic re-arms the
 // timer. Either way PeerDeadTimeout of silence, or maxRetries consecutive
-// timeout periods, aborts the request.
+// timeout periods, aborts the request. Arming cancels the pending timer,
+// so the one that fires always sees the resend it was armed with; the
+// callback is bound once per send, so re-arming allocates nothing.
 func (ep *Endpoint) armSendTimer(ss *sendState, resend func()) {
+	ss.resend = resend
+	if ss.onTimer == nil {
+		ss.onTimer = func() { ep.sendTimeout(ss) }
+	}
 	ss.rtxTimer.Cancel()
-	ss.rtxTimer = ep.node.Eng.After(retryBackoff(ep.cfg.RetransmitTimeout, ss.tries), func() {
-		if ss.req.done.Done() || (resend != nil && ss.acked) {
-			return
+	ss.rtxTimer = ep.node.Eng.After(retryBackoff(ep.cfg.RetransmitTimeout, ss.tries), ss.onTimer)
+}
+
+// sendTimeout runs when a send's timer fires (armSendTimer).
+func (ep *Endpoint) sendTimeout(ss *sendState) {
+	if ss.req.done.Done() || (ss.resend != nil && ss.acked) {
+		return
+	}
+	if quiet := ep.node.Eng.Now() - ss.quietSince; quiet >= ep.cfg.PeerDeadTimeout {
+		ep.abortSend(ss, fmt.Errorf("%w: silent for %v", ErrPeerDead, quiet))
+		return
+	}
+	ss.tries++
+	if ss.tries > maxRetries {
+		if ss.resend == nil {
+			ep.abortSend(ss, fmt.Errorf("%w: peer inactive", ErrAborted))
+		} else {
+			ep.abortSend(ss, fmt.Errorf("%w: retransmit limit", ErrAborted))
 		}
-		if quiet := ep.node.Eng.Now() - ss.quietSince; quiet >= ep.cfg.PeerDeadTimeout {
-			ep.abortSend(ss, fmt.Errorf("%w: silent for %v", ErrPeerDead, quiet))
-			return
-		}
-		ss.tries++
-		if ss.tries > maxRetries {
-			if resend == nil {
-				ep.abortSend(ss, fmt.Errorf("%w: peer inactive", ErrAborted))
-			} else {
-				ep.abortSend(ss, fmt.Errorf("%w: retransmit limit", ErrAborted))
-			}
-			return
-		}
-		if resend != nil {
-			ep.node.stats.Retransmits++
-			resend()
-		}
-		ep.armSendTimer(ss, resend)
-	})
+		return
+	}
+	if ss.resend != nil {
+		ep.node.stats.Retransmits++
+		ss.resend()
+	}
+	ep.armSendTimer(ss, ss.resend)
 }
 
 // handleEagerAck completes an eager send.
@@ -194,8 +203,10 @@ func (ep *Endpoint) handleEagerAck(m *eagerAck) {
 // per-reply descriptor work. If the requested range is beyond the pinned
 // prefix (overlapped pinning hasn't caught up), the request is dropped and
 // the receiver's optimistic re-request recovers it — an overlap miss
-// (paper §3.3, §4.3).
+// (paper §3.3, §4.3). The request goes back on the node's free list once
+// served or dropped.
 func (ep *Endpoint) handlePullReq(m *pullReq) {
+	mustBeLive(m.live, "pull request")
 	ss, ok := ep.sends[sendKey{m.src, m.seq}]
 	if !ok {
 		// Completed or aborted here. A receiver still pulling (it missed
@@ -204,9 +215,11 @@ func (ep *Endpoint) handlePullReq(m *pullReq) {
 		// pull requests racing the final notify are harmless — the
 		// receiver ignores aborts for completed messages.
 		ep.node.send(m.src.Node, 0, &abortMsg{src: ep.addr, dst: m.src, seq: m.seq})
+		ep.node.recyclePullReq(m)
 		return
 	}
 	if ss.req.region == nil {
+		ep.node.recyclePullReq(m)
 		return // declaration still in flight
 	}
 	// First pull request implicitly acknowledges the rendezvous. From then
@@ -222,11 +235,11 @@ func (ep *Endpoint) handlePullReq(m *pullReq) {
 	ep.armSendTimer(ss, nil)
 	region := ss.req.region
 	maxData := ep.node.maxData()
-	// Filter the burst through the overlap-miss check per block, then serve
-	// every ready block as one bottom-half item: the whole window's reply
-	// descriptors are charged (and its fragments enqueued on the wire) in a
-	// single event rather than one per block.
-	var ready []pullRange
+	// Filter the burst in place through the overlap-miss check per block,
+	// then serve every ready block as one bottom-half item: the whole
+	// window's reply descriptors are charged (and its fragments enqueued
+	// on the wire) in a single event rather than one per block.
+	ready := m.blocks[:0]
 	totalFrags := 0
 	for _, b := range m.blocks {
 		if !region.Ready(b.off, b.length) {
@@ -238,30 +251,45 @@ func (ep *Endpoint) handlePullReq(m *pullReq) {
 		totalFrags += (b.length + maxData - 1) / maxData
 		ready = append(ready, b)
 	}
+	m.blocks = ready
 	if len(ready) == 0 {
+		ep.node.recyclePullReq(m)
 		return
 	}
 	// Per-reply descriptor cost, charged as one BH item for the burst.
-	ep.node.rxCore.Submit(cpu.BottomHalf, sim.Duration(totalFrags)*100*sim.Nanosecond, func() {
-		for _, blk := range ready {
-			for off := blk.off; off < blk.off+blk.length; off += maxData {
-				n := maxData
-				if off+n > blk.off+blk.length {
-					n = blk.off + blk.length - off
-				}
-				buf, err := region.ReadBufAt(off, n)
-				if err != nil {
-					// Region invalidated between the Ready check and the read
-					// (application bug: freed a buffer mid-send). Abort.
-					ep.abortSend(ss, fmt.Errorf("%w: %v", ErrPinAborted, err))
-					return
-				}
-				ep.node.send(m.src.Node, n, &pullReply{
-					src: ep.addr, dst: m.src, seq: m.seq, off: off, buf: buf,
-				})
+	m.ep, m.ss, m.region = ep, ss, region
+	ep.node.rxCore.SubmitArg(cpu.BottomHalf, sim.Duration(totalFrags)*100*sim.Nanosecond, servePullBH, m)
+}
+
+// servePullBH and commitReplyBH are the two pull bottom halves queued
+// with their message as the argument. Each message carries its endpoint
+// and the state its handler needs, so neither is bound to anything and
+// queuing one allocates nothing.
+func servePullBH(arg any) {
+	m := arg.(*pullReq)
+	m.ep.servePull(m)
+}
+
+// servePull attaches the requested blocks' data to pull replies, one per
+// frame's worth, and puts the request back on the free list.
+func (ep *Endpoint) servePull(m *pullReq) {
+	mustBeLive(m.live, "pull request")
+	defer ep.node.recyclePullReq(m)
+	maxData := ep.node.maxData()
+	for _, blk := range m.blocks {
+		for off := blk.off; off < blk.off+blk.length; off += maxData {
+			n := min(maxData, blk.off+blk.length-off)
+			r := ep.node.newPullReply(ep.addr, m.src, m.seq, off)
+			if err := m.region.ReadBufAt(off, n, &r.buf); err != nil {
+				// Region invalidated between the Ready check and the read
+				// (application bug: freed a buffer mid-send). Abort.
+				ep.node.recyclePullReply(r)
+				ep.abortSend(m.ss, fmt.Errorf("%w: %v", ErrPinAborted, err))
+				return
 			}
+			ep.node.send(m.src.Node, n, r)
 		}
-	})
+	}
 }
 
 // handleNotify completes a large send: all data reached the receiver.

@@ -85,22 +85,44 @@ type pullRange struct {
 // descriptors are a few bytes each; the frame stays header-sized), so
 // issuing a window costs one wire event instead of one per block.
 // Receiver-driven; duplicates are harmless (the sender is stateless for
-// pulls and the receiver dedups by offset).
+// pulls and the receiver dedups by fragment).
+//
+// Requests are recycled: the issuing node takes one from its free list
+// (Node.newPullReq, keeping the blocks array), and the serving node puts
+// it on its own list once handled. live is false while it sits on a list.
 type pullReq struct {
 	src, dst EndpointAddr // src = receiver issuing the pull
 	seq      uint64
 	blocks   []pullRange
+	live     bool
+
+	// Set by the serving endpoint for its bottom half (servePullBH): the
+	// send being served and its region.
+	ep     *Endpoint
+	ss     *sendState
+	region *core.Region
 }
 
 // pullReply carries data fragment [off, off+buf.Len()) of message seq. The
 // payload is a zero-copy view of the sender's pinned frames (vm.Buf): the
 // wire Size still charges the full data length, but the host moves no bytes
 // unless a page is rewritten mid-flight.
+//
+// Replies are recycled like requests (Node.newPullReply): the buf keeps
+// its chunk array across uses, and the receiving node releases it and
+// takes the reply back on every path that consumes or drops it.
 type pullReply struct {
 	src, dst EndpointAddr
 	seq      uint64
 	off      int
 	buf      vm.Buf
+	live     bool
+
+	// Set by the receiving endpoint for its commit (commitReplyBH): the
+	// message being pulled and its receive region.
+	ep     *Endpoint
+	rs     *rstate
+	region *core.Region
 }
 
 // notifyMsg tells the sender all data arrived (paper Figure 2: "notify").

@@ -20,10 +20,13 @@ import (
 //
 // Lending: the final consumer of a Buf calls Release once it no longer
 // reads it, handing the page references back so the source can write in
-// place again and freed pages can be recycled. A Buf value copied around
-// shares those references: release exactly one copy. A Buf that is never
-// released (lost on the wire) only costs the source a clone on its next
-// write and leaves the pages to the garbage collector.
+// place again and freed pages can be recycled. Release keeps the chunk
+// array, so a Buf that is released and refilled (a recycled pull reply's)
+// allocates nothing once it has grown to its largest view. A Buf value
+// copied around shares those references and that array: release exactly
+// one copy, and refill none of the others. A Buf that is never released
+// (lost on the wire) only costs the source a clone on its next write and
+// leaves the pages to the garbage collector.
 type Buf struct {
 	length int
 	chunks []bufChunk
@@ -62,7 +65,8 @@ func (b *Buf) AppendFrame(f *Frame, off, n int) {
 // known to span n pages takes a single allocation.
 func (b *Buf) Grow(n int) { b.chunks = slices.Grow(b.chunks, n) }
 
-// Release drops the page references the view holds and empties it.
+// Release drops the page references the view holds and empties it,
+// keeping its chunk array (cleared, so it pins no page) for the next fill.
 // Releasing an empty or already released Buf is a no-op.
 func (b *Buf) Release() {
 	for _, c := range b.chunks {
@@ -70,7 +74,8 @@ func (b *Buf) Release() {
 			c.pg.put()
 		}
 	}
-	b.chunks = nil
+	clear(b.chunks)
+	b.chunks = b.chunks[:0]
 	b.length = 0
 }
 

@@ -166,10 +166,14 @@ func TestPageBufAdoptedByReference(t *testing.T) {
 	if !bytes.Equal(got, data[:PageSize+1]) {
 		t.Fatal("an unaligned WriteBuf wrote the wrong bytes")
 	}
-	chunks := pb.chunks
+	// Release clears the chunk array it keeps: record the pages first.
+	pages := make([]*page, len(pb.chunks))
+	for i, c := range pb.chunks {
+		pages[i] = c.pg
+	}
 	pb.Release()
-	for i, c := range chunks {
-		if n := c.pg.refs.Load(); n != 0 {
+	for i, pg := range pages {
+		if n := pg.refs.Load(); n != 0 {
 			t.Fatalf("page %d of the released PageBuf still has %d holders", i, n)
 		}
 	}
