@@ -367,12 +367,13 @@ func (cl *Cluster) RunFor(budget sim.Duration, body func(c *mpi.Comm)) bool {
 
 // dropFreePages empties every node's free lists once a run ends — its
 // recycled page buffers and vm frames, and its wire frames, pull
-// requests and pull replies — so a finished simulation holds no pooled
-// objects.
+// requests and pull replies — and its cores' work-queue arrays, so a
+// finished simulation holds no pooled objects.
 func (cl *Cluster) dropFreePages() {
 	for _, n := range cl.Nodes {
 		n.Phys.DropFreePages()
 		n.DropFreeLists()
+		n.Machine.DropQueues()
 	}
 }
 

@@ -142,8 +142,10 @@ type workItem struct {
 const ringMin = 16
 
 // ring is one priority level's FIFO of work items: a circular buffer whose
-// array doubles when full and goes back to ringMin items when the core
-// idles, so a burst's array does not outlive the burst.
+// array doubles when full and keeps its size for the rest of the run, so a
+// backlog that recurs message after message (frames arriving faster than
+// the bottom half copies them) grows it once. Machine.DropQueues lets the
+// array go when the run ends.
 type ring struct {
 	buf  []workItem // len is zero or a power of two
 	head int
@@ -167,14 +169,6 @@ func (r *ring) pop() workItem {
 	r.head = (r.head + 1) & (len(r.buf) - 1)
 	r.n--
 	return it
-}
-
-// drained releases a burst-sized array once the ring is empty.
-func (r *ring) drained() {
-	r.head = 0
-	if len(r.buf) > ringMin {
-		r.buf = nil
-	}
 }
 
 // Core is a single processor core: a non-preemptive server with one FIFO
@@ -220,6 +214,20 @@ func (m *Machine) Core(i int) *Core { return m.cores[i] }
 
 // NumCores reports the number of cores.
 func (m *Machine) NumCores() int { return len(m.cores) }
+
+// DropQueues lets go of the array of every empty work queue on the
+// machine's cores, which otherwise keeps the size of the largest backlog
+// it has held. A run's end calls it, so a finished simulation holds no
+// queue sized for its bursts.
+func (m *Machine) DropQueues() {
+	for _, c := range m.cores {
+		for prio := range c.queues {
+			if q := &c.queues[prio]; q.n == 0 {
+				*q = ring{}
+			}
+		}
+	}
+}
 
 // ID returns the core index within its machine.
 func (c *Core) ID() int { return c.id }
@@ -273,8 +281,7 @@ func (c *Core) Exec(p *sim.Proc, prio Priority, dur sim.Duration) {
 	done.Wait(p)
 }
 
-// dispatch starts the first item of the highest non-empty priority, or,
-// with nothing queued, lets every ring drop its burst array.
+// dispatch starts the first item of the highest non-empty priority.
 func (c *Core) dispatch() {
 	for prio := range c.queues {
 		if q := &c.queues[prio]; q.n > 0 {
@@ -286,9 +293,6 @@ func (c *Core) dispatch() {
 			c.eng.After(c.running.dur, c.finish)
 			return
 		}
-	}
-	for prio := range c.queues {
-		c.queues[prio].drained()
 	}
 }
 

@@ -15,23 +15,24 @@ import (
 // plays it on a Core and on refServer, a brute-force non-preemptive
 // server, and checks that both start and finish every item at the same
 // times, complete them in the same order, and agree on BusyTime and
-// Completed per priority. Whenever the core idles, each ring must be back
-// to at most ringMin items with its head reset.
+// Completed per priority. Whenever the core idles, each ring must be
+// empty, and once the run is over Machine.DropQueues must leave every ring
+// without an array.
 func FuzzCoreQueue(f *testing.F) {
 	f.Fuzz(func(t *testing.T, data []byte) {
 		if len(data) > 512 {
 			data = data[:512] // the reference is quadratic in the backlog
 		}
 		e := sim.NewEngine(1)
-		c := NewMachine(e, XeonE5460).Core(0)
+		m := NewMachine(e, XeonE5460)
+		c := m.Core(0)
 		check := func() error {
 			if c.busy {
 				return nil
 			}
 			for prio, q := range c.queues {
-				if q.n != 0 || q.head != 0 || len(q.buf) > ringMin {
-					return fmt.Errorf("idle core, %v ring: %d items, head %d, array of %d",
-						Priority(prio), q.n, q.head, len(q.buf))
+				if q.n != 0 {
+					return fmt.Errorf("idle core, %v ring: %d items", Priority(prio), q.n)
 				}
 			}
 			return nil
@@ -39,6 +40,12 @@ func FuzzCoreQueue(f *testing.F) {
 		got, err := playCore(e, c, check, data)
 		if err != nil {
 			t.Fatal(err)
+		}
+		m.DropQueues()
+		for prio, q := range c.queues {
+			if q.buf != nil || q.n != 0 {
+				t.Fatalf("%v ring keeps an array of %d after DropQueues", Priority(prio), len(q.buf))
+			}
 		}
 		re := sim.NewEngine(1)
 		want, _ := playCore(re, &refServer{eng: re}, func() error { return nil }, data)

@@ -21,53 +21,57 @@ import (
 // receives the frames, requests and replies it sends next — the steady
 // state of a ping-pong.
 //
-// The link runs at 1.0 GB/s, below the bottom half's 1.15 GB/s copy, so
-// frames never queue up on the rx core. A core's work ring drops its
-// burst-sized array whenever the core idles and regrows it at the next
-// backlog: on the default 1.25 GB/s link that cpu-layer cost adds two
-// objects to each 4 MiB message, whatever the pull path does.
+// It runs on the default 1.25 GB/s link, where frames arrive faster than
+// the bottom half's 1.15 GB/s copy and queue up on the rx core, and on a
+// 1.0 GB/s link, where they never queue. A core's work ring keeps the
+// array a backlog grew until the run ends, so the 4 MiB message's backlog
+// costs nothing once the first message has grown it.
 func TestAllocsRendezvousPerMessage(t *testing.T) {
-	var perMsg []float64
-	for _, n := range []int{256 << 10, 4 << 20} {
-		eng := sim.NewEngine(11)
-		link := ethernet.DefaultLinkConfig()
-		link.BytesPerSec = 1.0e9
-		fabric := ethernet.NewFabric(eng, link)
-		n0 := NewNode(eng, fabric, cpu.XeonE5460, 0)
-		n1 := NewNode(eng, fabric, cpu.XeonE5460, 1)
-		a, _ := n0.OpenEndpoint(0, 1, DefaultConfig(policy.Overlapped, true))
-		b, _ := n1.OpenEndpoint(0, 1, DefaultConfig(policy.Overlapped, true))
-		p := &pair{eng: eng, fabric: fabric, n0: n0, n1: n1, a: a, b: b}
-		abuf, _ := p.a.Malloc(n)
-		bbuf, _ := p.b.Malloc(n)
-		want := fill(t, p.a, abuf, n, 5)
-		one := func(from, to *Endpoint, sbuf, rbuf vm.Addr) {
-			rr := to.Irecv(rbuf, n, 1, ^uint64(0))
-			sr := from.Isend(sbuf, n, 1, to.Addr())
-			p.eng.Run()
-			if !sr.Done() || !rr.Done() || sr.Err != nil || rr.Err != nil {
-				t.Fatalf("%d-byte rendezvous: done %v/%v, errors %v/%v",
-					n, sr.Done(), rr.Done(), sr.Err, rr.Err)
+	for _, bps := range []float64{ethernet.DefaultLinkConfig().BytesPerSec, 1.0e9} {
+		var perMsg []float64
+		for _, n := range []int{256 << 10, 4 << 20} {
+			eng := sim.NewEngine(11)
+			link := ethernet.DefaultLinkConfig()
+			link.BytesPerSec = bps
+			fabric := ethernet.NewFabric(eng, link)
+			n0 := NewNode(eng, fabric, cpu.XeonE5460, 0)
+			n1 := NewNode(eng, fabric, cpu.XeonE5460, 1)
+			a, _ := n0.OpenEndpoint(0, 1, DefaultConfig(policy.Overlapped, true))
+			b, _ := n1.OpenEndpoint(0, 1, DefaultConfig(policy.Overlapped, true))
+			p := &pair{eng: eng, fabric: fabric, n0: n0, n1: n1, a: a, b: b}
+			abuf, _ := p.a.Malloc(n)
+			bbuf, _ := p.b.Malloc(n)
+			want := fill(t, p.a, abuf, n, 5)
+			one := func(from, to *Endpoint, sbuf, rbuf vm.Addr) {
+				rr := to.Irecv(rbuf, n, 1, ^uint64(0))
+				sr := from.Isend(sbuf, n, 1, to.Addr())
+				p.eng.Run()
+				if !sr.Done() || !rr.Done() || sr.Err != nil || rr.Err != nil {
+					t.Fatalf("%d-byte rendezvous: done %v/%v, errors %v/%v",
+						n, sr.Done(), rr.Done(), sr.Err, rr.Err)
+				}
 			}
+			pingPong := func() {
+				one(p.a, p.b, abuf, bbuf)
+				one(p.b, p.a, bbuf, abuf)
+			}
+			pingPong() // declare, pin and cache both regions; fill the free lists
+			pingPong()
+			allocs := testing.AllocsPerRun(20, pingPong) / 2
+			got := make([]byte, n)
+			if err := p.a.AS.Read(abuf, got); err != nil || !bytes.Equal(got, want) {
+				t.Fatalf("%d-byte ping-pong delivered the wrong bytes", n)
+			}
+			perMsg = append(perMsg, allocs)
 		}
-		pingPong := func() {
-			one(p.a, p.b, abuf, bbuf)
-			one(p.b, p.a, bbuf, abuf)
+		if perMsg[0] != perMsg[1] {
+			t.Fatalf("on a %.2f GB/s link, a rendezvous allocates %.1f objects at 256 KiB but %.1f at 4 MiB",
+				bps/1e9, perMsg[0], perMsg[1])
 		}
-		pingPong() // declare, pin and cache both regions; fill the free lists
-		pingPong()
-		allocs := testing.AllocsPerRun(20, pingPong) / 2
-		got := make([]byte, n)
-		if err := p.a.AS.Read(abuf, got); err != nil || !bytes.Equal(got, want) {
-			t.Fatalf("%d-byte ping-pong delivered the wrong bytes", n)
+		if perMsg[0] > rendezvousAllocs {
+			t.Fatalf("on a %.2f GB/s link, a rendezvous allocates %.1f objects, over its budget of %d",
+				bps/1e9, perMsg[0], rendezvousAllocs)
 		}
-		perMsg = append(perMsg, allocs)
-	}
-	if perMsg[0] != perMsg[1] {
-		t.Fatalf("a rendezvous allocates %.1f objects at 256 KiB but %.1f at 4 MiB", perMsg[0], perMsg[1])
-	}
-	if perMsg[0] > rendezvousAllocs {
-		t.Fatalf("a rendezvous allocates %.1f objects, over its budget of %d", perMsg[0], rendezvousAllocs)
 	}
 }
 

@@ -156,7 +156,8 @@ func (b *Buf) Bytes() []byte {
 
 // BufWriter consumes a Buf sequentially, writing it into frames. It adopts
 // whole-page chunks (and whole-page zero runs) by reference and falls back
-// to copying for partial pages.
+// to copying for partial pages, skipping any piece the frame already holds
+// (see Frame.writeFrom).
 type BufWriter struct {
 	b  *Buf
 	ci int // current chunk
@@ -190,7 +191,7 @@ func (w *BufWriter) WriteTo(f *Frame, frameOff, n int) {
 			// past its page's end): share it.
 			f.adopt(c.pg)
 		} else {
-			f.Write(frameOff, c.pg.data[c.off+w.co:c.off+w.co+m])
+			f.writeFrom(c.pg, c.off+w.co, frameOff, m)
 		}
 		frameOff += m
 		n -= m
@@ -212,5 +213,117 @@ func (f *Frame) writeZeros(off, n int) {
 		return
 	}
 	f.ensureOwned()
+	f.pg.stamp = f.pm.nextStamp()
 	clear(f.pg.data[off : off+n])
+}
+
+// writeFrom copies the n bytes at offset so of page src into the frame at
+// off, unless the frame's content already holds them there: the frame
+// holds src itself and so == off, or its copy memo records those bytes as
+// a copy of src's content at this shift. A receive buffer committed again
+// from an unchanged send buffer, whose in-page offset differs from its
+// own, writes nothing. A copy from a page with a known content updates the
+// memo.
+func (f *Frame) writeFrom(src *page, so, off, n int) {
+	if f.freed {
+		panic(fmt.Sprintf("vm: write to freed frame %d", f.pfn))
+	}
+	shift := int32(off - so)
+	if f.pg == src && shift == 0 || f.memo.covers(f.pg, src.stamp, shift, off, off+n) {
+		return
+	}
+	var prev uint64
+	if f.pg != nil {
+		prev = f.pg.stamp
+	}
+	f.Write(off, src.data[so:so+n])
+	if src.stamp == 0 || f.pg == nil {
+		return // an unknown content, or zeros left unmaterialized
+	}
+	if f.memo == nil {
+		f.memo = f.pm.newMemo()
+	}
+	f.memo.note(prev, f.pg.stamp, src.stamp, shift, off, off+n)
+}
+
+// copyMemo is what a frame remembers of the content it last wrote: up to
+// two records, each saying that bytes [lo, hi) of the content stamped dst
+// equal the bytes shift below them in the content stamped src. Two cover a
+// page fed from two source pages at one shift, as a receive buffer is
+// when its in-page offset differs from the send buffer's. A stamp names
+// one content forever, so a record never turns false; it applies only
+// while the frame holds the content it describes.
+type copyMemo struct {
+	dst  uint64
+	recs [2]copyRec
+}
+
+// copyRec is one record of a copyMemo; src 0 marks it empty.
+type copyRec struct {
+	src    uint64
+	shift  int32 // offset in dst minus offset in src
+	lo, hi uint16
+}
+
+// covers reports whether m records bytes [lo, hi) of pg's content as the
+// bytes shift below them in content src. An unknown content (src 0)
+// matches nothing.
+func (m *copyMemo) covers(pg *page, src uint64, shift int32, lo, hi int) bool {
+	if m == nil || pg == nil || src == 0 || m.dst != pg.stamp {
+		return false
+	}
+	for i := range m.recs {
+		if r := &m.recs[i]; r.src == src && r.shift == shift && int(r.lo) <= lo && hi <= int(r.hi) {
+			return true
+		}
+	}
+	return false
+}
+
+// note records that a copy of [lo, hi) from content src at shift turned
+// the frame's content prev into dst. Records of prev still hold outside
+// [lo, hi) and are trimmed to it, and one of the same source and shift
+// that meets the range merges with it; records of any other content no
+// longer apply and go. With both records taken, the new one replaces the
+// one covering fewer bytes.
+func (m *copyMemo) note(prev, dst, src uint64, shift int32, lo, hi int) {
+	if m.dst != prev {
+		m.recs = [2]copyRec{}
+	}
+	m.dst = dst
+	nlo, nhi := lo, hi
+	for i := range m.recs {
+		r := &m.recs[i]
+		switch {
+		case r.src == 0:
+		case r.src == src && r.shift == shift && int(r.lo) <= hi && lo <= int(r.hi):
+			nlo, nhi = min(nlo, int(r.lo)), max(nhi, int(r.hi))
+			*r = copyRec{}
+		default:
+			r.trim(lo, hi)
+		}
+	}
+	i := 0
+	if r0, r1 := &m.recs[0], &m.recs[1]; r0.src != 0 && (r1.src == 0 || r1.hi-r1.lo < r0.hi-r0.lo) {
+		i = 1
+	}
+	m.recs[i] = copyRec{src: src, shift: shift, lo: uint16(nlo), hi: uint16(nhi)}
+}
+
+// trim takes [lo, hi) out of the record. Where that would leave two
+// pieces it keeps the larger; where it leaves none it empties the record.
+func (r *copyRec) trim(lo, hi int) {
+	rlo, rhi := int(r.lo), int(r.hi)
+	if hi <= rlo || rhi <= lo {
+		return
+	}
+	below, above := lo-rlo, rhi-hi
+	switch {
+	case below <= 0 && above <= 0:
+		*r = copyRec{}
+	case below >= above:
+		r.hi = uint16(lo)
+	default:
+		r.lo = uint16(hi)
+	}
 }

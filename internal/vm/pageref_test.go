@@ -104,8 +104,8 @@ func (l *pageLedger) check(spaces []*AddressSpace, pins []*Pinned) error {
 		}
 	}
 	for f := range frames {
-		if f.pinRefs != pinned[f] {
-			return fmt.Errorf("frame %d: pin count %d, %d pin references held", f.pfn, f.pinRefs, pinned[f])
+		if f.PinCount() != pinned[f] {
+			return fmt.Errorf("frame %d: pin count %d, %d pin references held", f.pfn, f.PinCount(), pinned[f])
 		}
 		if f.pg != nil {
 			holders[f.pg]++

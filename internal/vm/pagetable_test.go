@@ -126,7 +126,7 @@ func TestPageTableSplitKeepsPages(t *testing.T) {
 			before := make([]state, pages)
 			for i := range before {
 				p := as.lookup(a + Addr(i)<<PageShift)
-				before[i] = state{p, p.frame, p.frame.pinRefs}
+				before[i] = state{p, p.frame, p.frame.PinCount()}
 			}
 			if err := as.Munmap(a+Addr(tc.first)<<PageShift, tc.cuts*PageSize); err != nil {
 				t.Fatal(err)

@@ -248,7 +248,14 @@ func TestPropMunmapAlwaysNotifiesWholeRange(t *testing.T) {
 // must read the snapshot they were lent and live mappings must match a
 // sparse model. Writes also go through WriteBuf from a PageBuf (adopted
 // whole pages, or an unaligned range) that stays out as a loan, and lends
-// also go through ReadBuf. Three mappings fit in one page-table leaf; the
+// also go through ReadBuf. A shifted copy reads a range of one mapping
+// through ReadBuf and writes it through WriteBuf into another at a
+// different in-page offset, as a receive commit does, once or twice in a
+// row, so that frames' copy memos skip bytes they already hold; the copied
+// range must then read back as the source's bytes, which fails if a memo
+// outlives the content it describes (a source rewritten in place or
+// through a recycled page, a destination written since, or a piece zeroed
+// from an unwritten source). Three mappings fit in one page-table leaf; the
 // fourth spans more than three, and ops address it at random pages. A
 // partial munmap cuts a hole inside a mapping, splitting its VMA (usually
 // inside a leaf), and maps the hole again. Released frames are reused, so
@@ -348,7 +355,7 @@ func FuzzPageRefs(f *testing.F) {
 			first := a % pages
 			base := first * PageSize
 			window := min(4, pages-first) * PageSize
-			switch op[0] % 13 {
+			switch op[0] % 14 {
 			case 0, 1: // write: the whole window (adopt-sized) or a partial range
 				off, n := base, window
 				if b&1 != 0 {
@@ -471,6 +478,35 @@ func FuzzPageRefs(f *testing.F) {
 				}
 				l.register(lb)
 				loans = append(loans, loan{lb, modelRead(mi, off, n)})
+			case 13: // shifted copy into another mapping; op[1] bit 4 copies twice, bit 5 keeps each Buf as a loan
+				mj := (mi + 1 + int(op[1]>>2&3)%3) % len(mapPages)
+				so := base + b%PageSize
+				n := min(1+(b>>12<<4|c>>12)*48, pages*PageSize-so)
+				do := first%(mapPages[mj]-3)*PageSize + c%PageSize
+				want := modelRead(mi, so, n)
+				for range 1 + int(op[1]>>4&1) {
+					lb := &Buf{}
+					if err := as.ReadBuf(addrs[mi]+Addr(so), n, lb); err != nil {
+						t.Fatalf("op %d: ReadBuf: %v", step/8, err)
+					}
+					l.register(lb)
+					w := NewBufWriter(lb)
+					if err := as.WriteBuf(addrs[mj]+Addr(do), &w, n); err != nil {
+						t.Fatalf("op %d: WriteBuf: %v", step/8, err)
+					}
+					if op[1]&0x20 != 0 {
+						loans = append(loans, loan{lb, want})
+					} else {
+						l.release(lb)
+					}
+				}
+				modelWrite(mj, do, want)
+				got := make([]byte, n)
+				as.Read(addrs[mj]+Addr(do), got)
+				if !bytes.Equal(got, want) {
+					t.Fatalf("op %d: %d bytes copied from mapping %d at %d to mapping %d at %d read back wrong",
+						step/8, n, mi, so, mj, do)
+				}
 			}
 			for _, h := range pins {
 				for i, r := range h.Frames() {

@@ -73,14 +73,19 @@ type Frame struct {
 	pfn     uint64
 	pg      *page    // contents; nil reads as zeros
 	pm      *PhysMem // allocator the frame and its pages come from
-	mapRefs int      // number of PTEs referencing this frame
-	pinRefs int      // get_user_pages-style references
+	mapRefs int32    // number of PTEs referencing this frame
+	pinRefs int32    // get_user_pages-style references
 	// kernRefs are transient in-kernel references (get_page-style) held
 	// across an allocation inside breakCOW/Migrate so direct reclaim
 	// cannot steal the frame mid-operation. Unlike pinRefs they are not
 	// user pins: the reclaim scan skips them without counting a
 	// pinned-resist, keeping the paper-facing metric honest.
-	kernRefs int
+	kernRefs int32
+	// memo records which bytes of a content this frame has held are
+	// copies of other contents (see copyMemo). It names contents by
+	// stamp only, so it keeps no page alive, and it stays with the frame
+	// across release and reuse.
+	memo *copyMemo
 
 	// Reverse mapping and LRU linkage, maintained only on bounded PhysMem
 	// (see reclaim.go): owner/vaddr record the (single) mapping reclaim
@@ -98,7 +103,7 @@ type Frame struct {
 }
 
 // PinCount returns the frame's current pin reference count.
-func (f *Frame) PinCount() int { return f.pinRefs }
+func (f *Frame) PinCount() int { return int(f.pinRefs) }
 
 // FrameRef is a generation-stamped reference to a frame, the form a holder
 // keeps when it holds a frame past the fault that returned it (pin handles
@@ -213,6 +218,8 @@ func (f *Frame) Write(off int, src []byte) int {
 			clear(pg.data[off+n:])
 		}
 		f.pg = pg
+	} else {
+		f.pg.stamp = f.pm.nextStamp()
 	}
 	copy(f.pg.data[off:off+n], src[:n])
 	return n
@@ -280,6 +287,13 @@ type PhysMem struct {
 	// made. Like freePages it never outgrows the node's peak of live
 	// frames.
 	spareFrames []*Frame
+
+	// Content stamps (see page): the last one drawn and the end of the
+	// block it came from.
+	stamp, stampEnd uint64
+	// memos is the rest of the slab that frames' copy memos are carved
+	// from (see newMemo).
+	memos []copyMemo
 }
 
 // NewPhysMem returns physical memory with capacity frames (0 = unlimited).
@@ -325,7 +339,8 @@ func (pm *PhysMem) Resize(frames int) {
 }
 
 // alloc returns a zeroed frame, a released one from the free list when
-// there is one. A reused frame keeps its frame number and generation.
+// there is one. A reused frame keeps its frame number, generation and copy
+// memo.
 func (pm *PhysMem) alloc() (*Frame, error) {
 	if pm.capacity > 0 && pm.inUse >= pm.capacity {
 		return nil, ErrNoMemory
@@ -341,7 +356,7 @@ func (pm *PhysMem) alloc() (*Frame, error) {
 		f := pm.spareFrames[n-1]
 		pm.spareFrames[n-1] = nil
 		pm.spareFrames = pm.spareFrames[:n-1]
-		*f = Frame{pfn: f.pfn, gen: f.gen, pm: pm}
+		*f = Frame{pfn: f.pfn, gen: f.gen, pm: pm, memo: f.memo}
 		return f, nil
 	}
 	pm.nextPFN++

@@ -482,8 +482,8 @@ func TestPinExtendRollsBackAtHole(t *testing.T) {
 			if pt == nil || !pt.present {
 				t.Fatalf("page %d not resident", i)
 			}
-			if pt.frame.pinRefs != want {
-				t.Fatalf("page %d: pinRefs %d, want %d", i, pt.frame.pinRefs, want)
+			if pt.frame.PinCount() != want {
+				t.Fatalf("page %d: pinRefs %d, want %d", i, pt.frame.PinCount(), want)
 			}
 		}
 	}
