@@ -203,6 +203,13 @@ func New(cfg Config) (*Cluster, error) {
 		}
 		next = (shardOf[len(shardOf)-1] + 1) % shards
 	}
+	// One pool per shard: its nodes recycle page buffers, page-table
+	// leaves and wire objects through it, so what one node lets go of
+	// another reuses.
+	pools := make([]*omx.Pool, shards)
+	for i := range pools {
+		pools[i] = omx.NewPool()
+	}
 	fabric := ethernet.NewFabric(engines[0], link)
 	fabric.Seed = cfg.Seed
 	fabric.LoopbackBytesPerSec = loopbackBytesPerSec
@@ -212,7 +219,7 @@ func New(cfg Config) (*Cluster, error) {
 	n := 0
 	for _, g := range groups {
 		for k := 0; k < g.Nodes; k++ {
-			if err := cl.addNode(&cfg, g, n, engines[shardOf[n]]); err != nil {
+			if err := cl.addNode(&cfg, g, n, engines[shardOf[n]], pools[shardOf[n]]); err != nil {
 				return nil, err
 			}
 			n++
@@ -243,10 +250,12 @@ func New(cfg Config) (*Cluster, error) {
 	return cl, nil
 }
 
-// addNode builds node n of group g on eng, with its ranks' processes and
-// endpoints. Ranks are numbered globally in build order.
-func (cl *Cluster) addNode(cfg *Config, g NodeGroup, n int, eng *sim.Engine) error {
+// addNode builds node n of group g on eng, recycling through its shard's
+// pool, with its ranks' processes and endpoints. Ranks are numbered
+// globally in build order.
+func (cl *Cluster) addNode(cfg *Config, g NodeGroup, n int, eng *sim.Engine, pool *omx.Pool) error {
 	node := omx.NewNode(eng, cl.Fabric, cfg.Spec, n)
+	node.SharePool(pool)
 	if g.NICQueues > 1 {
 		node.ConfigureQueues(g.NICQueues)
 	}
@@ -365,10 +374,11 @@ func (cl *Cluster) RunFor(budget sim.Duration, body func(c *mpi.Comm)) bool {
 	return cl.World.AllDone()
 }
 
-// dropFreePages empties every node's free lists once a run ends — its
-// recycled page buffers and vm frames, and its wire frames, pull
-// requests and pull replies — and its cores' work-queue arrays, so a
-// finished simulation holds no pooled objects.
+// dropFreePages empties every node's free lists and its shard's pool once
+// a run ends — recycled vm frames, page buffers, spliced page headers and
+// page-table leaves, and wire frames, pull requests and pull replies — and
+// its cores' work-queue arrays, so a finished simulation holds no pooled
+// objects.
 func (cl *Cluster) dropFreePages() {
 	for _, n := range cl.Nodes {
 		n.Phys.DropFreePages()

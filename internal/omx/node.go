@@ -61,17 +61,38 @@ type Node struct {
 	// (the chaos stress report counts aborts per interval through it).
 	onAbort func(kind ReqKind, err error)
 
-	// Free lists of the wire objects this node is done with. A frame is
-	// its sender's until NIC.Send, the fabric's in flight, and the
-	// receiving node's from onFrame on, which empties it onto this list;
-	// a frame lost in flight is left to the garbage collector. Pull
-	// requests and replies come from the sending node's list and go onto
-	// the receiving node's once handled. Each list is touched only on its
-	// node's shard (objects cross shards inside frames, through the window
-	// barrier); none is capped, and DropFreeLists empties them at run end.
-	freeFrames  freeList[ethernet.Frame]
-	freeReqs    freeList[pullReq]
-	freeReplies freeList[pullReply]
+	// pool recycles the node's wire objects and vm pages, its own or
+	// shared with the other nodes of its engine shard (see Pool).
+	pool *Pool
+}
+
+// Pool holds what the nodes of one engine shard recycle among themselves:
+// the vm pool of page buffers, spliced page headers and page-table leaves,
+// and free lists of the wire objects the nodes are done with. A frame is
+// its sender's until NIC.Send, the fabric's in flight, and the receiving
+// node's from onFrame on, which empties it onto its pool; a frame lost in
+// flight is left to the garbage collector. Pull requests and replies come
+// from the sending node's pool and go onto the receiving node's once
+// handled. A pool is touched only on its shard (objects cross shards inside
+// frames, through the window barrier), so in one-way traffic within a
+// shard the sender reuses what the receiver recycled. No list is capped,
+// and DropFreeLists empties them at run end.
+type Pool struct {
+	mem     *vm.Pool
+	frames  freeList[ethernet.Frame]
+	reqs    freeList[pullReq]
+	replies freeList[pullReply]
+}
+
+// NewPool returns an empty pool.
+func NewPool() *Pool { return &Pool{mem: vm.NewPool()} }
+
+// SharePool makes the node recycle its wire objects and vm pages through
+// p, which the other nodes of its engine shard share. Set it before the
+// node runs.
+func (n *Node) SharePool(p *Pool) {
+	n.pool = p
+	n.Phys.SetPool(p.mem)
 }
 
 // freeList is a LIFO of recycled objects.
@@ -125,6 +146,7 @@ func NewNode(eng *sim.Engine, fabric *ethernet.Fabric, spec cpu.Spec, id int) *N
 		IOAT:      ioat.New(eng, 0),
 		endpoints: make(map[int]*Endpoint),
 	}
+	n.SharePool(NewPool())
 	n.rxCore = n.Machine.Core(rxCoreIdx)
 	n.rxQueues = 1
 	n.NIC.SetHandler(n.onFrame)
@@ -136,10 +158,10 @@ func NewNode(eng *sim.Engine, fabric *ethernet.Fabric, spec cpu.Spec, id int) *N
 	return n
 }
 
-// DropFreeLists empties the node's recycled frame, pull-request and
-// pull-reply lists, so a finished run holds none of them.
+// DropFreeLists empties the recycled frame, pull-request and pull-reply
+// lists of the node's pool, so a finished run holds none of them.
 func (n *Node) DropFreeLists() {
-	n.freeFrames, n.freeReqs, n.freeReplies = nil, nil, nil
+	n.pool.frames, n.pool.reqs, n.pool.replies = nil, nil, nil
 }
 
 // ConfigureQueues resizes the node's NIC to q tx/rx queues and spreads the
@@ -239,13 +261,13 @@ func (n *Node) ResizeMemory(frames int) bool {
 // maxData is the data payload available per frame after the MXoE header.
 func (n *Node) maxData() int { return n.NIC.MTU() - headerBytes }
 
-// send transmits one protocol message in a frame from the node's free
-// list, sizing it from its data and steering it onto the flow of its (src
+// send transmits one protocol message in a frame from the node's pool,
+// sizing it from its data and steering it onto the flow of its (src
 // endpoint, dst endpoint) pair so multi-queue NICs keep each endpoint
 // conversation on one lane.
 func (n *Node) send(dst int, dataLen int, payload wirePayload) {
 	src, dstAddr := payload.addrs()
-	fr := n.freeFrames.get()
+	fr := n.pool.frames.get()
 	fr.Dst, fr.Size, fr.Payload, fr.Flow = dst, headerBytes+dataLen, payload, FlowOf(src, dstAddr)
 	n.NIC.Send(fr)
 }
@@ -254,8 +276,8 @@ func (n *Node) send(dst int, dataLen int, payload wirePayload) {
 // the frame's rx-queue core. All protocol processing happens in the BH at
 // BottomHalf priority — which is what starves same-core application
 // pinning under flood (paper §4.3). The node owns every frame delivered
-// here: once the payload and rx queue are read, the frame is emptied onto
-// the free list. An empty payload marks a recycled frame.
+// here: once the payload and rx queue are read, the frame is emptied into
+// the pool. An empty payload marks a recycled frame.
 func (n *Node) onFrame(fr *ethernet.Frame) {
 	n.stats.FramesRx++
 	if fr.Payload == nil {
@@ -278,50 +300,50 @@ func (n *Node) onFrame(fr *ethernet.Frame) {
 	ep.dispatchBH(p, queue)
 }
 
-// recycleFrame empties a delivered frame onto the free list. Its bound
-// delivery callback stays, so the next send of it allocates nothing.
+// recycleFrame empties a delivered frame into the pool. Its bound delivery
+// callback stays, so the next send of it allocates nothing.
 func (n *Node) recycleFrame(fr *ethernet.Frame) {
 	if fr.Payload == nil {
 		panic("omx: ethernet frame recycled twice")
 	}
 	fr.Src, fr.Dst, fr.Size, fr.Payload, fr.Flow, fr.Queue = 0, 0, 0, nil, 0, 0
-	n.freeFrames.put(fr)
+	n.pool.frames.put(fr)
 }
 
-// newPullReq takes a pull request from the free list, keeping its blocks
-// array, and addresses it.
+// newPullReq takes a pull request from the pool, keeping its blocks array,
+// and addresses it.
 func (n *Node) newPullReq(src, dst EndpointAddr, seq uint64) *pullReq {
-	m := n.freeReqs.get()
+	m := n.pool.reqs.get()
 	m.src, m.dst, m.seq, m.blocks, m.live = src, dst, seq, m.blocks[:0], true
 	return m
 }
 
-// recyclePullReq puts a handled pull request on the free list.
+// recyclePullReq puts a handled pull request in the pool.
 func (n *Node) recyclePullReq(m *pullReq) {
 	if !m.live {
 		panic("omx: pull request recycled twice")
 	}
 	m.live, m.ep, m.ss, m.region = false, nil, nil, nil
-	n.freeReqs.put(m)
+	n.pool.reqs.put(m)
 }
 
-// newPullReply takes a pull reply from the free list, its buf empty but
-// keeping its chunk array, and addresses it.
+// newPullReply takes a pull reply from the pool, its buf empty but keeping
+// its chunk array, and addresses it.
 func (n *Node) newPullReply(src, dst EndpointAddr, seq uint64, off int) *pullReply {
-	m := n.freeReplies.get()
+	m := n.pool.replies.get()
 	m.src, m.dst, m.seq, m.off, m.live = src, dst, seq, off, true
 	return m
 }
 
 // recyclePullReply releases a received reply's page references and puts
-// it on the free list.
+// it in the pool.
 func (n *Node) recyclePullReply(m *pullReply) {
 	if !m.live {
 		panic("omx: pull reply recycled twice")
 	}
 	m.buf.Release()
 	m.live, m.ep, m.rs, m.region = false, nil, nil, nil
-	n.freeReplies.put(m)
+	n.pool.replies.put(m)
 }
 
 // mustBeLive panics when a pull message is handled after it was recycled.

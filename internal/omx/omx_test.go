@@ -540,12 +540,12 @@ func TestEndpointOpenCloseLifecycle(t *testing.T) {
 // without allocating: the handler is bound once per endpoint and takes the
 // payload as its argument. The notify ack names no receive, so its handler
 // only looks the message up. The node owns each frame it is handed and
-// recycles it, so every delivery re-arms the frame from its free list.
+// recycles it, so every delivery re-arms the frame from its pool.
 func TestAllocsBottomHalf(t *testing.T) {
 	p := newPair(t, DefaultConfig(policy.Overlapped, true))
 	ack := &notifyAck{src: p.a.addr, dst: p.b.addr, seq: 99}
 	deliver := func() {
-		fr := p.n1.freeFrames.get()
+		fr := p.n1.pool.frames.get()
 		fr.Dst, fr.Payload = 1, ack
 		p.n1.onFrame(fr)
 		p.eng.Run()

@@ -75,6 +75,60 @@ func TestAllocsRendezvousPerMessage(t *testing.T) {
 	}
 }
 
+// TestAllocsOneWayStreamPerMessage: two nodes of one engine shard share
+// its pool, so in one-way traffic the sender takes the frames, pull
+// requests and pull replies the receiver recycled instead of making new
+// ones while the receiver hoards. Once both regions are cached and the
+// pool is warm, each message leaves the pool holding exactly what it held
+// before (an object made during the message would come back as one more),
+// and a message allocates the same objects at 256 KiB as at 4 MiB, within
+// the rendezvous budget.
+func TestAllocsOneWayStreamPerMessage(t *testing.T) {
+	var perMsg []float64
+	for _, n := range []int{256 << 10, 4 << 20} {
+		eng := sim.NewEngine(11)
+		fabric := ethernet.NewFabric(eng, ethernet.DefaultLinkConfig())
+		pool := NewPool()
+		n0 := NewNode(eng, fabric, cpu.XeonE5460, 0)
+		n1 := NewNode(eng, fabric, cpu.XeonE5460, 1)
+		n0.SharePool(pool)
+		n1.SharePool(pool)
+		a, _ := n0.OpenEndpoint(0, 1, DefaultConfig(policy.Overlapped, true))
+		b, _ := n1.OpenEndpoint(0, 1, DefaultConfig(policy.Overlapped, true))
+		sbuf, _ := a.Malloc(n)
+		rbuf, _ := b.Malloc(n)
+		want := fill(t, a, sbuf, n, 9)
+		held := func() [3]int { return [3]int{len(pool.frames), len(pool.reqs), len(pool.replies)} }
+		var before [3]int
+		one := func() {
+			before = held()
+			rr := b.Irecv(rbuf, n, 1, ^uint64(0))
+			sr := a.Isend(sbuf, n, 1, b.Addr())
+			eng.Run()
+			if !sr.Done() || !rr.Done() || sr.Err != nil || rr.Err != nil {
+				t.Fatalf("%d-byte message: done %v/%v, errors %v/%v", n, sr.Done(), rr.Done(), sr.Err, rr.Err)
+			}
+		}
+		one() // declare, pin and cache both regions; fill the pool
+		one()
+		one()
+		if got := held(); got != before {
+			t.Fatalf("%d-byte message: the pool held %v frames, requests and replies before and %v after", n, before, got)
+		}
+		perMsg = append(perMsg, testing.AllocsPerRun(20, one))
+		got := make([]byte, n)
+		if err := b.AS.Read(rbuf, got); err != nil || !bytes.Equal(got, want) {
+			t.Fatalf("%d-byte stream delivered the wrong bytes", n)
+		}
+	}
+	if perMsg[0] != perMsg[1] {
+		t.Fatalf("a one-way message allocates %.1f objects at 256 KiB but %.1f at 4 MiB", perMsg[0], perMsg[1])
+	}
+	if perMsg[0] > rendezvousAllocs {
+		t.Fatalf("a one-way message allocates %.1f objects, over the rendezvous budget of %d", perMsg[0], rendezvousAllocs)
+	}
+}
+
 // rendezvousAllocs bounds what one cached rendezvous allocates: its two
 // requests, the send and receive state, the block table and fragment set,
 // the control messages (rendezvous, notify, notify ack) and the closures
@@ -105,7 +159,7 @@ func TestRecycledWireObjectsFailLoudly(t *testing.T) {
 	p := newPair(t, DefaultConfig(policy.Overlapped, true))
 	n := p.n1
 	t.Run("frame", func(t *testing.T) {
-		fr := n.freeFrames.get()
+		fr := n.pool.frames.get()
 		fr.Dst, fr.Payload = 1, &notifyAck{src: p.a.addr, dst: p.b.addr, seq: 99}
 		n.onFrame(fr) // the node owns and recycles it
 		mustPanic(t, "ethernet frame recycled twice", func() { n.recycleFrame(fr) })
@@ -130,7 +184,7 @@ func TestRecycledWireObjectsFailLoudly(t *testing.T) {
 		// is caught there too.
 		m := p.a.node.newPullReq(p.a.addr, p.b.addr, 99)
 		p.a.node.recyclePullReq(m)
-		fr := n.freeFrames.get()
+		fr := n.pool.frames.get()
 		fr.Dst, fr.Payload = 1, m
 		mustPanic(t, "pull request handled after it was recycled", func() {
 			n.onFrame(fr)
@@ -150,13 +204,13 @@ type freeListWatch struct {
 
 // check describes an object a list holds twice, or returns "".
 func (w *freeListWatch) check() string {
-	if x := w.frames.check(w.n.freeFrames); x != nil {
+	if x := w.frames.check(w.n.pool.frames); x != nil {
 		return fmt.Sprintf("node %d lists frame %p twice", w.n.ID, x)
 	}
-	if x := w.reqs.check(w.n.freeReqs); x != nil {
+	if x := w.reqs.check(w.n.pool.reqs); x != nil {
 		return fmt.Sprintf("node %d lists pull request %p twice", w.n.ID, x)
 	}
-	if x := w.replies.check(w.n.freeReplies); x != nil {
+	if x := w.replies.check(w.n.pool.replies); x != nil {
 		return fmt.Sprintf("node %d lists pull reply %p twice", w.n.ID, x)
 	}
 	return ""

@@ -203,7 +203,7 @@ func (ep *Endpoint) handleEagerAck(m *eagerAck) {
 // per-reply descriptor work. If the requested range is beyond the pinned
 // prefix (overlapped pinning hasn't caught up), the request is dropped and
 // the receiver's optimistic re-request recovers it — an overlap miss
-// (paper §3.3, §4.3). The request goes back on the node's free list once
+// (paper §3.3, §4.3). The request goes back into the node's pool once
 // served or dropped.
 func (ep *Endpoint) handlePullReq(m *pullReq) {
 	mustBeLive(m.live, "pull request")
@@ -271,7 +271,7 @@ func servePullBH(arg any) {
 }
 
 // servePull attaches the requested blocks' data to pull replies, one per
-// frame's worth, and puts the request back on the free list.
+// frame's worth, and puts the request back into the pool.
 func (ep *Endpoint) servePull(m *pullReq) {
 	mustBeLive(m.live, "pull request")
 	defer ep.node.recyclePullReq(m)

@@ -87,9 +87,9 @@ type pullRange struct {
 // Receiver-driven; duplicates are harmless (the sender is stateless for
 // pulls and the receiver dedups by fragment).
 //
-// Requests are recycled: the issuing node takes one from its free list
+// Requests are recycled: the issuing node takes one from its pool
 // (Node.newPullReq, keeping the blocks array), and the serving node puts
-// it on its own list once handled. live is false while it sits on a list.
+// it into its own once handled. live is false while it sits in a pool.
 type pullReq struct {
 	src, dst EndpointAddr // src = receiver issuing the pull
 	seq      uint64

@@ -9,7 +9,8 @@ import (
 // from page buffers. It is what the simulated wire carries instead of
 // materialized []byte payloads: building a Buf from pinned frames is
 // O(chunks) — no 4 KiB copies, no zero-fill — and writing one into
-// destination frames adopts whole-page chunks by reference.
+// destination frames adopts whole-page chunks by reference and splices
+// partial ones (see BufWriter).
 //
 // Snapshot semantics: every frame chunk holds a reference to its page, so
 // a write to the source frame while the Buf is alive clones the page first
@@ -94,9 +95,9 @@ func (b *Buf) AppendZeros(n int) {
 
 // PageBuf returns a page-backed copy of data: a Buf that owns page
 // buffers holding data, one chunk a page (the last may be partial).
-// Written at a page-aligned address through AddressSpace.WriteBuf, its
-// whole pages are adopted by reference and only a partial last page is
-// copied. The Buf holds one reference per page; Release it when done.
+// Written through AddressSpace.WriteBuf, its whole pages are adopted by
+// reference and its partial pages spliced or copied as BufWriter does.
+// The Buf holds one reference per page; Release it when done.
 func PageBuf(data []byte) Buf {
 	var b Buf
 	b.Grow(PageCount(0, len(data)))
@@ -115,8 +116,8 @@ func PageBuf(data []byte) Buf {
 // zeros), with one reference per chunk. A hog that dirties an n-page arena
 // with the same contents builds it once and writes the whole arena with a
 // single AddressSpace.WriteBuf: every page is adopted by reference, and a
-// write of fewer than n whole pages copies only its final partial page.
-// Release it when done.
+// write of fewer than n whole pages writes only its final partial page as
+// BufWriter does. Release it when done.
 func RepeatPage(data []byte, n int) Buf {
 	if len(data) > PageSize {
 		panic(fmt.Sprintf("vm: repeated page of %d bytes", len(data)))
@@ -155,9 +156,10 @@ func (b *Buf) Bytes() []byte {
 }
 
 // BufWriter consumes a Buf sequentially, writing it into frames. It adopts
-// whole-page chunks (and whole-page zero runs) by reference and falls back
-// to copying for partial pages, skipping any piece the frame already holds
-// (see Frame.writeFrom).
+// whole-page chunks (and whole-page zero runs) by reference. A partial
+// page is spliced, recorded as a piece of its source page, into a frame
+// that reads as zeros or holds a spliced page, and copied into one that
+// holds a page buffer (see Frame.writeFrom).
 type BufWriter struct {
 	b  *Buf
 	ci int // current chunk
@@ -204,7 +206,8 @@ func (w *BufWriter) WriteTo(f *Frame, frameOff, n int) {
 }
 
 // writeZeros zeroes [off, off+n) of the frame. Unmaterialized frames are
-// already zero, so this is free for them.
+// already zero, so this is free for them, and a spliced page trims its
+// pieces there instead.
 func (f *Frame) writeZeros(off, n int) {
 	if f.freed {
 		panic(fmt.Sprintf("vm: write to freed frame %d", f.pfn))
@@ -212,118 +215,34 @@ func (f *Frame) writeZeros(off, n int) {
 	if f.pg == nil || n <= 0 {
 		return
 	}
+	if f.pg.sp != nil && !f.pg.shared() && f.pm.overlay(f.pg.sp, nil, 0, off, off+n) {
+		return
+	}
 	f.ensureOwned()
-	f.pg.stamp = f.pm.nextStamp()
 	clear(f.pg.data[off : off+n])
 }
 
-// writeFrom copies the n bytes at offset so of page src into the frame at
-// off, unless the frame's content already holds them there: the frame
-// holds src itself and so == off, or its copy memo records those bytes as
-// a copy of src's content at this shift. A receive buffer committed again
-// from an unchanged send buffer, whose in-page offset differs from its
-// own, writes nothing. A copy from a page with a known content updates the
-// memo.
+// writeFrom writes the n bytes at offset so of page src into the frame at
+// off. A frame that holds src itself at that offset already holds them. A
+// frame that reads as zeros, or holds a spliced page no one else does,
+// records them as a piece of src instead of copying them (see
+// PhysMem.overlay); a receive buffer committed again from an unchanged
+// send buffer finds the piece already there. The bytes are copied only
+// into a page buffer, or when the splice would take more than maxPieces
+// pieces.
 func (f *Frame) writeFrom(src *page, so, off, n int) {
 	if f.freed {
 		panic(fmt.Sprintf("vm: write to freed frame %d", f.pfn))
 	}
-	shift := int32(off - so)
-	if f.pg == src && shift == 0 || f.memo.covers(f.pg, src.stamp, shift, off, off+n) {
+	switch {
+	case f.pg == src && so == off:
 		return
-	}
-	var prev uint64
-	if f.pg != nil {
-		prev = f.pg.stamp
+	case f.pg == nil:
+		f.pg = f.pm.newSplice()
+		f.pm.overlay(f.pg.sp, src, off-so, off, off+n)
+		return
+	case f.pg.sp != nil && !f.pg.shared() && f.pm.overlay(f.pg.sp, src, off-so, off, off+n):
+		return
 	}
 	f.Write(off, src.data[so:so+n])
-	if src.stamp == 0 || f.pg == nil {
-		return // an unknown content, or zeros left unmaterialized
-	}
-	if f.memo == nil {
-		f.memo = f.pm.newMemo()
-	}
-	f.memo.note(prev, f.pg.stamp, src.stamp, shift, off, off+n)
-}
-
-// copyMemo is what a frame remembers of the content it last wrote: up to
-// two records, each saying that bytes [lo, hi) of the content stamped dst
-// equal the bytes shift below them in the content stamped src. Two cover a
-// page fed from two source pages at one shift, as a receive buffer is
-// when its in-page offset differs from the send buffer's. A stamp names
-// one content forever, so a record never turns false; it applies only
-// while the frame holds the content it describes.
-type copyMemo struct {
-	dst  uint64
-	recs [2]copyRec
-}
-
-// copyRec is one record of a copyMemo; src 0 marks it empty.
-type copyRec struct {
-	src    uint64
-	shift  int32 // offset in dst minus offset in src
-	lo, hi uint16
-}
-
-// covers reports whether m records bytes [lo, hi) of pg's content as the
-// bytes shift below them in content src. An unknown content (src 0)
-// matches nothing.
-func (m *copyMemo) covers(pg *page, src uint64, shift int32, lo, hi int) bool {
-	if m == nil || pg == nil || src == 0 || m.dst != pg.stamp {
-		return false
-	}
-	for i := range m.recs {
-		if r := &m.recs[i]; r.src == src && r.shift == shift && int(r.lo) <= lo && hi <= int(r.hi) {
-			return true
-		}
-	}
-	return false
-}
-
-// note records that a copy of [lo, hi) from content src at shift turned
-// the frame's content prev into dst. Records of prev still hold outside
-// [lo, hi) and are trimmed to it, and one of the same source and shift
-// that meets the range merges with it; records of any other content no
-// longer apply and go. With both records taken, the new one replaces the
-// one covering fewer bytes.
-func (m *copyMemo) note(prev, dst, src uint64, shift int32, lo, hi int) {
-	if m.dst != prev {
-		m.recs = [2]copyRec{}
-	}
-	m.dst = dst
-	nlo, nhi := lo, hi
-	for i := range m.recs {
-		r := &m.recs[i]
-		switch {
-		case r.src == 0:
-		case r.src == src && r.shift == shift && int(r.lo) <= hi && lo <= int(r.hi):
-			nlo, nhi = min(nlo, int(r.lo)), max(nhi, int(r.hi))
-			*r = copyRec{}
-		default:
-			r.trim(lo, hi)
-		}
-	}
-	i := 0
-	if r0, r1 := &m.recs[0], &m.recs[1]; r0.src != 0 && (r1.src == 0 || r1.hi-r1.lo < r0.hi-r0.lo) {
-		i = 1
-	}
-	m.recs[i] = copyRec{src: src, shift: shift, lo: uint16(nlo), hi: uint16(nhi)}
-}
-
-// trim takes [lo, hi) out of the record. Where that would leave two
-// pieces it keeps the larger; where it leaves none it empties the record.
-func (r *copyRec) trim(lo, hi int) {
-	rlo, rhi := int(r.lo), int(r.hi)
-	if hi <= rlo || rhi <= lo {
-		return
-	}
-	below, above := lo-rlo, rhi-hi
-	switch {
-	case below <= 0 && above <= 0:
-		*r = copyRec{}
-	case below >= above:
-		r.hi = uint16(lo)
-	default:
-		r.lo = uint16(hi)
-	}
 }

@@ -96,11 +96,13 @@ func TestBufSnapshotSurvivesSourceRewrite(t *testing.T) {
 	}
 }
 
-// TestBufPartialPageCopies: partial-page chunks copy rather than adopt, and
-// land at the right offsets.
+// TestBufPartialPageCopies: partial-page chunks written into a frame that
+// holds a page buffer copy rather than adopt or splice, and land at the
+// right offsets.
 func TestBufPartialPageCopies(t *testing.T) {
 	_, src, dst := pinnedPair(t)
 	src.Frame(0).Write(100, []byte("hello"))
+	dst.Frame(0).Write(0, []byte{1})
 	var b Buf
 	b.AppendFrame(src.Frame(0), 100, 5)
 	b.AppendZeros(3)
@@ -126,10 +128,10 @@ func TestBufPartialPageCopies(t *testing.T) {
 }
 
 // TestPageBufAdoptedByReference: WriteBuf adopts a PageBuf's whole pages
-// into page-aligned frames and copies its partial last page; written at
-// an unaligned address, every piece is copied. A later write to an
-// adopting frame clones, so the PageBuf keeps its bytes, and once every
-// adopter has cloned away, releasing the PageBuf leaves its pages unheld.
+// into page-aligned frames and splices its partial last page; written at
+// an unaligned address, every piece is copied or spliced. A later write to
+// an adopting frame clones, so the PageBuf keeps its bytes, and once the
+// mapping is gone, releasing the PageBuf leaves its pages unheld.
 func TestPageBufAdoptedByReference(t *testing.T) {
 	const n = 2*PageSize + 100
 	data := make([]byte, n)
@@ -166,6 +168,7 @@ func TestPageBufAdoptedByReference(t *testing.T) {
 	if !bytes.Equal(got, data[:PageSize+1]) {
 		t.Fatal("an unaligned WriteBuf wrote the wrong bytes")
 	}
+	as.Munmap(a, 4*PageSize)
 	// Release clears the chunk array it keeps: record the pages first.
 	pages := make([]*page, len(pb.chunks))
 	for i, c := range pb.chunks {

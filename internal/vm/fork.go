@@ -23,10 +23,10 @@ func (as *AddressSpace) Fork(childPID int) (*AddressSpace, error) {
 		// Only an existing leaf can hold a page to share, so the child
 		// gets a leaf where the parent has one.
 		for i := 0; i < v.pages(); {
-			ptes, n := v.leafRun(i, v.pages(), false)
+			ptes, n := v.leafRun(i, v.pages(), nil)
 			var cptes []pte
 			if ptes != nil {
-				cptes, _ = cv.leafRun(i, v.pages(), true)
+				cptes, _ = cv.leafRun(i, v.pages(), as.phys)
 			}
 			for j := range ptes {
 				p := &ptes[j]

@@ -209,7 +209,9 @@ func TestHogSweepOneCallMatchesPerPage(t *testing.T) {
 					st.pfn, pg = p.frame.pfn, p.frame.pg
 				}
 				if st.dirt = pg == dirtPage; !st.dirt && pg != nil {
-					st.data = string(pg.data[:])
+					data := make([]byte, PageSize)
+					pg.read(0, data)
+					st.data = string(data)
 				}
 				out = append(out, st)
 			})

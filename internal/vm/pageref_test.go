@@ -3,6 +3,7 @@ package vm
 import (
 	"bytes"
 	"fmt"
+	"slices"
 	"sync"
 	"testing"
 )
@@ -10,7 +11,7 @@ import (
 // pageLedger checks page reference counts against the holders a test can
 // see. Lent Bufs are registered while alive; the pages of released Bufs are
 // remembered, because a Buf that drops a page's last reference leaves it to
-// the garbage collector instead of a free list.
+// the garbage collector instead of a pool.
 type pageLedger struct {
 	pm       *PhysMem
 	bufs     map[*Buf]bool
@@ -78,9 +79,11 @@ func (l *pageLedger) release(b *Buf) {
 
 // check verifies that every reachable page's count equals its holders —
 // one per distinct frame (mapped through the given address spaces or kept
-// alive by the given pins), one per swap slot, one per live Buf chunk —
-// that free-list pages are held by nobody, and that every reachable
-// frame's pin count equals the pin references the given pins hold to it.
+// alive by the given pins), one per swap slot, one per live Buf chunk, one
+// per piece of a reachable spliced page — that every splice is well formed
+// and no Buf holds a spliced page, that pooled pages and headers are held
+// by nobody, and that every reachable frame's pin count equals the pin
+// references the given pins hold to it.
 func (l *pageLedger) check(spaces []*AddressSpace, pins []*Pinned) error {
 	holders := make(map[*page]int32)
 	frames := make(map[*Frame]bool)
@@ -111,9 +114,26 @@ func (l *pageLedger) check(spaces []*AddressSpace, pins []*Pinned) error {
 			holders[f.pg]++
 		}
 	}
+	var spliced []*page
+	for pg := range holders {
+		if pg.sp != nil {
+			spliced = append(spliced, pg)
+		}
+	}
+	for _, pg := range spliced {
+		if err := checkSplice(pg); err != nil {
+			return err
+		}
+		for _, pc := range pg.sp.pieces[:pg.sp.n] {
+			holders[pc.src]++
+		}
+	}
 	for b := range l.bufs {
 		for _, c := range b.chunks {
 			if c.pg != nil {
+				if c.pg.sp != nil {
+					return fmt.Errorf("a Buf holds spliced page %p", c.pg)
+				}
 				holders[c.pg]++
 			}
 		}
@@ -124,28 +144,62 @@ func (l *pageLedger) check(spaces []*AddressSpace, pins []*Pinned) error {
 		}
 	}
 	onList := make(map[*page]bool)
-	for _, pg := range l.pm.freePages {
+	pool := l.pm.pool
+	for _, pg := range append(slices.Clone(pool.pages), pool.splices...) {
 		if onList[pg] {
-			return fmt.Errorf("page %p on the free list twice", pg)
+			return fmt.Errorf("page %p in the pool twice", pg)
 		}
 		onList[pg] = true
 		if holders[pg] != 0 || pg.refs.Load() != 0 {
-			return fmt.Errorf("free-list page %p has count %d, %d holders", pg, pg.refs.Load(), holders[pg])
+			return fmt.Errorf("pooled page %p has count %d, %d holders", pg, pg.refs.Load(), holders[pg])
+		}
+		if (pg.sp != nil) != (pg.data == nil) || pg.sp != nil && pg.sp.n != 0 {
+			return fmt.Errorf("pooled page %p is neither a page buffer nor an empty spliced header", pg)
+		}
+	}
+	return nil
+}
+
+// checkSplice verifies a spliced page: no bytes of its own, at most
+// maxPieces pieces, each non-empty, inside the page, reading inside a page
+// buffer, and all of them disjoint and sorted.
+func checkSplice(pg *page) error {
+	sp := pg.sp
+	if pg.data != nil || sp.n < 0 || sp.n > maxPieces {
+		return fmt.Errorf("spliced page %p: data %v, %d pieces", pg, pg.data != nil, sp.n)
+	}
+	prev := 0
+	for i, pc := range sp.pieces[:sp.n] {
+		lo, hi, s := int(pc.lo), int(pc.hi), int(pc.shift)
+		if pc.src == nil || pc.src.data == nil || lo < prev || lo >= hi || hi > PageSize || lo-s < 0 || hi-s > PageSize {
+			return fmt.Errorf("spliced page %p: piece %d [%d,%d) at shift %d is malformed", pg, i, lo, hi, s)
+		}
+		prev = hi
+	}
+	for _, pc := range sp.pieces[sp.n:] {
+		if pc != (piece{}) {
+			return fmt.Errorf("spliced page %p keeps a piece past its last", pg)
 		}
 	}
 	return nil
 }
 
 // checkTornDown verifies the ledger after every mapping, pin and Buf is
-// gone: every page ever made, by the PhysMem or by a PageBuf, is back on
-// the free list or was last held by a released Buf, and none of them has a
-// holder left.
+// gone: every page buffer ever made, by the PhysMem or by a PageBuf, is
+// back in the pool or was last held by a released Buf, every spliced page
+// header is back in the pool, and none of them has a holder left. It
+// counts page buffers, not spliced headers.
 func (l *pageLedger) checkTornDown() error {
 	if len(l.bufs) != 0 {
 		return fmt.Errorf("%d Bufs still lent", len(l.bufs))
 	}
+	for _, pg := range l.pm.pool.splices {
+		if n := pg.refs.Load(); n != 0 || pg.sp.n != 0 {
+			return fmt.Errorf("pooled spliced header %p has count %d and %d pieces", pg, n, pg.sp.n)
+		}
+	}
 	seen := make(map[*page]bool)
-	for _, pg := range l.pm.freePages {
+	for _, pg := range l.pm.pool.pages {
 		seen[pg] = true
 	}
 	for pg := range l.lentPage {
@@ -186,9 +240,9 @@ func TestBufSnapshotSurvivesRemalloc(t *testing.T) {
 	}
 	again, _ := as.Mmap(2 * pages * PageSize)
 	as.Write(again, bytes.Repeat([]byte{0xEE}, 2*pages*PageSize))
-	if len(pm.freePages) != 0 || pm.pagesMade != 3*pages {
+	if len(pm.pool.pages) != 0 || pm.pagesMade != 3*pages {
 		t.Fatalf("re-malloc made %d pages with %d left free, want %d made and none free",
-			pm.pagesMade, len(pm.freePages), 3*pages)
+			pm.pagesMade, len(pm.pool.pages), 3*pages)
 	}
 	if got := b.Bytes(); !bytes.Equal(got, want) {
 		t.Fatal("lent Buf lost its snapshot to a recycled page")
@@ -305,9 +359,9 @@ func TestPageRefsConcurrentRelease(t *testing.T) {
 		t.Fatal(err)
 	default:
 	}
-	for _, pg := range pm.freePages {
+	for _, pg := range pm.pool.pages {
 		if n := pg.refs.Load(); n != 0 {
-			t.Fatalf("free-list page has count %d", n)
+			t.Fatalf("pooled page has count %d", n)
 		}
 	}
 }
@@ -316,8 +370,8 @@ func TestPageRefsConcurrentRelease(t *testing.T) {
 // across two engine shards: one goroutine owns the sender's memory and
 // lends ranges through ReadBuf; another owns the receiver's, adopts each
 // loan through WriteBuf into its own mapping, releases it and lets its
-// frames go. Pages cross between the two PhysMems by reference and end on
-// whichever free list their last holder belongs to. Run it under -race;
+// frames go. Pages cross between the two PhysMems by reference and end in
+// whichever pool their last holder belongs to. Run it under -race;
 // every adopted range must read what was lent.
 func TestPageRefsConcurrentAdopt(t *testing.T) {
 	const (

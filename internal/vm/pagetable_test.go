@@ -2,6 +2,7 @@ package vm
 
 import (
 	"bytes"
+	"slices"
 	"testing"
 )
 
@@ -203,5 +204,64 @@ func TestPageTableForkCopiesExistingLeaves(t *testing.T) {
 	}
 	if f, ok := child.FrameAt(pinned); !ok || f.owner != child || f.vaddr != pinned {
 		t.Fatal("the child's copy of the pinned page is not reverse mapped at its address")
+	}
+}
+
+// TestMunmapPoolsLeaves: freeing a mapping returns the leaves it held
+// alone to the pool, all zero, and mapping and touching the range again
+// takes those leaves back instead of allocating new ones. A leaf that
+// still holds a page of a surviving mapping stays with it, and the edge
+// leaves of a split mapping, which another part may share, are not pooled.
+func TestMunmapPoolsLeaves(t *testing.T) {
+	as := newAS(t)
+	pool := as.phys.pool
+	const pages = 3 * leafPages
+	touch := func(a Addr) {
+		t.Helper()
+		for p := 0; p < pages; p += leafPages / 2 {
+			if err := as.Write(a+Addr(p)<<PageShift, []byte{1}); err != nil {
+				t.Fatal(err)
+			}
+		}
+	}
+	a, _ := as.Mmap(pages * PageSize)
+	touch(a)
+	held := slices.Clone(as.vmas[0].dir)
+	as.Munmap(a, pages*PageSize)
+	if len(pool.leaves) != 3 {
+		t.Fatalf("freeing a 3-leaf mapping pooled %d leaves", len(pool.leaves))
+	}
+	for _, l := range pool.leaves {
+		if *l != (leaf{}) {
+			t.Fatal("a pooled leaf holds a PTE")
+		}
+	}
+	a, _ = as.Mmap(pages * PageSize)
+	touch(a)
+	if len(pool.leaves) != 0 {
+		t.Fatalf("touching the mapping again left %d leaves in the pool", len(pool.leaves))
+	}
+	for _, l := range as.vmas[0].dir {
+		if l != held[0] && l != held[1] && l != held[2] {
+			t.Fatal("the mapping allocated a leaf while the pool had one")
+		}
+	}
+	// A hole inside the first leaf pools nothing; one covering the middle
+	// leaf pools it. The parts left are split: unmapping one pools none of
+	// its edge leaves.
+	as.Munmap(a+5*PageSize, 5*PageSize)
+	if len(pool.leaves) != 0 {
+		t.Fatalf("a hole inside a leaf pooled %d leaves", len(pool.leaves))
+	}
+	as.Munmap(a+leafPages*PageSize, leafPages*PageSize)
+	if len(pool.leaves) != 1 {
+		t.Fatalf("unmapping the middle leaf pooled %d leaves, want 1", len(pool.leaves))
+	}
+	as.Munmap(a+2*leafPages*PageSize, leafPages*PageSize)
+	if len(pool.leaves) != 1 {
+		t.Fatalf("unmapping a split part pooled %d more leaves, want none", len(pool.leaves)-1)
+	}
+	if err := as.Write(a+2*leafPages*PageSize, []byte{1}); err == nil {
+		t.Fatal("the unmapped part is still writable")
 	}
 }

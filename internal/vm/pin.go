@@ -73,7 +73,7 @@ func (p *Pinned) Extend(n int) error {
 		v := as.vmas[vi]
 		limit := min(v.pages(), v.pageOf(end))
 		for i := v.pageOf(a); i < limit; {
-			ptes, run := v.leafRun(i, limit, true)
+			ptes, run := v.leafRun(i, limit, as.phys)
 			for j := range ptes {
 				// Pinning faults for write: the device may DMA into the
 				// page, so a COW-shared page must be broken now, not when

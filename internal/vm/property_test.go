@@ -244,23 +244,24 @@ func TestPropMunmapAlwaysNotifiesWholeRange(t *testing.T) {
 // migrate / pin / extend / munmap / re-mmap sequences on unbounded memory,
 // eight bytes an op, and checks after every operation that each page's
 // reference count equals its holders, that each frame's pin count equals
-// the pin references held to it, and that no free-list page is held; Bufs
+// the pin references held to it, and that no pooled page is held; Bufs
 // must read the snapshot they were lent and live mappings must match a
 // sparse model. Writes also go through WriteBuf from a PageBuf (adopted
 // whole pages, or an unaligned range) that stays out as a loan, and lends
 // also go through ReadBuf. A shifted copy reads a range of one mapping
 // through ReadBuf and writes it through WriteBuf into another at a
 // different in-page offset, as a receive commit does, once or twice in a
-// row, so that frames' copy memos skip bytes they already hold; the copied
-// range must then read back as the source's bytes, which fails if a memo
-// outlives the content it describes (a source rewritten in place or
-// through a recycled page, a destination written since, or a piece zeroed
-// from an unwritten source). Three mappings fit in one page-table leaf; the
-// fourth spans more than three, and ops address it at random pages. A
-// partial munmap cuts a hole inside a mapping, splitting its VMA (usually
-// inside a leaf), and maps the hole again. Released frames are reused, so
-// after every op each active pin's references must resolve and no reference
-// taken before its frame's release may. At teardown every page ever made is
+// row, so that its partial pages are spliced from the source's pages, and
+// the second copy finds its pieces already there; the copied range must
+// then read back as the source's bytes, and keep them until it is written
+// again, through source rewrites, forks, swaps, loans and unmaps. Each
+// piece counts as a holder of its source page. Three mappings fit in one
+// page-table leaf; the fourth spans more than three, and ops address it at
+// random pages. A partial munmap cuts a hole inside a mapping, splitting
+// its VMA (usually inside a leaf), and maps the hole again; leaves a munmap
+// frees are reused. Released frames are reused, so after every op each
+// active pin's references must resolve and no reference taken before its
+// frame's release may. At teardown every page buffer ever made is
 // accounted for with no holder left.
 func FuzzPageRefs(f *testing.F) {
 	mapPages := [...]int{4, 4, 4, 3*leafPages + 5}

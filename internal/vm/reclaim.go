@@ -311,12 +311,15 @@ func (pm *PhysMem) KswapdPass() (scanned, stolen int) {
 //
 // The reverse map holds the PTE itself, so the check needs no page-table
 // lookup: the PTE still maps f exactly when looking vaddr up again would
-// find it mapping f. A leaf is allocated once and never moves, and a vma
+// find it mapping f. A leaf never moves while its vma lives, and a vma
 // split (vma.sub) shares its leaves instead of copying them, so the
 // pointer names the PTE at vaddr for as long as the mapping lives. Once
-// the mapping goes, dropPTE has zeroed that PTE (a remap at the same
-// address gets fresh leaves), so a stale pointer fails the check wherever
-// lookup would have failed.
+// the mapping goes, dropPTE has zeroed that PTE, and a frame it leaves
+// alive (pinned, or mapped by another address space) loses this owner, so
+// shrink never follows the pointer again. That holds even after Munmap
+// returns the leaf to the pool and another mapping, on this node or
+// another of its shard, takes it: the slot may then map some other frame,
+// but never one whose reverse map still names it.
 func (as *AddressSpace) reclaimFrame(f *Frame) bool {
 	p := f.ptep
 	if !p.present || p.frame != f {

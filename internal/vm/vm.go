@@ -18,10 +18,11 @@
 // direct indexing — no per-page lookups. Frame contents are reference-counted
 // page buffers (see page and Buf): readers take O(1) references, the 4 KiB
 // copy is paid only if a side writes while another still holds the page,
-// and a page whose last holder lets go is recycled through its node's free
-// list instead of being garbage. Released frames are recycled the same way,
-// behind a generation stamp that makes every reference taken before the
-// release stale (see FrameRef).
+// a partial page received from another page is spliced from it rather than
+// copied, and a page whose last holder lets go is recycled through its
+// engine shard's pool instead of being garbage. Released frames are
+// recycled per node, behind a generation stamp that makes every reference
+// taken before the release stale (see FrameRef).
 package vm
 
 import (
@@ -66,9 +67,9 @@ var (
 
 // Frame is a physical page frame. Its page buffer is taken lazily on first
 // write; unwritten frames read as zeros. The buffer may be shared with Buf
-// views, swap slots and other frames (see page); a write while another
-// holder exists first clones the 4 KiB buffer, so every outstanding
-// reference keeps the snapshot it was taken from.
+// views, swap slots, other frames and spliced pages (see page); a write
+// while another holder exists first clones the 4 KiB buffer, so every
+// outstanding reference keeps the snapshot it was taken from.
 type Frame struct {
 	pfn     uint64
 	pg      *page    // contents; nil reads as zeros
@@ -81,11 +82,6 @@ type Frame struct {
 	// user pins: the reclaim scan skips them without counting a
 	// pinned-resist, keeping the paper-facing metric honest.
 	kernRefs int32
-	// memo records which bytes of a content this frame has held are
-	// copies of other contents (see copyMemo). It names contents by
-	// stamp only, so it keeps no page alive, and it stays with the frame
-	// across release and reuse.
-	memo *copyMemo
 
 	// Reverse mapping and LRU linkage, maintained only on bounded PhysMem
 	// (see reclaim.go): owner/vaddr record the (single) mapping reclaim
@@ -156,14 +152,15 @@ func (f *Frame) Read(off int, dst []byte) int {
 		clear(dst[:n])
 		return n
 	}
-	copy(dst[:n], f.pg.data[off:off+n])
+	f.pg.read(off, dst[:n])
 	return n
 }
 
 // refPage takes a reference to the frame's page for another holder (nil
 // means the page reads as zeros and there is nothing to share). While that
 // reference lives, a write to the frame clones first, preserving the
-// holder's snapshot.
+// holder's snapshot. A spliced page is materialized first, so no other
+// holder ever sees one.
 func (f *Frame) refPage() *page {
 	if f.freed {
 		panic(fmt.Sprintf("vm: reference of freed frame %d", f.pfn))
@@ -171,22 +168,26 @@ func (f *Frame) refPage() *page {
 	if f.pg == nil {
 		return nil
 	}
+	if f.pg.sp != nil {
+		f.clonePage()
+	}
 	return f.pg.get()
 }
 
-// ensureOwned makes the frame's page private and writable, cloning it
-// while another holder exists (the copy-on-write half of
-// copy-on-reference).
+// ensureOwned makes the frame's page a private, writable page buffer,
+// cloning it while another holder exists (the copy-on-write half of
+// copy-on-reference) and materializing a spliced page.
 func (f *Frame) ensureOwned() {
-	if f.pg != nil && f.pg.shared() {
+	if f.pg != nil && (f.pg.sp != nil || f.pg.shared()) {
 		f.clonePage()
 	}
 }
 
-// clonePage replaces the frame's page with a private copy.
+// clonePage replaces the frame's page with a private page buffer holding
+// the same bytes.
 func (f *Frame) clonePage() {
 	pg, _ := f.pm.newPage()
-	*pg.data = *f.pg.data
+	f.pg.read(0, pg.data[:])
 	f.pm.putPage(f.pg)
 	f.pg = pg
 }
@@ -218,8 +219,6 @@ func (f *Frame) Write(off int, src []byte) int {
 			clear(pg.data[off+n:])
 		}
 		f.pg = pg
-	} else {
-		f.pg.stamp = f.pm.nextStamp()
 	}
 	copy(f.pg.data[off:off+n], src[:n])
 	return n
@@ -276,29 +275,23 @@ type PhysMem struct {
 	swappedBytes int
 	peakOccupied int
 
-	// Page buffers whose last holder let go, reused before new ones are
-	// made (see page.go). The list never outgrows the node's peak of
-	// materialized pages, so it needs no cap.
-	freePages []*page
-	recycled  uint64 // pages ever put on freePages
-	pagesMade uint64 // page buffers ever allocated
+	// The pool page buffers, spliced page headers and page-table leaves
+	// come from and return to (see Pool): the node's own, or one its
+	// engine shard shares.
+	pool      *Pool
+	recycled  uint64 // page buffers this node returned to the pool
+	pagesMade uint64 // page buffers this node allocated
 
 	// Released frames, reused (most recent first) before new ones are
-	// made. Like freePages it never outgrows the node's peak of live
-	// frames.
+	// made. The list never outgrows the node's peak of live frames, so it
+	// needs no cap.
 	spareFrames []*Frame
-
-	// Content stamps (see page): the last one drawn and the end of the
-	// block it came from.
-	stamp, stampEnd uint64
-	// memos is the rest of the slab that frames' copy memos are carved
-	// from (see newMemo).
-	memos []copyMemo
 }
 
-// NewPhysMem returns physical memory with capacity frames (0 = unlimited).
+// NewPhysMem returns physical memory with capacity frames (0 = unlimited)
+// and a pool of its own.
 func NewPhysMem(capacity int) *PhysMem {
-	return &PhysMem{capacity: capacity}
+	return &PhysMem{capacity: capacity, pool: NewPool()}
 }
 
 // FramesInUse reports the number of live frames.
@@ -339,8 +332,7 @@ func (pm *PhysMem) Resize(frames int) {
 }
 
 // alloc returns a zeroed frame, a released one from the free list when
-// there is one. A reused frame keeps its frame number, generation and copy
-// memo.
+// there is one. A reused frame keeps its frame number and generation.
 func (pm *PhysMem) alloc() (*Frame, error) {
 	if pm.capacity > 0 && pm.inUse >= pm.capacity {
 		return nil, ErrNoMemory
@@ -356,7 +348,7 @@ func (pm *PhysMem) alloc() (*Frame, error) {
 		f := pm.spareFrames[n-1]
 		pm.spareFrames[n-1] = nil
 		pm.spareFrames = pm.spareFrames[:n-1]
-		*f = Frame{pfn: f.pfn, gen: f.gen, pm: pm, memo: f.memo}
+		*f = Frame{pfn: f.pfn, gen: f.gen, pm: pm}
 		return f, nil
 	}
 	pm.nextPFN++
@@ -418,6 +410,9 @@ type vma struct {
 	start, end Addr // page aligned, [start, end)
 	base       int  // slot of page 0 in dir[0]
 	dir        []*leaf
+	// split marks a part of a split vma, whose first and last leaves
+	// another part may share.
+	split bool
 }
 
 func newVMA(start, end Addr) *vma {
@@ -434,18 +429,18 @@ func (v *vma) pageOf(a Addr) int { return int((a - v.start) >> PageShift) }
 
 // leafRun returns the PTEs of pages [i, i+n) of v, a run that ends at the
 // end of page i's leaf or at page limit, whichever comes first. An absent
-// leaf is allocated when alloc is set; otherwise ptes is nil (no page of
-// the run is present) and n is still the run's length.
-func (v *vma) leafRun(i, limit int, alloc bool) (ptes []pte, n int) {
+// leaf is taken from alloc's pool when alloc is set; otherwise ptes is nil
+// (no page of the run is present) and n is still the run's length.
+func (v *vma) leafRun(i, limit int, alloc *PhysMem) (ptes []pte, n int) {
 	g := v.base + i
 	s := g & leafMask
 	n = min(leafPages-s, limit-i)
 	l := v.dir[g>>leafShift]
 	if l == nil {
-		if !alloc {
+		if alloc == nil {
 			return nil, n
 		}
-		l = new(leaf)
+		l = alloc.newLeaf()
 		v.dir[g>>leafShift] = l
 	}
 	return l[s : s+n], n
@@ -461,6 +456,32 @@ func (v *vma) sub(first, count int) *vma {
 		end:   v.start + Addr(first+count)<<PageShift,
 		base:  g & leafMask,
 		dir:   slices.Clone(v.dir[lo:hi]),
+		split: true,
+	}
+}
+
+// dropLeaves returns to pm's pool the leaves of v that hold only pages
+// [first, first+count), an unmapped part of v whose PTEs dropPTE has
+// zeroed. A leaf that holds a page outside that range stays with the part
+// of v that keeps it, and the edge leaves of a split vma may be another
+// part's, so those stay too.
+func (v *vma) dropLeaves(pm *PhysMem, first, count int) {
+	g := v.base + first
+	lo, hi := g>>leafShift, (g+count+leafMask)>>leafShift
+	if first > 0 && g&leafMask != 0 {
+		lo++ // also holds pages of v below the range
+	}
+	if first+count < v.pages() && (g+count)&leafMask != 0 {
+		hi-- // also holds pages of v above the range
+	}
+	if v.split {
+		lo, hi = max(lo, 1), min(hi, len(v.dir)-1)
+	}
+	for k := lo; k < hi; k++ {
+		if l := v.dir[k]; l != nil {
+			pm.pool.leaves = append(pm.pool.leaves, l)
+			v.dir[k] = nil
+		}
 	}
 }
 
@@ -676,6 +697,7 @@ func (as *AddressSpace) insertVMA(v *vma) {
 // pinned after the notifiers return keep their frames alive (the pinner
 // holds a frame reference), but the translation is gone — exactly the
 // stale-DMA hazard a correct driver avoids by unpinning in the callback.
+// The page-table leaves the range held alone go back to the pool.
 func (as *AddressSpace) Munmap(addr Addr, length int) error {
 	if length <= 0 {
 		return ErrBadUnmap
@@ -689,6 +711,9 @@ func (as *AddressSpace) Munmap(addr Addr, length int) error {
 	}
 	as.notify(start, end, InvalidateUnmap)
 	as.forEachPTE(start, end, as.dropPTE)
+	as.forEachVMA(start, end, func(v *vma, first, count int) {
+		v.dropLeaves(as.phys, first, count)
+	})
 	as.removeVMARange(start, end)
 	return nil
 }
@@ -717,7 +742,7 @@ func (as *AddressSpace) forEachVMA(start, end Addr, fn func(v *vma, firstPage, p
 func (as *AddressSpace) forEachPTE(start, end Addr, fn func(p *pte)) {
 	as.forEachVMA(start, end, func(v *vma, first, count int) {
 		for i := first; i < first+count; {
-			ptes, n := v.leafRun(i, first+count, false)
+			ptes, n := v.leafRun(i, first+count, nil)
 			for j := range ptes {
 				fn(&ptes[j])
 			}
@@ -931,9 +956,9 @@ func (as *AddressSpace) Read(addr Addr, dst []byte) error {
 
 // WriteBuf writes the next n bytes of w into the address space at addr,
 // faulting exactly as Write does. A whole-page chunk landing on a whole
-// page is adopted by reference, as BufWriter does for pinned frames, so
-// writing the same PageBuf again and again moves no bytes; partial pages
-// are copied.
+// page is adopted by reference and a partial page spliced or copied, as
+// BufWriter does for pinned frames, so writing the same PageBuf again and
+// again moves no bytes.
 func (as *AddressSpace) WriteBuf(addr Addr, w *BufWriter, n int) error {
 	return as.rangeAccess(addr, n, true, func(f *Frame, frameOff, m, _ int) {
 		w.WriteTo(f, frameOff, m)
@@ -964,7 +989,7 @@ func (as *AddressSpace) rangeAccess(addr Addr, length int, forWrite bool,
 		v := as.vmas[vi]
 		limit := min(v.pages(), v.pageOf(PageAlignUp(addr+Addr(length))))
 		for i := v.pageOf(PageAlignDown(a)); i < limit; {
-			ptes, run := v.leafRun(i, limit, true)
+			ptes, run := v.leafRun(i, limit, as.phys)
 			for j := range ptes {
 				a = addr + Addr(done)
 				page := PageAlignDown(a)
@@ -1002,7 +1027,7 @@ func (as *AddressSpace) lookup(a Addr) *pte {
 	}
 	v := as.vmas[vi]
 	i := v.pageOf(a)
-	if ptes, _ := v.leafRun(i, i+1, false); ptes != nil {
+	if ptes, _ := v.leafRun(i, i+1, nil); ptes != nil {
 		return &ptes[0]
 	}
 	return nil
@@ -1037,7 +1062,7 @@ func (as *AddressSpace) MissingPages(addr Addr, count int) []int {
 		}
 		v := as.vmas[vi]
 		for idx := v.pageOf(a); i < count && idx < v.pages(); {
-			ptes, n := v.leafRun(idx, min(v.pages(), idx+count-i), false)
+			ptes, n := v.leafRun(idx, min(v.pages(), idx+count-i), nil)
 			for j := range n {
 				if ptes == nil || !ptes[j].present {
 					missing = append(missing, i+j)
@@ -1069,7 +1094,7 @@ func (as *AddressSpace) Populate(addr Addr, count int) (int, error) {
 		}
 		v := as.vmas[vi]
 		for idx := v.pageOf(a); i < count && idx < v.pages(); {
-			ptes, run := v.leafRun(idx, min(v.pages(), idx+count-i), true)
+			ptes, run := v.leafRun(idx, min(v.pages(), idx+count-i), as.phys)
 			for j := range ptes {
 				if pt := &ptes[j]; !pt.present {
 					if _, err := as.faultPTE(v.start+Addr(idx+j)<<PageShift, pt, false); err != nil {
@@ -1159,7 +1184,7 @@ func (as *AddressSpace) migratableRuns(start, end Addr, reason InvalidateReason,
 			}
 			as.notify(v.start+Addr(lo)<<PageShift, v.start+Addr(i)<<PageShift, reason)
 			for j := lo; j < i; {
-				ptes, n := v.leafRun(j, i, false)
+				ptes, n := v.leafRun(j, i, nil)
 				for k := range ptes {
 					if walkErr = fn(&ptes[k], v.start+Addr(j+k)<<PageShift); walkErr != nil {
 						return
@@ -1176,7 +1201,7 @@ func (as *AddressSpace) migratableRuns(start, end Addr, reason InvalidateReason,
 // not want, or limit. Pages of an absent leaf are not migratable.
 func (v *vma) scan(i, limit int, want bool) int {
 	for i < limit {
-		ptes, n := v.leafRun(i, limit, false)
+		ptes, n := v.leafRun(i, limit, nil)
 		if ptes == nil && want {
 			return i
 		}
